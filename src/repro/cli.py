@@ -81,7 +81,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.db.database import Database
 from repro.db.datalog import parse_query
-from repro.dtree.kernels import HAVE_NUMPY
 from repro.engine import Engine, EngineConfig
 from repro.engine.frontend import FrontendConfig, serve_jsonl_concurrent
 from repro.engine.logstore import (
@@ -443,13 +442,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable in-flight coalescing of isomorphic "
                              "computations (needs --workers >= 2)")
-    parser.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                        default="auto",
-                        help="arena evaluation backend: 'auto' vectorizes "
-                             "fused passes over numpy when available and "
-                             "worthwhile, 'numpy' forces it (errors "
-                             "without numpy), 'python' pins the "
-                             "pure-Python passes (default: auto)")
     arguments = parser.parse_args(list(argv))
     if not arguments.facts:
         parser.error("at least one --facts NAME=PATH is required")
@@ -457,10 +449,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
         parser.error("--warm-start needs --store")
     if arguments.workers < 1:
         parser.error("--workers must be at least 1")
-    if arguments.kernel == "numpy" and not HAVE_NUMPY:
-        parser.error("--kernel numpy requires numpy "
-                     "(pip install repro[fast]); use --kernel auto for "
-                     "best-available")
     if arguments.workers == 1:
         for flag, given in (("--deadline-ms",
                              arguments.deadline_ms is not None),
@@ -483,7 +471,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
     service = AttributionService(
         database,
         EngineConfig(method=arguments.method, epsilon=arguments.epsilon,
-                     kernel=arguments.kernel,
                      store_retries=arguments.store_retries,
                      breaker_threshold=arguments.breaker_threshold),
         store=store,

@@ -45,8 +45,9 @@ from repro.dtree.arena import (
     IncompleteArenaError,
     arena_counts,
     arena_of,
+    banzhaf_pass,
+    counts_pass,
 )
-from repro.dtree.kernels import banzhaf_pass, counts_pass
 from repro.dtree.nodes import (
     DecompAnd,
     DecompOr,
@@ -126,18 +127,12 @@ def model_count_objects(node: DTreeNode,
     return memo[id(node)]
 
 
-def _arena_for_exact(node: DTreeNode, kernel: str = "python",
+def _arena_for_exact(node: DTreeNode,
                      stats=None) -> Tuple[DTreeArena, List[int]]:
-    """Flatten ``node`` and run the exact count pass, translating errors.
-
-    ``kernel`` selects the evaluation backend
-    (:mod:`repro.dtree.kernels`); the default keeps the pure-Python
-    arena pass, bit-identical to the historical behaviour, and the
-    engine opts into ``"auto"``/``"numpy"`` via its config.
-    """
+    """Flatten ``node`` and run the exact count pass, translating errors."""
     arena = arena_of(node)
     try:
-        column = counts_pass(arena, kernel=kernel, stats=stats)
+        column = counts_pass(arena, stats=stats)
     except IncompleteArenaError as error:
         raise IncompleteDTreeError(str(error)) from None
     return arena, column
@@ -153,17 +148,17 @@ def _mirror_counts(arena: DTreeArena, column: List[int],
 
 
 def model_count(node: DTreeNode, counts: Optional[CountMemo] = None,
-                kernel: str = "python", stats=None) -> int:
+                stats=None) -> int:
     """Exact model count ``#phi`` of the function represented by ``node``.
 
     Requires a complete d-tree (no :class:`DNFLeaf` leaves).  Runs over
     the cached arena; ``counts`` is an optional shared memo (node id ->
     count) kept in sync with the arena's count column so legacy callers
-    (and the engine's memo-hit accounting) keep working.  ``kernel``
-    selects the backend (``"python"`` | ``"auto"`` | ``"numpy"``, see
-    :mod:`repro.dtree.kernels`); the result is bit-identical either way.
+    (and the engine's memo-hit accounting) keep working.  ``stats`` is an
+    optional :class:`~repro.engine.stats.EngineStats` that the pass
+    reports to (see :func:`repro.dtree.arena.counts_pass`).
     """
-    arena, column = _arena_for_exact(node, kernel=kernel, stats=stats)
+    arena, column = _arena_for_exact(node, stats=stats)
     _mirror_counts(arena, column, counts)
     return column[arena.root]
 
@@ -218,7 +213,7 @@ def _push_multipliers(root: DTreeNode, counts: CountMemo,
 
 def exaban(node: DTreeNode, variable: int,
            counts: Optional[CountMemo] = None,
-           kernel: str = "python", stats=None) -> Tuple[int, int]:
+           stats=None) -> Tuple[int, int]:
     """Exact ``(Banzhaf(phi, x), #phi)`` for one variable (Fig. 1).
 
     ``variable`` need not occur in the function; its Banzhaf value is then 0.
@@ -231,10 +226,9 @@ def exaban(node: DTreeNode, variable: int,
     """
     arena = arena_of(node)
     try:
-        # One fused sweep fills the counts payload *and* the Banzhaf
-        # memo (the kernel path scatters both), so the count read below
-        # never runs a second bottom-up pass.
-        result = banzhaf_pass(arena, kernel=kernel, stats=stats)
+        # The fused pass fills the counts payload too, so the count read
+        # below never runs a second bottom-up pass.
+        result = banzhaf_pass(arena, stats=stats)
     except IncompleteArenaError as error:
         raise IncompleteDTreeError(str(error)) from None
     column = arena_counts(arena)
@@ -287,7 +281,7 @@ def exaban_objects(node: DTreeNode, variable: int,
 
 def exaban_all(node: DTreeNode,
                counts: Optional[CountMemo] = None,
-               kernel: str = "python", stats=None) -> Dict[int, int]:
+               stats=None) -> Dict[int, int]:
     """Exact Banzhaf values of *all* domain variables in two passes.
 
     The bottom-up pass computes model counts; the top-down pass pushes a
@@ -301,16 +295,13 @@ def exaban_all(node: DTreeNode,
     unmutated tree is a cache hit.  ``counts`` is the optional shared
     subtree-count memo: the arena's count column is mirrored into it, so
     later :func:`model_count` / :func:`exaban` calls through the same memo
-    (or the object-tree baselines) never recount a subtree.
-
-    ``kernel`` routes the fused pass through the kernel dispatcher
-    (:func:`repro.dtree.kernels.banzhaf_pass`): one sweep computes the
-    counts column *and* the Banzhaf values, vectorized over numpy where
-    selected and sound, bit-identical big-int Python otherwise.
+    (or the object-tree baselines) never recount a subtree.  ``stats`` is
+    an optional :class:`~repro.engine.stats.EngineStats` that the pass
+    reports to (see :func:`repro.dtree.arena.banzhaf_pass`).
     """
     arena = arena_of(node)
     try:
-        result = banzhaf_pass(arena, kernel=kernel, stats=stats)
+        result = banzhaf_pass(arena, stats=stats)
     except IncompleteArenaError as error:
         raise IncompleteDTreeError(str(error)) from None
     _mirror_counts(arena, arena_counts(arena), counts)

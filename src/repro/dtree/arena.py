@@ -31,9 +31,7 @@ parallel lists indexed by ``int``:
 root is the last row.  Bottom-up passes are therefore a forward ``for``
 loop and top-down passes a backward one — no explicit stack, no
 recursion, no visit ordering logic.  Sibling subtrees are contiguous
-(the rows of one child's subtree form one block), matching the order in
-which :func:`repro.dtree.compile.compile_dnf` finishes subtrees, so the
-compiler can emit arena rows directly through an :class:`ArenaBuilder`.
+(the rows of one child's subtree form one block).
 
 Arenas are **derived data**: built lazily from a root node and cached in
 the root's ``_cache`` (:func:`arena_of`), which
@@ -50,11 +48,18 @@ in :mod:`repro.core.exaban` / :mod:`repro.core.shapley` /
 the ranking fast path: log2-domain scores with a tracked relative-error
 bound, so callers can tell which variables are separated beyond floating
 error and which need the exact-``Fraction`` fallback.
+
+The ``*_pass`` entry points (:func:`counts_pass`, :func:`banzhaf_pass`,
+:func:`float_banzhaf_pass`, :func:`float_surrogate_pass`) run the pass
+beside which they sit and report to an optional
+:class:`~repro.engine.stats.EngineStats`: a memoized answer counts as one
+``payload_hits``, a computed one is timed under its pass label.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from repro.boolean.dnf import DNF
@@ -102,11 +107,7 @@ _LN2 = math.log(2.0)
 class ArenaBuilder:
     """Accumulates arena rows bottom-up (children before parents).
 
-    Used by :meth:`DTreeArena.from_tree` over a postorder walk, and by
-    :func:`repro.dtree.compile.compile_dnf` to emit rows *as subtrees
-    complete* — the compiler finishes children before their parent and
-    sibling subtrees back-to-back, which is exactly the postorder
-    contiguity the arena requires.
+    Used by :meth:`DTreeArena.from_tree` over a postorder walk.
     """
 
     def __init__(self) -> None:
@@ -310,20 +311,21 @@ def arena_of(root: DTreeNode) -> DTreeArena:
     return arena
 
 
-def install_arena(root: DTreeNode, builder: ArenaBuilder) -> DTreeArena:
-    """Seal a compiler-fed builder and prime the root's arena cache.
-
-    Lets :func:`repro.dtree.compile.compile_dnf` hand over the rows it
-    emitted during compilation, so the first :func:`arena_of` lookup is
-    a cache hit instead of a flattening walk.
-    """
-    arena = builder.finish(root)
-    root.cache_set(_ARENA_CACHE_KEY, arena)
-    return arena
-
-
 class IncompleteArenaError(Exception):
     """Raised when an exact pass is attempted on a partial-tree arena."""
+
+
+class _NullStats:
+    """Stands in for an absent stats sink, so passes never branch on it."""
+
+    def bump(self, **deltas: int) -> None:
+        pass
+
+    def timed_pass(self, label: str):
+        return nullcontext()
+
+
+_NULL_STATS = _NullStats()
 
 
 # --------------------------------------------------------------------- #
@@ -383,6 +385,17 @@ def arena_counts(arena: DTreeArena) -> List[int]:
                 "undecomposed leaf")
     arena.payloads["counts"] = counts
     return counts
+
+
+def counts_pass(arena: DTreeArena, stats=None) -> List[int]:
+    """:func:`arena_counts`, reported to ``stats`` as a hit or ``count``."""
+    stats = stats if stats is not None else _NULL_STATS
+    counts = arena.payloads.get("counts")
+    if counts is not None and counts[-1] is not None:
+        stats.bump(payload_hits=1)
+        return counts
+    with stats.timed_pass("count"):
+        return arena_counts(arena)
 
 
 def arena_banzhaf(arena: DTreeArena) -> Dict[int, int]:
@@ -454,6 +467,17 @@ def arena_banzhaf(arena: DTreeArena) -> Dict[int, int]:
                 multipliers[child] = multiplier
     arena.results["banzhaf"] = banzhaf
     return banzhaf
+
+
+def banzhaf_pass(arena: DTreeArena, stats=None) -> Dict[int, int]:
+    """:func:`arena_banzhaf`, reported to ``stats`` as a hit or ``banzhaf``."""
+    stats = stats if stats is not None else _NULL_STATS
+    cached = arena.results.get("banzhaf")
+    if cached is not None:
+        stats.bump(payload_hits=1)
+        return cached  # type: ignore[return-value]
+    with stats.timed_pass("banzhaf"):
+        return arena_banzhaf(arena)
 
 
 def arena_model_count(arena: DTreeArena) -> int:
@@ -1033,6 +1057,18 @@ def arena_float_banzhaf(arena: DTreeArena
     return scores
 
 
+def float_banzhaf_pass(arena: DTreeArena, stats=None
+                       ) -> Dict[int, Tuple[float, float]]:
+    """:func:`arena_float_banzhaf`, reported as a hit or ``float``."""
+    stats = stats if stats is not None else _NULL_STATS
+    cached = arena.results.get("float_banzhaf")
+    if cached is not None:
+        stats.bump(payload_hits=1)
+        return cached  # type: ignore[return-value]
+    with stats.timed_pass("float"):
+        return arena_float_banzhaf(arena)
+
+
 def _dnf_leaf_estimates(function: DNF, domain_size: int
                         ) -> Tuple[float, Dict[int, float]]:
     """Closed-form independence estimates for an undecomposed DNF leaf.
@@ -1177,6 +1213,17 @@ def arena_float_surrogate(arena: DTreeArena) -> Dict[int, float]:
     # contributes the sibling product over the remaining variables.
     arena.results["float_surrogate"] = estimates
     return estimates
+
+
+def float_surrogate_pass(arena: DTreeArena, stats=None) -> Dict[int, float]:
+    """:func:`arena_float_surrogate`, reported as a hit or ``surrogate``."""
+    stats = stats if stats is not None else _NULL_STATS
+    cached = arena.results.get("float_surrogate")
+    if cached is not None:
+        stats.bump(payload_hits=1)
+        return cached  # type: ignore[return-value]
+    with stats.timed_pass("surrogate"):
+        return arena_float_surrogate(arena)
 
 
 def pow2_int(log2_value: float, err: float = 0.0, *, ceil: bool = False

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.boolean.dnf import ConstantTrue, DNF
 from repro.boolean.operations import factor_common_variables, independent_components
-from repro.dtree.arena import ArenaBuilder, install_arena
 from repro.dtree.heuristics import Heuristic, select_most_frequent
 from repro.dtree.nodes import (
     DecompAnd,
@@ -80,8 +79,7 @@ class CompilationBudget:
 
 def compile_dnf(function: DNF,
                 heuristic: Heuristic = select_most_frequent,
-                budget: CompilationBudget | None = None,
-                arena_builder: Optional[ArenaBuilder] = None) -> DTreeNode:
+                budget: CompilationBudget | None = None) -> DTreeNode:
     """Compile a positive DNF into a complete d-tree.
 
     The compilation is **iterative** (an explicit work stack replaces the
@@ -99,23 +97,9 @@ def compile_dnf(function: DNF,
     budget:
         Optional resource budget; :class:`CompilationLimitReached` is raised
         when it is exhausted.
-    arena_builder:
-        Optional :class:`~repro.dtree.arena.ArenaBuilder`: every node is
-        emitted as an arena row the moment it is constructed (children
-        always exist before their parent, so the construction order *is*
-        a valid postorder), and on success the sealed arena is installed
-        in the root's cache — the subsequent
-        :func:`~repro.dtree.arena.arena_of` call costs a dict lookup
-        instead of a flattening walk.  On a budget failure the partially
-        filled builder is simply discarded by the caller.
     """
     if budget is None:
         budget = CompilationBudget()
-
-    def emit(node: DTreeNode) -> DTreeNode:
-        if arena_builder is not None:
-            arena_builder.add(node)
-        return node
 
     # Work frames: ("open", function) analyzes one sub-function depth-first;
     # the other tags combine already-built children (kept on ``results``)
@@ -131,7 +115,7 @@ def compile_dnf(function: DNF,
             budget.check_time()
 
             if current.is_false():
-                results.append(emit(FalseLeaf(current.domain)))
+                results.append(FalseLeaf(current.domain))
                 continue
 
             # Absorption first: it can silence variables (e.g. (x) absorbs
@@ -149,7 +133,7 @@ def compile_dnf(function: DNF,
                 continue
 
             if current.is_single_literal():
-                results.append(emit(LiteralLeaf(current.single_literal())))
+                results.append(LiteralLeaf(current.single_literal()))
                 continue
 
             # Factor out common variables: phi = x1 & ... & xk & rest.
@@ -161,12 +145,12 @@ def compile_dnf(function: DNF,
                 # the constant 1 over any leftover domain variables).
                 common = current.common_variables()
                 literals: list[DTreeNode] = [
-                    emit(LiteralLeaf(v)) for v in sorted(common)
+                    LiteralLeaf(v) for v in sorted(common)
                 ]
                 if constant.domain:
-                    literals.append(emit(TrueLeaf(constant.domain)))
+                    literals.append(TrueLeaf(constant.domain))
                 results.append(
-                    emit(DecompAnd(literals, domain=current.domain))
+                    DecompAnd(literals, domain=current.domain)
                     if len(literals) > 1 else literals[0])
                 continue
             if common:
@@ -200,18 +184,18 @@ def compile_dnf(function: DNF,
 
         if tag == "silent":
             core = results.pop()
-            results.append(emit(DecompAnd([core, emit(TrueLeaf(frame[1]))],
-                                          domain=frame[2])))
+            results.append(DecompAnd([core, TrueLeaf(frame[1])],
+                                     domain=frame[2]))
         elif tag == "factored":
             residual_node = results.pop()
-            literals = [emit(LiteralLeaf(v)) for v in frame[1]]
-            results.append(emit(DecompAnd(literals + [residual_node],
-                                          domain=frame[2])))
+            literals = [LiteralLeaf(v) for v in frame[1]]
+            results.append(DecompAnd(literals + [residual_node],
+                                     domain=frame[2]))
         elif tag == "or":
             count = frame[1]
             children = results[-count:]
             del results[-count:]
-            results.append(emit(DecompOr(children, domain=frame[2])))
+            results.append(DecompOr(children, domain=frame[2]))
         else:  # "shannon"
             variable, constant_domain, domain = frame[1], frame[2], frame[3]
             if constant_domain is None:
@@ -219,15 +203,12 @@ def compile_dnf(function: DNF,
                 del results[-2:]
             else:
                 negative_node = results.pop()
-                positive_node = emit(TrueLeaf(constant_domain))
-            results.append(emit(ExclusiveOr([
-                emit(DecompAnd([emit(LiteralLeaf(variable)), positive_node],
-                               domain=domain)),
-                emit(DecompAnd([emit(LiteralLeaf(variable, negated=True)),
-                                negative_node], domain=domain)),
-            ], domain=domain)))
+                positive_node = TrueLeaf(constant_domain)
+            results.append(ExclusiveOr([
+                DecompAnd([LiteralLeaf(variable), positive_node],
+                          domain=domain),
+                DecompAnd([LiteralLeaf(variable, negated=True),
+                           negative_node], domain=domain),
+            ], domain=domain))
 
-    root = results[0]
-    if arena_builder is not None:
-        install_arena(root, arena_builder)
-    return root
+    return results[0]

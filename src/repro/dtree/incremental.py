@@ -17,7 +17,7 @@ Shannon expansions change the bounds enough to be worth re-evaluating.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.boolean.dnf import ConstantTrue, DNF
 from repro.boolean.operations import factor_common_variables, independent_components
@@ -55,6 +55,12 @@ def node_for(function: DNF) -> DTreeNode:
     return DNFLeaf(absorbed)
 
 
+def _frontier(root: DTreeNode) -> Dict[DNFLeaf, None]:
+    """The undecomposed leaves under ``root``, in tree order."""
+    return dict.fromkeys(leaf for leaf in root.iter_leaves()
+                         if isinstance(leaf, DNFLeaf))
+
+
 class IncrementalCompiler:
     """Owns a partial d-tree and expands it one decomposition step at a time."""
 
@@ -64,12 +70,13 @@ class IncrementalCompiler:
         self.root: DTreeNode = node_for(function)
         self.shannon_steps = 0
         self.expansion_steps = 0
-        # The set of undecomposed leaves is maintained incrementally so that
+        # The undecomposed leaves are maintained incrementally so that
         # leaf selection and the completeness check stay O(#leaves) and O(1)
         # instead of traversing the whole (growing) tree on every step.
-        self._open_leaves: set[DNFLeaf] = {
-            leaf for leaf in self.root.iter_leaves() if isinstance(leaf, DNFLeaf)
-        }
+        # An insertion-ordered dict, not a set: leaves hash by identity, so
+        # set order (and hence priority tie-breaks) would follow memory
+        # addresses and differ between processes.
+        self._open_leaves: Dict[DNFLeaf, None] = _frontier(self.root)
 
     @classmethod
     def resume(cls, root: DTreeNode,
@@ -91,9 +98,7 @@ class IncrementalCompiler:
         compiler.root = root
         compiler.shannon_steps = shannon_steps
         compiler.expansion_steps = expansion_steps
-        compiler._open_leaves = {
-            leaf for leaf in root.iter_leaves() if isinstance(leaf, DNFLeaf)
-        }
+        compiler._open_leaves = _frontier(root)
         return compiler
 
     # ------------------------------------------------------------------ #
@@ -112,7 +117,8 @@ class IncrementalCompiler:
         """Choose the next leaf to expand (largest clause count first).
 
         Expanding the largest leaf shrinks the loosest bounds fastest, which
-        is what makes the approximation intervals tighten quickly.
+        is what makes the approximation intervals tighten quickly.  Ties go
+        to the earliest-opened leaf.
         """
         if not self._open_leaves:
             return None
@@ -219,7 +225,5 @@ class IncrementalCompiler:
             new.invalidate()
         old.parent = None
         if isinstance(old, DNFLeaf):
-            self._open_leaves.discard(old)
-        for leaf in new.iter_leaves():
-            if isinstance(leaf, DNFLeaf):
-                self._open_leaves.add(leaf)
+            self._open_leaves.pop(old, None)
+        self._open_leaves.update(_frontier(new))

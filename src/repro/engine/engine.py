@@ -95,12 +95,6 @@ from repro.dtree.compile import (
     CompilationLimitReached,
     compile_dnf,
 )
-from repro.dtree.kernels import (
-    HAVE_NUMPY,
-    KERNEL_NAMES,
-    KernelUnavailableError,
-    prewarm_arenas,
-)
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution, LineageCache
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
@@ -234,17 +228,6 @@ class EngineConfig:
         Width multiplier (>= 1) applied to the float tier's per-variable
         relative-error bounds before straddler detection: larger margins
         fall back to exact arithmetic more eagerly.
-    kernel:
-        Arena evaluation backend (:mod:`repro.dtree.kernels`):
-        ``"auto"`` (default) vectorizes fused passes over numpy whenever
-        numpy is importable, the arena is inside the kernel envelope,
-        and it is large enough to pay; ``"numpy"`` forces the kernel
-        wherever sound and raises
-        :class:`~repro.dtree.kernels.KernelUnavailableError` at
-        construction when numpy is missing; ``"python"`` pins the
-        pure-Python arena passes.  Exact results are bit-identical
-        across backends; serial batches additionally *prewarm* eligible
-        micro-batches in one stacked cross-request kernel sweep.
     store_retries:
         Extra attempts (with exponential backoff) granted to a transient
         store-I/O failure before it counts against the circuit breaker
@@ -289,7 +272,6 @@ class EngineConfig:
     store_backend: Optional[str] = None
     numeric: str = "exact"
     float_ulp_margin: int = 8
-    kernel: str = "auto"
     store_retries: int = 2
     breaker_threshold: int = 5
     pool_restarts: int = 2
@@ -326,17 +308,6 @@ class EngineConfig:
                 f"methods ('rank'/'topk'), not {self.method!r}")
         if self.float_ulp_margin < 1:
             raise ValueError("float_ulp_margin must be at least 1")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{KERNEL_NAMES}")
-        if self.kernel == "numpy" and not HAVE_NUMPY:
-            # Fail at configuration time, not mid-batch: a forced numpy
-            # kernel without numpy can never compute anything.
-            raise KernelUnavailableError(
-                "EngineConfig(kernel='numpy') requires numpy "
-                "(pip install repro[fast]); use kernel='auto' for "
-                "best-available")
         if self.store_backend is not None:
             if self.store_backend not in STORE_BACKENDS:
                 raise ValueError(
@@ -444,7 +415,6 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                        artifact_sink=None,
                        numeric: str = "exact",
                        float_ulp_margin: int = 8,
-                       kernel: str = "python",
                        stats=None
                        ) -> Tuple[CachedAttribution, bool,
                                   Optional[CompiledLineage], int]:
@@ -469,7 +439,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                                       max_steps=max_shannon_steps,
                                       numeric=numeric,
                                       float_ulp_margin=float_ulp_margin,
-                                      kernel=kernel, stats=stats)
+                                      stats=stats)
         return (computation.outcome, False, computation.artifact,
                 computation.rounds)
     if method == "approximate":
@@ -480,7 +450,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
             # ``auto``, ``method_used`` records what actually ran.
             occurring = function.variables
             raw = exaban_all(artifact.root, counts=artifact.counts,
-                             kernel=kernel, stats=stats)
+                             stats=stats)
             return CachedAttribution(
                 method_used="exact",
                 values={v: Fraction(value) for v, value in raw.items()
@@ -510,7 +480,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                                       values=dict(values)),
                     False, artifact_out, 0)
         raw = exaban_all(artifact_out.root, counts=artifact_out.counts,
-                         kernel=kernel, stats=stats)
+                         stats=stats)
     except (CompilationLimitReached, RecursionError):
         compiler = partial_slot[0] if partial_slot else None
         if method != "auto":
@@ -549,7 +519,7 @@ def _worker_compute_chunk(payload: Tuple
     configuration.  Exceptions propagate to the parent through the future.
     """
     (chunk, method, epsilon, max_shannon_steps, timeout_seconds, k,
-     numeric, float_ulp_margin, kernel) = payload
+     numeric, float_ulp_margin) = payload
     ensure_recursion_head_room()
     # Inside the worker process: a ``kill`` rule here exercises the
     # supervised pool's crash recovery (plans reach workers by fork
@@ -560,8 +530,7 @@ def _worker_compute_chunk(payload: Tuple
         function = DNF(clauses, domain=range(num_variables))
         outcome, fell_back, _, rounds = _compute_canonical(
             function, method, epsilon, max_shannon_steps, timeout_seconds,
-            k=k, numeric=numeric, float_ulp_margin=float_ulp_margin,
-            kernel=kernel)
+            k=k, numeric=numeric, float_ulp_margin=float_ulp_margin)
         results.append((index, outcome, fell_back, rounds))
     return results
 
@@ -916,43 +885,12 @@ class Engine:
                 # either way, picking up where the pool left off -- and
                 # the degradation is counted, never silent.
                 self.stats.bump(pool_fallbacks=1)
-        self._prewarm_batch([task for position, task in enumerate(tasks)
-                             if position not in done], numeric)
         for position, canonical in enumerate(tasks):
             if position in done:
                 continue
             outcome = self._compute_serial(canonical, k, numeric)
             self.stats.bump(compilations=1)
             yield position, outcome
-
-    def _prewarm_batch(self, tasks: Sequence[CanonicalLineage],
-                       numeric: str) -> None:
-        """Cross-request batched kernel sweep over the serial batch.
-
-        Before the per-task serial loop, the arenas of every task whose
-        compiled-lineage artifact is already complete in the memory tier
-        are stacked into one fused column block and evaluated in a
-        single kernel sweep (:func:`repro.dtree.kernels.prewarm_arenas`)
-        — the per-task evaluation then hits the scattered memos.  A
-        no-op under ``kernel="python"``, for sub-2-task batches, and for
-        methods that do not read the fused count/Banzhaf passes.
-        """
-        config = self.config
-        if len(tasks) < 2 or config.kernel == "python":
-            return
-        if config.method == "shapley":
-            return
-        tier = ("float" if config.method in ("rank", "topk")
-                and numeric == "float" else "exact")
-        arenas = []
-        for canonical in tasks:
-            # Peek without stats bumps: `_artifact_for` runs (and
-            # accounts) the real lookup during the per-task evaluation.
-            artifact = self.cache.artifacts.get(canonical.key)
-            if artifact is not None and artifact.complete:
-                arenas.append(artifact.arena())
-        prewarm_arenas(arenas, tier=tier, kernel=config.kernel,
-                       stats=self.stats)
 
     def _artifact_for(self, key: CanonicalKey) -> Optional[CompiledLineage]:
         """The compile-once stage: fetch the lineage's compilation state.
@@ -1020,8 +958,7 @@ class Engine:
             canonical.dnf, config.method, config.epsilon,
             config.max_shannon_steps, config.timeout_seconds,
             artifact=artifact, k=k, artifact_sink=sink, numeric=numeric,
-            float_ulp_margin=config.float_ulp_margin,
-            kernel=config.kernel, stats=self.stats)
+            float_ulp_margin=config.float_ulp_margin, stats=self.stats)
         self._record_outcome(outcome, fell_back, rounds)
         self._remember_artifact(canonical.key, artifact_out, known=artifact)
         return outcome
@@ -1068,7 +1005,7 @@ class Engine:
         payloads = [
             (chunk, config.method, config.epsilon,
              config.max_shannon_steps, config.timeout_seconds, k,
-             numeric, config.float_ulp_margin, config.kernel)
+             numeric, config.float_ulp_margin)
             for chunk in chunks
         ]
         pool = SupervisedPool(

@@ -46,12 +46,7 @@ lineages over *different* facts coalesce compute, not answers).
 drains up to ``batch_max - 1`` further compatible requests (same method,
 no deadline) from the queue and runs them through one
 :meth:`AttributionService.submit_batch` call -- one engine batch, one
-store flush, and in-batch isomorph deduplication for free.  Under
-``EngineConfig(kernel="auto"|"numpy")`` the engine additionally stacks
-the batch's compiled arenas into one fused column block and evaluates
-them in a single cross-request kernel sweep
-(:func:`repro.dtree.kernels.prewarm_arenas`; the ``kernel`` block of
-:meth:`stats` reports sweeps, batched trees, and fallbacks).
+store flush, and in-batch isomorph deduplication for free.
 
 **Deadlines.**  A request's ``deadline_ms`` (or the configured default)
 is measured from admission.  Expiry while queued sheds the request; a
@@ -599,9 +594,6 @@ class ServingFrontend:
         report["max_queue"] = self.config.max_queue
         report["coalesce"] = self.config.coalesce
         report["batch_max"] = self.config.batch_max
-        # The arena backend micro-batches evaluate under; the matching
-        # sweep/fallback counters live in the engine-side stats.
-        report["kernel"] = self.service._base.kernel
         return report
 
 

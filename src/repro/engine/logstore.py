@@ -151,15 +151,17 @@ class _CompactionWorker(threading.Thread):
         self.requests: "queue.Queue[Optional[object]]" = queue.Queue()
 
     def run(self) -> None:
-        while True:
+        stopping = False
+        while not stopping:
             token = self.requests.get()
             if token is None:
                 return
-            # Drain bursts: N triggers while busy collapse to one run.
+            # Drain bursts: N triggers while busy collapse to one run.  A
+            # sentinel queued behind them stops the worker only after the
+            # compaction they already asked for.
             try:
-                while self.requests.get_nowait() is not None:
-                    pass
-                return  # a sentinel was queued behind the burst
+                while not stopping:
+                    stopping = self.requests.get_nowait() is None
             except queue.Empty:
                 pass
             try:

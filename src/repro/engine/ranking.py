@@ -59,15 +59,16 @@ from repro.core.ichiban import (
     float_straddlers,
 )
 from repro.core.intervals import Interval
-from repro.dtree.arena import arena_of, pow2_int
-from repro.dtree.compile import CompilationBudget, CompilationLimitReached
-from repro.dtree.heuristics import Heuristic, select_most_frequent
-from repro.dtree.incremental import IncrementalCompiler
-from repro.dtree.kernels import (
+from repro.dtree.arena import (
+    arena_of,
     banzhaf_pass,
     float_banzhaf_pass,
     float_surrogate_pass,
+    pow2_int,
 )
+from repro.dtree.compile import CompilationBudget, CompilationLimitReached
+from repro.dtree.heuristics import Heuristic, select_most_frequent
+from repro.dtree.incremental import IncrementalCompiler
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution
 
@@ -100,7 +101,7 @@ def _from_intervals(method: str, intervals: Dict[int, Interval],
 
 
 def _exact_ranking(function: DNF, artifact: CompiledLineage,
-                   kernel: str = "python", stats=None) -> RankingComputation:
+                   stats=None) -> RankingComputation:
     """Read an exact ranking off a complete artifact (one ExaBan pass).
 
     Restricted to the occurring variables, matching IchiBan's scope
@@ -110,7 +111,7 @@ def _exact_ranking(function: DNF, artifact: CompiledLineage,
     values = {v: value
               for v, value in exaban_all(artifact.root,
                                          counts=artifact.counts,
-                                         kernel=kernel, stats=stats).items()
+                                         stats=stats).items()
               if v in occurring}
     return RankingComputation(outcome=CachedAttribution(
         method_used="exact",
@@ -144,20 +145,18 @@ def uncertified_enclosure(log: float, err: float, margin: int) -> bool:
 
 
 def _float_ranking(function: DNF, artifact: CompiledLineage, method: str,
-                   float_ulp_margin: int, kernel: str = "python",
-                   stats=None) -> RankingComputation:
+                   float_ulp_margin: int, stats=None) -> RankingComputation:
     """Float-tier ranking off a complete artifact (log2 arena pass).
 
     Scores come from the fused float Banzhaf pass
-    (:func:`~repro.dtree.kernels.float_banzhaf_pass` — vectorized or
-    pure-Python per ``kernel``) with per-variable relative-error bounds;
-    variables whose widened score intervals overlap another's
-    (``float_straddlers``) fall back to the exact arena pass and get
-    point bounds, the rest get certified integer enclosures
-    ``[floor(2^(log-w)), ceil(2^(log+w))]`` — so the reported bounds
-    always contain the exact Banzhaf value and the order read off them
-    matches the exact order, while the common case never touches bignum
-    arithmetic.
+    (:func:`~repro.dtree.arena.float_banzhaf_pass`) with per-variable
+    relative-error bounds; variables whose widened score intervals
+    overlap another's (``float_straddlers``) fall back to the exact
+    arena pass and get point bounds, the rest get certified integer
+    enclosures ``[floor(2^(log-w)), ceil(2^(log+w))]`` — so the reported
+    bounds always contain the exact Banzhaf value and the order read off
+    them matches the exact order, while the common case never touches
+    bignum arithmetic.
 
     A score whose enclosure cannot be *materialized* -- unbounded error,
     or a half-width beyond :data:`MAX_ENCLOSURE_BITS` (deep trees
@@ -169,14 +168,12 @@ def _float_ranking(function: DNF, artifact: CompiledLineage, method: str,
     arena = artifact.arena()
     occurring = function.variables
     scores = {v: s
-              for v, s in float_banzhaf_pass(arena, kernel=kernel,
-                                             stats=stats).items()
+              for v, s in float_banzhaf_pass(arena, stats=stats).items()
               if v in occurring}
     straddlers = float_straddlers(scores, float_ulp_margin)
     straddlers.update(v for v, (log, err) in scores.items()
                       if uncertified_enclosure(log, err, float_ulp_margin))
-    exact = (banzhaf_pass(arena, kernel=kernel, stats=stats)
-             if straddlers else {})
+    exact = banzhaf_pass(arena, stats=stats) if straddlers else {}
     values: Dict[int, Fraction] = {}
     bounds: Dict[int, tuple] = {}
     for variable, (log, err) in scores.items():
@@ -197,8 +194,7 @@ def _float_ranking(function: DNF, artifact: CompiledLineage, method: str,
 
 
 def _surrogate_ranking(function: DNF, artifact: CompiledLineage,
-                       method: str, kernel: str = "python",
-                       stats=None) -> RankingComputation:
+                       method: str, stats=None) -> RankingComputation:
     """Order-only surrogate ranking off a partial tree's float pass.
 
     For instances whose compilation exhausts its budget even in float
@@ -213,7 +209,6 @@ def _surrogate_ranking(function: DNF, artifact: CompiledLineage,
     """
     estimates = {v: e
                  for v, e in float_surrogate_pass(arena_of(artifact.root),
-                                                  kernel=kernel,
                                                   stats=stats).items()
                  if v in function.variables}
     values: Dict[int, Fraction] = {}
@@ -242,8 +237,7 @@ def _float_tier(function: DNF, method: str,
                 artifact: Optional[CompiledLineage],
                 max_steps: Optional[int],
                 heuristic: Heuristic,
-                float_ulp_margin: int, kernel: str = "python",
-                stats=None) -> RankingComputation:
+                float_ulp_margin: int, stats=None) -> RankingComputation:
     """Float-mode dispatch: exact-free ranking with a compile budget.
 
     A complete artifact ranks by float order immediately.  Otherwise one
@@ -255,7 +249,7 @@ def _float_tier(function: DNF, method: str,
     """
     if artifact is not None and artifact.complete:
         return _float_ranking(function, artifact, method, float_ulp_margin,
-                              kernel=kernel, stats=stats)
+                              stats=stats)
     compiler = (artifact.resume_compiler(heuristic)
                 if artifact is not None
                 else IncrementalCompiler(function, heuristic))
@@ -267,10 +261,9 @@ def _float_tier(function: DNF, method: str,
     except CompilationLimitReached:
         return _surrogate_ranking(
             function, CompiledLineage.from_compiler(compiler), method,
-            kernel=kernel, stats=stats)
+            stats=stats)
     return _float_ranking(function, CompiledLineage.from_compiler(compiler),
-                          method, float_ulp_margin, kernel=kernel,
-                          stats=stats)
+                          method, float_ulp_margin, stats=stats)
 
 
 def compute_ranking(function: DNF, method: str, k: Optional[int],
@@ -281,7 +274,6 @@ def compute_ranking(function: DNF, method: str, k: Optional[int],
                     heuristic: Heuristic = select_most_frequent,
                     numeric: str = "exact",
                     float_ulp_margin: int = 8,
-                    kernel: str = "python",
                     stats=None) -> RankingComputation:
     """Rank one canonical lineage (``method`` is ``"rank"`` or ``"topk"``).
 
@@ -303,11 +295,8 @@ def compute_ranking(function: DNF, method: str, k: Optional[int],
     exhaustion the partial tree produces an order-only surrogate ranking
     (``method_used`` suffix ``-float-surrogate``, never converged).
 
-    ``kernel`` selects the arena evaluation backend for the fused
-    passes (``"python"`` | ``"auto"`` | ``"numpy"``, see
-    :mod:`repro.dtree.kernels`); ``stats`` is an optional
-    :class:`~repro.engine.stats.EngineStats` receiving kernel counters
-    and per-pass timings.
+    ``stats`` is an optional :class:`~repro.engine.stats.EngineStats`
+    receiving payload hits and per-pass timings.
     """
     if method not in ("rank", "topk"):
         raise ValueError(
@@ -322,9 +311,9 @@ def compute_ranking(function: DNF, method: str, k: Optional[int],
     if numeric == "float":
         return _float_tier(function, method, timeout_seconds, artifact,
                            max_steps, heuristic, float_ulp_margin,
-                           kernel=kernel, stats=stats)
+                           stats=stats)
     if artifact is not None and artifact.complete:
-        return _exact_ranking(function, artifact, kernel=kernel, stats=stats)
+        return _exact_ranking(function, artifact, stats=stats)
     if method == "topk":
         controller = _topk_controller(k, epsilon)
     else:

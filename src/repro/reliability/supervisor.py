@@ -36,11 +36,34 @@ class _WatchdogTimeout(Exception):
     """Internal: no task completed within the watchdog window."""
 
 
-def _shutdown(executor: ProcessPoolExecutor) -> None:
+#: Seconds an abandoned worker gets to exit after ``terminate`` before
+#: it is killed.
+_TERMINATE_GRACE = 1.0
+
+
+def _shutdown(executor: ProcessPoolExecutor, abandon: bool) -> None:
+    """Shut ``executor`` down; with ``abandon``, end its workers too.
+
+    ``shutdown(wait=False)`` alone leaves a hung worker running, and
+    interpreter exit then blocks joining it.  An abandoned executor's
+    workers are terminated, and killed if still alive after a short
+    join, so no worker outlives :meth:`SupervisedPool.run`.
+    """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     try:
         executor.shutdown(wait=False, cancel_futures=True)
     except TypeError:  # Python < 3.9 signature
         executor.shutdown(wait=False)
+    if not abandon:
+        return
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(_TERMINATE_GRACE)
+        if process.is_alive():
+            process.kill()
+            process.join()
 
 
 class SupervisedPool:
@@ -90,6 +113,7 @@ class SupervisedPool:
                 max_workers=min(self._max_workers, len(pending))
             )
             kind: Optional[str] = None
+            finished = False
             try:
                 try:
                     futures = {
@@ -110,6 +134,7 @@ class SupervisedPool:
                             result = future.result()
                             del pending[index]
                             yield index, result
+                    finished = True
                     return
                 except BrokenProcessPool:
                     kind = "crash"
@@ -118,7 +143,7 @@ class SupervisedPool:
                     kind = "hang"
                     self.hangs += 1
             finally:
-                _shutdown(executor)
+                _shutdown(executor, abandon=not finished)
             self.restarts += 1
             if self._on_crash is not None:
                 self._on_crash(kind or "crash")

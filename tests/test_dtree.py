@@ -237,3 +237,20 @@ class TestIncremental:
             actual = {leaf for leaf in compiler.root.iter_leaves()
                       if isinstance(leaf, DNFLeaf)}
             assert tracked == actual
+
+    def test_tied_leaves_expand_in_insertion_order(self):
+        # Variable-disjoint components of one shape: after the split every
+        # open leaf ties on priority, so the earliest-opened one must win
+        # (not whichever a memory-address-ordered set yields first).
+        function = DNF([clause for base in range(0, 48, 3)
+                        for clause in ([base, base + 1],
+                                       [base + 1, base + 2])])
+        compiler = IncrementalCompiler(function)
+        compiler.expand_step(lazy=False)
+        tied = [leaf for leaf in compiler.root.iter_leaves()
+                if isinstance(leaf, DNFLeaf)]
+        assert len(tied) == 16
+        assert len({leaf.priority for leaf in tied}) == 1
+        for leaf in tied:
+            assert compiler.pick_leaf() is leaf
+            compiler.expand_step(lazy=False)

@@ -16,6 +16,7 @@ import pytest
 from repro.engine import Engine, EngineConfig
 from repro.engine.logstore import (
     LogStore,
+    _CompactionWorker,
     ShardedStore,
     StoreLockedError,
     migrate_store,
@@ -214,6 +215,14 @@ class TestLogStoreCompaction:
         assert store.compactions > 0
         with LogStore(str(tmp_path)) as reopened:
             assert reopened.get(key) == _entry()
+
+    def test_close_queued_behind_a_trigger_still_compacts(self, tmp_path):
+        with LogStore(str(tmp_path), auto_compact=False) as store:
+            worker = _CompactionWorker(store)
+            worker.requests.put(object())  # a flush's trigger...
+            worker.requests.put(None)  # ...with close()'s sentinel behind it
+            worker.run()
+            assert store.compactions == 1
 
     def test_readonly_handle_refuses_to_compact(self, tmp_path):
         with LogStore(str(tmp_path)) as writer:

@@ -364,6 +364,8 @@ def _hang_once_then_return(payload):
     sentinel, value = payload
     try:
         os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        with open(sentinel + ".pid", "w") as handle:
+            handle.write(str(os.getpid()))
         time.sleep(60)  # the watchdog must cut this short
     except FileExistsError:
         pass
@@ -410,6 +412,11 @@ class TestSupervisedPool:
         results = dict(pool.run(payloads))
         assert results == {0: 0, 1: 2}
         assert pool.hangs >= 1
+        # The hung worker is ended, not left to block interpreter exit.
+        with open(sentinel + ".pid") as handle:
+            hung_pid = int(handle.read())
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung_pid, 0)
 
 
 # --------------------------------------------------------------------- #

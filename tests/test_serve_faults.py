@@ -264,11 +264,13 @@ class TestAdmissionControl:
             blocker = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY})
             assert gate.started.wait(timeout=30)
-            # 1ms budget, but the only worker is held: by the time the
-            # ticket is dequeued its deadline is long gone.
+            # 1ms budget, and the only worker is held until the deadline
+            # has passed: by the time the ticket is dequeued it is gone.
             doomed = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY2, "deadline_ms": 1,
                  "id": "late"})
+            while time.monotonic() <= doomed.deadline_at:
+                time.sleep(0.001)
             gate.release.set()
             assert blocker.result(timeout=30)["ok"] is True
             response = doomed.result(timeout=30)
