@@ -1,28 +1,16 @@
-"""Arena benchmark: struct-of-arrays d-tree passes + the float ranking tier.
+"""Arena benchmark: the float ranking tier on intractable ``hard_wide`` lineages.
 
-This PR flattened compiled d-trees into a postorder-contiguous
-struct-of-arrays arena (:mod:`repro.dtree.arena`), so the fused
-count/Banzhaf evaluation walks parallel integer columns with index loops
-instead of chasing ``DTreeNode`` object pointers.  This benchmark proves
-the two headline claims on real workload trees:
+The ``hard_wide`` instances defeat exact compilation.  The exact ranking
+tier runs its anytime refinement under an explicit ``timeout_seconds``
+budget and times out unconverged, while the float tier
+(``numeric="float"``) degrades to the order-only surrogate ranking off the
+partial tree's arena and returns a full ranking over every occurring
+variable inside the same budget.  Reports attempted/completed per tier
+plus instances/sec, and asserts that the float tier completes at least one
+instance the exact tier times out on, inside the summed budget.
 
-* **fused passes** -- one cold count+Banzhaf evaluation per tree: the
-  arena path (build columns, bottom-up counts, fused top-down Banzhaf)
-  against the PR-5 object-graph baseline
-  (:func:`repro.core.exaban.exaban_all_objects`), kept alive exactly for
-  this differential.  Asserts bit-identical integer results and a >= 2x
-  wall-clock win;
-* **hard_wide completion** -- the ``hard_wide`` instances whose exact
-  compilation is intractable: the exact ranking tier runs its anytime
-  refinement under an explicit ``timeout_seconds`` budget and times out
-  unconverged, while the float tier (``numeric="float"``) degrades to the
-  order-only surrogate ranking off the partial tree and returns a full
-  ranking over every occurring variable inside the same budget.  Reports
-  attempted/completed per tier plus instances/sec.
-
-Environment knobs: ``REPRO_BENCH_TIMEOUT`` (per-instance hard_wide budget
-in seconds, default 1.5) and ``REPRO_BENCH_SMOKE=1`` for the CI smoke
-configuration (1 timing round).
+Environment knob: ``REPRO_BENCH_TIMEOUT`` (per-instance hard_wide budget
+in seconds, default 1.5).
 
 Runs standalone (``python benchmarks/bench_arena.py``) or under pytest
 with the rest of the benchmark harness.  Emits ``BENCH_arena.json``.
@@ -36,63 +24,11 @@ from typing import Dict, List, Tuple
 
 from conftest import emit_bench_json, register_report
 
-from repro.boolean.dnf import DNF
-from repro.core.exaban import exaban_all_objects
-from repro.dtree.arena import DTreeArena, arena_banzhaf, arena_counts
-from repro.dtree.compile import compile_dnf
 from repro.engine.ranking import compute_ranking
 from repro.workloads.suite import default_workloads, hard_instances
 
 #: Wall-clock budget for each (intractable) hard_wide ranking attempt.
 HARD_WIDE_TIMEOUT_SECONDS = float(os.environ.get("REPRO_BENCH_TIMEOUT", "1.5"))
-
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-
-def _workload_trees() -> List[Tuple[DNF, object, DTreeArena]]:
-    """Every PR-1 workload lineage, compiled + arena-built once.
-
-    The arena is flattened outside the timed loops because that is how
-    the engine pays for it: :func:`~repro.dtree.arena.arena_of` builds
-    the columns once per compiled tree and caches them on its root, then
-    every later evaluation -- count, Banzhaf, Shapley, bounds, float --
-    walks the same columns.  The timed region below is the *per
-    evaluation* cost, with the arena's memoized pass results cleared so
-    each repetition recomputes from the raw columns.
-    """
-    workloads = default_workloads(include_hard=False)
-    lineages = [instance.lineage
-                for workload in workloads for instance in workload.instances]
-    trees = []
-    for lineage in lineages:
-        root = compile_dnf(lineage)
-        trees.append((lineage, root, DTreeArena.from_tree(root)))
-    return trees
-
-
-def _arena_pass(trees) -> Tuple[list, float]:
-    """Cold count+Banzhaf per tree through the prebuilt arena columns."""
-    for _, _, arena in trees:
-        arena.results.clear()
-        arena.payloads.clear()
-    results = []
-    started = time.monotonic()
-    for _, _, arena in trees:
-        counts = arena_counts(arena)
-        banzhaf = arena_banzhaf(arena)
-        results.append((counts[arena.root], banzhaf))
-    return results, time.monotonic() - started
-
-
-def _object_pass(trees) -> Tuple[list, float]:
-    """The same traffic through the PR-5 object-graph fused pass."""
-    results = []
-    started = time.monotonic()
-    for _, root, _ in trees:
-        counts: Dict[int, int] = {}
-        banzhaf = exaban_all_objects(root, counts=counts)
-        results.append((counts[id(root)], banzhaf))
-    return results, time.monotonic() - started
 
 
 def _hard_wide_tiers() -> Tuple[Dict[str, float], List[str]]:
@@ -168,69 +104,31 @@ def _hard_wide_tiers() -> Tuple[Dict[str, float], List[str]]:
     return ops, lines
 
 
-def run_benchmark(rounds: int = 5) -> str:
-    if _SMOKE:
-        rounds = 2
-    trees = _workload_trees()
-
-    arena_seconds = object_seconds = float("inf")
-    for _ in range(max(1, rounds)):
-        arena_values, arena_elapsed = _arena_pass(trees)
-        object_values, object_elapsed = _object_pass(trees)
-        # Bit-identical: exact integer model counts and Banzhaf values,
-        # variable by variable, tree by tree.
-        assert arena_values == object_values, (
-            "arena fused pass diverged from the object-graph baseline"
-        )
-        arena_seconds = min(arena_seconds, arena_elapsed)
-        object_seconds = min(object_seconds, object_elapsed)
-
-    speedup = object_seconds / arena_seconds
-    assert speedup >= 2.0, (
-        f"expected >= 2x fused count+Banzhaf speedup over the object-graph "
-        f"pass, measured {speedup:.2f}x "
-        f"({arena_seconds * 1000:.0f}ms vs {object_seconds * 1000:.0f}ms)"
-    )
-
+def run_benchmark() -> str:
     ops, hard_lines = _hard_wide_tiers()
-    ops["fused_pass.trees_per_sec.arena"] = round(
-        len(trees) / arena_seconds, 1)
-    ops["fused_pass.trees_per_sec.objects"] = round(
-        len(trees) / object_seconds, 1)
 
-    workload_label = ("pr1-attribution trees: academic+imdb+tpch, cold "
-                      "count+banzhaf per tree, arena columns vs object graph")
+    workload_label = ("hard_wide lineages: exact anytime ranking vs float "
+                      "surrogate ranking under one per-instance budget")
     emit_bench_json(
         "arena",
         workload=workload_label,
-        speedup=round(speedup, 3),
         ops_per_sec=ops,
         metrics={
-            "trees": len(trees),
-            "arena_ms": round(arena_seconds * 1000, 1),
-            "objects_ms": round(object_seconds * 1000, 1),
-            "rounds": max(1, rounds),
             "hard_wide_timeout_seconds": HARD_WIDE_TIMEOUT_SECONDS,
         },
     )
 
     lines = [
         f"workload:            {workload_label}",
-        f"trees:               {len(trees)} (compiled once, passes cold)",
-        f"arena fused pass:    {arena_seconds * 1000:8.1f} ms "
-        f"({len(trees) / arena_seconds:.0f} trees/s)",
-        f"object fused pass:   {object_seconds * 1000:8.1f} ms",
-        f"speedup:             {speedup:.2f}x (assert >= 2.0x, bit-identical "
-        f"counts + Banzhaf ints)",
         "hard_wide ranking tiers (exact anytime vs float surrogate):",
         *hard_lines,
     ]
     return "\n".join(lines)
 
 
-def test_arena_speedup():
+def test_arena_hard_wide_float_tier():
     report = run_benchmark()
-    register_report("arena_speedup", report)
+    register_report("arena_hard_wide", report)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,7 @@ operate on:
 * :mod:`repro.boolean.pp2dnf` -- PP2DNF functions, bipartite graphs, #BIS and
   #NSat used by the dichotomy constructions.
 * :mod:`repro.boolean.bitset` -- the bitset kernel: dense bitmask form of a
-  DNF plus the mask algebra the hot operations are lowered onto.  The
-  original frozenset implementations stay reachable through
-  :func:`repro.boolean.dnf.set_kernel_enabled` /
-  :func:`repro.boolean.dnf.frozenset_reference` for differential testing
-  and benchmarking.
+  DNF plus the mask algebra the hot operations are lowered onto.
 """
 
 from repro.boolean.assignments import (
@@ -34,13 +30,7 @@ from repro.boolean.assignments import (
     evaluate_dnf,
 )
 from repro.boolean.bitset import BitsetKernel
-from repro.boolean.dnf import (
-    DNF,
-    Clause,
-    frozenset_reference,
-    kernel_enabled,
-    set_kernel_enabled,
-)
+from repro.boolean.dnf import DNF, Clause
 from repro.boolean.functions import (
     And,
     BoolExpr,
@@ -79,13 +69,10 @@ __all__ = [
     "count_models",
     "enumerate_models",
     "evaluate_dnf",
-    "frozenset_reference",
     "independent_components",
     "is_idnf",
-    "kernel_enabled",
     "is_independent",
     "is_mutually_exclusive",
     "lower_idnf",
-    "set_kernel_enabled",
     "upper_idnf",
 ]

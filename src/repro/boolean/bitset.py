@@ -6,9 +6,7 @@ for each test; Python ``int`` bitmasks do the same work with single
 arbitrary-precision word operations -- the classic knowledge-compilation
 lowering used by compiled-circuit engines.  This module holds the pure
 mask algebra; :class:`repro.boolean.dnf.DNF` attaches a lazily built
-:class:`BitsetKernel` per function and routes its hot methods through it
-(unless the frozenset reference implementation is re-enabled for
-differential testing -- see :func:`repro.boolean.dnf.set_kernel_enabled`).
+:class:`BitsetKernel` per function and routes its hot methods through it.
 
 Representation invariants (shared with :mod:`repro.boolean.dnf`):
 
@@ -135,8 +133,7 @@ def component_groups(masks: Sequence[int]) -> List[List[int]]:
     the membership test per clause is one AND per live component.  The
     clause count times the (typically tiny) component count beats a
     per-bit union-find because every step is a single machine-word
-    operation.  Components come back in first-clause order, mirroring
-    :func:`repro.boolean.operations.clause_components`.
+    operation.  Components come back in first-clause order.
 
     ``masks`` must be ascending (the kernel invariant); every returned
     group is ascending too, so callers may hand groups to

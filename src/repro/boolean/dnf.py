@@ -34,17 +34,12 @@ materializes its frozenset clauses when something asks for them, and a DNF
 built from clauses only builds masks when a kernel operation runs.  The
 public API -- ``clauses``, iteration, equality, ordering of
 ``sorted_clauses`` -- is byte-for-byte the thin frozenset view it always
-was.
-
-The original frozenset implementations are kept alive behind
-:func:`set_kernel_enabled` / :func:`frozenset_reference` as the *reference
-kernel*: the Hypothesis differential suite and ``benchmarks/bench_kernel.py``
-run every operation both ways and require identical results.
+was.  The Hypothesis differential suite checks every kernel operation
+against its clause-set definition.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     AbstractSet,
     Dict,
@@ -66,40 +61,6 @@ from repro.boolean.bitset import (
 )
 
 Clause = FrozenSet[int]
-
-#: Process-wide switch between the bitset kernel (default) and the original
-#: frozenset reference implementations of the hot DNF operations.
-_KERNEL_ENABLED = True
-
-
-def kernel_enabled() -> bool:
-    """``True`` while the bitset kernel serves the hot DNF operations."""
-    return _KERNEL_ENABLED
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Switch the bitset kernel on/off; returns the previous setting.
-
-    With the kernel off every operation takes the original frozenset code
-    path (the *reference* implementation).  Results are identical either
-    way -- the differential test suite asserts exactly that -- so the
-    switch exists for benchmarking and differential testing, not for
-    correctness workarounds.
-    """
-    global _KERNEL_ENABLED
-    previous = _KERNEL_ENABLED
-    _KERNEL_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def frozenset_reference() -> Iterator[None]:
-    """Run a block against the frozenset reference implementation."""
-    previous = set_kernel_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
 
 
 def make_clause(variables: Iterable[int]) -> Clause:
@@ -221,11 +182,6 @@ class DNF:
     @property
     def variables(self) -> FrozenSet[int]:
         """Variables that actually occur in some clause (cached)."""
-        if not _KERNEL_ENABLED:
-            occurring: set[int] = set()
-            for clause in self.clauses:
-                occurring |= clause
-            return frozenset(occurring)
         cached = self._variables
         if cached is None:
             cached = self._bitset().variables()
@@ -240,8 +196,6 @@ class DNF:
         subtracting two frozensets -- the d-tree compilers ask this at
         every decomposition step.
         """
-        if not _KERNEL_ENABLED:
-            return self.domain - self.variables
         kernel = self._bitset()
         full = (1 << len(kernel.order)) - 1
         if kernel.support == full:
@@ -298,8 +252,6 @@ class DNF:
         every clause -- the bounds machinery and the heuristics probe the
         same function for many variables.
         """
-        if not _KERNEL_ENABLED:
-            return any(variable in clause for clause in self.clauses)
         kernel = self._bitset()
         position = kernel.position_of(variable)
         return position >= 0 and bool(kernel.support >> position & 1)
@@ -364,8 +316,6 @@ class DNF:
 
     def restricted_domain(self) -> "DNF":
         """Return the same function over exactly its occurring variables."""
-        if not _KERNEL_ENABLED:
-            return DNF(self.clauses, domain=self.variables)
         kernel = self._bitset()
         full = (1 << len(kernel.order)) - 1
         if kernel.support == full:
@@ -384,15 +334,6 @@ class DNF:
         compiler applies it before independence partitioning so that, e.g.,
         ``(x) | (x & y)`` is recognized as the single literal ``x``.
         """
-        if not _KERNEL_ENABLED:
-            clauses = sorted(self.clauses, key=len)
-            kept: list[Clause] = []
-            for clause in clauses:
-                if not any(other <= clause for other in kept):
-                    kept.append(clause)
-            if len(kept) == len(clauses):
-                return self
-            return DNF(kept, domain=self.domain)
         kernel = self._bitset()
         kept_masks = absorb_masks(kernel.masks)
         if kept_masks is None:
@@ -435,18 +376,6 @@ class DNF:
           the d-tree level handle the constant explicitly);
         * setting it to 0 deletes every clause containing it.
         """
-        if not _KERNEL_ENABLED:
-            new_domain = self.domain - {variable}
-            if value:
-                new_clauses = []
-                for clause in self.clauses:
-                    reduced = clause - {variable}
-                    if not reduced:
-                        raise ConstantTrue(new_domain)
-                    new_clauses.append(reduced)
-                return DNF(new_clauses, domain=new_domain)
-            new_clauses = [c for c in self.clauses if variable not in c]
-            return DNF(new_clauses, domain=new_domain)
         kernel = self._bitset()
         position = kernel.position_of(variable)
         if position < 0:
@@ -476,12 +405,6 @@ class DNF:
         per-variable clause masks); a fresh dict is returned either way, so
         callers may reorder or consume it freely.
         """
-        if not _KERNEL_ENABLED:
-            freq: Dict[int, int] = {}
-            for clause in self.clauses:
-                for variable in clause:
-                    freq[variable] = freq.get(variable, 0) + 1
-            return freq
         cached = self._frequencies
         if cached is None:
             cached = self._bitset().frequencies()
@@ -490,24 +413,12 @@ class DNF:
 
     def common_variables(self) -> FrozenSet[int]:
         """Variables occurring in *every* clause (factor-out candidates)."""
-        if not _KERNEL_ENABLED:
-            if not self.clauses:
-                return frozenset()
-            clauses = iter(self.clauses)
-            common = set(next(clauses))
-            for clause in clauses:
-                common &= clause
-                if not common:
-                    break
-            return frozenset(common)
         kernel = self._bitset()
         return kernel.variables_of_mask(kernel.common_mask())
 
     def sorted_clauses(self) -> Sequence[Tuple[int, ...]]:
         """Deterministically ordered clause list (for reproducible output)."""
-        if self._clauses is None or _KERNEL_ENABLED:
-            return self._bitset().clause_tuples()
-        return tuple(sorted(tuple(sorted(c)) for c in self.clauses))
+        return self._bitset().clause_tuples()
 
 
 class ConstantTrue(Exception):

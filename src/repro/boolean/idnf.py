@@ -22,20 +22,18 @@ the *same domain* as ``phi`` (crucial for comparable model counts).
 
 These syntheses run once per bound evaluation per undecomposed d-tree leaf,
 which makes them an AdaBan hot path: like the structural operations they
-have a bitset-kernel implementation (disjointness is one AND, the greedy
-scans work on masks) and keep the frozenset reference alive behind
-:func:`repro.boolean.dnf.kernel_enabled` for differential testing.  The
-deterministic shortest-first clause order is identical in both paths:
-clause masks over the sorted domain order compare exactly like the sorted
-variable tuples they encode.
+run on the bitset kernel (disjointness is one AND, the greedy scans work
+on masks).  The deterministic shortest-first clause order is the order of
+the sorted variable tuples: clause masks over the sorted domain order
+compare exactly like the tuples they encode.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.boolean.bitset import popcount
-from repro.boolean.dnf import Clause, DNF, kernel_enabled
+from repro.boolean.dnf import DNF
 
 
 class IDNF:
@@ -70,14 +68,6 @@ class IDNF:
 
 def is_idnf(function: DNF) -> bool:
     """``True`` iff no variable occurs in more than one clause."""
-    if not kernel_enabled():
-        seen: set[int] = set()
-        for clause in function.clauses:
-            for variable in clause:
-                if variable in seen:
-                    return False
-            seen |= clause
-        return True
     seen_mask = 0
     for mask in function._bitset().masks:
         if mask & seen_mask:
@@ -94,21 +84,14 @@ def idnf_model_count(function: DNF) -> int:
     total_vars = function.num_variables()
     occurring = 0
     non_models_occurring = 1
-    if kernel_enabled():
-        seen_mask = 0
-        for mask in function._bitset().masks:
-            if mask & seen_mask:
-                raise ValueError("idnf_model_count requires an iDNF")
-            seen_mask |= mask
-            width = popcount(mask)
-            occurring += width
-            non_models_occurring *= (1 << width) - 1
-    else:
-        if not is_idnf(function):
+    seen_mask = 0
+    for mask in function._bitset().masks:
+        if mask & seen_mask:
             raise ValueError("idnf_model_count requires an iDNF")
-        for clause in function.clauses:
-            occurring += len(clause)
-            non_models_occurring *= (1 << len(clause)) - 1
+        seen_mask |= mask
+        width = popcount(mask)
+        occurring += width
+        non_models_occurring *= (1 << width) - 1
     silent = total_vars - occurring
     # Non-models over the full domain: every clause unsatisfied, silent vars free.
     non_models = non_models_occurring << silent
@@ -119,8 +102,7 @@ def _masks_shortest_first(function: DNF) -> List[int]:
     """Clause masks in the syntheses' deterministic shortest-first order.
 
     Bit positions follow the sorted domain order, so comparing position
-    tuples is exactly the sorted-variable-tuple comparison the frozenset
-    reference uses.
+    tuples is exactly comparing the sorted variable tuples.
     """
     keyed = []
     for mask in function._bitset().masks:
@@ -144,16 +126,6 @@ def lower_idnf(function: DNF) -> DNF:
     yields larger (tighter) lower bounds.  The result is over the same domain
     as ``function``.
     """
-    if not kernel_enabled():
-        kept: List[Clause] = []
-        used: set[int] = set()
-        for clause_tuple in sorted(function.sorted_clauses(),
-                                   key=lambda c: (len(c), c)):
-            clause = frozenset(clause_tuple)
-            if not (clause & used):
-                kept.append(clause)
-                used |= clause
-        return DNF(kept, domain=function.domain)
     kept_masks: List[int] = []
     used_mask = 0
     for mask in _masks_shortest_first(function):
@@ -175,23 +147,6 @@ def upper_idnf(function: DNF) -> DNF:
     shared variable, which is a subset of both clauses and keeps the result
     an iDNF.  The result is over the same domain as ``function``.
     """
-    if not kernel_enabled():
-        kept: List[Clause] = []
-        seen: set[int] = set()
-        for clause_tuple in sorted(function.sorted_clauses(),
-                                   key=lambda c: (len(c), c)):
-            clause = frozenset(clause_tuple)
-            fresh = clause - seen
-            if fresh:
-                kept.append(frozenset(fresh))
-                seen |= fresh
-            else:
-                shared = min(clause)
-                for index, existing in enumerate(kept):
-                    if shared in existing:
-                        kept[index] = frozenset({shared})
-                        break
-        return DNF(kept, domain=function.domain).absorb()
     kept_masks: List[int] = []
     seen_mask = 0
     for mask in _masks_shortest_first(function):

@@ -12,24 +12,21 @@ The d-tree compiler needs three structural primitives (Section 3.1):
 All functions here are pure: they return new :class:`~repro.boolean.dnf.DNF`
 objects and never mutate their inputs.
 
-Each primitive has two implementations selected by
-:func:`repro.boolean.dnf.kernel_enabled`: the bitset-kernel fast path
-(mask-union union-find for components, single AND-reduction for factoring,
-mask surgery for conditioning) and the original frozenset reference kept
-for differential testing.  Both produce identical DNFs.
+Each primitive runs on the bitset kernel: a support-merge scan for
+components, a single AND-reduction for factoring, mask surgery for
+conditioning.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.boolean.bitset import (
     component_groups,
-    iter_bits,
     project_mask,
     projection_table,
 )
-from repro.boolean.dnf import Clause, ConstantTrue, DNF, kernel_enabled
+from repro.boolean.dnf import ConstantTrue, DNF
 
 
 def cofactor(function: DNF, variable: int, value: bool) -> DNF:
@@ -76,44 +73,6 @@ def is_mutually_exclusive(left: DNF, right: DNF) -> bool:
     return True
 
 
-def clause_components(clauses: Sequence[Clause]) -> List[List[Clause]]:
-    """Group clauses into connected components of the variable-sharing graph.
-
-    Two clauses are connected if they share a variable.  Uses a union-find
-    over variables so the running time is near-linear in the function size.
-    """
-    parent: Dict[int, int] = {}
-
-    def find(item: int) -> int:
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for clause in clauses:
-        first = None
-        for variable in clause:
-            if variable not in parent:
-                parent[variable] = variable
-            if first is None:
-                first = variable
-            else:
-                union(first, variable)
-
-    groups: Dict[int, List[Clause]] = {}
-    for clause in clauses:
-        representative = find(next(iter(clause)))
-        groups.setdefault(representative, []).append(clause)
-    return list(groups.values())
-
-
 def independent_components(function: DNF) -> List[DNF]:
     """Split a DNF into independent sub-functions (disjunction decomposition).
 
@@ -127,9 +86,6 @@ def independent_components(function: DNF) -> List[DNF]:
     """
     if function.is_false():
         return [function]
-    if not kernel_enabled():
-        components = clause_components(list(function.clauses))
-        return [DNF(component) for component in components]
     kernel = function._bitset()
     groups = component_groups(kernel.masks)
     if len(groups) == 1:
@@ -178,18 +134,6 @@ def factor_common_variables(function: DNF) -> Tuple[FrozenSet[int], DNF]:
     common variables the residual is the constant 1; this is signalled with
     :class:`ConstantTrue` carrying the residual domain.
     """
-    if not kernel_enabled():
-        common = function.common_variables()
-        if not common:
-            return frozenset(), function
-        residual_domain = function.domain - common
-        residual_clauses = []
-        for clause in function.clauses:
-            reduced = clause - common
-            if not reduced:
-                raise ConstantTrue(frozenset(residual_domain))
-            residual_clauses.append(reduced)
-        return common, DNF(residual_clauses, domain=residual_domain)
     kernel = function._bitset()
     common_mask = kernel.common_mask()
     if not common_mask:

@@ -3,13 +3,10 @@
 The counting and attribution passes in :mod:`repro.core.exaban` and
 :mod:`repro.core.shapley` used to be *recursive* and *unshared*: one full
 tree descent per call, one full size-vector descent per Shapley variable.
-This module preserves those seed implementations verbatim so that
-
-* the differential test suite can assert the iterative fused passes
-  produce bit-identical integers/Fractions on random d-trees, and
-* ``benchmarks/bench_kernel.py`` can measure the end-to-end win of this
-  PR's hot path (bitset kernel + fused memoized passes) against the
-  exact execution the seed performed, not a strawman.
+This module preserves those seed implementations verbatim as the single
+d-tree oracle: together with brute-force enumeration it is what the
+differential test suites and the benchmark's oracle check hold the arena
+passes to, bit for bit, on integers and Fractions.
 
 Being recursive, everything here inherits the interpreter recursion
 limit -- the deep-chain regression test demonstrates these functions

@@ -15,229 +15,58 @@ domain to true, for the function itself and for its two cofactors on the
 target variable.  The combination rules mirror ExaBan's, lifted from scalars
 to vectors (convolutions at decomposable nodes, sums at exclusive nodes).
 
-The evaluation is split into two **iterative** passes (explicit stacks --
-deep Shannon chains never touch the recursion limit):
+The evaluation is split into two **iterative** passes over the **arena**
+backend (:mod:`repro.dtree.arena`) -- deep Shannon chains never touch the
+recursion limit:
 
-1. a variable-independent *models* pass filling a node-id-keyed memo with
-   each subtree's size-indexed model vector -- computed **once per tree**
-   and shared across all variables (``shapley_all`` over one compiled
-   artifact never recounts a subtree);
-2. a per-variable *cofactor* pass confined to the nodes whose domain
+1. a variable-independent *models* pass filling the arena's ``"models"``
+   payload column with each subtree's size-indexed model vector --
+   computed **once per tree** and shared across all variables
+   (``shapley_all`` over one compiled artifact never recounts a subtree);
+2. a per-variable *cofactor* pass confined to the rows whose domain
    contains the variable (at a decomposable node only one child does), with
-   every untouched sibling read from the shared memo.
+   every untouched sibling read from the shared column.
 
-:func:`critical_counts_exact` runs both passes over the **arena** backend
-(:mod:`repro.dtree.arena`): the models column lives on the flattened tree
-(shared through the root cache) and the cofactor pass is a pair of plain
-index loops.  The object-tree walks ``_fill_models`` /
-``_cofactor_vectors`` are kept as the differential baseline.
+:mod:`repro.core.reference` keeps the recursive seed passes as the oracle
+the differential suites check against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import factorial
+from typing import Dict, List, Optional, Sequence
 
 from repro.boolean.assignments import critical_set_counts
 from repro.boolean.dnf import DNF
-from repro.dtree.arena import arena_cofactor_vectors, arena_models, arena_of
+from repro.dtree.arena import arena_cofactor_vectors, arena_of
 from repro.dtree.compile import CompilationBudget, compile_dnf
 from repro.dtree.heuristics import Heuristic, select_most_frequent
-from repro.dtree.nodes import (
-    DecompAnd,
-    DecompOr,
-    DNFLeaf,
-    DTreeNode,
-    ExclusiveOr,
-    FalseLeaf,
-    LiteralLeaf,
-    TrueLeaf,
-)
-
-#: Node-id -> size-indexed model-count vector of the subtree.  Valid while
-#: the tree is alive and unmutated (complete artifacts guarantee both).
-ModelsMemo = Dict[int, List[int]]
-
-
-def _convolve(left: Sequence[int], right: Sequence[int]) -> List[int]:
-    """Convolution of two integer vectors."""
-    result = [0] * (len(left) + len(right) - 1)
-    for i, a in enumerate(left):
-        if a == 0:
-            continue
-        for j, b in enumerate(right):
-            if b:
-                result[i + j] += a * b
-    return result
-
-
-def _binomial_vector(n: int) -> List[int]:
-    """The vector ``[C(n,0), ..., C(n,n)]`` (size profile of the constant 1)."""
-    return [comb(n, k) for k in range(n + 1)]
-
-
-def _complement(vector: Sequence[int], n: int) -> List[int]:
-    """Turn a size-indexed model vector over ``n`` variables into non-models."""
-    return [comb(n, k) - vector[k] for k in range(n + 1)]
-
-
-def _fill_models(root: DTreeNode, models: ModelsMemo) -> None:
-    """Fill ``models`` with the size-indexed model vector of every subtree.
-
-    Iterative postorder; subtrees already present in the memo are skipped
-    without descending.
-    """
-    pending: List[DTreeNode] = [root]
-    postorder: List[DTreeNode] = []
-    while pending:
-        node = pending.pop()
-        if id(node) in models:
-            continue
-        postorder.append(node)
-        pending.extend(node.children())
-    for node in reversed(postorder):
-        key = id(node)
-        if key in models:
-            continue
-        domain_size = len(node.domain)
-        if isinstance(node, TrueLeaf):
-            vector = _binomial_vector(domain_size)
-        elif isinstance(node, FalseLeaf):
-            vector = [0] * (domain_size + 1)
-        elif isinstance(node, LiteralLeaf):
-            vector = [1, 0] if node.negated else [0, 1]
-        elif isinstance(node, DNFLeaf):
-            raise ValueError("Shapley computation requires a complete d-tree")
-        elif isinstance(node, DecompAnd):
-            vector = [1]
-            for child in node.children():
-                vector = _convolve(vector, models[id(child)])
-        elif isinstance(node, DecompOr):
-            non_models = [1]
-            for child in node.children():
-                non_models = _convolve(
-                    non_models,
-                    _complement(models[id(child)], len(child.domain)))
-            vector = [comb(domain_size, k) - non_models[k]
-                      for k in range(domain_size + 1)]
-        elif isinstance(node, ExclusiveOr):
-            vector = [0] * (domain_size + 1)
-            for child in node.children():
-                for k, value in enumerate(models[id(child)]):
-                    vector[k] += value
-        else:
-            raise TypeError(f"unknown d-tree node type {type(node).__name__}")
-        models[key] = vector
-
-
-def _cofactor_vectors(root: DTreeNode, variable: int, models: ModelsMemo
-                      ) -> Tuple[List[int], List[int]]:
-    """Size vectors of ``phi[x:=1]`` / ``phi[x:=0]`` over ``domain - x``.
-
-    ``root.domain`` must contain ``variable``.  Only nodes containing the
-    variable are visited (one child per decomposable node, every child of
-    an exclusive node); sibling subtrees come from the shared ``models``
-    memo untouched.
-    """
-    pending: List[DTreeNode] = [root]
-    postorder: List[DTreeNode] = []
-    while pending:
-        node = pending.pop()
-        postorder.append(node)
-        for child in node.children():
-            if variable in child.domain:
-                pending.append(child)
-    vectors: Dict[int, Tuple[List[int], List[int]]] = {}
-    for node in reversed(postorder):
-        domain_size = len(node.domain)
-        if isinstance(node, TrueLeaf):
-            cof = _binomial_vector(domain_size - 1)
-            result = (cof, list(cof))
-        elif isinstance(node, FalseLeaf):
-            zeros = [0] * domain_size
-            result = (zeros, list(zeros))
-        elif isinstance(node, LiteralLeaf):
-            # Only x-literals can appear here (a literal's domain is {x}).
-            positive = [0] if node.negated else [1]
-            negative = [1] if node.negated else [0]
-            result = (positive, negative)
-        elif isinstance(node, DNFLeaf):
-            raise ValueError("Shapley computation requires a complete d-tree")
-        elif isinstance(node, (DecompAnd, DecompOr)):
-            conjunction = isinstance(node, DecompAnd)
-            positive = [1]
-            negative = [1]
-            for child in node.children():
-                has_x = variable in child.domain
-                if has_x:
-                    child_positive, child_negative = vectors[id(child)]
-                    child_n = len(child.domain) - 1
-                else:
-                    child_positive = child_negative = models[id(child)]
-                    child_n = len(child.domain)
-                if conjunction:
-                    positive = _convolve(positive, child_positive)
-                    negative = _convolve(negative, child_negative)
-                else:
-                    positive = _convolve(
-                        positive, _complement(child_positive, child_n))
-                    negative = _convolve(
-                        negative, _complement(child_negative, child_n))
-            if not conjunction:
-                cof_size = domain_size - 1
-                positive = [comb(cof_size, k) - positive[k]
-                            for k in range(cof_size + 1)]
-                negative = [comb(cof_size, k) - negative[k]
-                            for k in range(cof_size + 1)]
-            result = (positive, negative)
-        elif isinstance(node, ExclusiveOr):
-            cof_size = domain_size - 1
-            positive = [0] * (cof_size + 1)
-            negative = [0] * (cof_size + 1)
-            for child in node.children():
-                child_positive, child_negative = vectors[id(child)]
-                for k, value in enumerate(child_positive):
-                    positive[k] += value
-                for k, value in enumerate(child_negative):
-                    negative[k] += value
-            result = (positive, negative)
-        else:
-            raise TypeError(f"unknown d-tree node type {type(node).__name__}")
-        vectors[id(node)] = result
-    return vectors[id(root)]
+from repro.dtree.nodes import DTreeNode
 
 
 def critical_counts_exact(function: DNF, variable: int,
                           heuristic: Heuristic = select_most_frequent,
                           budget: CompilationBudget | None = None,
-                          tree: DTreeNode | None = None,
-                          models: Optional[ModelsMemo] = None) -> List[int]:
+                          tree: DTreeNode | None = None) -> List[int]:
     """Exact critical-set counts ``#kC`` of ``variable`` via the d-tree.
 
     Entry ``k`` counts the critical sets of size ``k``; the list has
     ``n`` entries for a function over ``n`` variables (sizes 0..n-1).
     ``tree`` supplies an already compiled *complete* d-tree of the same
     function, skipping compilation entirely (the engine's shared-artifact
-    path); otherwise one is compiled under ``budget``.  ``models`` is the
-    optional shared size-vector memo (filled on first use, reused across
-    variables of the same tree).
+    path); otherwise one is compiled under ``budget``.  The tree's
+    variable-independent size vectors are computed on first use and reused
+    across variables of the same tree.
     """
     if variable not in function.domain:
         raise ValueError(f"variable {variable} not in the function's domain")
     if tree is None:
         tree = compile_dnf(function, heuristic=heuristic, budget=budget)
-    # Arena path: the variable-independent models pass lives in the
-    # arena's ``models`` payload column (computed once per tree, shared
-    # across variables and across calls through the root cache); the
-    # caller's node-id memo is kept as a mirror for the object-tree
-    # baselines below.
-    arena = arena_of(tree)
-    column = arena_models(arena)
-    if models is not None and id(tree) not in models:
-        for row, node in enumerate(arena.nodes):
-            models[id(node)] = column[row]
-    positive, negative = arena_cofactor_vectors(arena, variable)
+    # The variable-independent models pass behind the cofactor pass lives
+    # in the arena's ``models`` payload column (computed once per tree,
+    # shared across variables and across calls through the root cache).
+    positive, negative = arena_cofactor_vectors(arena_of(tree), variable)
     n = function.num_variables()
     counts = []
     for k in range(n):
@@ -250,11 +79,10 @@ def critical_counts_exact(function: DNF, variable: int,
 def shapley_exact(function: DNF, variable: int,
                   heuristic: Heuristic = select_most_frequent,
                   budget: CompilationBudget | None = None,
-                  tree: DTreeNode | None = None,
-                  models: Optional[ModelsMemo] = None) -> Fraction:
+                  tree: DTreeNode | None = None) -> Fraction:
     """Exact Shapley value of ``variable`` in a positive DNF function."""
     counts = critical_counts_exact(function, variable, heuristic=heuristic,
-                                   budget=budget, tree=tree, models=models)
+                                   budget=budget, tree=tree)
     n = function.num_variables()
     total = Fraction(0)
     n_factorial = factorial(n)
@@ -281,10 +109,9 @@ def shapley_all(function: DNF,
     """
     if tree is None:
         tree = compile_dnf(function, heuristic=heuristic, budget=budget)
-    models: ModelsMemo = {}
     return {
         variable: shapley_exact(function, variable, heuristic=heuristic,
-                                budget=budget, tree=tree, models=models)
+                                budget=budget, tree=tree)
         for variable in sorted(function.variables)
     }
 

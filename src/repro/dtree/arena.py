@@ -22,9 +22,7 @@ parallel lists indexed by ``int``:
   of a ``KIND_DNF`` row (partial trees only);
 * named **payload columns** (:meth:`DTreeArena.payload`) — per-node
   scratch shared by the passes: the exact subtree-count column, the
-  size-indexed model vectors, the float log-count column, …  The
-  engine's old node-id-keyed count memo is now a mirror view of the
-  ``"counts"`` payload column.
+  size-indexed model vectors, the float log-count column, …
 
 **Postorder invariant**: every child row precedes its parent row
 (``children[j] < i`` for all ``j`` in the span of row ``i``), and the
@@ -41,10 +39,12 @@ the bounds caches.  :meth:`DTreeArena.extend` rebuilds the arrays after
 an incremental-compiler mutation while carrying payload values over for
 every row whose subtree is provably unchanged.
 
-The exact passes here are drop-in equivalents of the object-tree passes
-in :mod:`repro.core.exaban` / :mod:`repro.core.shapley` /
-:mod:`repro.core.bounds` (which remain the differential baseline, with
-:mod:`repro.core.reference` as the seed oracle).  The float passes are
+The exact passes here are the only production implementation of the
+count, Banzhaf and Shapley passes; :mod:`repro.core.exaban` and
+:mod:`repro.core.shapley` are thin entry points over them, and
+:mod:`repro.core.reference` keeps the recursive seed passes as the oracle.
+The bounds passes mirror the object-tree :mod:`repro.core.bounds`, which
+AdaBan's refinement loop still uses.  The float passes are
 the ranking fast path: log2-domain scores with a tracked relative-error
 bound, so callers can tell which variables are separated beyond floating
 error and which need the exact-``Fraction`` fallback.
@@ -329,7 +329,7 @@ _NULL_STATS = _NullStats()
 
 
 # --------------------------------------------------------------------- #
-# Exact passes (tight index loops; bit-identical to the object passes)
+# Exact passes (tight index loops; bit-identical to core/reference.py)
 # --------------------------------------------------------------------- #
 
 
@@ -513,9 +513,9 @@ def arena_models(arena: DTreeArena) -> List[List[int]]:
     """Size-indexed model vectors per row (the Shapley ``models`` pass).
 
     Entry ``k`` of row ``i``'s vector counts the models of the subtree
-    that set exactly ``k`` domain variables true — the arena analogue of
-    :func:`repro.core.shapley._fill_models`, cached as the ``models``
-    payload column and shared by every variable's cofactor pass.
+    that set exactly ``k`` domain variables true, cached as the
+    ``models`` payload column and shared by every variable's cofactor
+    pass.
     """
     models = arena.payloads.get("models")
     if models is not None and models[-1] is not None:

@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.boolean.bitset import count_components
-from repro.boolean.dnf import DNF, kernel_enabled
-from repro.boolean.operations import clause_components
+from repro.boolean.dnf import DNF
 
 #: A heuristic maps a DNF to the variable to expand on.
 Heuristic = Callable[[DNF], int]
@@ -56,26 +55,16 @@ def select_max_depth_reduction(function: DNF, candidates: int = 8) -> int:
     ranked = sorted(frequencies, key=lambda v: (-frequencies[v], v))[:candidates]
     best_variable = ranked[0]
     best_key = (-1, 0, 0)
-    use_kernel = kernel_enabled()
-    if use_kernel:
-        kernel = function._bitset()
+    kernel = function._bitset()
     for variable in ranked:
-        if use_kernel:
-            # Delete the variable's bit from every clause mask and count the
-            # remaining connected components -- same union-find, no
-            # frozenset churn per candidate.
-            bit = 1 << kernel.index()[variable]
-            reduced_masks = [mask & ~bit for mask in kernel.masks
-                             if mask & ~bit]
-            components = (count_components(reduced_masks)
-                          if reduced_masks else 0)
-        else:
-            reduced_clauses = [
-                clause - {variable}
-                for clause in function.clauses if clause - {variable}
-            ]
-            components = (len(clause_components(reduced_clauses))
-                          if reduced_clauses else 0)
+        # Delete the variable's bit from every clause mask and count the
+        # remaining connected components -- no frozenset churn per
+        # candidate.
+        bit = 1 << kernel.index()[variable]
+        reduced_masks = [mask & ~bit for mask in kernel.masks
+                         if mask & ~bit]
+        components = (count_components(reduced_masks)
+                      if reduced_masks else 0)
         key = (components, frequencies[variable], -variable)
         if key > best_key:
             best_key = key

@@ -39,7 +39,6 @@ from repro.engine.engine import (
     LineageAttribution,
     RankedAnswer,
     engine_for,
-    ensure_recursion_head_room,
 )
 from repro.engine.frontend import (
     FrontendConfig,
@@ -135,7 +134,6 @@ __all__ = [
     "decode_artifact",
     "encode_artifact",
     "engine_for",
-    "ensure_recursion_head_room",
     "faults",
     "load_artifacts",
     "load_results",

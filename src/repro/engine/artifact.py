@@ -23,13 +23,13 @@ Sharing discipline: the tree inside a cached artifact is read-shared by
 every evaluator, and the incremental compiler mutates trees in place —
 so :meth:`CompiledLineage.resume_compiler` always hands out a *private
 clone*.  Completed artifacts are never structurally mutated (per-node
-bound caches are idempotent scratch space, as with the old in-process
-d-tree memo).
+bound caches and the arena's payload columns are idempotent scratch
+space).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.dtree.arena import DTreeArena, arena_of
@@ -73,25 +73,16 @@ class CompiledLineage:
         Cumulative compilation work already paid for this lineage —
         carried across processes so resumed compilations keep honest
         totals.
-    counts:
-        Node-id-keyed subtree model-count memo shared by every exact
-        evaluation pass over this artifact's tree.  Since the arena
-        refactor this is a **mirror view** of the arena's ``"counts"``
-        payload column: :mod:`repro.core.exaban` computes counts in the
-        arena and copies them here, so legacy callers (and the engine's
-        memo-hit accounting) keep working unchanged.  Derived data:
-        never serialized (node ids are process-local), rebuilt on first
-        evaluation after a load, and only ever populated for *complete*
-        trees (partial trees are resumed via a clone, whose fresh node
-        ids leave a stale memo unreachable).
+
+    Evaluation results are derived data kept on the tree's arena
+    (:meth:`arena`), never on the artifact: the subtree model counts every
+    exact pass shares are the arena's ``"counts"`` payload column.
     """
 
     root: DTreeNode
     complete: bool
     shannon_steps: int = 0
     expansion_steps: int = 0
-    counts: Dict[int, int] = field(default_factory=dict, compare=False,
-                                   repr=False)
 
     @classmethod
     def from_complete_tree(cls, root: DTreeNode,
@@ -114,7 +105,8 @@ class CompiledLineage:
         (:func:`repro.dtree.arena.arena_of`), which in-place mutation
         invalidates — so the handle is always consistent with ``root``.
         Every exact/float evaluation pass over this artifact shares it
-        (and its payload columns) automatically.
+        (and its payload columns, e.g. the ``"counts"`` column)
+        automatically.
         """
         return arena_of(self.root)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.boolean.dnf import DNF, kernel_enabled
+from repro.boolean.dnf import DNF
 
 #: A canonical cache key: the domain size plus the canonically renamed,
 #: deterministically ordered clause set.
@@ -135,21 +135,17 @@ def canonicalize(function: DNF, max_rounds: int = 4) -> CanonicalLineage:
         for clause in function.clauses
     ))
     key: CanonicalKey = (function.num_variables(), canonical_clauses)
-    if kernel_enabled():
-        # The canonical renaming *is* the kernel's dense remap: canonical
-        # variable i is bit i of the sorted 0..n-1 order, so the clause
-        # masks are built directly and the frozenset view stays lazy.
-        masks = []
-        for clause in canonical_clauses:
-            mask = 0
-            for variable in clause:
-                mask |= 1 << variable
-            masks.append(mask)
-        canonical_dnf = DNF._from_kernel(
-            masks, tuple(range(function.num_variables())))
-    else:
-        canonical_dnf = DNF(canonical_clauses,
-                            domain=range(function.num_variables()))
+    # The canonical renaming *is* the kernel's dense remap: canonical
+    # variable i is bit i of the sorted 0..n-1 order, so the clause masks
+    # are built directly and the frozenset view stays lazy.
+    masks = []
+    for clause in canonical_clauses:
+        mask = 0
+        for variable in clause:
+            mask |= 1 << variable
+        masks.append(mask)
+    canonical_dnf = DNF._from_kernel(
+        masks, tuple(range(function.num_variables())))
     return CanonicalLineage(key=key, dnf=canonical_dnf,
                             to_canonical=to_canonical,
                             from_canonical=from_canonical)

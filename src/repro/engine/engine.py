@@ -66,7 +66,6 @@ Typical use::
 from __future__ import annotations
 
 import os
-import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -126,21 +125,6 @@ RankedAnswer = Tuple[Tuple[object, ...], List[Tuple[Fact, RankedVariable]]]
 #: paper's prototype solves exactly, small enough that pathological
 #: instances fall back to AdaBan instead of hanging.
 _DEFAULT_AUTO_SHANNON_STEPS = 50_000
-
-#: Deep d-trees (one Shannon expansion per level) need head-room beyond
-#: CPython's default recursion limit; mirrored in worker processes.
-_RECURSION_LIMIT = 100_000
-
-
-def ensure_recursion_head_room() -> None:
-    """Raise the interpreter recursion limit for deep d-tree traversals.
-
-    Shared by the engine's serial path, its pool workers, and the
-    experiment runner, so the head-room is defined in exactly one place.
-    """
-    if sys.getrecursionlimit() < _RECURSION_LIMIT:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -449,8 +433,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
             # without cloning or re-persisting the tree.  As under
             # ``auto``, ``method_used`` records what actually ran.
             occurring = function.variables
-            raw = exaban_all(artifact.root, counts=artifact.counts,
-                             stats=stats)
+            raw = exaban_all(artifact.root, stats=stats)
             return CachedAttribution(
                 method_used="exact",
                 values={v: Fraction(value) for v, value in raw.items()
@@ -479,8 +462,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
             return (CachedAttribution(method_used="shapley",
                                       values=dict(values)),
                     False, artifact_out, 0)
-        raw = exaban_all(artifact_out.root, counts=artifact_out.counts,
-                         stats=stats)
+        raw = exaban_all(artifact_out.root, stats=stats)
     except (CompilationLimitReached, RecursionError):
         compiler = partial_slot[0] if partial_slot else None
         if method != "auto":
@@ -520,7 +502,6 @@ def _worker_compute_chunk(payload: Tuple
     """
     (chunk, method, epsilon, max_shannon_steps, timeout_seconds, k,
      numeric, float_ulp_margin) = payload
-    ensure_recursion_head_room()
     # Inside the worker process: a ``kill`` rule here exercises the
     # supervised pool's crash recovery (plans reach workers by fork
     # inheritance or via the REPRO_FAULT_PLAN environment variable).
@@ -943,11 +924,12 @@ class Engine:
             self.stats.bump(tree_compilations=1)
         elif not artifact.complete:
             self.stats.bump(artifact_resumes=1)
-        elif artifact.counts:
-            # A complete artifact whose subtree-count memo is already warm:
-            # the evaluation below will not recount a single subtree.
-            self.stats.bump(count_memo_hits=1)
-        ensure_recursion_head_room()
+        else:
+            # A complete artifact whose arena counts column is already
+            # filled: the evaluation below will not recount a subtree.
+            counts = artifact.arena().payloads.get("counts")
+            if counts is not None and counts[-1] is not None:
+                self.stats.bump(count_memo_hits=1)
 
         def sink(partial: CompiledLineage) -> None:
             # Failed computations still hand their partial progress back,

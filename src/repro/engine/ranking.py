@@ -109,9 +109,7 @@ def _exact_ranking(function: DNF, artifact: CompiledLineage,
     """
     occurring = function.variables
     values = {v: value
-              for v, value in exaban_all(artifact.root,
-                                         counts=artifact.counts,
-                                         stats=stats).items()
+              for v, value in exaban_all(artifact.root, stats=stats).items()
               if v in occurring}
     return RankingComputation(outcome=CachedAttribution(
         method_used="exact",

@@ -94,8 +94,8 @@ class EngineStats:
         Reused artifacts that were *partial*: refinement resumed from
         the persisted/cached frontier instead of restarting.
     count_memo_hits:
-        Computations that reused a complete artifact whose subtree
-        model-count memo was already populated by an earlier evaluation
+        Computations that reused a complete artifact whose arena
+        ``"counts"`` column an earlier evaluation had already filled
         (ranking / top-k / repeat attribution over one compiled lineage
         recount no subtree at all).
     fallbacks:

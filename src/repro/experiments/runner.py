@@ -10,6 +10,7 @@ that success rates can be reported exactly like in the paper's Table 2.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from repro.dtree.compile import (
     CompilationLimitReached,
     compile_dnf,
 )
-from repro.engine import Engine, EngineConfig, ensure_recursion_head_room
+from repro.engine import Engine, EngineConfig
 from repro.engine.store import CacheStore
 from repro.workloads.generators import LineageInstance
 from repro.workloads.suite import Workload
@@ -66,7 +67,20 @@ class AlgorithmResult:
         return {key: float(value) for key, value in self.values.items()}
 
 
-_ensure_recursion_head_room = ensure_recursion_head_room
+#: Recursion head-room for the recursive Sig22 baseline, whose knowledge
+#: compiler descends once per Shannon expansion.
+_RECURSION_LIMIT = 100_000
+
+
+def _ensure_recursion_head_room() -> None:
+    """Raise the interpreter recursion limit for the recursive baselines.
+
+    Only the experiment runner does this.  Library calls (the engine, the
+    d-tree passes) leave the limit alone: every one of their passes is
+    iterative.
+    """
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
 
 
 def _run_exaban(lineage: DNF, config: ExperimentConfig) -> Dict[int, Fraction]:

@@ -1,15 +1,15 @@
-"""Differential tests: the arena backend against every object-tree baseline.
+"""Differential tests: the arena backend against the recursive oracle.
 
-The struct-of-arrays arena (:mod:`repro.dtree.arena`) re-implements the
+The struct-of-arrays arena (:mod:`repro.dtree.arena`) implements the
 fused counting, Banzhaf, Shapley and bounds passes as index loops over
-postorder-contiguous columns.  This module pins the refactor's core
-contract -- **bit-identical results** -- by fuzzing random DNFs through
-both backends and the recursive seed reference
-(:mod:`repro.core.reference`), exercises the float tier's enclosure and
-ordering guarantees on tie-rich instances, and covers the shapes the
-column layout is most likely to get wrong: deep trees (build and
-incremental ``extend`` far beyond the recursion limit) and trees decoded
-from legacy v1 shards.
+postorder-contiguous columns.  This module pins their core contract --
+**bit-identical results** -- by fuzzing random DNFs through the arena and
+the recursive seed reference (:mod:`repro.core.reference`), checks the
+arena bounds passes against the object-tree bounds procedure, exercises
+the float tier's enclosure and ordering guarantees on tie-rich instances,
+and covers the shapes the column layout is most likely to get wrong:
+deep trees (build and incremental ``extend`` far beyond the recursion
+limit) and trees decoded from legacy v1 shards.
 """
 
 import random
@@ -22,12 +22,7 @@ from hypothesis import given, settings
 from repro.boolean.dnf import DNF
 from repro.core import reference as seed
 from repro.core.bounds import bounds_for_variable, count_bounds
-from repro.core.exaban import (
-    exaban_all,
-    exaban_all_objects,
-    model_count,
-    model_count_objects,
-)
+from repro.core.exaban import exaban_all, model_count
 from repro.core.ichiban import ranked_from_bounds
 from repro.core.shapley import shapley_all
 from repro.dtree.arena import (
@@ -73,14 +68,12 @@ def test_arena_counts_and_banzhaf_match_baselines(function: DNF):
     tree = compile_dnf(function)
     arena = DTreeArena.from_tree(tree)
     counts = arena_counts(arena)
-    # Model count: arena column vs object walk vs recursive seed.
+    # Model count: arena column vs recursive seed.
     assert counts[arena.root] == arena_model_count(arena)
-    assert counts[arena.root] == model_count_objects(tree)
     assert counts[arena.root] == seed.model_count_recursive(tree)
     assert counts[arena.root] == model_count(tree)
-    # Fused all-variables Banzhaf: bit-identical ints across backends.
+    # Fused all-variables Banzhaf: bit-identical ints.
     banzhaf = arena_banzhaf(arena)
-    assert banzhaf == exaban_all_objects(tree)
     assert banzhaf == seed.exaban_all_recursive(tree)
     assert banzhaf == exaban_all(tree)
 
@@ -208,7 +201,8 @@ def test_v1_shard_round_trips_into_the_arena():
         decoded = decode_tree(encode_tree_v1(tree))
         assert trees_equal(tree, decoded)
         # The decoded tree feeds the arena losslessly...
-        assert arena_banzhaf(arena_of(decoded)) == exaban_all_objects(tree)
+        assert arena_banzhaf(arena_of(decoded)) == \
+            seed.exaban_all_recursive(tree)
         # ...and re-encodes deterministically in the v2 column format.
         assert encode_tree(decoded) == encode_tree(tree)
         assert decode_tree(encode_tree(decoded)) is not None

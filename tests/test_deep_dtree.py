@@ -2,18 +2,19 @@
 
 The seed implementation compiled and evaluated d-trees with recursive
 passes, so a tree deeper than ``sys.getrecursionlimit()`` crashed with
-``RecursionError`` (the engine papered over it by raising the limit to
-100k).  Compilation, the count/Banzhaf passes, the Shapley vector passes
-and the AdaBan bounds procedure are now all explicit-stack iterative;
-these tests pin the interpreter limit *below* the tree depth and run the
-whole pipeline through trees that the recursive formulation provably
-cannot traverse.
+``RecursionError``.  Compilation, the count/Banzhaf passes, the Shapley
+vector passes and the AdaBan bounds procedure are now all explicit-stack
+iterative; these tests pin the interpreter limit *below* the tree depth
+and run the whole pipeline through trees that the recursive formulation
+provably cannot traverse -- and check that the engine leaves the limit
+alone while doing so.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 from repro.boolean.dnf import DNF
 from repro.core.bounds import bounds_for_variable, count_bounds
@@ -21,6 +22,7 @@ from repro.core.exaban import exaban, exaban_all, model_count
 from repro.dtree.compile import compile_dnf
 from repro.dtree.nodes import DecompAnd, DTreeNode, LiteralLeaf
 from repro.dtree.serialize import clone_tree, decode_tree, encode_tree, trees_equal
+from repro.engine import Engine
 
 
 @contextmanager
@@ -73,15 +75,14 @@ class TestDeepCompileAndCount:
             assert tree.num_nodes() > sys.getrecursionlimit()
             assert tree.is_complete()
 
-            counts: dict = {}
-            total = model_count(tree, counts)
-            values = exaban_all(tree, counts)
+            total = model_count(tree)
+            values = exaban_all(tree)
         # Spot-check the fused passes against the per-variable pass and the
         # model-count identity Banzhaf(x) = #phi[x:=1] - #phi[x:=0].
         n = function.num_variables()
         assert 0 < total < (1 << n)
         for variable in (0, 1, n - 2, n - 1):
-            banzhaf, count = exaban(tree, variable, counts)
+            banzhaf, count = exaban(tree, variable)
             assert count == total
             assert banzhaf == values[variable]
         # x_k of the outermost level is one literal of an independent-or:
@@ -98,9 +99,8 @@ class TestDeepCompileAndCount:
             root = DecompAnd([root, LiteralLeaf(variable)])
         with recursion_limit(1000):
             assert tree_depth(root) > sys.getrecursionlimit()
-            counts: dict = {}
-            assert model_count(root, counts) == 1
-            values = exaban_all(root, counts)
+            assert model_count(root) == 1
+            values = exaban_all(root)
             assert values[0] == 1 and values[depth - 1] == 1
             # Complete tree: count bounds and Banzhaf bounds are points.
             assert count_bounds(root) == (1, 1)
@@ -126,3 +126,18 @@ class TestDeepCompileAndCount:
             assert bounds.banzhaf_lower <= bounds.banzhaf_upper
             lower, upper = count_bounds(root)
             assert 0 <= lower <= upper
+
+
+class TestEngineLeavesRecursionLimit:
+    def test_engine_call_keeps_the_interpreter_recursion_limit(self):
+        # A library call must not change process-global state: the engine
+        # evaluates a d-tree deeper than the limit without raising it.
+        function = read_once_comb(120)
+        expected = exaban_all(compile_dnf(function))
+        with recursion_limit(200):
+            assert tree_depth(compile_dnf(function)) > sys.getrecursionlimit()
+            (outcome,) = Engine().attribute_lineages([function])
+            assert sys.getrecursionlimit() == 200
+        assert outcome.method_used == "exact"
+        assert outcome.values == {v: Fraction(value)
+                                  for v, value in expected.items()}

@@ -29,7 +29,13 @@ from repro.dtree.arena import (
 )
 from repro.dtree.compile import CompilationLimitReached, compile_dnf
 from repro.dtree.incremental import IncrementalCompiler
-from repro.engine import CompiledLineage, Engine, EngineConfig, canonicalize
+from repro.engine import (
+    CompiledLineage,
+    Engine,
+    EngineConfig,
+    MemoryStore,
+    canonicalize,
+)
 from repro.engine.cache import LineageCache, LRUCache
 from repro.engine.ranking import uncertified_enclosure
 from repro.engine.stats import EngineStats
@@ -218,6 +224,22 @@ class TestStats:
         assert engine.stats.hit_rate() == 0.0
         engine.attribute_lineages([DNF([[0, 1]]), DNF([[5, 6]])])
         assert engine.stats.hit_rate() == 0.5
+
+    def test_count_memo_hits_read_the_shared_arena_counts(self):
+        # Five engines share one store: the exact engine compiles the
+        # lineage and fills its arena counts column; every later engine
+        # evaluates that same artifact without recounting a subtree.
+        store = MemoryStore()
+        function = DNF([[0, 1], [1, 2], [2, 3]])
+        readings = []
+        for method, k in (("exact", None), ("rank", None), ("topk", 2),
+                          ("shapley", None), ("approximate", None)):
+            engine = Engine(EngineConfig(method=method, k=k, store=store))
+            engine.attribute_lineages([function])
+            readings.append((method, engine.stats.count_memo_hits,
+                             engine.stats.tree_compilations))
+        assert readings == [("exact", 0, 1), ("rank", 1, 0), ("topk", 1, 0),
+                            ("shapley", 1, 0), ("approximate", 1, 0)]
 
 
 def _float_encloses(log: float, err: float, exact: int,

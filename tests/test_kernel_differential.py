@@ -1,31 +1,23 @@
-"""Differential tests: bitset kernel vs the frozenset reference.
+"""Differential tests: the bitset kernel against definitional oracles.
 
-Every hot DNF operation has two implementations selected by
-:func:`repro.boolean.dnf.set_kernel_enabled`: the bitset-kernel fast path
-and the original frozenset code kept alive as the reference.  These tests
-run both on the same inputs -- Hypothesis-generated random DNFs -- and
-require identical results, plus an end-to-end check that every engine
-method produces bit-identical Banzhaf/Shapley values under either kernel.
-
-Each side gets its own freshly built DNF so no lazily cached view leaks
-across the mode switch.
+Every hot DNF operation runs on the bitset kernel.  These tests run each
+one on Hypothesis-generated random DNFs and check the result against a
+definition computed here from the frozenset clause view: truth tables
+over the stated result domain, clause-set identities, partition and
+maximality properties, brute-force model counts and Banzhaf values.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
+from itertools import combinations
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dnf_strategies import small_dnfs
-from repro.boolean.dnf import (
-    DNF,
-    ConstantTrue,
-    frozenset_reference,
-    kernel_enabled,
-    set_kernel_enabled,
-)
+from repro.baselines.brute_force import banzhaf_all_brute_force
+from repro.boolean.assignments import count_models
+from repro.boolean.dnf import DNF, ConstantTrue
 from repro.boolean.idnf import idnf_model_count, is_idnf, lower_idnf, upper_idnf
 from repro.boolean.operations import (
     factor_common_variables,
@@ -35,71 +27,141 @@ from repro.boolean.operations import (
 from repro.core.exaban import exaban_all
 from repro.dtree.compile import compile_dnf
 from repro.dtree.heuristics import select_max_depth_reduction, select_most_frequent
-from repro.engine import Engine, EngineConfig
 from repro.engine.canonical import canonicalize
-from repro.workloads.generators import random_positive_dnf
 
 
-def _clone(function: DNF) -> DNF:
-    """A fresh DNF with the same clauses/domain and no cached views."""
-    return DNF(function.sorted_clauses(), domain=function.domain)
+def _assignments(domain):
+    """Every assignment over ``domain``, as the frozenset of true variables."""
+    variables = sorted(domain)
+    for size in range(len(variables) + 1):
+        for subset in combinations(variables, size):
+            yield frozenset(subset)
 
 
-def _both_modes(function: DNF, operation):
-    """Run ``operation`` on private clones under both kernels.
+def _holds(function: DNF, assignment) -> bool:
+    """Definitional evaluation straight off the clause set."""
+    return any(clause <= assignment for clause in function.clauses)
 
-    Returns ``(kernel_result, reference_result)``; a raised
-    :class:`ConstantTrue` is captured as ``("TRUE", domain)`` so the
-    exception parity (including the carried domain) is compared too.
+
+def _run(operation):
+    """Call ``operation``, capturing a :class:`ConstantTrue` as its domain."""
+    try:
+        return operation(), None
+    except ConstantTrue as constant:
+        return None, constant.domain
+
+
+def _assert_restriction(result, true_domain, original: DNF, domain,
+                        forced) -> None:
+    """``result`` is ``original`` with ``forced`` set to 1, over ``domain``.
+
+    ``result``/``true_domain`` come from :func:`_run`: either a DNF whose
+    truth table over ``domain`` matches, or a raised :class:`ConstantTrue`
+    whose carried domain is ``domain`` and whose function is constant 1.
     """
-
-    def run(clone: DNF):
-        try:
-            return operation(clone)
-        except ConstantTrue as constant:
-            return ("TRUE", constant.domain)
-
-    assert kernel_enabled()
-    with_kernel = run(_clone(function))
-    with frozenset_reference():
-        without_kernel = run(_clone(function))
-    return with_kernel, without_kernel
+    domain = frozenset(domain)
+    if result is None:
+        assert true_domain == domain
+        assert all(_holds(original, assignment | forced)
+                   for assignment in _assignments(domain))
+        return
+    assert result.domain == domain
+    for assignment in _assignments(domain):
+        assert _holds(result, assignment) == \
+            _holds(original, assignment | forced), assignment
 
 
-def _component_key(components):
-    return sorted((tuple(sorted(c.domain)), c.sorted_clauses())
-                  for c in components)
+def _clause_groups(clauses):
+    """Connected components of the clause graph (clauses sharing variables)."""
+    remaining = list(clauses)
+    groups = []
+    while remaining:
+        group = [remaining.pop()]
+        support = set(group[0])
+        grown = True
+        while grown:
+            grown = False
+            for clause in list(remaining):
+                if clause & support:
+                    remaining.remove(clause)
+                    group.append(clause)
+                    support |= clause
+                    grown = True
+        groups.append(group)
+    return groups
+
+
+def _is_read_once(function: DNF) -> bool:
+    """No variable occurs in two clauses."""
+    occurring = set()
+    for clause in function.clauses:
+        occurring |= clause
+    return sum(len(clause) for clause in function.clauses) == len(occurring)
 
 
 class TestOperationDifferential:
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_absorb(self, function):
-        kernel, reference = _both_modes(function, lambda f: f.absorb())
-        assert kernel == reference
+        minimal = {clause for clause in function.clauses
+                   if not any(other < clause for other in function.clauses)}
+        absorbed = function.absorb()
+        assert absorbed.clauses == minimal
+        assert absorbed.domain == function.domain
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_cofactor_both_values(self, function):
         for variable in sorted(function.domain):
+            rest = function.domain - {variable}
             for value in (False, True):
-                kernel, reference = _both_modes(
-                    function, lambda f: f.cofactor(variable, value))
-                assert kernel == reference, (variable, value)
+                result, true_domain = _run(
+                    lambda: function.cofactor(variable, value))
+                if not value:
+                    assert true_domain is None
+                forced = frozenset({variable}) if value else frozenset()
+                _assert_restriction(result, true_domain, function, rest,
+                                    forced)
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_factor_common_variables(self, function):
-        kernel, reference = _both_modes(
-            function, lambda f: factor_common_variables(f))
-        assert kernel == reference
+        clauses = iter(function.clauses)
+        expected_common = frozenset(next(clauses)).intersection(*clauses)
+        factored, true_domain = _run(
+            lambda: factor_common_variables(function))
+        if factored is None:
+            residual = None
+        else:
+            common, residual = factored
+            assert common == expected_common
+        if not expected_common:
+            assert residual is function
+            return
+        # f == AND(common) & residual, with the residual over domain - common.
+        _assert_restriction(residual, true_domain, function,
+                            function.domain - expected_common,
+                            expected_common)
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_independent_components(self, function):
-        kernel, reference = _both_modes(
-            function, lambda f: _component_key(independent_components(f)))
-        assert kernel == reference
+        components = independent_components(function)
+        # A partition of the clauses...
+        seen = [clause for component in components
+                for clause in component.clauses]
+        assert len(seen) == len(function.clauses)
+        assert set(seen) == function.clauses
+        supports = []
+        for component in components:
+            support = frozenset().union(*component.clauses)
+            # ...each group over exactly its own variables...
+            assert component.domain == support
+            # ...connected...
+            assert len(_clause_groups(component.clauses)) == 1
+            supports.append(support)
+        # ...and pairwise variable-disjoint.
+        assert sum(map(len, supports)) == len(frozenset().union(*supports))
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
@@ -145,59 +207,84 @@ class TestOperationDifferential:
     @given(small_dnfs())
     def test_shannon_expansion(self, function):
         variable = min(function.domain)
-        kernel, reference = _both_modes(
-            function, lambda f: shannon_expansion(f, variable))
-        assert kernel == reference
+        rest = function.domain - {variable}
+        expansion, true_domain = _run(
+            lambda: shannon_expansion(function, variable))
+        if expansion is None:
+            positive = negative = None
+        else:
+            positive, negative = expansion
+        _assert_restriction(positive, true_domain, function, rest,
+                            frozenset({variable}))
+        if negative is not None:
+            _assert_restriction(negative, None, function, rest, frozenset())
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_accessors(self, function):
+        clauses = function.clauses
+        occurring = frozenset().union(*clauses)
         probes = sorted(function.domain) + [max(function.domain) + 7]
-
-        def snapshot(f: DNF):
-            return (
-                f.variables,
-                f.common_variables(),
-                f.variable_frequencies(),
-                f.sorted_clauses(),
-                f.size(),
-                f.num_clauses(),
-                f.is_single_literal(),
-                [f.contains_variable(v) for v in probes],
-            )
-
-        kernel, reference = _both_modes(function, snapshot)
-        assert kernel == reference
+        assert function.variables == occurring
+        assert function.silent_variables() == function.domain - occurring
+        assert function.common_variables() == \
+            frozenset(next(iter(clauses))).intersection(*clauses)
+        assert function.variable_frequencies() == dict(
+            Counter(variable for clause in clauses for variable in clause))
+        assert function.sorted_clauses() == tuple(
+            sorted(tuple(sorted(clause)) for clause in clauses))
+        assert function.size() == sum(len(clause) for clause in clauses)
+        assert function.num_clauses() == len(clauses)
+        assert function.is_single_literal() == (
+            len(clauses) == 1 and len(next(iter(clauses))) == 1)
+        assert [function.contains_variable(v) for v in probes] == \
+            [any(v in clause for clause in clauses) for v in probes]
+        assert function.restricted_domain() == DNF(clauses, domain=occurring)
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
     def test_idnf_syntheses(self, function):
-        def synth(f: DNF):
-            lower = lower_idnf(f)
-            upper = upper_idnf(f)
-            return (lower, upper, idnf_model_count(lower),
-                    idnf_model_count(upper), is_idnf(f))
-
-        kernel, reference = _both_modes(function, synth)
-        assert kernel == reference
+        lower = lower_idnf(function)
+        upper = upper_idnf(function)
+        assert is_idnf(function) == _is_read_once(function)
+        for synthesis in (lower, upper):
+            assert _is_read_once(synthesis) and is_idnf(synthesis)
+            assert synthesis.domain == function.domain
+            assert idnf_model_count(synthesis) == count_models(synthesis)
+        # L is a maximal variable-disjoint subset of the clauses.
+        assert lower.clauses <= function.clauses
+        used = frozenset().union(*lower.clauses)
+        assert all(clause & used for clause in function.clauses)
+        # U has a subclause of every clause (so every model of phi is one).
+        assert all(any(kept <= clause for kept in upper.clauses)
+                   for clause in function.clauses)
+        assert count_models(lower) <= count_models(function) \
+            <= count_models(upper)
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
+    # Splitting beats frequency here: x2 occurs most, x3 disconnects more.
+    @example(DNF([[0, 2, 4], [1, 3], [2, 3, 4], [2, 4]], domain=range(5)))
     def test_heuristics(self, function):
-        def pick(f: DNF):
-            return (select_most_frequent(f), select_max_depth_reduction(f))
+        frequencies = Counter(variable for clause in function.clauses
+                              for variable in clause)
+        ranked = sorted(frequencies, key=lambda v: (-frequencies[v], v))
+        assert select_most_frequent(function) == ranked[0]
 
-        kernel, reference = _both_modes(function, pick)
-        assert kernel == reference
+        def split_key(variable):
+            reduced = [clause - {variable} for clause in function.clauses
+                       if clause - {variable}]
+            return (len(_clause_groups(reduced)), frequencies[variable],
+                    -variable)
+
+        assert select_max_depth_reduction(function) == \
+            max(ranked[:8], key=split_key)
 
     @settings(max_examples=60, deadline=None)
     @given(small_dnfs())
     def test_exact_banzhaf_end_to_end(self, function):
-        def banzhaf(f: DNF):
-            return exaban_all(compile_dnf(f))
-
-        kernel, reference = _both_modes(function, banzhaf)
-        assert kernel == reference
+        assert exaban_all(compile_dnf(function)) == \
+            banzhaf_all_brute_force(function)
 
     @settings(max_examples=60, deadline=None)
     @given(small_dnfs())
@@ -208,11 +295,10 @@ class TestOperationDifferential:
         from repro.core.shapley import shapley_all
 
         tree = compile_dnf(function)
-        counts: dict = {}
-        assert model_count(tree, counts) == seed.model_count_recursive(tree)
-        assert exaban_all(tree, counts) == seed.exaban_all_recursive(tree)
+        assert model_count(tree) == seed.model_count_recursive(tree)
+        assert exaban_all(tree) == seed.exaban_all_recursive(tree)
         for variable in sorted(function.domain):
-            assert exaban(tree, variable, counts) == \
+            assert exaban(tree, variable) == \
                 seed.exaban_recursive(tree, variable)
         assert shapley_all(function, tree=tree) == \
             seed.shapley_all_recursive(function, tree)
@@ -220,12 +306,18 @@ class TestOperationDifferential:
     @settings(max_examples=60, deadline=None)
     @given(small_dnfs())
     def test_canonical_key_stable_across_kernels(self, function):
-        def canonical(f: DNF):
-            lineage = canonicalize(f)
-            return (lineage.key, lineage.dnf, lineage.to_canonical)
-
-        kernel, reference = _both_modes(function, canonical)
-        assert kernel == reference
+        lineage = canonicalize(function)
+        n = function.num_variables()
+        assert sorted(lineage.to_canonical) == sorted(function.domain)
+        assert sorted(lineage.to_canonical.values()) == list(range(n))
+        assert lineage.from_canonical == {
+            index: variable
+            for variable, index in lineage.to_canonical.items()}
+        renamed = DNF([[lineage.to_canonical[v] for v in clause]
+                       for clause in function.clauses], domain=range(n))
+        assert lineage.dnf == renamed and renamed == lineage.dnf
+        assert hash(lineage.dnf) == hash(renamed)
+        assert lineage.key == (n, renamed.sorted_clauses())
 
 
 class TestLazyViews:
@@ -239,56 +331,3 @@ class TestLazyViews:
                                     domain=range(len(lineage.to_canonical)))
         assert hash(canonical_dnf) == hash(
             DNF(lineage.key[1], domain=range(len(lineage.to_canonical))))
-
-    def test_mode_switch_mid_object_is_safe(self):
-        function = DNF([[0, 1], [1, 2]], domain=[0, 1, 2, 3])
-        reduced = function.cofactor(1, True)  # kernel-built, masks only
-        previous = set_kernel_enabled(False)
-        try:
-            # Reference-mode accessors materialize the frozenset view.
-            assert reduced.variables == frozenset({0, 2})
-            assert reduced.clauses == frozenset({frozenset({0}),
-                                                 frozenset({2})})
-            assert reduced.domain == frozenset({0, 2, 3})
-        finally:
-            set_kernel_enabled(previous)
-
-
-@pytest.fixture(scope="module")
-def method_lineages():
-    import random
-
-    rng = random.Random(42)
-    return [random_positive_dnf(rng, num_variables=7, num_clauses=5,
-                                clause_width=(1, 3))
-            for _ in range(6)]
-
-
-class TestEngineMethodsDifferential:
-    """End-to-end Banzhaf equality across all engine methods, both kernels."""
-
-    @pytest.mark.parametrize("method,epsilon,k", [
-        ("exact", 0.1, None),
-        ("auto", 0.1, None),
-        ("approximate", 0.1, None),
-        ("shapley", 0.1, None),
-        ("rank", 0.1, None),
-        ("topk", 0.1, 3),
-    ])
-    def test_methods_agree_across_kernels(self, method_lineages, method,
-                                          epsilon, k):
-        def run(lineages):
-            engine = Engine(EngineConfig(method=method, epsilon=epsilon, k=k))
-            outcomes = engine.attribute_lineages(lineages)
-            return [
-                (outcome.method_used,
-                 {v: Fraction(value) for v, value in outcome.values.items()},
-                 dict(outcome.bounds))
-                for outcome in outcomes
-            ]
-
-        assert kernel_enabled()
-        with_kernel = run([_clone(f) for f in method_lineages])
-        with frozenset_reference():
-            without_kernel = run([_clone(f) for f in method_lineages])
-        assert with_kernel == without_kernel

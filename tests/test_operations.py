@@ -5,7 +5,6 @@ import pytest
 from repro.boolean.assignments import count_models
 from repro.boolean.dnf import DNF, ConstantTrue
 from repro.boolean.operations import (
-    clause_components,
     condition,
     factor_common_variables,
     independent_components,
@@ -22,8 +21,8 @@ class TestIndependence:
 
     def test_clause_components(self):
         clauses = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})]
-        components = clause_components(clauses)
-        sizes = sorted(len(c) for c in components)
+        components = independent_components(DNF(clauses))
+        sizes = sorted(c.num_clauses() for c in components)
         assert sizes == [1, 2]
 
     def test_independent_components_split(self):
