@@ -3,9 +3,9 @@
 Simulates the deployment story of the store tier
 (:mod:`repro.engine.store`): a **cold process** serves several epochs of
 the repeat-traffic workload with a fresh engine backed by an empty
-:class:`~repro.engine.store.DiskStore` (epoch 0 computes everything and
+:class:`~repro.engine.logstore.LogStore` (epoch 0 computes everything and
 persists it; later epochs hit memory), then a **warm process** -- a brand
-new engine with a brand new ``DiskStore`` handle over the *same
+new engine with a brand new ``LogStore`` handle over the *same
 directory*, i.e. a restart -- serves the same first epoch straight from
 disk.
 
@@ -36,7 +36,7 @@ from typing import List
 
 from conftest import emit_bench_json, register_report
 
-from repro.engine.store import DiskStore
+from repro.engine.logstore import LogStore
 from repro.experiments.runner import ExperimentConfig, run_workload_epochs
 from repro.workloads.suite import Workload, default_workloads
 
@@ -80,15 +80,16 @@ def run_benchmark(epochs: int = None, rounds: int = None) -> str:
         with tempfile.TemporaryDirectory() as directory:
             # Cold process: empty store, everything is computed once and
             # persisted as a side effect of serving.
-            cold_store = DiskStore(directory)
-            reports, cold_values = run_workload_epochs(
-                workload, epochs=epochs, config=config, store=cold_store)
+            with LogStore(directory) as cold_store:
+                reports, cold_values = run_workload_epochs(
+                    workload, epochs=epochs, config=config, store=cold_store)
             # Warm process: new engine, new store handle, same directory
             # -- the restart scenario.  Its memory tier starts empty; the
             # first epoch is served from disk.
-            warm_store = DiskStore(directory)
-            warm, warm_values = run_workload_epochs(
-                workload, epochs=1, config=config, store=warm_store)
+            with LogStore(directory) as warm_store:
+                warm, warm_values = run_workload_epochs(
+                    workload, epochs=1, config=config, store=warm_store)
+                warm_store_stats = warm_store.stats()
             _assert_identical(cold_values, warm_values)
             if reports[0].seconds < cold_first:
                 cold_first = reports[0].seconds
@@ -96,7 +97,7 @@ def run_benchmark(epochs: int = None, rounds: int = None) -> str:
             if warm[0].seconds < warm_first:
                 warm_first = warm[0].seconds
                 warm_reports = warm
-                store_stats = warm_store.stats()
+                store_stats = warm_store_stats
 
     warm_stats = warm_reports[0].stats
     hit_rate = warm_stats["hit_rate"]
@@ -151,9 +152,8 @@ def run_benchmark(epochs: int = None, rounds: int = None) -> str:
         f"warm first-epoch hits: memory {warm_stats['cache_hits']}, "
         f"store {warm_stats['store_hits']}, "
         f"computed {warm_stats['cache_misses']}",
-        f"store:                 {store_stats['entries']} entries in "
-        f"{store_stats['shard_files']} shards, "
-        f"{store_stats['disk_bytes']} bytes",
+        f"store:                 {store_stats['entries']} entries, "
+        f"{store_stats['disk_bytes']} bytes of log",
         f"exactness:             warm values bit-identical to cold "
         f"(Fraction equality over {len(workload.instances)} instances)",
     ]

@@ -39,7 +39,7 @@ from conftest import emit_bench_json, register_report
 
 from repro.baselines.brute_force import banzhaf_all_brute_force
 from repro.boolean.dnf import DNF
-from repro.engine import DiskStore, Engine, EngineConfig
+from repro.engine import Engine, EngineConfig, LogStore
 from repro.workloads.suite import default_workloads
 
 #: The cross-method request mix, in arrival order: attribution compiles,
@@ -96,8 +96,8 @@ def run_benchmark() -> str:
     shared_seconds: Dict[str, float] = {}
     shared_results: Dict[str, List] = {}
     shared_engines: Dict[str, Engine] = {}
-    with tempfile.TemporaryDirectory() as directory:
-        store = DiskStore(directory)
+    with tempfile.TemporaryDirectory() as directory, \
+            LogStore(directory) as store:
         cache = None
         for method in METHODS:
             engine = Engine(_method_config(method, store=store))
@@ -153,19 +153,20 @@ def run_benchmark() -> str:
             for n in (8, 9, 10)]
     exact_hard = [banzhaf_all_brute_force(function) for function in hard]
     with tempfile.TemporaryDirectory() as directory:
-        starved = Engine(replace(_method_config("rank"),
-                                 max_shannon_steps=30,
-                                 store=DiskStore(directory)))
-        starved.attribute_lineages(hard)
+        with LogStore(directory) as store:
+            starved = Engine(replace(_method_config("rank"),
+                                     max_shannon_steps=30, store=store))
+            starved.attribute_lineages(hard)
         starved_partials = starved.stats.partial_results
         assert starved_partials > 0, (
             "the starved pass must leave unconverged rankings behind"
         )
 
-        warm = Engine(_method_config("rank", store=DiskStore(directory)))
-        warm_started = time.monotonic()
-        warm_results = warm.attribute_lineages(hard)
-        warm_seconds = time.monotonic() - warm_started
+        with LogStore(directory) as store:
+            warm = Engine(_method_config("rank", store=store))
+            warm_started = time.monotonic()
+            warm_results = warm.attribute_lineages(hard)
+            warm_seconds = time.monotonic() - warm_started
         assert warm.stats.artifact_resumes > 0, (
             "the warm process must resume persisted partial trees"
         )

@@ -1,4 +1,4 @@
-"""Store-scale benchmark: the append-only log backend at 10^5+ entries.
+"""Store-scale benchmark: the append-only log store at 10^5+ entries.
 
 The persistent tier's scale story (:mod:`repro.engine.logstore`) makes
 four claims, and this benchmark measures all of them on one synthetic
@@ -6,11 +6,7 @@ result corpus of distinct canonical keys with big-numerator exact
 ``Fraction`` payloads:
 
 * **flush throughput** -- batched put+flush into a :class:`LogStore`
-  (append one frame per record) vs a :class:`DiskStore` (rewrite every
-  dirty JSON shard), asserted **>= 5x** at full scale.  The DiskStore
-  side is measured at a smaller entry count (its per-flush cost grows
-  with store size, the very problem the log fixes), which only
-  *understates* the reported speedup;
+  (append one frame per record), reported in entries per second;
 * **point-read latency vs store size** -- random ``get`` latency
   sampled at a ladder of store sizes up to the full corpus, asserted
   roughly flat (an in-memory offset index + one seek per read does not
@@ -42,7 +38,6 @@ from conftest import emit_bench_json, register_report
 
 from repro.engine.cache import CachedAttribution
 from repro.engine.logstore import LogStore
-from repro.engine.store import DiskStore
 
 #: Prime denominator: every index yields a distinct, irreducible epsilon,
 #: hence a distinct canonical result key.
@@ -106,23 +101,11 @@ def run_benchmark(entries: int = None) -> str:
         entries = 3_000 if smoke else int(
             os.environ.get("REPRO_BENCH_STORE_ENTRIES", "100000"))
     batch = max(100, min(2_000, entries // 10))
-    # DiskStore's flush cost grows with what is already in the store, so
-    # timing it over a smaller corpus is strictly favorable to it; the
-    # asserted speedup is a floor.
-    disk_entries = min(entries, 20_000)
-    min_speedup = 1.5 if smoke else 5.0
     max_flatness = 4.0 if smoke else 3.0
     rng = random.Random(20260808)
 
     with tempfile.TemporaryDirectory() as directory:
-        # -- flush throughput: DiskStore baseline ----------------------- #
-        disk = DiskStore(os.path.join(directory, "disk"),
-                         max_entries=max(disk_entries, 65_536))
-        disk_seconds = _fill(disk, 0, disk_entries, batch)
-        disk_rate = disk_entries / disk_seconds
-        _assert_exact(disk, [rng.randrange(disk_entries) for _ in range(50)])
-
-        # -- flush throughput + read ladder: LogStore ------------------- #
+        # -- flush throughput + read ladder ----------------------------- #
         log = LogStore(os.path.join(directory, "log"),
                        max_entries=max(entries, 65_536),
                        auto_compact=False)
@@ -140,7 +123,6 @@ def run_benchmark(entries: int = None) -> str:
             read_ladder[size] = _point_read_us(
                 log, size, min(200, size), rng)
         log_rate = max(segment_rates)
-        speedup = log_rate / disk_rate
         flatness = read_ladder[sizes[-1]] / max(read_ladder[sizes[0]], 1e-9)
         _assert_exact(log, [rng.randrange(entries) for _ in range(100)])
         log_bytes = log.stats()["disk_bytes"]
@@ -168,9 +150,6 @@ def run_benchmark(entries: int = None) -> str:
         read_after_compact = _point_read_us(log, entries, 200, rng)
         log.close()
 
-    assert speedup >= min_speedup, (
-        f"log flush throughput only {speedup:.1f}x DiskStore "
-        f"(target {min_speedup}x)")
     assert flatness <= max_flatness, (
         f"point reads degraded {flatness:.1f}x from {sizes[0]} to "
         f"{sizes[-1]} entries (target <= {max_flatness}x)")
@@ -179,10 +158,8 @@ def run_benchmark(entries: int = None) -> str:
         "store_scale",
         workload=f"synthetic result corpus, {entries} distinct canonical "
                  "keys with exact Fraction payloads",
-        speedup=round(speedup, 2),
         ops_per_sec={
             "store.flush_entries_per_sec.log": round(log_rate, 1),
-            "store.flush_entries_per_sec.disk": round(disk_rate, 1),
             "store.point_reads_per_sec": round(
                 1e6 / read_ladder[sizes[-1]], 1),
             "store.warm_restart_entries_per_sec": round(
@@ -190,7 +167,6 @@ def run_benchmark(entries: int = None) -> str:
         },
         metrics={
             "entries": entries,
-            "disk_baseline_entries": disk_entries,
             "batch": batch,
             "point_read_us_by_size": {
                 str(size): round(value, 2)
@@ -208,11 +184,8 @@ def run_benchmark(entries: int = None) -> str:
     ladder = "  ".join(f"{size}: {value:6.2f}us"
                        for size, value in read_ladder.items())
     lines = [
-        f"entries:               {entries} (batch {batch}; disk baseline "
-        f"over {disk_entries})",
-        f"flush throughput:      log {log_rate:10.0f} entries/s   "
-        f"disk {disk_rate:8.0f} entries/s   ({speedup:.1f}x, "
-        f"target >= {min_speedup}x)",
+        f"entries:               {entries} (batch {batch})",
+        f"flush throughput:      {log_rate:10.0f} entries/s",
         f"point reads by size:   {ladder}",
         f"  flatness:            {flatness:.2f}x from smallest to full "
         f"(target <= {max_flatness}x)",

@@ -17,9 +17,9 @@ import tempfile
 
 from repro import (
     Database,
-    DiskStore,
     Engine,
     EngineConfig,
+    LogStore,
     attribute_facts,
     parse_query,
 )
@@ -65,15 +65,18 @@ def warm_start_flow(database: Database, query) -> None:
     print("--- warm-start flow (persistent cache tier) ---")
     store_dir = tempfile.mkdtemp(prefix="repro-cache-")
 
-    cold = Engine(EngineConfig(method="exact", store=DiskStore(store_dir)))
-    cold_results = cold.attribute(query, database)
+    with LogStore(store_dir) as store:
+        cold = Engine(EngineConfig(method="exact", store=store))
+        cold_results = cold.attribute(query, database)
     print(f"cold engine: computed {cold.stats.compilations} lineage(s), "
           f"persisted to {store_dir}")
 
     # A brand new engine (think: the next process after a restart) with a
-    # fresh handle on the same store directory.
-    warm = Engine(EngineConfig(method="exact", store=DiskStore(store_dir)))
-    warm_results = warm.attribute(query, database)
+    # fresh handle on the same store directory.  Closing the first handle
+    # released the directory's writer lock.
+    with LogStore(store_dir) as store:
+        warm = Engine(EngineConfig(method="exact", store=store))
+        warm_results = warm.attribute(query, database)
     assert warm_results == cold_results, "warm values must be bit-identical"
     print(f"warm engine: computed {warm.stats.compilations} lineage(s), "
           f"served {warm.stats.store_hits} from the disk store -- "

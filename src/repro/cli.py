@@ -26,12 +26,12 @@ Two subcommands expose the persistent cache tier and the serving loop
 (both leave the flag-style attribution interface above untouched)::
 
     python -m repro serve --facts R=r.csv --requests requests.jsonl \\
-        --store /var/cache/repro --store-backend log --stats
+        --store /var/cache/repro --stats
     python -m repro cache save --store DIR --facts ... --query ...
     python -m repro cache load --store DIR
-    python -m repro cache warm --store DIR --store-backend log
-    python -m repro cache compact --store DIR --store-backend log
-    python -m repro cache migrate --store SRC --dest DST --dest-backend log
+    python -m repro cache warm --store DIR
+    python -m repro cache compact --store DIR
+    python -m repro cache migrate --store SRC --dest DST
     python -m repro cache stats --store DIR
 
 ``serve`` drives an :class:`repro.engine.serve.AttributionService` from a
@@ -44,25 +44,25 @@ in-flight coalescing of isomorphic computations (``--no-coalesce``
 disables), micro-batching (``--batch-max``), a bounded admission queue
 (``--max-queue``), and a default per-request deadline (``--deadline-ms``)
 under which late requests degrade to best-effort partials -- while
-keeping responses in input order.  Every store-taking command accepts
-``--store-backend {disk,log}`` (``disk`` is the legacy sharded-JSON
-tier; ``log`` the append-only record log of
-:mod:`repro.engine.logstore`, with point reads, single-writer locking
-and compaction) and ``--store-shards N`` (consistent-hash sharding
-across N roots).  ``cache save`` computes the given queries and
-persists the resulting cache entries -- results *and* compiled-lineage
-artifacts, so a later process skips recompilation too -- for warm
-starts; ``cache load`` verifies a store by loading it into a fresh
-engine; ``cache warm`` times that load (the restart cost a serving
-process will pay); ``cache compact`` reclaims a log-backed store's
-superseded records; ``cache migrate`` copies one store into another
-(the one-shot ``disk`` -> ``log`` migration path); ``cache stats``
-prints the store's per-kind (results vs compiled trees)
-entry/shard/size summary.
+keeping responses in input order.  Every store is the append-only
+record log of :mod:`repro.engine.logstore` (point reads, single-writer
+locking, compaction); every store-taking command accepts
+``--store-shards N`` (consistent-hash sharding across N roots).
+``cache save`` computes the given queries and persists the resulting
+cache entries -- results *and* compiled-lineage artifacts, so a later
+process skips recompilation too -- for warm starts; ``cache load``
+verifies a store by loading it into a fresh engine; ``cache warm``
+times that load (the restart cost a serving process will pay); ``cache
+compact`` reclaims superseded records; ``cache migrate`` copies one
+store into another -- a directory of legacy JSON shards is read through
+:class:`~repro.engine.store.DiskStore`, anything else as a log store,
+so the same command moves old stores over and reshards log stores;
+``cache stats`` prints the store's per-kind (results vs compiled trees)
+entry/size summary.
 
-A store that cannot be opened -- another process holds the log-backend
-writer lock (:class:`StoreLockedError`) or the directory is unreadable
--- makes ``serve`` and every ``cache`` action print one structured
+A store that cannot be opened -- another process holds the writer lock
+(:class:`StoreLockedError`) or the directory is unreadable -- makes
+``serve`` and every ``cache`` action print one structured
 ``{"ok": false, "error": ..., "store": ...}`` JSON line instead of a
 traceback and exit with code 2, so supervisors can branch on the
 failure.  ``serve`` additionally takes ``--store-retries`` and
@@ -83,13 +83,9 @@ from repro.db.database import Database
 from repro.db.datalog import parse_query
 from repro.engine import Engine, EngineConfig
 from repro.engine.frontend import FrontendConfig, serve_jsonl_concurrent
-from repro.engine.logstore import (
-    STORE_BACKENDS,
-    StoreLockedError,
-    migrate_store,
-    open_store,
-)
+from repro.engine.logstore import StoreLockedError, migrate_store, open_store
 from repro.engine.serve import AttributionService, serve_jsonl
+from repro.engine.store import DiskStore, holds_legacy_shards
 
 
 def _coerce(value: str) -> object:
@@ -315,36 +311,32 @@ def _add_store_argument(parser: argparse.ArgumentParser,
     flag = f"--{prefix}"
     parser.add_argument(flag, required=required, default=None,
                         metavar="DIR",
-                        help="directory of the persistent (sharded, "
-                             "versioned) result store")
+                        help="directory of the persistent (append-only "
+                             "log) result store")
     parser.add_argument(f"{flag}-entries", type=int, default=65_536,
                         metavar="N",
                         help="store capacity in entries; oldest entries "
                              "are evicted past it (default: 65536)")
-    parser.add_argument(f"{flag}-backend", choices=STORE_BACKENDS,
-                        default="disk",
-                        help="store backend: 'disk' (legacy sharded JSON) "
-                             "or 'log' (append-only record log with point "
-                             "reads, single-writer locking and "
-                             "compaction; default: disk)")
     parser.add_argument(f"{flag}-shards", type=int, default=1, metavar="N",
                         help="consistent-hash shard the store across N "
                              "roots under DIR (default: 1, a single root)")
 
 
 def _open_store(arguments, prefix: str = "store",
-                shared_reader: bool = False):
-    """Open the store named by one flag group via the backend factory.
+                shared_reader: bool = False, legacy_reader: bool = False):
+    """Open the store named by one flag group.
 
-    ``shared_reader`` opens a log-backed store in ``auto`` mode, so
-    read-mostly commands (stats, warm) keep working while a serving
-    process holds the writer lock.
+    ``shared_reader`` opens it in ``auto`` mode, so read-mostly commands
+    (stats, warm, the migration source) keep working while a serving
+    process holds the writer lock.  ``legacy_reader`` reads a directory
+    that holds legacy shard files through the read-only
+    :class:`~repro.engine.store.DiskStore` instead.
     """
-    kwargs = {}
-    if getattr(arguments, f"{prefix}_backend") == "log" and shared_reader:
-        kwargs["mode"] = "auto"
-    return open_store(getattr(arguments, prefix),
-                      backend=getattr(arguments, f"{prefix}_backend"),
+    path = getattr(arguments, prefix)
+    if legacy_reader and holds_legacy_shards(path):
+        return DiskStore(path)
+    kwargs = {"mode": "auto"} if shared_reader else {}
+    return open_store(path,
                       shards=getattr(arguments, f"{prefix}_shards"),
                       max_entries=getattr(arguments, f"{prefix}_entries"),
                       **kwargs)
@@ -358,16 +350,16 @@ _STORE_OPEN_ERRORS = (StoreLockedError, OSError)
 
 
 def _open_store_checked(arguments, error_stream, prefix: str = "store",
-                        shared_reader: bool = False):
+                        **options):
     """Open one flag group's store, degrading failures to a status line.
 
-    Returns the opened store, or ``None`` after printing one
-    machine-readable ``{"ok": false, ...}`` line to ``error_stream``
-    (callers translate ``None`` into exit code 2).
+    ``options`` go to :func:`_open_store`.  Returns the opened store, or
+    ``None`` after printing one machine-readable ``{"ok": false, ...}``
+    line to ``error_stream`` (callers translate ``None`` into exit
+    code 2).
     """
     try:
-        return _open_store(arguments, prefix=prefix,
-                           shared_reader=shared_reader)
+        return _open_store(arguments, prefix=prefix, **options)
     except _STORE_OPEN_ERRORS as error:
         print(json.dumps({"ok": False,
                           "error": f"{type(error).__name__}: {error}",
@@ -511,7 +503,7 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
 
 
 def _cache_command(argv: Sequence[str], stream) -> int:
-    """``repro cache save|load|stats``: explicit warm-start management."""
+    """``repro cache ACTION``: explicit warm-start management."""
     parser = argparse.ArgumentParser(
         prog="repro cache",
         description="Manage the persistent result store used for "
@@ -549,21 +541,22 @@ def _cache_command(argv: Sequence[str], stream) -> int:
     _add_store_argument(warm, required=True)
 
     compact = actions.add_parser(
-        "compact", help="rewrite a log-backed store's live records and "
-                        "drop tombstoned/superseded ones, reclaiming "
-                        "disk space")
+        "compact", help="rewrite the store's live records and drop "
+                        "tombstoned/superseded ones, reclaiming disk "
+                        "space")
     _add_store_argument(compact, required=True)
 
     migrate = actions.add_parser(
         "migrate", help="copy every result and artifact from one store "
-                        "into another (one-shot backend migration, e.g. "
-                        "disk -> log); the source is left untouched")
+                        "into another: a directory of legacy JSON shards "
+                        "moves to the log store, a log store reshards "
+                        "(--dest-shards); the source is left untouched")
     _add_store_argument(migrate, required=True)
     _add_store_argument(migrate, required=True, prefix="dest")
 
     stats = actions.add_parser(
         "stats", help="print the store's per-kind (results vs compiled "
-                      "trees) entry/shard/size summary")
+                      "trees) entry/size summary")
     _add_store_argument(stats, required=True)
 
     arguments = parser.parse_args(list(argv))
@@ -571,77 +564,75 @@ def _cache_command(argv: Sequence[str], stream) -> int:
         parser.error("an action is required: save, load, warm, compact, "
                      "migrate or stats")
 
-    if arguments.action == "stats":
-        store = _open_store_checked(arguments, stream, shared_reader=True)
-        if store is None:
-            return 2
-        print(json.dumps(store.stats(), indent=2), file=stream)
-        return 0
-
-    if arguments.action == "load":
-        store = _open_store_checked(arguments, stream)
-        if store is None:
-            return 2
-        engine = Engine(EngineConfig())
-        loaded = engine.load_cache(store)
-        # Report the store's true artifact count, not the (LRU-capped)
-        # number that fit in the fresh engine's memory tier.
-        artifacts = store.artifact_count()
-        print(f"loaded {loaded} cache entries and {artifacts} compiled "
-              f"artifacts from {arguments.store}", file=stream)
-        return 0
-
-    if arguments.action == "warm":
-        store = _open_store_checked(arguments, stream, shared_reader=True)
-        if store is None:
-            return 2
-        engine = Engine(EngineConfig())
-        started = time.perf_counter()
-        loaded = engine.load_cache(store)
-        elapsed = time.perf_counter() - started
-        artifacts = store.artifact_count()
-        print(f"warmed {loaded} cache entries and {artifacts} compiled "
-              f"artifacts from {arguments.store} in {elapsed:.3f}s",
-              file=stream)
-        return 0
-
-    if arguments.action == "compact":
-        store = _open_store_checked(arguments, stream)
-        if store is None:
-            return 2
-        if not hasattr(store, "compact"):
-            print(f"store backend {arguments.store_backend!r} does not "
-                  "support compaction (its flush already rewrites "
-                  "in place); use --store-backend log", file=stream)
-            return 2
-        before = store.stats().get("disk_bytes", 0)
-        reclaimed = store.compact()
-        after = store.stats().get("disk_bytes", 0)
-        store.close()
-        print(f"compacted {arguments.store}: reclaimed {reclaimed} bytes "
-              f"({before} -> {after} on disk)", file=stream)
-        return 0
-
+    # Validate and compute before opening the store: a usage error must
+    # not leave a store directory behind.
+    engine = (_save_engine(parser, arguments, stream)
+              if arguments.action == "save" else None)
     if arguments.action == "migrate":
-        source = _open_store_checked(arguments, stream, shared_reader=True)
-        if source is None:
-            return 2
+        return _migrate(arguments, stream)
+    store = _open_store_checked(
+        arguments, stream,
+        shared_reader=arguments.action in ("stats", "warm"))
+    if store is None:
+        return 2
+    try:
+        if arguments.action == "save":
+            _save(engine, store, arguments, stream)
+        elif arguments.action == "stats":
+            print(json.dumps(store.stats(), indent=2), file=stream)
+        elif arguments.action == "compact":
+            before = store.stats().get("disk_bytes", 0)
+            reclaimed = store.compact()
+            after = store.stats().get("disk_bytes", 0)
+            print(f"compacted {arguments.store}: reclaimed {reclaimed} "
+                  f"bytes ({before} -> {after} on disk)", file=stream)
+        else:  # load, warm
+            started = time.perf_counter()
+            loaded = Engine(EngineConfig()).load_cache(store)
+            elapsed = time.perf_counter() - started
+            # Report the store's true artifact count, not the (LRU-capped)
+            # number that fit in the fresh engine's memory tier.
+            artifacts = store.artifact_count()
+            if arguments.action == "load":
+                print(f"loaded {loaded} cache entries and {artifacts} "
+                      f"compiled artifacts from {arguments.store}",
+                      file=stream)
+            else:
+                print(f"warmed {loaded} cache entries and {artifacts} "
+                      f"compiled artifacts from {arguments.store} in "
+                      f"{elapsed:.3f}s", file=stream)
+    finally:
+        store.close()  # flush, stop the compactor, release the writer lock
+    return 0
+
+
+def _migrate(arguments, stream) -> int:
+    """``repro cache migrate``: copy SRC into DST, closing both."""
+    source = _open_store_checked(arguments, stream, shared_reader=True,
+                                 legacy_reader=True)
+    if source is None:
+        return 2
+    destination = None
+    try:
         destination = _open_store_checked(arguments, stream, prefix="dest")
         if destination is None:
-            if hasattr(source, "close"):
-                source.close()
             return 2
         results, artifacts = migrate_store(source, destination)
+    finally:
         for store in (source, destination):
             if hasattr(store, "close"):
                 store.close()
-        print(f"migrated {results} cache entries and {artifacts} compiled "
-              f"artifacts from {arguments.store} "
-              f"({arguments.store_backend}) to {arguments.dest} "
-              f"({arguments.dest_backend})", file=stream)
-        return 0
+    report = (f"migrated {results} cache entries and {artifacts} compiled "
+              f"artifacts from {arguments.store} to {arguments.dest}")
+    if isinstance(source, DiskStore):
+        report += (f" (legacy shards; corrupt_shards: "
+                   f"{source.corrupt_shards})")
+    print(report, file=stream)
+    return 0
 
-    # save: compute the queries with a memory-only engine, then persist.
+
+def _save_engine(parser, arguments, stream) -> Engine:
+    """Validate ``cache save`` and compute its queries in memory."""
     if arguments.method == "topk" and (arguments.k is None
                                        or arguments.k < 1):
         parser.error("--method topk needs --k >= 1")
@@ -660,18 +651,17 @@ def _cache_command(argv: Sequence[str], stream) -> int:
     else:
         for _query, _results in engine.attribute_many(queries, database):
             pass
-    store = _open_store_checked(arguments, stream)
-    if store is None:
-        return 2
+    return engine
+
+
+def _save(engine: Engine, store, arguments, stream) -> None:
+    """Persist a computed engine's cache into the opened store."""
     written = engine.save_cache(store)
     artifacts = store.stats()["kinds"]["compiled_trees"]["entries"]
-    if hasattr(store, "close"):
-        store.close()
     print(f"saved {written} cache entries and {artifacts} compiled "
           f"artifacts to {arguments.store} "
           f"({engine.stats.compilations} computed, "
           f"{engine.stats.cache_hits} served from memory)", file=stream)
-    return 0
 
 
 def main(argv: List[str] | None = None) -> int:

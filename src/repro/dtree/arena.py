@@ -20,7 +20,7 @@ parallel lists indexed by ``int``:
   ``children`` array (``[first, last)``), empty for leaves;
 * ``leaf_functions[i]`` — the undecomposed :class:`~repro.boolean.dnf.DNF`
   of a ``KIND_DNF`` row (partial trees only);
-* named **payload columns** (:meth:`DTreeArena.payload`) — per-node
+* named **payload columns** (``DTreeArena.payloads``) — per-node
   scratch shared by the passes: the exact subtree-count column, the
   size-indexed model vectors, the float log-count column, …
 
@@ -35,19 +35,18 @@ Arenas are **derived data**: built lazily from a root node and cached in
 the root's ``_cache`` (:func:`arena_of`), which
 :meth:`~repro.dtree.nodes.DTreeNode.invalidate` clears on any in-place
 mutation — a stale arena is unreachable by construction, exactly like
-the bounds caches.  :meth:`DTreeArena.extend` rebuilds the arrays after
-an incremental-compiler mutation while carrying payload values over for
-every row whose subtree is provably unchanged.
+the bounds caches.  A mutated tree gets a fresh arena on next use.
 
 The exact passes here are the only production implementation of the
 count, Banzhaf and Shapley passes; :mod:`repro.core.exaban` and
 :mod:`repro.core.shapley` are thin entry points over them, and
 :mod:`repro.core.reference` keeps the recursive seed passes as the oracle.
-The bounds passes mirror the object-tree :mod:`repro.core.bounds`, which
-AdaBan's refinement loop still uses.  The float passes are
-the ranking fast path: log2-domain scores with a tracked relative-error
-bound, so callers can tell which variables are separated beyond floating
-error and which need the exact-``Fraction`` fallback.
+Bounds on partial trees are not computed here: the object-tree
+:mod:`repro.core.bounds`, whose per-node caches survive the incremental
+compiler's path invalidation, is their one implementation.  The float
+passes are the ranking fast path: log2-domain scores with a tracked
+relative-error bound, so callers can tell which variables are separated
+beyond floating error and which need the exact-``Fraction`` fallback.
 
 The ``*_pass`` entry points (:func:`counts_pass`, :func:`banzhaf_pass`,
 :func:`float_banzhaf_pass`, :func:`float_surrogate_pass`) run the pass
@@ -160,15 +159,14 @@ class ArenaBuilder:
 class DTreeArena:
     """One flattened d-tree: parallel columns plus named payload slots.
 
-    Construct through :meth:`from_tree`, :func:`arena_of` (cached), or an
-    :class:`ArenaBuilder` fed by the compiler.  The row order satisfies
-    the postorder invariant documented in the module docstring; the root
-    is row ``len(self) - 1``.
+    Construct through :meth:`from_tree` or :func:`arena_of` (cached).
+    The row order satisfies the postorder invariant documented in the
+    module docstring; the root is row ``len(self) - 1``.
     """
 
     __slots__ = ("kinds", "variables", "negated", "domain_sizes",
                  "child_first", "child_last", "children", "domains",
-                 "leaf_functions", "nodes", "index", "payloads", "results")
+                 "leaf_functions", "payloads", "results")
 
     def __init__(self, builder: ArenaBuilder) -> None:
         self.kinds = builder.kinds
@@ -180,12 +178,9 @@ class DTreeArena:
         self.children = builder.children
         self.domains = builder.domains
         self.leaf_functions = builder.leaf_functions
-        self.nodes = builder.nodes
-        self.index = builder.index
         #: Named per-row payload columns (counts, models, float logs, ...).
         self.payloads: Dict[str, list] = {}
-        #: Whole-arena derived results (the Banzhaf dict, float scores);
-        #: unlike payload columns these are *not* carried by :meth:`extend`.
+        #: Whole-arena derived results (the Banzhaf dict, float scores).
         self.results: Dict[str, object] = {}
 
     # -- construction --------------------------------------------------- #
@@ -204,46 +199,6 @@ class DTreeArena:
             builder.add(node)
         return builder.finish(root)
 
-    def extend(self, root: DTreeNode) -> "DTreeArena":
-        """Re-flatten after in-place mutation, carrying payloads over.
-
-        The incremental compiler replaces ``DNFLeaf`` rows by fresh
-        subtrees *in place*, so node identity alone does not prove a
-        subtree unchanged (an ancestor keeps its id while its contents
-        change).  A row's payload carries over iff the node had a row in
-        this arena, its direct child ids are unchanged, **and** every
-        child row carried over — validity propagates bottom-up, so the
-        mutated path to the root is rebuilt while untouched subtrees
-        keep their computed payload values.
-        """
-        fresh = DTreeArena.from_tree(root)
-        if not self.payloads:
-            return fresh
-        # Bottom-up validity map: fresh row -> carried old row (or -1).
-        # (The old arena keeps references to its nodes alive, so id-based
-        # lookup cannot be confused by interpreter id reuse.)
-        carried = [-1] * len(fresh.kinds)
-        for row, node in enumerate(fresh.nodes):
-            old_row = self.index.get(id(node))
-            if old_row is None:
-                continue
-            old_children = self.children[
-                self.child_first[old_row]:self.child_last[old_row]]
-            new_children = fresh.children[
-                fresh.child_first[row]:fresh.child_last[row]]
-            if len(old_children) != len(new_children):
-                continue
-            if all(carried[new] == old
-                   for new, old in zip(new_children, old_children)):
-                carried[row] = old_row
-        for name, column in self.payloads.items():
-            fresh_column = [None] * len(fresh.kinds)
-            for row, old_row in enumerate(carried):
-                if old_row >= 0:
-                    fresh_column[row] = column[old_row]
-            fresh.payloads[name] = fresh_column
-        return fresh
-
     # -- basic accessors ------------------------------------------------ #
 
     def __len__(self) -> int:
@@ -258,41 +213,9 @@ class DTreeArena:
         """``True`` iff no row is an undecomposed DNF leaf."""
         return KIND_DNF not in self.kinds
 
-    def payload(self, name: str) -> list:
-        """Get or create the named payload column (``None``-filled)."""
-        column = self.payloads.get(name)
-        if column is None:
-            column = [None] * len(self.kinds)
-            self.payloads[name] = column
-        return column
-
     def child_rows(self, row: int) -> List[int]:
         """The child row indices of one row (empty for leaves)."""
         return self.children[self.child_first[row]:self.child_last[row]]
-
-    def to_tree(self) -> DTreeNode:
-        """Materialize a fresh object tree (used by the v2 codec decode)."""
-        built: List[DTreeNode] = []
-        for row, kind in enumerate(self.kinds):
-            if kind == KIND_TRUE:
-                node: DTreeNode = TrueLeaf(self.domains[row])
-            elif kind == KIND_FALSE:
-                node = FalseLeaf(self.domains[row])
-            elif kind == KIND_LITERAL:
-                node = LiteralLeaf(self.variables[row], self.negated[row])
-            elif kind == KIND_DNF:
-                node = DNFLeaf(self.leaf_functions[row])
-            else:
-                children = [built[child] for child in self.child_rows(row)]
-                if kind == KIND_AND:
-                    node = DecompAnd(children)
-                elif kind == KIND_OR:
-                    node = DecompOr(children)
-                else:
-                    node = ExclusiveOr(children)
-            built.append(node)
-        return built[-1]
-
 
 def arena_of(root: DTreeNode) -> DTreeArena:
     """The (cached) arena of a tree; built lazily, one per root.
@@ -334,30 +257,20 @@ _NULL_STATS = _NullStats()
 
 
 def arena_counts(arena: DTreeArena) -> List[int]:
-    """The exact subtree model-count payload column (bottom-up, cached).
-
-    The column may arrive partially filled from :meth:`DTreeArena.extend`
-    (carried rows keep their value, rebuilt rows hold ``None``); only the
-    missing rows are recomputed.
-    """
+    """The exact subtree model-count payload column (bottom-up, cached)."""
     counts = arena.payloads.get("counts")
-    if counts is not None and counts[-1] is not None:
-        # Bottom-up validity propagation means a filled root row implies
-        # a fully filled column.
+    if counts is not None:
         return counts
     kinds = arena.kinds
     domain_sizes = arena.domain_sizes
     child_first = arena.child_first
     child_last = arena.child_last
     children = arena.children
-    if counts is None:
-        counts = [None] * len(kinds)  # type: ignore[list-item]
+    counts = [0] * len(kinds)
     # Tight postorder loop: slice-iterate the child spans (substantially
     # faster in CPython than range-and-index) — this is the hot path the
     # arena exists for.
     for row, kind in enumerate(kinds):
-        if counts[row] is not None:
-            continue
         if kind == KIND_LITERAL:
             counts[row] = 1
         elif kind == KIND_AND:
@@ -391,7 +304,7 @@ def counts_pass(arena: DTreeArena, stats=None) -> List[int]:
     """:func:`arena_counts`, reported to ``stats`` as a hit or ``count``."""
     stats = stats if stats is not None else _NULL_STATS
     counts = arena.payloads.get("counts")
-    if counts is not None and counts[-1] is not None:
+    if counts is not None:
         stats.bump(payload_hits=1)
         return counts
     with stats.timed_pass("count"):
@@ -518,15 +431,12 @@ def arena_models(arena: DTreeArena) -> List[List[int]]:
     pass.
     """
     models = arena.payloads.get("models")
-    if models is not None and models[-1] is not None:
+    if models is not None:
         return models
     kinds = arena.kinds
     domain_sizes = arena.domain_sizes
-    if models is None:
-        models = [None] * len(kinds)  # type: ignore[list-item]
+    models = [None] * len(kinds)  # type: ignore[list-item]
     for row in range(len(kinds)):
-        if models[row] is not None:
-            continue
         kind = kinds[row]
         size = domain_sizes[row]
         if kind == KIND_TRUE:
@@ -656,202 +566,6 @@ def arena_cofactor_vectors(arena: DTreeArena, variable: int
 
 
 # --------------------------------------------------------------------- #
-# Bounds passes (partial trees): arena analogue of core/bounds.py
-# --------------------------------------------------------------------- #
-
-
-def arena_count_bounds(arena: DTreeArena) -> List[Tuple[int, int]]:
-    """Model-count bounds per row (Fig. 2 count half), cached payload.
-
-    Bit-identical to :func:`repro.core.bounds.count_bounds` on every
-    subtree: DNF rows use the iDNF syntheses, inner rows the monotone
-    interval combinations.
-    """
-    bounds = arena.payloads.get("count_bounds")
-    if bounds is not None and bounds[-1] is not None:
-        return bounds
-    from repro.boolean.idnf import idnf_model_count, lower_idnf, upper_idnf
-    kinds = arena.kinds
-    domain_sizes = arena.domain_sizes
-    if bounds is None:
-        bounds = [None] * len(kinds)  # type: ignore[list-item]
-    for row in range(len(kinds)):
-        if bounds[row] is not None:
-            continue
-        kind = kinds[row]
-        if kind == KIND_TRUE:
-            space = 1 << domain_sizes[row]
-            pair = (space, space)
-        elif kind == KIND_FALSE:
-            pair = (0, 0)
-        elif kind == KIND_LITERAL:
-            pair = (1, 1)
-        elif kind == KIND_DNF:
-            function = arena.leaf_functions[row]
-            pair = (idnf_model_count(lower_idnf(function)),
-                    idnf_model_count(upper_idnf(function)))
-        elif kind == KIND_AND:
-            lower, upper = 1, 1
-            for child in arena.child_rows(row):
-                child_lower, child_upper = bounds[child]
-                lower *= child_lower
-                upper *= child_upper
-            pair = (lower, upper)
-        elif kind == KIND_OR:
-            non_lower, non_upper = 1, 1
-            for child in arena.child_rows(row):
-                child_lower, child_upper = bounds[child]
-                space = 1 << domain_sizes[child]
-                non_lower *= space - child_upper
-                non_upper *= space - child_lower
-            space = 1 << domain_sizes[row]
-            pair = (space - non_upper, space - non_lower)
-        else:  # KIND_XOR
-            lower, upper = 0, 0
-            for child in arena.child_rows(row):
-                child_lower, child_upper = bounds[child]
-                lower += child_lower
-                upper += child_upper
-            pair = (lower, upper)
-        bounds[row] = pair
-    arena.payloads["count_bounds"] = bounds
-    return bounds
-
-
-def _arena_cofactor_count_bounds(arena: DTreeArena, variable: int,
-                                 counts: List[Tuple[int, int]]
-                                 ) -> Dict[int, Tuple[int, int]]:
-    """Bounds on ``#phi[x := 0]`` per relevant row (optimization (4))."""
-    cached = arena.results.get(("cofactor_count_bounds", variable))
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    relevant = _relevant_rows(arena, variable)
-    kinds = arena.kinds
-    domain_sizes = arena.domain_sizes
-    from repro.boolean.idnf import idnf_model_count, lower_idnf, upper_idnf
-    values: Dict[int, Tuple[int, int]] = {}
-    for row in range(len(kinds)):
-        if not relevant[row]:
-            continue
-        kind = kinds[row]
-        if kind == KIND_TRUE:
-            space = 1 << (domain_sizes[row] - 1)
-            pair = (space, space)
-        elif kind == KIND_FALSE:
-            pair = (0, 0)
-        elif kind == KIND_LITERAL:
-            value = 1 if arena.negated[row] else 0
-            pair = (value, value)
-        elif kind == KIND_DNF:
-            cofactor = arena.leaf_functions[row].cofactor(variable, False)
-            pair = (idnf_model_count(lower_idnf(cofactor)),
-                    idnf_model_count(upper_idnf(cofactor)))
-        elif kind == KIND_AND:
-            lower, upper = 1, 1
-            for child in arena.child_rows(row):
-                child_lower, child_upper = (values[child] if relevant[child]
-                                            else counts[child])
-                lower *= child_lower
-                upper *= child_upper
-            pair = (lower, upper)
-        elif kind == KIND_OR:
-            non_lower, non_upper = 1, 1
-            for child in arena.child_rows(row):
-                if relevant[child]:
-                    child_lower, child_upper = values[child]
-                    space = 1 << (domain_sizes[child] - 1)
-                else:
-                    child_lower, child_upper = counts[child]
-                    space = 1 << domain_sizes[child]
-                non_lower *= space - child_upper
-                non_upper *= space - child_lower
-            space = 1 << (domain_sizes[row] - 1)
-            pair = (space - non_upper, space - non_lower)
-        else:  # KIND_XOR
-            lower = sum(values[child][0] for child in arena.child_rows(row))
-            upper = sum(values[child][1] for child in arena.child_rows(row))
-            pair = (lower, upper)
-        values[row] = pair
-    arena.results[("cofactor_count_bounds", variable)] = values
-    return values
-
-
-def arena_banzhaf_bounds(arena: DTreeArena, variable: int):
-    """Fig. 2 Banzhaf/count bounds for one variable over the arena.
-
-    Returns a :class:`repro.core.bounds.BanzhafBounds`, numerically
-    identical to :func:`repro.core.bounds.bounds_for_variable` on the
-    same tree — including the optimization (4) intersection with the
-    cofactor-count-derived bounds.  Used by the snapshot evaluators
-    (float tier, differential tests); the incremental AdaBan loop keeps
-    the object-tree implementation, whose per-node caches survive path
-    invalidation (an arena would be rebuilt per expansion).
-    """
-    from repro.core.bounds import BanzhafBounds, _leaf_banzhaf_bounds
-    counts = arena_count_bounds(arena)
-    cofactors = _arena_cofactor_count_bounds(arena, variable, counts)
-    relevant = _relevant_rows(arena, variable)
-    kinds = arena.kinds
-    root = arena.root
-    if not relevant[root]:
-        count_lower, count_upper = counts[root]
-        return BanzhafBounds(0, count_lower, 0, count_upper)
-    values: Dict[int, Tuple[int, int]] = {}
-    for row in range(len(kinds)):
-        if not relevant[row]:
-            continue
-        kind = kinds[row]
-        count_lower, count_upper = counts[row]
-        if kind == KIND_TRUE or kind == KIND_FALSE:
-            pair = (0, 0)
-        elif kind == KIND_LITERAL:
-            value = -1 if arena.negated[row] else 1
-            pair = (value, value)
-        elif kind == KIND_DNF:
-            pair = _leaf_banzhaf_bounds(arena.leaf_functions[row], variable)
-        elif kind == KIND_AND or kind == KIND_OR:
-            target = None
-            for child in arena.child_rows(row):
-                if relevant[child]:
-                    target = child
-                    break
-            if target is None:
-                pair = (0, 0)
-            else:
-                target_lower, target_upper = values[target]
-                lower_factor, upper_factor = 1, 1
-                for child in arena.child_rows(row):
-                    if child == target:
-                        continue
-                    child_lower, child_upper = counts[child]
-                    if kind == KIND_AND:
-                        lower_factor *= child_lower
-                        upper_factor *= child_upper
-                    else:
-                        space = 1 << arena.domain_sizes[child]
-                        lower_factor *= space - child_upper
-                        upper_factor *= space - child_lower
-                candidates = (target_lower * lower_factor,
-                              target_lower * upper_factor,
-                              target_upper * lower_factor,
-                              target_upper * upper_factor)
-                pair = (min(candidates), max(candidates))
-        else:  # KIND_XOR
-            lower = sum(values[child][0] for child in arena.child_rows(row))
-            upper = sum(values[child][1] for child in arena.child_rows(row))
-            pair = (lower, upper)
-        if kind != KIND_LITERAL:
-            # Optimization (4): intersect with #phi - 2 * #phi[x := 0].
-            cof_lower, cof_upper = cofactors[row]
-            pair = (max(pair[0], count_lower - 2 * cof_upper),
-                    min(pair[1], count_upper - 2 * cof_lower))
-        values[row] = pair
-    lower, upper = values[root]
-    count_lower, count_upper = counts[root]
-    return BanzhafBounds(lower, count_lower, upper, count_upper)
-
-
-# --------------------------------------------------------------------- #
 # Float tier: log2-domain scores with tracked relative error
 # --------------------------------------------------------------------- #
 #
@@ -903,17 +617,13 @@ def arena_float_counts(arena: DTreeArena) -> Tuple[List[float], List[float]]:
     trees go through :func:`arena_float_surrogate` instead.
     """
     logs = arena.payloads.get("float_counts")
-    errs = arena.payloads.get("float_count_errs")
-    if logs is not None and logs[-1] is not None:
-        return logs, errs
+    if logs is not None:
+        return logs, arena.payloads["float_count_errs"]
     kinds = arena.kinds
     domain_sizes = arena.domain_sizes
-    if logs is None:
-        logs = [None] * len(kinds)  # type: ignore[list-item]
-        errs = [None] * len(kinds)  # type: ignore[list-item]
+    logs = [0.0] * len(kinds)
+    errs = [0.0] * len(kinds)
     for row in range(len(kinds)):
-        if logs[row] is not None:
-            continue
         kind = kinds[row]
         if kind == KIND_TRUE:
             value, err = float(domain_sizes[row]), 0.0

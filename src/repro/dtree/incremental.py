@@ -150,15 +150,6 @@ class IncrementalCompiler:
             if not lazy or was_shannon:
                 return changed
 
-    def expand_to_completion(self, max_steps: Optional[int] = None) -> None:
-        """Expand until the d-tree is complete (or ``max_steps`` is reached)."""
-        steps = 0
-        while not self.is_complete():
-            self.expand_step(lazy=False)
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                return
-
     def _expand_leaf(self, leaf: DNFLeaf) -> bool:
         """Decompose one leaf in place.  Returns ``True`` on Shannon expansion."""
         function = leaf.function

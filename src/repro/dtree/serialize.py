@@ -22,7 +22,7 @@ round-trip is exact by construction:
   resumable frontier of a partial tree).
 
 **Version 1 (legacy, decode only)** is the nested-list object-tree
-structure:
+structure that tree shards written before the arena codec hold:
 
 * ``["T", [domain...]]`` / ``["F", [domain...]]`` — constants;
 * ``["L", variable, negated]`` — a literal leaf;
@@ -37,11 +37,11 @@ both forms build the same object trees, and :func:`clone_tree` /
 :func:`trees_equal` operate on decoded objects, never on encodings, so
 they are version-oblivious by construction.
 
-Both directions are **iterative**, so arbitrarily deep Shannon chains
-never depend on the interpreter recursion limit.  :func:`decode_tree`
-validates as it builds — unknown tags, malformed payloads, or
-structurally invalid nodes raise ``ValueError``, which the store tier
-treats as corruption (recompute, never crash).
+Encoding and decoding are **iterative**, so arbitrarily deep Shannon
+chains never depend on the interpreter recursion limit.
+:func:`decode_tree` validates as it builds — unknown tags, malformed
+payloads, or structurally invalid nodes raise ``ValueError``, which the
+store tier treats as corruption (recompute, never crash).
 
 ``TREE_FORMAT_VERSION`` is bumped on any incompatible change; persisted
 artifacts recording an *unknown* version are discarded by their readers
@@ -78,7 +78,6 @@ from repro.dtree.nodes import (
 #: Wire-format version of the tree encoding below (see module docstring).
 TREE_FORMAT_VERSION = 2
 
-_INNER_TAGS = {DecompAnd: "&", DecompOr: "|", ExclusiveOr: "^"}
 _TAG_NODES = {"&": DecompAnd, "|": DecompOr, "^": ExclusiveOr}
 
 
@@ -116,47 +115,6 @@ def encode_tree(root: DTreeNode) -> dict:
         "doms": doms,
         "dnfs": dnfs,
     }
-
-
-def encode_tree_v1(root: DTreeNode) -> list:
-    """Legacy (v1) nested-list encoding — kept so tests can produce the
-    shards an older process would have written and prove
-    :func:`decode_tree` still reads them losslessly.
-    """
-    encoded: Dict[int, list] = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            encoded[id(node)] = [
-                _INNER_TAGS[type(node)],
-                [encoded.pop(id(child)) for child in node.children()],
-            ]
-            continue
-        if isinstance(node, TrueLeaf):
-            encoded[id(node)] = ["T", sorted(node.domain)]
-        elif isinstance(node, FalseLeaf):
-            encoded[id(node)] = ["F", sorted(node.domain)]
-        elif isinstance(node, LiteralLeaf):
-            encoded[id(node)] = ["L", node.variable, bool(node.negated)]
-        elif isinstance(node, DNFLeaf):
-            # sorted_clauses() reads straight off the bitset kernel's masks
-            # (sorted tuples over the sorted domain), so a mask-only DNF
-            # round-trips without materializing its frozenset view; the
-            # emitted list-of-lists wire shape is unchanged.
-            encoded[id(node)] = [
-                "D",
-                sorted(node.function.domain),
-                [list(clause) for clause in node.function.sorted_clauses()],
-            ]
-        elif type(node) in _INNER_TAGS:
-            stack.append((node, True))
-            for child in node.children():
-                stack.append((child, False))
-        else:
-            raise TypeError(
-                f"cannot serialize d-tree node type {type(node).__name__}")
-    return encoded[id(root)]
 
 
 def _decode_leaf(tag: str, payload: list) -> DTreeNode:
@@ -347,6 +305,5 @@ __all__ = [
     "clone_tree",
     "decode_tree",
     "encode_tree",
-    "encode_tree_v1",
     "trees_equal",
 ]

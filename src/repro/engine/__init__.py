@@ -5,9 +5,10 @@ independent keys, memoizes d-tree compilations and Banzhaf results across
 answers and queries, fans independent lineages out over a process pool, and
 auto-selects ExaBan or the AdaBan fallback per lineage.  Results are served
 through two cache tiers -- the in-memory :class:`LineageCache` and an
-optional persistent :class:`CacheStore` (:class:`DiskStore` /
-:class:`LogStore` / :class:`MemoryStore`, the latter two composable via
-:class:`ShardedStore`), which survives process restarts -- and the
+optional persistent :class:`CacheStore` (a :class:`LogStore`, or a
+:class:`ShardedStore` of them, which survives process restarts; or a
+:class:`MemoryStore`; :class:`DiskStore` reads legacy stores for
+``repro cache migrate``) -- and the
 long-lived serving loop (:class:`AttributionService`) keeps one warm set
 of tiers behind a stream of attribute/rank/topk requests.  The
 reliability layer (:mod:`repro.reliability`, re-exported here) supervises
@@ -54,7 +55,6 @@ from repro.engine.serve import (
     serve_jsonl,
 )
 from repro.engine.logstore import (
-    STORE_BACKENDS,
     LogStore,
     ShardedStore,
     StoreLockedError,
@@ -118,7 +118,6 @@ __all__ = [
     "ResilientStore",
     "ResultKey",
     "RetryPolicy",
-    "STORE_BACKENDS",
     "STORE_FORMAT_VERSION",
     "ServingFrontend",
     "ShardedStore",

@@ -48,13 +48,12 @@ from repro.dtree.serialize import (
 #: recompute) anything recording a different version.
 ARTIFACT_FORMAT_VERSION = TREE_FORMAT_VERSION
 
-#: Artifact shard versions the store still decodes.  Version 1 shards
+#: Tree shard versions the legacy reader
+#: (:class:`repro.engine.store.DiskStore`) decodes.  Version 1 shards
 #: hold the nested-list object-tree codec; version 2 shards hold the
 #: arena (struct-of-arrays) codec.  Both decode to identical trees
-#: (:func:`repro.dtree.serialize.decode_tree` dispatches per entry), so
-#: a store written by an older process stays readable and mixed-version
-#: stores work — writes always use :data:`ARTIFACT_FORMAT_VERSION`, so
-#: legacy shards age out on the next flush of their key range.
+#: (:func:`repro.dtree.serialize.decode_tree` dispatches per entry).
+#: The log store only ever writes :data:`ARTIFACT_FORMAT_VERSION` trees.
 ARTIFACT_COMPAT_VERSIONS = frozenset({1, TREE_FORMAT_VERSION})
 
 

@@ -27,9 +27,9 @@ lineages) it runs a four-stage pipeline:
 
 Freshly computed converged results -- and fresh or further-refined
 compilation artifacts, converged or not -- are written back to every
-configured tier, so a process with an
-:class:`~repro.engine.store.DiskStore` leaves a warm cache behind for the
-next process (see :meth:`Engine.save_cache`/:meth:`Engine.load_cache` for
+configured tier, so a process with a
+:class:`~repro.engine.logstore.LogStore` leaves a warm cache behind for
+the next process (see :meth:`Engine.save_cache`/:meth:`Engine.load_cache` for
 the explicit warm-start flow, and :mod:`repro.engine.serve` for the
 long-lived serving loop built on top).
 
@@ -97,7 +97,7 @@ from repro.dtree.compile import (
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution, LineageCache
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
-from repro.engine.logstore import STORE_BACKENDS, resolve_store
+from repro.engine.logstore import resolve_store
 from repro.engine.ranking import compute_ranking
 from repro.engine.stats import EngineStats
 from repro.engine.store import (
@@ -182,20 +182,13 @@ class EngineConfig:
     store:
         Optional persistent result tier: a
         :class:`repro.engine.store.CacheStore` instance (e.g. a
-        :class:`~repro.engine.store.DiskStore` or
         :class:`~repro.engine.logstore.LogStore`), or a *path string*
-        naming a store root, opened via
-        :func:`~repro.engine.logstore.open_store` with ``store_backend``.
-        Memory misses fall through to the store before computing, and
-        freshly computed converged results are written back, so
-        canonical-space results survive process restarts.  ``None`` (the
-        default) keeps the engine memory-only.
-    store_backend:
-        Backend name used when ``store`` is a path string: ``"disk"``
-        (the legacy sharded-JSON :class:`~repro.engine.store.DiskStore`,
-        default) or ``"log"`` (the append-only
-        :class:`~repro.engine.logstore.LogStore`).  Only meaningful with
-        a path-valued ``store``.
+        naming a store root, which the engine opens as a log store via
+        :func:`~repro.engine.logstore.open_store`.  Memory misses fall
+        through to the store before computing, and freshly computed
+        converged results are written back, so canonical-space results
+        survive process restarts.  ``None`` (the default) keeps the
+        engine memory-only.
     numeric:
         Evaluation tier for the ranking methods: ``"exact"`` (default)
         runs IchiBan's exact-``Fraction`` interval refinement;
@@ -253,7 +246,6 @@ class EngineConfig:
     domain: DomainPolicy = "lineage"
     k: Optional[int] = None
     store: Optional[object] = None
-    store_backend: Optional[str] = None
     numeric: str = "exact"
     float_ulp_margin: int = 8
     store_retries: int = 2
@@ -292,15 +284,6 @@ class EngineConfig:
                 f"methods ('rank'/'topk'), not {self.method!r}")
         if self.float_ulp_margin < 1:
             raise ValueError("float_ulp_margin must be at least 1")
-        if self.store_backend is not None:
-            if self.store_backend not in STORE_BACKENDS:
-                raise ValueError(
-                    f"unknown store_backend {self.store_backend!r}; "
-                    f"expected one of {STORE_BACKENDS}")
-            if not isinstance(self.store, str):
-                raise ValueError(
-                    "store_backend only applies when store is a path "
-                    "string; pass an already-opened CacheStore instead")
         if self.store_retries < 0:
             raise ValueError("store_retries must be >= 0")
         if self.breaker_threshold < 0:
@@ -463,7 +446,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                                       values=dict(values)),
                     False, artifact_out, 0)
         raw = exaban_all(artifact_out.root, stats=stats)
-    except (CompilationLimitReached, RecursionError):
+    except CompilationLimitReached:
         compiler = partial_slot[0] if partial_slot else None
         if method != "auto":
             if compiler is not None and artifact_sink is not None:
@@ -544,7 +527,7 @@ class Engine:
         #: :class:`~repro.reliability.resilient.ResilientStore` (retry +
         #: circuit breaker) unless both reliability knobs are 0.
         self.store: Optional[CacheStore] = wrap_store(
-            resolve_store(self.config.store, self.config.store_backend),
+            resolve_store(self.config.store),
             retries=self.config.store_retries,
             breaker_threshold=self.config.breaker_threshold,
             on_counter=lambda **deltas: self.stats.bump(**deltas))
@@ -815,7 +798,7 @@ class Engine:
                         cached[index] = outcome
             finally:
                 # One durability point per batch: buffered writes become
-                # shard rewrites here, not once per lineage.  In a
+                # one log append here, not one per lineage.  In a
                 # ``finally`` so that a failing computation's sunk
                 # partial artifact (and every result already computed
                 # this batch) still becomes durable before the

@@ -59,9 +59,10 @@ there is nothing for a follower to reuse.
 
 Typical use::
 
-    service = AttributionService(db, store=DiskStore(path))
+    service = AttributionService(db, store=LogStore(path))
     with ServingFrontend(service, FrontendConfig(workers=8)) as frontend:
         response = frontend.submit({"op": "attribute", "query": "..."})
+    service.store.close()
 
 ``repro serve --workers N`` drives :func:`serve_jsonl_concurrent`, the
 JSON-Lines loop over this front-end (responses streamed in input order

@@ -1,10 +1,9 @@
-"""Append-only log store: the scale backend of the persistent tier.
+"""Append-only log store: the persistent tier's one writable store.
 
-:class:`~repro.engine.store.DiskStore` keeps every loaded entry decoded
-in memory and rewrites whole JSON shard files per flush -- fine at the
-warm-start bench's 53 entries, hopeless at the millions of cached
-lineages the ROADMAP's serving story implies.  This module provides the
-backend that scales:
+Every persistent store the engine, the service and the ``repro``
+commands open is a :class:`LogStore` (or a :class:`ShardedStore` of
+them).  A flush appends records instead of rewriting files, and a point
+read seeks to one record instead of decoding a whole shard:
 
 * :class:`LogStore` -- a single append-only **record log** per store
   root.  Records are length-prefixed, CRC32-checksummed JSON frames
@@ -36,11 +35,11 @@ backend that scales:
   exchange entries -- so a deployment can add capacity without
   invalidating its caches.
 
-* :func:`open_store` / :func:`resolve_store` -- the backend-selection
-  factory behind ``EngineConfig(store=<path>, store_backend=...)`` and
-  the CLI's ``--store-backend {disk,log}`` / ``--store-shards N``
-  flags; :func:`migrate_store` is the one-shot ``repro cache migrate``
-  path from a legacy :class:`DiskStore` into any other backend.
+* :func:`open_store` / :func:`resolve_store` -- the factory behind
+  ``EngineConfig(store=<path>)`` and the CLI's ``--store DIR`` /
+  ``--store-shards N`` flags; :func:`migrate_store` is the one-shot
+  ``repro cache migrate`` copy, from a legacy shard directory (read
+  through :class:`~repro.engine.store.DiskStore`) or another log store.
 
 On-disk format of one log (``store.log``)::
 
@@ -76,7 +75,6 @@ from repro.engine.cache import CachedAttribution, ResultKey
 from repro.engine.canonical import CanonicalKey
 from repro.engine.store import (
     CacheStore,
-    DiskStore,
     decode_canonical_key,
     decode_entry,
     decode_key,
@@ -194,7 +192,7 @@ class LogStore:
     fsync:
         When true, :meth:`flush` fsyncs the log so acked records survive
         an *operating-system* crash, not just a process crash.  Defaults
-        to ``False``, matching :class:`DiskStore`'s durability level.
+        to ``False``: acked records survive a process crash.
     auto_compact:
         Schedule a background compaction whenever a flush leaves more
         garbage than live bytes in the log (``compact_ratio``).
@@ -237,6 +235,8 @@ class LogStore:
         self.dropped_writes = 0
         self.compactions = 0
         self.reclaimed_bytes = 0
+        #: Bytes appended by :meth:`flush`: records and eviction tombstones.
+        self.bytes_flushed = 0
         self.gets = 0
         self.puts = 0
 
@@ -293,8 +293,7 @@ class LogStore:
         # Clean up temp files a crashed compaction left behind, then make
         # sure the log exists and leads with the right magic.  An alien
         # or wrong-version file is rotated out of the way (never parsed,
-        # never appended to) -- the store starts empty, like DiskStore
-        # treating an incompatible shard as empty.
+        # never appended to) -- the store starts empty.
         for name in os.listdir(self.path):
             if name.startswith(_COMPACT_PREFIX):
                 try:
@@ -681,6 +680,7 @@ class LogStore:
             raise TransientStoreError(
                 f"log append of {len(blob)} byte(s) failed: {error}"
             ) from error
+        self.bytes_flushed += len(blob)
 
     def _truncate_to_ack_point(self) -> None:
         """Best-effort: cut the file back to the last consistent prefix."""
@@ -832,7 +832,7 @@ class LogStore:
             return len(self._tree_index.keys() | self._tree_pending.keys())
 
     def stats(self) -> Dict[str, object]:
-        """Log-level counters plus the per-kind shape shared with DiskStore."""
+        """Log-level counters plus the per-kind entry counts."""
         with self._lock:
             entries = len(self)
             artifacts = self.artifact_count()
@@ -852,6 +852,7 @@ class LogStore:
                 "dropped_writes": self.dropped_writes,
                 "compactions": self.compactions,
                 "reclaimed_bytes": self.reclaimed_bytes,
+                "bytes_flushed": self.bytes_flushed,
                 "kinds": {
                     "results": {"entries": entries,
                                 "max_entries": self.max_entries},
@@ -905,11 +906,11 @@ class ShardedStore:
         self._ring = ring
 
     @classmethod
-    def open(cls, roots: Sequence[str], backend: str = "log",
-             replicas: int = 64, **kwargs) -> "ShardedStore":
-        """Open one backend store per root directory (see :func:`open_store`)."""
-        return cls([open_store(root, backend=backend, **kwargs)
-                    for root in roots], replicas=replicas)
+    def open(cls, roots: Sequence[str], replicas: int = 64,
+             **kwargs) -> "ShardedStore":
+        """Open one :class:`LogStore` per root (``kwargs`` go to each)."""
+        return cls([LogStore(root, **kwargs) for root in roots],
+                   replicas=replicas)
 
     def shard_of(self, encoded_key: str) -> int:
         """Ring position of an encoded key (stable across processes)."""
@@ -1003,6 +1004,8 @@ class ShardedStore:
             "entries": entries,
             "disk_bytes": sum(int(stats.get("disk_bytes", 0))
                               for stats in shard_stats),
+            "bytes_flushed": sum(int(stats.get("bytes_flushed", 0))
+                                 for stats in shard_stats),
             "kinds": {
                 "results": {"entries": entries},
                 "compiled_trees": {"entries": artifacts},
@@ -1012,60 +1015,49 @@ class ShardedStore:
 
 
 # --------------------------------------------------------------------- #
-# Backend selection and migration
+# Opening and migration
 # --------------------------------------------------------------------- #
 
-STORE_BACKENDS = ("disk", "log")
 
+def open_store(path: str, shards: int = 1, max_entries: int = 65_536,
+               **kwargs) -> CacheStore:
+    """Open the persistent store rooted at ``path`` (the CLI/config factory).
 
-def open_store(path: str, backend: str = "disk", shards: int = 1,
-               max_entries: int = 65_536, **kwargs) -> CacheStore:
-    """Open a persistent store by backend name (the CLI/config factory).
-
-    ``backend`` selects :class:`~repro.engine.store.DiskStore`
-    (``"disk"``, the legacy sharded-JSON tier) or :class:`LogStore`
-    (``"log"``, the append-only record log).  ``shards > 1`` composes a
+    One root opens a :class:`LogStore`; ``shards > 1`` composes a
     :class:`ShardedStore` over ``<path>/root-<i>`` subdirectories, each
-    holding one backend store with its share of ``max_entries``; extra
-    keyword arguments go to the backend constructor (e.g. ``mode="auto"``
-    for a log store that elects a single writer).
+    holding one log store with its share of ``max_entries``.  Extra
+    keyword arguments go to :class:`LogStore` (e.g. ``mode="auto"`` for
+    a store that elects a single writer).
     """
-    if backend not in STORE_BACKENDS:
-        raise ValueError(f"unknown store backend {backend!r}; expected one "
-                         f"of {STORE_BACKENDS}")
     if shards < 1:
         raise ValueError("store shards must be positive")
     if shards > 1:
         per_shard = max(1, max_entries // shards)
         roots = [os.path.join(path, f"root-{index:02d}")
                  for index in range(shards)]
-        return ShardedStore.open(roots, backend=backend,
-                                 max_entries=per_shard, **kwargs)
-    if backend == "log":
-        return LogStore(path, max_entries=max_entries, **kwargs)
-    return DiskStore(path, max_entries=max_entries, **kwargs)
+        return ShardedStore.open(roots, max_entries=per_shard, **kwargs)
+    return LogStore(path, max_entries=max_entries, **kwargs)
 
 
-def resolve_store(store, backend: Optional[str] = None) -> \
-        Optional[CacheStore]:
-    """Resolve ``EngineConfig.store``: a path string opens its backend.
+def resolve_store(store) -> Optional[CacheStore]:
+    """Resolve ``EngineConfig.store``: a path string opens its store.
 
     An already-constructed :class:`CacheStore` (or ``None``) passes
     through untouched; a string is a store root opened via
-    :func:`open_store` with ``backend`` (default ``"disk"``, the
-    compatible legacy default).
+    :func:`open_store`.
     """
     if store is None or not isinstance(store, str):
         return store
-    return open_store(store, backend=backend or "disk")
+    return open_store(store)
 
 
 def migrate_store(source: CacheStore, destination: CacheStore
                   ) -> Tuple[int, int]:
     """Copy every result and artifact from ``source`` to ``destination``.
 
-    The one-shot ``repro cache migrate`` path: a legacy
-    :class:`DiskStore` (which stays fully readable) is drained into a
+    The one-shot ``repro cache migrate`` path: a legacy shard directory
+    (read through :class:`~repro.engine.store.DiskStore`, which never
+    writes) or another log store is drained into a
     :class:`LogStore`/:class:`ShardedStore` without recomputing
     anything.  Entries stream one at a time -- the migration never holds
     more than one decoded record beyond the destination's write buffer.
@@ -1087,7 +1079,6 @@ def migrate_store(source: CacheStore, destination: CacheStore
 
 __all__ = [
     "LOG_FORMAT_VERSION",
-    "STORE_BACKENDS",
     "LogStore",
     "ShardedStore",
     "StoreLockedError",

@@ -14,7 +14,7 @@ compiled-lineage artifact tier (keyed by canonical lineage alone), which
 is where the service earns its keep on mixed traffic: an ``attribute``
 request that compiles a d-tree makes the later ``rank``/``topk``
 requests over isomorphic lineages *exact* and compilation-free, in this
-process and -- through the store's artifact shards -- in every
+process and -- through the store's artifact records -- in every
 warm-started successor.
 
 Requests and responses are plain dicts (JSON-serializable end to end;
@@ -76,10 +76,8 @@ OPS = ("attribute", "rank", "topk")
 ATTRIBUTE_METHODS = ("auto", "exact", "approximate", "shapley")
 
 #: Exceptions that mean "the compute budget ran out mid-request" -- the
-#: triggers for deadline degradation (``RecursionError`` covers d-trees
-#: too deep to finish even inside the raised interpreter limit).
-_BUDGET_EXHAUSTED = (ApproximationTimeout, CompilationLimitReached,
-                     RecursionError)
+#: triggers for deadline degradation.
+_BUDGET_EXHAUSTED = (ApproximationTimeout, CompilationLimitReached)
 
 #: Exceptions that mean "the persistent tier is unavailable" -- surfaced
 #: as structured ``{"ok": false, "degraded": true}`` responses (the
@@ -149,7 +147,7 @@ class AttributionService:
         hits memory and partial compilations resume instead of
         restarting.  The number of result entries loaded is reported by
         :meth:`stats` as ``warm_loaded``.  A store that fails to load
-        (corrupt shards, permissions) degrades to a cold start with a
+        (corrupt records, permissions) degrades to a cold start with a
         ``RuntimeWarning`` instead of aborting: a serving process must
         come up even when its warm state is damaged.
 
@@ -177,7 +175,7 @@ class AttributionService:
                 "rank/topk engines are created per request op"
             )
         self.database = database
-        self._base = replace(base, store=None, store_backend=None, k=None)
+        self._base = replace(base, store=None, k=None)
         self.cache = LineageCache(base.cache_size, base.dtree_cache_size)
         self.stats_counters = EngineStats()
         # A path-valued config store opens its backend exactly once,
@@ -187,8 +185,7 @@ class AttributionService:
         # policy (a no-op when both knobs are 0 or the caller passed an
         # already-wrapped store), counting into the shared stats.
         self.store = wrap_store(
-            store if store is not None else resolve_store(
-                base.store, base.store_backend),
+            store if store is not None else resolve_store(base.store),
             retries=base.store_retries,
             breaker_threshold=base.breaker_threshold,
             on_counter=self.stats_counters.bump)

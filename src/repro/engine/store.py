@@ -19,43 +19,38 @@ Stores carry **two artifact kinds**:
   instead of recompiling.  Serialized exactly via
   :mod:`repro.dtree.serialize`.
 
-Two backends are provided:
+Three stores implement the protocol:
 
+* :class:`~repro.engine.logstore.LogStore` -- the persistent store, an
+  append-only record log (see :mod:`repro.engine.logstore`);
 * :class:`MemoryStore` -- a dict-backed passthrough with the same
   interface, for tests and for composing a serving tier without touching
   disk;
-* :class:`DiskStore` -- a sharded on-disk store.  Entries are serialized
-  to a **versioned JSON format** (exact ``Fraction`` round-trip -- a
-  warm-started engine returns bit-identical values), grouped into shard
-  files by a stable hash of the encoded key (``shard-*.json`` for
-  results, ``trees-*.json`` for artifacts), written **atomically**
-  (temp file + ``os.replace``), and evicted oldest-first against
-  per-kind entry bounds.  Corrupted or old-version shard files are
-  ignored -- the engine just recomputes -- never raised.
+* :class:`DiskStore` -- a read-only reader of the sharded-JSON
+  directories older versions wrote, which ``repro cache migrate`` drains
+  into a log store.
 
-Result keys encode epsilon through the **canonical exact encoding**
-(:func:`~repro.engine.cache.canonical_epsilon`: an exact ``Fraction``,
-written as ``"n/d"``), shared with the memory tier, so float-repr drift
-can never split or alias equivalent entries across processes.  Shards
-written before this encoding (raw JSON floats) stay readable: their keys
-decode to the canonical form, and lookups fall back to the legacy
-encoding -- migrating hits to the canonical one on the next flush.
+Entries are serialized to an exact JSON form (``Fraction`` values as
+``"n/d"`` strings), so a warm-started engine returns bit-identical
+values.  Result keys encode epsilon through the **canonical exact
+encoding** (:func:`~repro.engine.cache.canonical_epsilon`: an exact
+``Fraction``, written as ``"n/d"``), shared with the memory tier, so
+float-repr drift can never split or alias equivalent entries across
+processes.  :func:`decode_key` also accepts the raw-float epsilons of
+old shards and decodes them to the canonical form.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
-import tempfile
 import threading
-import zlib
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, Optional, Protocol, Tuple
 
+# Keep both codec bindings: perfbench/tracing.py wraps them in this module.
 from repro.engine.artifact import (
     ARTIFACT_COMPAT_VERSIONS,
-    ARTIFACT_FORMAT_VERSION,
     CompiledLineage,
     decode_artifact,
     encode_artifact,
@@ -64,20 +59,20 @@ from repro.engine.cache import CachedAttribution, ResultKey, canonical_epsilon
 from repro.engine.canonical import CanonicalKey
 from repro.reliability import faults
 
-#: On-disk format version; bumped on any incompatible change.  Shards
-#: recording a different version are ignored wholesale (treated as empty),
-#: so a format bump silently invalidates stale caches instead of crashing.
+#: Version of the legacy result shards :class:`DiskStore` reads.  Shards
+#: recording a different version read as empty.
 STORE_FORMAT_VERSION = 1
 
 
 class CacheStore(Protocol):
     """What the engine needs from a persistent store.
 
-    Implementations must be safe to call from one process at a time;
-    :class:`DiskStore` additionally tolerates concurrent *readers* of the
-    same directory (shard writes are atomic).  The artifact methods are
-    optional -- the engine probes for them with ``hasattr`` -- so a
-    minimal result-only store still plugs in.
+    Implementations must be safe to call from several threads of one
+    process; :class:`~repro.engine.logstore.LogStore` additionally
+    shares one directory between a single writer process and any number
+    of reader processes.  The artifact methods are optional -- the
+    engine probes for them with ``hasattr`` -- so a minimal result-only
+    store still plugs in.
 
     Methods
     -------
@@ -155,33 +150,11 @@ def encode_key(key: ResultKey) -> str:
     )
 
 
-def _legacy_encode_key(key: ResultKey) -> Optional[str]:
-    """The pre-canonical encoding (epsilon as a raw JSON float), if any.
-
-    Returns ``None`` when no legacy form can exist: a ``None`` epsilon
-    encodes identically in both formats, and an epsilon that is not
-    exactly float-representable cannot have been written by the old
-    float-keyed format at all.
-    """
-    (num_variables, clauses), method, epsilon, k = key
-    if epsilon is None:
-        return None
-    fraction = canonical_epsilon(epsilon)
-    as_float = float(fraction)
-    if Fraction(as_float) != fraction:
-        return None
-    return json.dumps(
-        [num_variables, [list(clause) for clause in clauses], method,
-         as_float, k],
-        separators=(",", ":"),
-    )
-
-
 def decode_key(encoded: str) -> ResultKey:
     """Inverse of :func:`encode_key` (raises ``ValueError`` on malformed input).
 
     Accepts both the canonical ``"n/d"`` epsilon encoding and the legacy
-    raw-float one (old shards); either decodes to the canonical
+    raw-float one of old shards; either decodes to the canonical
     ``Fraction``-keyed :data:`ResultKey`.
     """
     try:
@@ -319,496 +292,156 @@ class MemoryStore:
 
 
 class DiskStore:
-    """Sharded on-disk :class:`CacheStore` with a versioned JSON format.
+    """Read-only reader of a legacy sharded-JSON store directory.
 
-    Layout: ``<path>/shard-<index>.json`` for results and
-    ``<path>/trees-<index>.json`` for compiled-lineage artifacts, one
-    JSON document per shard::
+    Before :class:`~repro.engine.logstore.LogStore` became the only
+    writable store, stores were directories of JSON shard files:
+    ``shard-<index>.json`` for results and ``trees-<index>.json`` for
+    compiled-lineage artifacts, one document per file::
 
-        {"version": 1, "entries": {"<encoded key>": {"stamp": 7, ...}}}
+        {"version": 1,
+         "entries": {"<encoded key>": {"stamp": 7, "entry": {...}}}}
 
-    Entries are routed to shards by a stable CRC32 of their encoded key,
-    so a given key always lands in the same shard file across processes.
-    Shards are loaded lazily and kept in memory; ``put``/``put_artifact``
-    buffer (marking the shard dirty) and :meth:`flush` rewrites dirty
-    shards atomically -- the new content is written to a temp file in
-    the same directory and ``os.replace``d over the old one, so a crash
-    mid-write leaves the previous shard intact.
+    ``repro cache migrate`` drains such a directory into a log store
+    through this reader.  Opening one loads every shard file at once and
+    never creates or writes a file.  A shard that fails to parse, fails
+    validation of any record, or records a version other than
+    :data:`STORE_FORMAT_VERSION` (results) or one of
+    :data:`~repro.engine.artifact.ARTIFACT_COMPAT_VERSIONS` (trees) reads
+    as empty and counts in ``corrupt_shards``.  Result keys written with
+    a raw-float epsilon are re-keyed canonically by :func:`decode_key`;
+    when two records decode to one key, the higher stamp wins.
 
-    Durability-vs-throughput is explicit: the engine flushes once per
-    batch, a service can flush per request or on shutdown.
-
-    Eviction is size-bounded and oldest-first, independently per kind:
-    every entry carries a monotonic insertion ``stamp`` (persisted in a
-    small ``meta.json``, and re-derived from shard contents when that
-    file is lost), and at flush time each shard is trimmed to its share
-    of the kind's bound (``max_entries`` for results, ``max_artifacts``
-    for trees) by dropping the lowest stamps.  Shard counts are clamped
-    to the bounds so the totals can never exceed them; per-shard
-    rounding only makes it stricter.
-
-    Robustness: a shard that fails to parse, fails structural validation,
-    or records a different format version is treated as empty (counted
-    in ``corrupt_shards``) -- the engine recomputes and the next flush
-    overwrites the bad file.  No read path ever raises on bad content.
-    Artifact trees are additionally validated on decode
-    (:func:`repro.dtree.serialize.decode_tree` runs the structural
-    invariants), so a tampered tree can never reach an evaluator.
+    ``put``/``put_artifact`` drop the write (counted in
+    ``dropped_writes``) and ``flush`` does nothing: the contract of
+    ``LogStore(mode="ro")``.
     """
 
-    def __init__(self, path: str, max_entries: int = 65_536,
-                 shards: int = 16, max_artifacts: int = 4_096,
-                 tree_shards: int = 8) -> None:
-        if max_entries < 1 or max_artifacts < 1:
-            raise ValueError("store capacity must be positive")
-        if shards < 1 or tree_shards < 1:
-            raise ValueError("shard count must be positive")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.max_entries = max_entries
-        self.max_artifacts = max_artifacts
-        # Clamped so `shards * per_shard <= bound` always holds; an
-        # unclamped tiny capacity (bound < shards) would retain one entry
-        # per shard and overshoot.  Deterministic in the constructor
-        # arguments, so every process opening the same directory with the
-        # same configuration routes keys identically.
-        self.shards = min(shards, max_entries)
-        self.tree_shards = min(tree_shards, max_artifacts)
-        self._per_shard = max(1, max_entries // self.shards)
-        self._per_tree_shard = max(1, max_artifacts // self.tree_shards)
-        #: shard index -> {encoded key:
-        #:   {"stamp": int, "entry": dict, "decoded": CachedAttribution}}
-        self._loaded: Dict[int, Dict[str, Dict[str, object]]] = {}
-        #: tree-shard index -> {encoded canonical key:
-        #:   {"stamp": int, "entry": dict, "decoded": CompiledLineage}}
-        self._tree_loaded: Dict[int, Dict[str, Dict[str, object]]] = {}
-        self._dirty: set = set()
-        self._tree_dirty: set = set()
-        self._lock = threading.Lock()
         self.corrupt_shards = 0
-        #: Write-amplification observability: shard files parsed from
-        #: disk, shard files rewritten by flushes, and bytes those
-        #: rewrites produced.  The regression tests pin these.
-        self.shard_loads = 0
-        self.flush_writes = 0
-        self.bytes_flushed = 0
-        os.makedirs(path, exist_ok=True)
-        #: Advisory per-shard entry counts persisted in meta.json, so
-        #: sizing (`len`, `artifact_count`, `stats`) does not have to
-        #: parse every shard file of a freshly opened store.  A missing
-        #: index (legacy metas) falls back to loading that one shard;
-        #: counts are corrected whenever a shard is actually loaded, so
-        #: a stale count (crash between shard and meta writes)
-        #: self-heals.
-        self._shard_counts: Dict[int, int] = {}
-        self._tree_shard_counts: Dict[int, int] = {}
-        self._stamp, self._tree_stamp = self._load_stamps()
+        self.dropped_writes = 0
+        self._lock = threading.Lock()  # guards dropped_writes only
+        self._entries: Dict[ResultKey, CachedAttribution] = {}
+        self._artifacts: Dict[CanonicalKey, CompiledLineage] = {}
+        #: Per kind: [shard files, bytes on disk].
+        self._footprint = {"results": [0, 0], "compiled_trees": [0, 0]}
+        stamps: Dict[tuple, int] = {}
+        for name in sorted(os.listdir(path)):
+            kind = _legacy_shard_kind(name)
+            if kind is not None:
+                self._load(name, kind, stamps)
 
-    # -- paths and shard IO ------------------------------------------- #
-
-    @staticmethod
-    def _route(encoded_key: str, shard_count: int) -> int:
-        return zlib.crc32(encoded_key.encode("utf-8")) % shard_count
-
-    def _shard_path(self, index: int) -> str:
-        return os.path.join(self.path, f"shard-{index:04d}.json")
-
-    def _tree_shard_path(self, index: int) -> str:
-        return os.path.join(self.path, f"trees-{index:04d}.json")
-
-    def _meta_path(self) -> str:
-        return os.path.join(self.path, "meta.json")
-
-    def _load_stamps(self) -> Tuple[int, int]:
+    def _load(self, name: str, kind: str, stamps: Dict[tuple, int]) -> None:
+        """Merge one shard file; a damaged shard reads as empty."""
+        if kind == "results":
+            versions = frozenset({STORE_FORMAT_VERSION})
+            decode_one_key, decode_value = decode_key, decode_entry
+            into: Dict = self._entries
+        else:
+            versions = ARTIFACT_COMPAT_VERSIONS
+            decode_one_key = decode_canonical_key
+            decode_value = decode_artifact
+            into = self._artifacts
+        shard_path = os.path.join(self.path, name)
+        footprint = self._footprint[kind]
         try:
-            with open(self._meta_path(), "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-            if meta.get("version") != STORE_FORMAT_VERSION:
-                return 0, 0
-            self._shard_counts.update(self._decode_counts(
-                meta.get("shard_counts"), self.shards))
-            self._tree_shard_counts.update(self._decode_counts(
-                meta.get("tree_shard_counts"), self.tree_shards))
-            # Older metas predate the artifact tier and carry no
-            # tree_stamp; 0 is safe (re-derived from shard contents).
-            return int(meta["stamp"]), int(meta.get("tree_stamp", 0))
-        except (OSError, ValueError, KeyError, TypeError):
-            return 0, 0
-
-    @staticmethod
-    def _decode_counts(raw, shard_count: int) -> Dict[int, int]:
-        """Parse meta.json's per-shard counts; empty for legacy metas.
-
-        Counts recorded under a different shard layout are discarded --
-        they would attribute entries to the wrong files.
-        """
-        if not isinstance(raw, dict):
-            return {}
-        try:
-            counts = {int(index): int(count) for index, count in raw.items()}
-        except (ValueError, TypeError):
-            return {}
-        if any(index < 0 or index >= shard_count or count < 0
-               for index, count in counts.items()):
-            return {}
-        return counts
-
-    def _atomic_write(self, path: str, document: Dict[str, object]) -> int:
-        """Write one document atomically; returns the bytes written."""
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=self.path, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, separators=(",", ":"))
-                written = handle.tell()
-            os.replace(temp_path, path)
-            return written
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-    def _read_shard_document(self, path: str, version
-                             ) -> Optional[Dict[str, object]]:
-        """Parse one shard file; ``None`` for missing/damaged/old files.
-
-        ``version`` is the accepted format version — an ``int`` for an
-        exact match, or a set of ints for readers that keep decoding
-        known-compatible older shards (the artifact tier accepts both
-        the v1 object-tree and v2 arena codecs).
-        """
-        if not os.path.exists(path):
-            return None
-        accepted = version if isinstance(version, frozenset) else \
-            frozenset({version})
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
+            footprint[1] += os.path.getsize(shard_path)
+            footprint[0] += 1
+            with open(shard_path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-            if document.get("version") not in accepted:
+            if document.get("version") not in versions:
                 raise ValueError(f"format version {document.get('version')!r}")
-            entries = document["entries"]
-            if not isinstance(entries, dict):
-                raise ValueError("entries is not an object")
-            return document
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError):
+            # Decode the whole shard before merging any of it, so one bad
+            # record discards its shard rather than part of it.
+            decoded = [(decode_one_key(encoded_key), int(record["stamp"]),
+                        decode_value(record["entry"]))
+                       for encoded_key, record in document["entries"].items()]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError):
             self.corrupt_shards += 1
-            return None
+            return
+        for key, stamp, value in decoded:
+            if stamps.get((kind, key), -1) < stamp:
+                stamps[(kind, key)] = stamp
+                into[key] = value
 
-    def _load_shard(self, index: int) -> Dict[str, Dict[str, object]]:
-        """Read one result shard, treating any damage as an empty shard."""
-        shard = self._loaded.get(index)
-        if shard is not None:
-            return shard
-        shard = {}
-        if os.path.exists(self._shard_path(index)):
-            self.shard_loads += 1  # counts real file parses only
-        document = self._read_shard_document(self._shard_path(index),
-                                             STORE_FORMAT_VERSION)
-        if document is not None:
-            try:
-                for encoded_key, record in document["entries"].items():
-                    # Validate eagerly so one bad record cannot surface
-                    # later as a crash inside the engine's hot path; the
-                    # decoded entry is kept, so get()/items() never pay
-                    # for deserialization twice.
-                    decode_key(encoded_key)
-                    decoded = decode_entry(record["entry"])
-                    shard[encoded_key] = {"stamp": int(record["stamp"]),
-                                          "entry": record["entry"],
-                                          "decoded": decoded}
-            except (ValueError, KeyError, TypeError, ZeroDivisionError):
-                self.corrupt_shards += 1
-                shard = {}
-        if shard:
-            # Keep the insertion counter ahead of every entry we have
-            # seen: if meta.json was lost or stale, new puts must still
-            # stamp higher than existing entries, or oldest-first
-            # eviction would drop fresh results instead of stale ones.
-            newest = max(record["stamp"] for record in shard.values())
-            if newest > self._stamp:
-                self._stamp = newest
-        self._loaded[index] = shard
-        self._shard_counts[index] = len(shard)
-        return shard
-
-    def _load_tree_shard(self, index: int) -> Dict[str, Dict[str, object]]:
-        """Read one artifact shard, treating any damage as an empty shard."""
-        shard = self._tree_loaded.get(index)
-        if shard is not None:
-            return shard
-        shard = {}
-        if os.path.exists(self._tree_shard_path(index)):
-            self.shard_loads += 1  # counts real file parses only
-        document = self._read_shard_document(self._tree_shard_path(index),
-                                             ARTIFACT_COMPAT_VERSIONS)
-        if document is not None:
-            try:
-                for encoded_key, record in document["entries"].items():
-                    decode_canonical_key(encoded_key)
-                    decoded = decode_artifact(record["entry"])
-                    shard[encoded_key] = {"stamp": int(record["stamp"]),
-                                          "entry": record["entry"],
-                                          "decoded": decoded}
-            except (ValueError, KeyError, TypeError, ZeroDivisionError):
-                self.corrupt_shards += 1
-                shard = {}
-        if shard:
-            newest = max(record["stamp"] for record in shard.values())
-            if newest > self._tree_stamp:
-                self._tree_stamp = newest
-        self._tree_loaded[index] = shard
-        self._tree_shard_counts[index] = len(shard)
-        return shard
-
-    # -- CacheStore interface: results -------------------------------- #
+    # Defined here, not inherited: perfbench/tracing.py reads __dict__.
 
     def get(self, key: ResultKey) -> Optional[CachedAttribution]:
-        """Look one result up (loading its shard on first touch).
-
-        Falls back to the legacy float-epsilon encoding for entries
-        written by older processes, migrating hits to the canonical
-        encoding (rewritten at the next flush).
-        """
         faults.check("store.read")
-        encoded = encode_key(key)
-        with self._lock:
-            index = self._route(encoded, self.shards)
-            shard = self._load_shard(index)
-            record = shard.get(encoded)
-            if record is not None:
-                return record["decoded"]
-            legacy = _legacy_encode_key(key)
-            if legacy is None or legacy == encoded:
-                return None
-            legacy_index = self._route(legacy, self.shards)
-            legacy_shard = self._load_shard(legacy_index)
-            record = legacy_shard.pop(legacy, None)
-            if record is None:
-                return None
-            shard[encoded] = record
-            self._dirty.add(index)
-            self._dirty.add(legacy_index)
-            self._shard_counts[index] = len(shard)
-            self._shard_counts[legacy_index] = len(legacy_shard)
-            return record["decoded"]
-
-    def put(self, key: ResultKey, value: CachedAttribution) -> None:
-        """Buffer one entry (durable after the next :meth:`flush`)."""
-        encoded = encode_key(key)
-        with self._lock:
-            index = self._route(encoded, self.shards)
-            shard = self._load_shard(index)
-            entry = encode_entry(value)
-            record = shard.get(encoded)
-            if record is not None and record["entry"] == entry:
-                # Identical re-put: nothing new to persist, so do not
-                # dirty the shard (no rewrite at flush) and keep the
-                # original insertion stamp (eviction stays
-                # insertion-ordered; gets never bumped stamps either).
-                record["decoded"] = value
-                return
-            self._stamp += 1
-            shard[encoded] = {"stamp": self._stamp,
-                              "entry": entry,
-                              "decoded": value}
-            self._dirty.add(index)
-            self._shard_counts[index] = len(shard)
-
-    # -- CacheStore interface: compiled-lineage artifacts -------------- #
+        return self._entries.get(key)
 
     def get_artifact(self, key: CanonicalKey) -> Optional[CompiledLineage]:
-        """Look one compiled-lineage artifact up (lazy shard load)."""
-        encoded = encode_canonical_key(key)
+        return self._artifacts.get(key)
+
+    def items(self) -> Iterator[Tuple[ResultKey, CachedAttribution]]:
+        return iter(self._entries.items())
+
+    def artifact_items(self) -> Iterator[Tuple[CanonicalKey, CompiledLineage]]:
+        return iter(self._artifacts.items())
+
+    def put(self, key: ResultKey, value: CachedAttribution) -> None:
         with self._lock:
-            shard = self._load_tree_shard(
-                self._route(encoded, self.tree_shards))
-            record = shard.get(encoded)
-            if record is None:
-                return None
-            return record["decoded"]
+            self.dropped_writes += 1
 
     def put_artifact(self, key: CanonicalKey,
                      value: CompiledLineage) -> None:
-        """Buffer one artifact (durable after the next :meth:`flush`)."""
-        encoded = encode_canonical_key(key)
         with self._lock:
-            index = self._route(encoded, self.tree_shards)
-            shard = self._load_tree_shard(index)
-            entry = encode_artifact(value)
-            record = shard.get(encoded)
-            if record is not None and record["entry"] == entry:
-                record["decoded"] = value
-                return
-            self._tree_stamp += 1
-            shard[encoded] = {"stamp": self._tree_stamp,
-                              "entry": entry,
-                              "decoded": value}
-            self._tree_dirty.add(index)
-            self._tree_shard_counts[index] = len(shard)
-
-    # -- flushing and iteration ---------------------------------------- #
-
-    def _flush_kind(self, dirty: set, loaded: Dict[int, Dict],
-                    per_shard: int, path_of, version: int,
-                    counts: Dict[int, int]) -> None:
-        for index in sorted(dirty):
-            shard = loaded.get(index, {})
-            if len(shard) > per_shard:
-                # Incremental eviction: only this over-bound shard is
-                # touched, and the survivors are selected with a heap
-                # (O(n log k)) instead of a full sort.
-                keep = heapq.nlargest(per_shard, shard.items(),
-                                      key=lambda item: item[1]["stamp"])
-                shard = dict(keep)
-                loaded[index] = shard
-            counts[index] = len(shard)
-            serializable = {
-                encoded_key: {"stamp": record["stamp"],
-                              "entry": record["entry"]}
-                for encoded_key, record in shard.items()
-            }
-            self.bytes_flushed += self._atomic_write(
-                path_of(index), {"version": version,
-                                 "entries": serializable})
-            self.flush_writes += 1
-        dirty.clear()
+            self.dropped_writes += 1
 
     def flush(self) -> None:
-        """Atomically rewrite every *dirty* shard, evicting past the bounds.
-
-        Clean shards -- including ones that only saw identical re-puts
-        -- are not rewritten; ``flush_writes``/``bytes_flushed`` expose
-        exactly how much was.
-
-        A failing write leaves previously flushed shards intact (each
-        shard rewrite is atomic) and the failed shard still dirty, so a
-        retried flush after the fault clears persists everything.
-        """
-        faults.check("store.flush")
-        with self._lock:
-            if not self._dirty and not self._tree_dirty:
-                return
-            self._flush_kind(self._dirty, self._loaded, self._per_shard,
-                             self._shard_path, STORE_FORMAT_VERSION,
-                             self._shard_counts)
-            self._flush_kind(self._tree_dirty, self._tree_loaded,
-                             self._per_tree_shard, self._tree_shard_path,
-                             ARTIFACT_FORMAT_VERSION,
-                             self._tree_shard_counts)
-            self._atomic_write(
-                self._meta_path(),
-                {"version": STORE_FORMAT_VERSION,
-                 "stamp": self._stamp,
-                 "tree_stamp": self._tree_stamp,
-                 "shard_counts": {str(index): count for index, count
-                                  in sorted(self._shard_counts.items())},
-                 "tree_shard_counts": {
-                     str(index): count for index, count
-                     in sorted(self._tree_shard_counts.items())}})
-
-    def items(self) -> Iterator[Tuple[ResultKey, CachedAttribution]]:
-        """Iterate every result of every shard (loading all of them).
-
-        The snapshot is taken under the lock before anything is yielded,
-        so consumers may call :meth:`put`/:meth:`get` mid-iteration.
-        """
-        with self._lock:
-            records: List[Tuple[str, Dict[str, object]]] = []
-            for index in range(self.shards):
-                records.extend(self._load_shard(index).items())
-        for encoded_key, record in records:
-            yield decode_key(encoded_key), record["decoded"]
-
-    def artifact_items(self) -> Iterator[Tuple[CanonicalKey, CompiledLineage]]:
-        """Iterate every compiled-lineage artifact (snapshot under lock)."""
-        with self._lock:
-            records = []
-            for index in range(self.tree_shards):
-                records.extend(self._load_tree_shard(index).items())
-        for encoded_key, record in records:
-            yield decode_canonical_key(encoded_key), record["decoded"]
-
-    def _count_kind(self, shard_count: int, loaded: Dict[int, Dict],
-                    counts: Dict[int, int], load_one) -> int:
-        """Sum entry counts without parsing every shard file.
-
-        Loaded shards are authoritative; unloaded ones use the advisory
-        count persisted in meta.json; only shards missing from both
-        (legacy metas) are actually read.
-        """
-        total = 0
-        for index in range(shard_count):
-            shard = loaded.get(index)
-            if shard is not None:
-                total += len(shard)
-            elif index in counts:
-                total += counts[index]
-            else:
-                total += len(load_one(index))
-        return total
+        """Nothing to make durable: the reader never writes."""
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._count_kind(self.shards, self._loaded,
-                                    self._shard_counts, self._load_shard)
+        return len(self._entries)
 
     def artifact_count(self) -> int:
-        """Number of persisted compiled-lineage artifacts."""
-        with self._lock:
-            return self._count_kind(self.tree_shards, self._tree_loaded,
-                                    self._tree_shard_counts,
-                                    self._load_tree_shard)
-
-    def _kind_footprint(self, shard_count: int, path_of
-                        ) -> Tuple[int, int]:
-        shard_files = 0
-        total_bytes = 0
-        for index in range(shard_count):
-            try:
-                total_bytes += os.path.getsize(path_of(index))
-                shard_files += 1
-            except OSError:
-                continue
-        return shard_files, total_bytes
+        """Number of readable compiled-lineage artifacts."""
+        return len(self._artifacts)
 
     def stats(self) -> Dict[str, object]:
-        """Per-kind entry/shard counts, capacities, and on-disk footprint."""
-        entries = len(self)
-        artifacts = self.artifact_count()
-        shard_files, result_bytes = self._kind_footprint(
-            self.shards, self._shard_path)
-        tree_files, tree_bytes = self._kind_footprint(
-            self.tree_shards, self._tree_shard_path)
+        """Per-kind entry counts, shard files and bytes on disk."""
+        (shard_files, result_bytes), (tree_files, tree_bytes) = (
+            self._footprint["results"], self._footprint["compiled_trees"])
         return {
             "backend": "disk",
             "path": self.path,
             "format_version": STORE_FORMAT_VERSION,
-            "entries": entries,
-            "max_entries": self.max_entries,
-            "shards": self.shards,
-            "shard_files": shard_files,
+            "mode": "ro",
+            "entries": len(self._entries),
             "corrupt_shards": self.corrupt_shards,
-            "shard_loads": self.shard_loads,
-            "flush_writes": self.flush_writes,
-            "bytes_flushed": self.bytes_flushed,
+            "dropped_writes": self.dropped_writes,
             "disk_bytes": result_bytes + tree_bytes,
             "kinds": {
-                "results": {
-                    "entries": entries,
-                    "max_entries": self.max_entries,
-                    "shard_files": shard_files,
-                    "disk_bytes": result_bytes,
-                },
-                "compiled_trees": {
-                    "entries": artifacts,
-                    "max_entries": self.max_artifacts,
-                    "shard_files": tree_files,
-                    "disk_bytes": tree_bytes,
-                },
+                "results": {"entries": len(self._entries),
+                            "shard_files": shard_files,
+                            "disk_bytes": result_bytes},
+                "compiled_trees": {"entries": len(self._artifacts),
+                                   "shard_files": tree_files,
+                                   "disk_bytes": tree_bytes},
             },
         }
+
+
+def _legacy_shard_kind(name: str) -> Optional[str]:
+    """The kind a legacy shard file name holds, or ``None``."""
+    if name.endswith(".json"):
+        if name.startswith("shard-"):
+            return "results"
+        if name.startswith("trees-"):
+            return "compiled_trees"
+    return None
+
+
+def holds_legacy_shards(path: str) -> bool:
+    """Whether ``path`` holds files of a legacy sharded-JSON store."""
+    try:
+        names = os.listdir(path)
+    except OSError:
+        return False
+    return any(name == "meta.json" or _legacy_shard_kind(name) is not None
+               for name in names)
 
 
 def save_results(cache_entries, store: CacheStore) -> int:
@@ -888,6 +521,7 @@ __all__ = [
     "encode_canonical_key",
     "encode_entry",
     "encode_key",
+    "holds_legacy_shards",
     "load_artifacts",
     "load_results",
     "save_artifacts",

@@ -305,7 +305,7 @@ def table9_topk_certain(workloads: Sequence[Workload],
                 try:
                     ichiban_topk_certain(instance.lineage, k=k,
                                          timeout_seconds=config.timeout_seconds)
-                except (ApproximationTimeout, RecursionError):
+                except ApproximationTimeout:
                     failures += 1
                     continue
                 times.append(_time.monotonic() - started)

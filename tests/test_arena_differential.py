@@ -1,15 +1,14 @@
 """Differential tests: the arena backend against the recursive oracle.
 
 The struct-of-arrays arena (:mod:`repro.dtree.arena`) implements the
-fused counting, Banzhaf, Shapley and bounds passes as index loops over
+fused counting, Banzhaf and Shapley passes as index loops over
 postorder-contiguous columns.  This module pins their core contract --
 **bit-identical results** -- by fuzzing random DNFs through the arena and
-the recursive seed reference (:mod:`repro.core.reference`), checks the
-arena bounds passes against the object-tree bounds procedure, exercises
+the recursive seed reference (:mod:`repro.core.reference`), exercises
 the float tier's enclosure and ordering guarantees on tie-rich instances,
 and covers the shapes the column layout is most likely to get wrong:
-deep trees (build and incremental ``extend`` far beyond the recursion
-limit) and trees decoded from legacy v1 shards.
+deep trees (built and rebuilt far beyond the recursion limit) and trees
+decoded from legacy v1 shards.
 """
 
 import random
@@ -21,28 +20,20 @@ from hypothesis import given, settings
 
 from repro.boolean.dnf import DNF
 from repro.core import reference as seed
-from repro.core.bounds import bounds_for_variable, count_bounds
 from repro.core.exaban import exaban_all, model_count
 from repro.core.ichiban import ranked_from_bounds
 from repro.core.shapley import shapley_all
 from repro.dtree.arena import (
     DTreeArena,
     arena_banzhaf,
-    arena_banzhaf_bounds,
-    arena_count_bounds,
     arena_counts,
     arena_model_count,
     arena_of,
 )
+from repro.baselines.brute_force import banzhaf_all_brute_force
 from repro.dtree.compile import compile_dnf
-from repro.dtree.incremental import IncrementalCompiler
 from repro.dtree.nodes import DecompAnd, DTreeNode, LiteralLeaf
-from repro.dtree.serialize import (
-    decode_tree,
-    encode_tree,
-    encode_tree_v1,
-    trees_equal,
-)
+from repro.dtree.serialize import decode_tree, encode_tree, trees_equal
 from repro.engine.ranking import compute_ranking
 from repro.experiments.metrics import ground_truth_topk
 from repro.workloads.generators import random_positive_dnf, star_join_lineage
@@ -86,28 +77,6 @@ def test_arena_shapley_matches_recursive_seed(function: DNF):
     # and cofactor passes; the recursive seed never touches the arena.
     assert shapley_all(function, tree=tree) == seed.shapley_all_recursive(
         function, compile_dnf(function))
-
-
-@_SETTINGS
-@given(function=small_dnfs())
-def test_arena_bounds_match_object_bounds_on_partial_trees(function: DNF):
-    # Stop compilation after a few expansions so DNF leaves survive: the
-    # bounds passes differ from plain counting exactly on partial trees.
-    compiler = IncrementalCompiler(function)
-    for _ in range(2):
-        if not compiler.expand_step():
-            break
-    tree = compiler.root
-    arena = DTreeArena.from_tree(tree)
-    lower, upper = arena_count_bounds(arena)[arena.root]
-    assert (lower, upper) == count_bounds(tree)
-    for variable in sorted(function.variables):
-        expected = bounds_for_variable(tree, variable)
-        actual = arena_banzhaf_bounds(arena, variable)
-        assert (actual.banzhaf_lower, actual.banzhaf_upper,
-                actual.count_lower, actual.count_upper) == (
-            expected.banzhaf_lower, expected.banzhaf_upper,
-            expected.count_lower, expected.count_upper)
 
 
 def _tie_rich_instances():
@@ -166,8 +135,9 @@ def test_float_topk_sets_legitimate_on_tie_rich_instances():
 
 
 def test_deep_arena_build_and_extend():
-    # A 1500-deep conjunction chain: the arena build, both passes, and the
-    # object round-trip must stay iterative (no recursion-limit coupling).
+    # A 1500-deep conjunction chain: the arena build and both passes must
+    # stay iterative (no recursion-limit coupling), and so must the
+    # rebuild after the tree grows.
     depth = 1500
     root: DTreeNode = LiteralLeaf(0)
     for variable in range(1, depth):
@@ -179,33 +149,45 @@ def test_deep_arena_build_and_extend():
         assert counts[arena.root] == 1
         values = arena_banzhaf(arena)
         assert values[0] == 1 and values[depth - 1] == 1
-        assert trees_equal(root, arena.to_tree())
-        # Incremental extend: wrap the old root; every old row must be
-        # carried (with its counts payload) into the new arena.
+        # Extend the tree: the grown root gets a fresh arena over every
+        # row, the old rows included.
         grown = DecompAnd([root, LiteralLeaf(depth)])
-        extended = arena.extend(grown)
+        extended = arena_of(grown)
         assert len(extended.kinds) == len(arena.kinds) + 2
-        carried = extended.payloads["counts"]
-        assert sum(value is not None for value in carried) >= len(arena.kinds)
         assert arena_counts(extended)[extended.root] == 1
         assert arena_banzhaf(extended)[depth] == 1
 
 
+#: Complete v1 trees as a v1 store shard holds them, with the DNF each
+#: one compiles.  Together they use every v1 tag but "D".
+_V1_TREES = [
+    (["&", [["L", 1, False], ["|", [["L", 0, False], ["L", 2, False]]]]],
+     [(0, 1), (1, 2)], 3),
+    (["^", [["&", [["L", 0, False],
+                   ["|", [["L", 1, False], ["L", 2, False]]]]],
+            ["&", [["L", 0, True],
+                   ["&", [["L", 1, False], ["L", 2, False]]]]]]],
+     [(0, 1), (0, 2), (1, 2)], 3),
+    (["&", [["|", [["L", 0, False],
+                   ["&", [["L", 1, False], ["L", 2, False]]]]],
+            ["T", [3]]]],
+     [(0,), (1, 2)], 4),
+    (["^", [["&", [["L", 0, False], ["L", 1, False]]],
+            ["&", [["L", 0, True], ["F", [1]]]]]],
+     [(0, 1)], 2),
+]
+
+
 def test_v1_shard_round_trips_into_the_arena():
-    rng = random.Random(31)
-    for _ in range(10):
-        function = random_positive_dnf(rng, rng.randint(3, 7),
-                                       rng.randint(2, 6), (1, 3))
-        tree = compile_dnf(function)
-        # Legacy nested-list encoding (what a v1 store shard holds).
-        decoded = decode_tree(encode_tree_v1(tree))
-        assert trees_equal(tree, decoded)
+    for encoded, clauses, size in _V1_TREES:
+        function = DNF(clauses, domain=range(size))
+        decoded = decode_tree(encoded)
         # The decoded tree feeds the arena losslessly...
         assert arena_banzhaf(arena_of(decoded)) == \
-            seed.exaban_all_recursive(tree)
-        # ...and re-encodes deterministically in the v2 column format.
-        assert encode_tree(decoded) == encode_tree(tree)
-        assert decode_tree(encode_tree(decoded)) is not None
+            seed.exaban_all_recursive(decoded) == \
+            banzhaf_all_brute_force(function)
+        # ...and round-trips through the v2 column format.
+        assert trees_equal(decode_tree(encode_tree(decoded)), decoded)
 
 
 def test_arena_shapley_values_are_fractions():

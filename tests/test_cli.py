@@ -319,6 +319,23 @@ class TestCacheCommand:
                    output=output) == 0
         assert "loaded" in output.getvalue()
 
+    def test_every_action_releases_the_store(self, csv_relations, tmp_path):
+        # One process, one directory: an action that kept the writer lock
+        # would make the next one exit 2 with StoreLockedError.
+        r_path, s_path = csv_relations
+        store_dir = str(tmp_path / "store")
+        save = ["cache", "save", "--store", store_dir,
+                "--facts", f"R={r_path}", "--facts", f"S={s_path}",
+                "--query", "Q(X) :- R(X), S(X, Y)"]
+        for argv in (save, ["cache", "stats", "--store", store_dir],
+                     ["cache", "load", "--store", store_dir],
+                     ["cache", "warm", "--store", store_dir],
+                     ["cache", "compact", "--store", store_dir],
+                     ["cache", "stats", "--store", store_dir]):
+            output = io.StringIO()
+            assert run(argv, output=output) == 0, (argv, output.getvalue())
+        assert json.loads(output.getvalue())["mode"] == "rw"
+
     def test_save_topk_requires_k(self, csv_relations, tmp_path):
         r_path, _ = csv_relations
         with pytest.raises(SystemExit):

@@ -27,6 +27,7 @@ from repro.dtree.nodes import (
     TrueLeaf,
     pretty_print,
 )
+from repro.engine.artifact import complete_compilation
 from repro.workloads.generators import random_positive_dnf
 
 
@@ -201,7 +202,7 @@ class TestIncremental:
 
     def test_expansion_reaches_completion(self, example9_dnf):
         compiler = IncrementalCompiler(example9_dnf)
-        compiler.expand_to_completion()
+        complete_compilation(compiler, CompilationBudget())
         assert compiler.is_complete()
         compiler.root.validate()
         assert model_count(compiler.root) == count_models(example9_dnf)

@@ -76,7 +76,7 @@ class TestTreeCodec:
         assert trees_equal(clone, compiler.root)
         # Expanding the original must not leak into the clone.
         before = encode_tree(clone)
-        compiler.expand_to_completion()
+        complete_compilation(compiler, CompilationBudget())
         assert encode_tree(clone) == before
 
     @pytest.mark.parametrize("bad", [

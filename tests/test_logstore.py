@@ -23,9 +23,22 @@ from repro.engine.logstore import (
     open_store,
     resolve_store,
 )
-from repro.engine.store import DiskStore, MemoryStore, encode_key
+from repro.engine.store import (
+    DiskStore,
+    MemoryStore,
+    encode_entry,
+    encode_key,
+)
 
-from tests.test_store import _artifact, _canonical_key, _entry, _key
+from tests.test_store import (
+    _artifact,
+    _canonical_key,
+    _entry,
+    _key,
+    _snapshot,
+    _write_shard,
+    _write_tree_shard,
+)
 
 
 def _keys(count, method="approximate"):
@@ -179,6 +192,30 @@ class TestLogStoreEviction:
             assert len(store) == 1
             assert store.artifact_count() == 1
 
+    def test_bytes_flushed_counts_appended_records_and_tombstones(
+            self, tmp_path):
+        log_path = tmp_path / "store.log"
+        with LogStore(str(tmp_path), max_entries=2,
+                      auto_compact=False) as store:
+            for keys in (_keys(2), _keys(5)[2:]):
+                before = (store.stats()["bytes_flushed"],
+                          os.path.getsize(log_path))
+                for key in keys:
+                    store.put(key, _entry())
+                store.put_artifact(_canonical_key(), _artifact())
+                store.flush()  # the second flush also appends tombstones
+                grown = os.path.getsize(log_path) - before[1]
+                assert grown > 0
+                assert store.stats()["bytes_flushed"] - before[0] == grown
+            assert len(store) == 2
+        sharded = open_store(str(tmp_path / "sharded"), shards=2)
+        for key in _keys(4):
+            sharded.put(key, _entry())
+        sharded.flush()
+        assert sharded.stats()["bytes_flushed"] == sum(
+            shard.bytes_flushed for shard in sharded.stores) > 0
+        sharded.close()
+
 
 class TestLogStoreCompaction:
     def test_compaction_reclaims_garbage_and_keeps_live_data(self, tmp_path):
@@ -321,13 +358,13 @@ class TestShardedStore:
     def test_sharded_log_roundtrip_across_handles(self, tmp_path):
         keys = _keys(16)
         store = ShardedStore.open(
-            [str(tmp_path / f"root-{i}") for i in range(3)], backend="log")
+            [str(tmp_path / f"root-{i}") for i in range(3)])
         for key in keys:
             store.put(key, _entry())
         store.flush()
         store.close()
         reopened = ShardedStore.open(
-            [str(tmp_path / f"root-{i}") for i in range(3)], backend="log")
+            [str(tmp_path / f"root-{i}") for i in range(3)])
         assert all(reopened.get(key) == _entry() for key in keys)
         assert reopened.compact() >= 0  # fans out, all shards support it
         reopened.close()
@@ -335,65 +372,57 @@ class TestShardedStore:
 
 class TestBackendSelection:
     def test_open_store_backends(self, tmp_path):
-        disk = open_store(str(tmp_path / "d"), backend="disk")
-        assert isinstance(disk, DiskStore)
-        log = open_store(str(tmp_path / "l"), backend="log")
+        log = open_store(str(tmp_path / "l"))
         assert isinstance(log, LogStore)
         log.close()
-        sharded = open_store(str(tmp_path / "s"), backend="log", shards=3)
+        sharded = open_store(str(tmp_path / "s"), shards=3)
         assert isinstance(sharded, ShardedStore)
         assert len(sharded.stores) == 3
+        assert all(isinstance(shard, LogStore) for shard in sharded.stores)
         sharded.close()
         with pytest.raises(ValueError):
-            open_store(str(tmp_path / "x"), backend="lmdb")
+            open_store(str(tmp_path / "x"), shards=0)
 
     def test_resolve_store_passthrough_and_paths(self, tmp_path):
         memory = MemoryStore()
         assert resolve_store(memory) is memory
         assert resolve_store(None) is None
-        opened = resolve_store(str(tmp_path / "l"), "log")
+        opened = resolve_store(str(tmp_path / "l"))
         assert isinstance(opened, LogStore)
         opened.close()
-        assert isinstance(resolve_store(str(tmp_path / "d")), DiskStore)
 
     def test_engine_config_opens_and_serves_the_backend(self, tmp_path):
         from repro.boolean.dnf import DNF
 
         lineage = DNF([(0, 1), (1, 2)], domain=range(3))
-        config = EngineConfig(store=str(tmp_path), store_backend="log")
-        engine = Engine(config)
-        # The engine wraps the opened backend in its resilience proxy.
+        engine = Engine(EngineConfig(store=str(tmp_path)))
+        # The engine wraps the opened store in its resilience proxy.
         assert isinstance(engine.store.inner, LogStore)
         (first,) = engine.attribute_lineages([lineage])
         engine.store.close()
 
-        warm = Engine(EngineConfig(store=str(tmp_path),
-                                   store_backend="log"))
+        warm = Engine(EngineConfig(store=str(tmp_path)))
         (second,) = warm.attribute_lineages([lineage])
         assert warm.stats.store_hits == 1
         assert second.values == first.values
         warm.store.close()
 
-    def test_engine_config_rejects_bad_backend_combinations(self):
-        with pytest.raises(ValueError):
-            EngineConfig(store_backend="log")  # backend without a path
-        with pytest.raises(ValueError):
-            EngineConfig(store=MemoryStore(), store_backend="log")
-        with pytest.raises(ValueError):
-            EngineConfig(store="somewhere", store_backend="lmdb")
-
 
 class TestMigration:
     def test_disk_to_log_migration_is_exact(self, tmp_path):
-        keys = _keys(8)
-        source = DiskStore(str(tmp_path / "disk"))
-        for key in keys:
-            source.put(key, _entry())
-        source.put_artifact(_canonical_key(), _artifact())
-        source.flush()
+        from repro.engine.artifact import encode_artifact
 
-        destination = open_store(str(tmp_path / "log"), backend="log",
-                                 shards=2)
+        keys = _keys(8)
+        legacy = tmp_path / "disk"
+        legacy.mkdir()
+        _write_shard(legacy, "shard-0000.json",
+                     {encode_key(key): (stamp, encode_entry(_entry()))
+                      for stamp, key in enumerate(keys)})
+        _write_tree_shard(legacy,
+                          {_canonical_key(): encode_artifact(_artifact())})
+        source = DiskStore(str(legacy))
+
+        destination = open_store(str(tmp_path / "log"), shards=2)
         results, artifacts = migrate_store(source, destination)
         assert (results, artifacts) == (8, 1)
         destination.close()
@@ -401,8 +430,7 @@ class TestMigration:
         # The source stays fully readable, and the migrated entries
         # round-trip bit-identically.
         assert all(source.get(key) == _entry() for key in keys)
-        reopened = open_store(str(tmp_path / "log"), backend="log",
-                              shards=2)
+        reopened = open_store(str(tmp_path / "log"), shards=2)
         for key in keys:
             loaded = reopened.get(key)
             assert loaded == _entry()
@@ -410,3 +438,74 @@ class TestMigration:
                        for v in loaded.values.values())
         assert reopened.artifact_count() == 1
         reopened.close()
+
+    def test_cli_migrates_a_legacy_directory_losslessly(self, tmp_path):
+        import io
+
+        from repro.boolean.dnf import DNF
+        from repro.cli import run
+        from repro.dtree.compile import compile_dnf
+        from repro.dtree.serialize import trees_equal
+
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        entry = ('{"method_used": "exact", "converged": true, '
+                 '"values": [[0, "3/7"], [1, "12345678901234567890/3"], '
+                 '[2, "-1/2"]], "bounds": [[0, [1, 5]], [1, [2, 2]]]}')
+        files = {
+            "meta.json": '{"version": 1, "stamp": 2, "tree_stamp": 2}',
+            # A canonical key and a raw-float (pre-canonical) epsilon key.
+            "shard-0000.json":
+                '{"version": 1, "entries": {'
+                '"[3,[[0,1],[1,2]],\\"exact\\",null,null]": '
+                '{"stamp": 1, "entry": ' + entry + '}}}',
+            "shard-0001.json":
+                '{"version": 1, "entries": {'
+                '"[3,[[0,1],[1,2]],\\"approximate\\",0.1,null]": '
+                '{"stamp": 2, "entry": ' + entry + '}}}',
+            "shard-0002.json": '{"version": 1, "entries": {"[3,',
+            # A v1 (nested-list) and a v2 (arena-column) tree shard.
+            "trees-0000.json":
+                '{"version": 1, "entries": {"[3,[[0,1],[1,2]]]": '
+                '{"stamp": 1, "entry": {"complete": true, '
+                '"shannon_steps": 0, "expansion_steps": 0, "tree": '
+                '["&", [["L", 1, false], ["|", [["L", 0, false], '
+                '["L", 2, false]]]]]}}}}',
+            "trees-0001.json":
+                '{"version": 2, "entries": {"[4,[[0,1],[2],[3]]]": '
+                '{"stamp": 2, "entry": {"complete": true, '
+                '"shannon_steps": 0, "expansion_steps": 0, "tree": '
+                '{"v": 2, "kinds": [2, 2, 4, 2, 2, 5], '
+                '"arity": [0, 0, 2, 0, 0, 3], '
+                '"lits": [[0, false], [1, false], [2, false], '
+                '[3, false]], "doms": [], "dnfs": []}}}}}',
+        }
+        for name, content in files.items():
+            (legacy / name).write_text(content, encoding="utf-8")
+        before = _snapshot(legacy)
+
+        output = io.StringIO()
+        assert run(["cache", "migrate", "--store", str(legacy),
+                    "--dest", str(tmp_path / "new")], output=output) == 0
+        assert "migrated 2 cache entries and 2 compiled artifacts" \
+            in output.getvalue()
+        assert "corrupt_shards: 1" in output.getvalue()
+        assert _snapshot(legacy) == before  # the legacy directory is untouched
+
+        with LogStore(str(tmp_path / "new")) as migrated:
+            expected = _entry()
+            for key in (_key(),
+                        _key(method="approximate", epsilon=Fraction(0.1))):
+                loaded = migrated.get(key)
+                assert loaded == expected
+                assert all(type(value) is Fraction
+                           and (value.numerator, value.denominator)
+                           == (expected.values[variable].numerator,
+                               expected.values[variable].denominator)
+                           for variable, value in loaded.values.items())
+            v1 = migrated.get_artifact((3, ((0, 1), (1, 2))))
+            assert v1.complete and trees_equal(
+                v1.root, compile_dnf(DNF([(0, 1), (1, 2)])))
+            v2 = migrated.get_artifact((4, ((0, 1), (2,), (3,))))
+            assert v2.complete and trees_equal(
+                v2.root, compile_dnf(DNF([(0, 1), (2,), (3,)])))

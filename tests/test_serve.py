@@ -8,8 +8,9 @@ import pytest
 
 from repro import Database
 from repro.engine import EngineConfig
+from repro.engine.logstore import LogStore
 from repro.engine.serve import AttributionService, serve_jsonl
-from repro.engine.store import DiskStore, MemoryStore
+from repro.engine.store import MemoryStore
 
 
 @pytest.fixture
@@ -144,44 +145,45 @@ class TestSharedTiers:
 
     def test_store_shared_across_methods_and_restart(self, database,
                                                      tmp_path):
-        store = DiskStore(str(tmp_path))
-        service = AttributionService(database, store=store)
-        service.submit({"op": "attribute", "query": QUERY,
-                        "method": "exact"})
-        service.submit({"op": "topk", "query": QUERY, "k": 1})
-        service.flush()
+        with LogStore(str(tmp_path)) as store:
+            service = AttributionService(database, store=store)
+            service.submit({"op": "attribute", "query": QUERY,
+                            "method": "exact"})
+            service.submit({"op": "topk", "query": QUERY, "k": 1})
+            service.flush()
 
-        restarted = AttributionService(
-            database, store=DiskStore(str(tmp_path)))
-        restarted.submit({"op": "attribute", "query": QUERY,
-                          "method": "exact"})
-        restarted.submit({"op": "topk", "query": QUERY, "k": 1})
+        with LogStore(str(tmp_path)) as store:
+            restarted = AttributionService(database, store=store)
+            restarted.submit({"op": "attribute", "query": QUERY,
+                              "method": "exact"})
+            restarted.submit({"op": "topk", "query": QUERY, "k": 1})
         assert restarted.stats_counters.store_hits > 0
         assert restarted.stats_counters.compilations == 0
 
     def test_warm_start_preloads_memory(self, database, tmp_path):
-        store = DiskStore(str(tmp_path))
-        cold = AttributionService(database, store=store)
-        cold.submit({"op": "attribute", "query": QUERY})
-        cold.flush()
+        with LogStore(str(tmp_path)) as store:
+            cold = AttributionService(database, store=store)
+            cold.submit({"op": "attribute", "query": QUERY})
+            cold.flush()
 
-        warm = AttributionService(database,
-                                  store=DiskStore(str(tmp_path)),
-                                  warm_start=True)
-        assert warm.warm_loaded > 0
-        warm.submit({"op": "attribute", "query": QUERY})
+        with LogStore(str(tmp_path)) as store:
+            warm = AttributionService(database, store=store,
+                                      warm_start=True)
+            assert warm.warm_loaded > 0
+            warm.submit({"op": "attribute", "query": QUERY})
         assert warm.stats_counters.store_hits == 0  # memory had it already
         assert warm.stats_counters.cache_misses == 0
 
     def test_warm_values_identical_to_cold(self, database, tmp_path):
-        cold = AttributionService(database, store=DiskStore(str(tmp_path)))
-        cold_response = cold.submit({"op": "attribute", "query": QUERY,
-                                     "method": "exact"})
-        cold.flush()
-        warm = AttributionService(database,
-                                  store=DiskStore(str(tmp_path)))
-        warm_response = warm.submit({"op": "attribute", "query": QUERY,
-                                     "method": "exact"})
+        with LogStore(str(tmp_path)) as store:
+            cold = AttributionService(database, store=store)
+            cold_response = cold.submit({"op": "attribute", "query": QUERY,
+                                         "method": "exact"})
+            cold.flush()
+        with LogStore(str(tmp_path)) as store:
+            warm = AttributionService(database, store=store)
+            warm_response = warm.submit({"op": "attribute", "query": QUERY,
+                                         "method": "exact"})
         assert warm_response["answers"] == cold_response["answers"]
 
     def test_save_and_load_cache(self, database):
@@ -197,15 +199,15 @@ class TestSharedTiers:
 
 class TestStatsReport:
     def test_stats_shape(self, database, tmp_path):
-        service = AttributionService(database,
-                                     store=DiskStore(str(tmp_path)))
-        service.submit({"op": "attribute", "query": QUERY})
-        report = service.stats()
+        with LogStore(str(tmp_path)) as store:
+            service = AttributionService(database, store=store)
+            service.submit({"op": "attribute", "query": QUERY})
+            report = service.stats()
         assert report["requests_served"] == 1
         assert report["request_errors"] == 0
         assert set(report["tier_hit_rates"]) == {"memory", "store",
                                                  "compute"}
-        assert report["store"]["backend"] == "disk"
+        assert report["store"]["backend"] == "log"
         assert "auto" in report["engines"]
 
     def test_stats_without_store(self, database):

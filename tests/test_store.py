@@ -9,6 +9,7 @@ import pytest
 from repro.boolean.dnf import DNF
 from repro.engine import Engine, EngineConfig
 from repro.engine.cache import CachedAttribution, LineageCache
+from repro.engine.logstore import LogStore, migrate_store
 from repro.engine.store import (
     STORE_FORMAT_VERSION,
     DiskStore,
@@ -84,145 +85,97 @@ class TestMemoryStore:
         assert store.stats()["entries"] == 1
 
 
+def _write_shard(directory, name, entries, version=STORE_FORMAT_VERSION):
+    """Write one legacy shard file: ``{encoded key: (stamp, entry)}``."""
+    document = {"version": version,
+                "entries": {encoded: {"stamp": stamp, "entry": entry}
+                            for encoded, (stamp, entry) in entries.items()}}
+    (directory / name).write_text(json.dumps(document), encoding="utf-8")
+
+
+def _snapshot(directory):
+    """Every file under ``directory`` with its bytes."""
+    return {name: (directory / name).read_bytes()
+            for name in sorted(os.listdir(directory))}
+
+
 class TestDiskStore:
+    """The read-only reader of legacy sharded-JSON store directories."""
+
     def test_roundtrip_across_handles(self, tmp_path):
         key, entry = _key(), _entry()
-        writer = DiskStore(str(tmp_path), shards=4)
-        writer.put(key, entry)
-        writer.flush()
-        reader = DiskStore(str(tmp_path), shards=4)
-        loaded = reader.get(key)
-        assert loaded == entry
-        assert all(isinstance(v, Fraction) for v in loaded.values.values())
+        _write_shard(tmp_path, "shard-0002.json",
+                     {encode_key(key): (1, encode_entry(entry))})
+        for _handle in range(2):
+            loaded = DiskStore(str(tmp_path)).get(key)
+            assert loaded == entry
+            assert all(isinstance(v, Fraction)
+                       for v in loaded.values.values())
 
     def test_unflushed_puts_are_not_durable(self, tmp_path):
-        writer = DiskStore(str(tmp_path))
-        writer.put(_key(), _entry())
+        reader = DiskStore(str(tmp_path))
+        reader.put(_key(), _entry())
+        reader.put_artifact(_canonical_key(), _artifact())
+        assert reader.get(_key()) is None
+        reader.flush()  # a no-op: flushed puts are not durable either
         assert DiskStore(str(tmp_path)).get(_key()) is None
-        writer.flush()
-        assert DiskStore(str(tmp_path)).get(_key()) == _entry()
+        assert reader.stats()["dropped_writes"] == 2
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        store = DiskStore(str(tmp_path), shards=2)
-        for index in range(10):
-            store.put(_key(clauses=((0, 1), (1, 2), (index % 3, 2))),
-                      _entry())
-        store.flush()
-        leftovers = [name for name in os.listdir(tmp_path)
-                     if name.startswith(".tmp-")]
-        assert leftovers == []
+        # The reader writes nothing at all: no temp file, no meta.json,
+        # not one byte of an existing shard changes.
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_key()): (1, encode_entry(_entry()))})
+        (tmp_path / "shard-0001.json").write_text("{ damaged",
+                                                  encoding="utf-8")
+        before = _snapshot(tmp_path)
+        reader = DiskStore(str(tmp_path))
+        reader.put(_key(method="rank"), _entry())
+        reader.flush()
+        assert dict(reader.items()) == {_key(): _entry()}
+        reader.stats()
+        assert _snapshot(tmp_path) == before
 
     def test_corrupted_shard_is_ignored(self, tmp_path):
         key, entry = _key(), _entry()
-        store = DiskStore(str(tmp_path), shards=1)
-        store.put(key, entry)
-        store.flush()
-        shard_path = tmp_path / "shard-0000.json"
-        shard_path.write_text("{ this is not json", encoding="utf-8")
-        reader = DiskStore(str(tmp_path), shards=1)
-        assert reader.get(key) is None  # treated as empty, no crash
+        other = _key(clauses=((0, 2), (1, 2)))
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(key): (1, encode_entry(entry))})
+        (tmp_path / "shard-0001.json").write_text("{ this is not json",
+                                                  encoding="utf-8")
+        reader = DiskStore(str(tmp_path))
+        assert reader.get(key) == entry  # the intact shard still serves
+        assert reader.get(other) is None  # damage reads as empty
         assert reader.stats()["corrupt_shards"] == 1
-        # The store remains usable: a new put/flush overwrites the damage.
-        reader.put(key, entry)
-        reader.flush()
-        assert DiskStore(str(tmp_path), shards=1).get(key) == entry
 
     def test_structurally_invalid_shard_is_ignored(self, tmp_path):
-        store = DiskStore(str(tmp_path), shards=1)
-        (tmp_path / "shard-0000.json").write_text(
-            json.dumps({"version": STORE_FORMAT_VERSION,
-                        "entries": {"[not-a-key]": {"stamp": 1,
-                                                    "entry": {}}}}),
-            encoding="utf-8")
+        # One bad record discards its whole shard, good records included.
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_key()): (1, encode_entry(_entry())),
+                      "[not-a-key]": (2, {})})
+        store = DiskStore(str(tmp_path))
         assert store.get(_key()) is None
         assert store.corrupt_shards == 1
 
     def test_old_format_version_is_ignored(self, tmp_path):
         key, entry = _key(), _entry()
-        store = DiskStore(str(tmp_path), shards=1)
-        store.put(key, entry)
-        store.flush()
-        shard_path = tmp_path / "shard-0000.json"
-        document = json.loads(shard_path.read_text(encoding="utf-8"))
-        document["version"] = STORE_FORMAT_VERSION - 1
-        shard_path.write_text(json.dumps(document), encoding="utf-8")
-        reader = DiskStore(str(tmp_path), shards=1)
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(key): (1, encode_entry(entry))},
+                     version=STORE_FORMAT_VERSION - 1)
+        reader = DiskStore(str(tmp_path))
         assert reader.get(key) is None
         assert reader.stats()["corrupt_shards"] == 1
 
-    def test_eviction_honors_size_bound(self, tmp_path):
-        store = DiskStore(str(tmp_path), max_entries=5, shards=1)
-        keys = [_key(clauses=((0, index % 2), (1, 2), (0, 2))[:2 + index % 2],
-                     epsilon=float(index), method="approximate")
-                for index in range(12)]
-        for key in keys:
-            store.put(key, _entry())
-        store.flush()
-        assert len(store) == 5
-        reader = DiskStore(str(tmp_path), max_entries=5, shards=1)
-        assert len(reader) == 5
-        # Oldest-first: the survivors are exactly the newest five.
-        for key in keys[-5:]:
-            assert reader.get(key) is not None
-        for key in keys[:-5]:
-            assert reader.get(key) is None
-
-    def test_lost_meta_does_not_invert_eviction(self, tmp_path):
-        """Without meta.json, new entries must still outrank old ones.
-
-        If the insertion counter restarted at 0, oldest-first eviction
-        would evict the *fresh* results and keep the stale ones forever.
-        """
-        store = DiskStore(str(tmp_path), max_entries=3, shards=1)
-        old_keys = [_key(epsilon=float(i), method="approximate")
-                    for i in range(3)]
-        for key in old_keys:
-            store.put(key, _entry())
-        store.flush()
-        os.unlink(tmp_path / "meta.json")
-
-        reopened = DiskStore(str(tmp_path), max_entries=3, shards=1)
-        new_key = _key(epsilon=99.0, method="approximate")
-        reopened.put(new_key, _entry())
-        reopened.flush()
-        assert reopened.get(new_key) is not None
-        # The oldest of the original entries was evicted, not the new one.
-        assert reopened.get(old_keys[0]) is None
-        assert reopened.get(old_keys[-1]) is not None
-
-    def test_eviction_bound_respected_across_shards(self, tmp_path):
-        store = DiskStore(str(tmp_path), max_entries=8, shards=4)
-        for index in range(50):
-            store.put(_key(epsilon=float(index), method="approximate"),
-                      _entry())
-        store.flush()
-        assert len(store) <= 8
-
-    def test_tiny_capacity_clamps_shard_count(self, tmp_path):
-        """max_entries < shards must not over-retain one entry per shard."""
-        store = DiskStore(str(tmp_path), max_entries=3, shards=16)
-        assert store.shards == 3
-        for index in range(10):
-            store.put(_key(epsilon=float(index), method="approximate"),
-                      _entry())
-        store.flush()
-        assert len(store) <= 3
-
     def test_stats_report(self, tmp_path):
-        store = DiskStore(str(tmp_path), max_entries=100, shards=4)
-        store.put(_key(), _entry())
-        store.flush()
-        stats = store.stats()
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_key()): (1, encode_entry(_entry()))})
+        stats = DiskStore(str(tmp_path)).stats()
         assert stats["backend"] == "disk"
+        assert stats["mode"] == "ro"
         assert stats["entries"] == 1
         assert stats["format_version"] == STORE_FORMAT_VERSION
-        assert stats["disk_bytes"] > 0
-
-    def test_invalid_capacity_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskStore(str(tmp_path), max_entries=0)
-        with pytest.raises(ValueError):
-            DiskStore(str(tmp_path), shards=0)
+        assert stats["disk_bytes"] == os.path.getsize(
+            tmp_path / "shard-0000.json")
 
 
 class TestSaveLoadHelpers:
@@ -250,14 +203,16 @@ class TestEngineStoreTier:
 
     def test_warm_engine_bit_identical_to_cold(self, tmp_path):
         lineages = self._lineages()
-        cold = Engine(EngineConfig(method="exact",
-                                   store=DiskStore(str(tmp_path))))
-        cold_values = [a.values for a in cold.attribute_lineages(lineages)]
+        with LogStore(str(tmp_path)) as store:
+            cold = Engine(EngineConfig(method="exact", store=store))
+            cold_values = [a.values
+                           for a in cold.attribute_lineages(lineages)]
         # A brand new engine and store handle over the same directory --
         # the restart scenario.
-        warm = Engine(EngineConfig(method="exact",
-                                   store=DiskStore(str(tmp_path))))
-        warm_values = [a.values for a in warm.attribute_lineages(lineages)]
+        with LogStore(str(tmp_path)) as store:
+            warm = Engine(EngineConfig(method="exact", store=store))
+            warm_values = [a.values
+                           for a in warm.attribute_lineages(lineages)]
         assert warm_values == cold_values
         for values in warm_values:
             for value in values.values():
@@ -268,28 +223,27 @@ class TestEngineStoreTier:
 
     def test_store_hit_promotes_to_memory(self, tmp_path):
         lineages = self._lineages()
-        Engine(EngineConfig(method="exact", store=DiskStore(str(tmp_path)))
-               ).attribute_lineages(lineages)
-        warm = Engine(EngineConfig(method="exact",
-                                   store=DiskStore(str(tmp_path))))
-        warm.attribute_lineages(lineages)
-        first_store_hits = warm.stats.store_hits
-        warm.attribute_lineages(lineages)
+        with LogStore(str(tmp_path)) as store:
+            Engine(EngineConfig(method="exact", store=store)
+                   ).attribute_lineages(lineages)
+        with LogStore(str(tmp_path)) as store:
+            warm = Engine(EngineConfig(method="exact", store=store))
+            warm.attribute_lineages(lineages)
+            first_store_hits = warm.stats.store_hits
+            warm.attribute_lineages(lineages)
         # The second pass is pure memory: no further store lookups hit.
         assert warm.stats.store_hits == first_store_hits
         assert warm.stats.cache_hits >= len(lineages)
 
     def test_corrupted_store_recomputes_without_crash(self, tmp_path):
         lineages = self._lineages()
-        cold = Engine(EngineConfig(method="exact",
-                                   store=DiskStore(str(tmp_path))))
-        expected = [a.values for a in cold.attribute_lineages(lineages)]
-        for name in os.listdir(tmp_path):
-            if name.startswith("shard-"):
-                (tmp_path / name).write_text("garbage", encoding="utf-8")
-        warm = Engine(EngineConfig(method="exact",
-                                   store=DiskStore(str(tmp_path))))
-        values = [a.values for a in warm.attribute_lineages(lineages)]
+        with LogStore(str(tmp_path)) as store:
+            cold = Engine(EngineConfig(method="exact", store=store))
+            expected = [a.values for a in cold.attribute_lineages(lineages)]
+        (tmp_path / "store.log").write_bytes(b"garbage")
+        with LogStore(str(tmp_path)) as store:
+            warm = Engine(EngineConfig(method="exact", store=store))
+            values = [a.values for a in warm.attribute_lineages(lineages)]
         assert values == expected
         assert warm.stats.store_hits == 0
         assert warm.stats.compilations > 0
@@ -298,12 +252,12 @@ class TestEngineStoreTier:
         lineages = self._lineages()
         engine = Engine(EngineConfig(method="exact"))
         expected = [a.values for a in engine.attribute_lineages(lineages)]
-        store = DiskStore(str(tmp_path))
-        written = engine.save_cache(store)
-        assert written == len(engine.cache.results.snapshot())
+        with LogStore(str(tmp_path)) as store:
+            written = engine.save_cache(store)
+            assert written == len(engine.cache.results.snapshot())
 
-        fresh = Engine(EngineConfig(method="exact"))
-        loaded = fresh.load_cache(store)
+            fresh = Engine(EngineConfig(method="exact"))
+            loaded = fresh.load_cache(store)
         assert loaded == written
         values = [a.values for a in fresh.attribute_lineages(lineages)]
         assert values == expected
@@ -317,17 +271,18 @@ class TestEngineStoreTier:
 
     def test_ranking_results_persist_per_epsilon_and_k(self, tmp_path):
         lineage = DNF([(0, 1), (1, 2), (0, 2)], domain=range(3))
-        cold = Engine(EngineConfig(method="topk", k=2, epsilon=0.1,
-                                   store=DiskStore(str(tmp_path))))
-        cold.attribute_lineages([lineage])
-        warm = Engine(EngineConfig(method="topk", k=2, epsilon=0.1,
-                                   store=DiskStore(str(tmp_path))))
-        warm.attribute_lineages([lineage])
+        with LogStore(str(tmp_path)) as store:
+            Engine(EngineConfig(method="topk", k=2, epsilon=0.1,
+                                store=store)).attribute_lineages([lineage])
+        with LogStore(str(tmp_path)) as store:
+            warm = Engine(EngineConfig(method="topk", k=2, epsilon=0.1,
+                                       store=store))
+            warm.attribute_lineages([lineage])
+            # A different k is a different key: no false sharing.
+            other_k = Engine(EngineConfig(method="topk", k=1, epsilon=0.1,
+                                          store=store))
+            other_k.attribute_lineages([lineage])
         assert warm.stats.store_hits == 1
-        # A different k is a different key: no false sharing.
-        other_k = Engine(EngineConfig(method="topk", k=1, epsilon=0.1,
-                                      store=DiskStore(str(tmp_path))))
-        other_k.attribute_lineages([lineage])
         assert other_k.stats.store_hits == 0
 
 
@@ -380,43 +335,44 @@ class TestEpsilonCanonicalization:
 
     def test_legacy_float_keyed_shards_stay_readable(self, tmp_path):
         """A shard written with raw-float epsilons must keep serving."""
-        import zlib
-
         key, entry = _key(method="approximate", epsilon=0.1), _entry()
-        # Forge the pre-canonical on-disk form: epsilon as a JSON float,
-        # routed by the CRC of that legacy encoding.
+        # Forge the pre-canonical on-disk form: epsilon as a JSON float.
         (num_variables, clauses), method, epsilon, k = key
         legacy = json.dumps(
             [num_variables, [list(c) for c in clauses], method, 0.1, k],
             separators=(",", ":"))
-        shards = 4
-        index = zlib.crc32(legacy.encode("utf-8")) % shards
-        from repro.engine.store import encode_entry as _encode_entry
-        (tmp_path / f"shard-{index:04d}.json").write_text(
-            json.dumps({"version": STORE_FORMAT_VERSION,
-                        "entries": {legacy: {"stamp": 1,
-                                             "entry": _encode_entry(entry)}}}),
-            encoding="utf-8")
+        assert legacy != encode_key(key)
+        _write_shard(tmp_path, "shard-0003.json",
+                     {legacy: (1, encode_entry(entry))})
 
-        store = DiskStore(str(tmp_path), shards=shards)
-        assert store.get(key) == entry          # legacy fallback lookup
-        store.flush()                           # migration persisted
-        migrated = DiskStore(str(tmp_path), shards=shards)
-        assert migrated.get(key) == entry
-        # After migration the canonical encoding serves directly.
-        canonical = encode_key(key)
-        canonical_index = zlib.crc32(canonical.encode("utf-8")) % shards
-        document = json.loads(
-            (tmp_path / f"shard-{canonical_index:04d}.json").read_text())
-        assert canonical in document["entries"]
+        reader = DiskStore(str(tmp_path))
+        assert reader.get(key) == entry  # re-keyed canonically on load
+        # Migrated, the entry lives under the canonical encoding.
+        with LogStore(str(tmp_path / "log")) as destination:
+            assert migrate_store(reader, destination) == (1, 0)
+        with LogStore(str(tmp_path / "log")) as reopened:
+            assert reopened.get(key) == entry
 
     def test_items_normalize_legacy_keys(self, tmp_path):
         key, entry = _key(method="approximate", epsilon=0.25), _entry()
-        store = DiskStore(str(tmp_path), shards=1)
-        store.put(key, entry)
-        store.flush()
-        for decoded_key, _value in DiskStore(str(tmp_path), shards=1).items():
+        legacy = json.dumps([3, [[0, 1], [1, 2]], "approximate", 0.25, None])
+        _write_shard(tmp_path, "shard-0000.json",
+                     {legacy: (1, encode_entry(entry))})
+        items = list(DiskStore(str(tmp_path)).items())
+        assert items == [(key, entry)]
+        for decoded_key, _value in items:
             assert isinstance(decoded_key[2], Fraction)
+
+
+def _write_tree_shard(directory, entries, version=2,
+                      name="trees-0000.json"):
+    """Write one legacy tree shard: ``{canonical key: encoded artifact}``."""
+    from repro.engine.store import encode_canonical_key
+
+    _write_shard(directory, name,
+                 {encode_canonical_key(key): (stamp, entry)
+                  for stamp, (key, entry) in enumerate(entries.items(), 1)},
+                 version=version)
 
 
 class TestArtifactTier:
@@ -431,114 +387,75 @@ class TestArtifactTier:
 
     def test_disk_store_artifact_roundtrip_across_handles(self, tmp_path):
         from repro.dtree.serialize import trees_equal
+        from repro.engine.artifact import encode_artifact
 
         key = _canonical_key()
-        for artifact in (_artifact(complete=True),
-                         _artifact(complete=False)):
-            writer = DiskStore(str(tmp_path / str(artifact.complete)))
-            writer.put_artifact(key, artifact)
-            writer.flush()
-            reader = DiskStore(str(tmp_path / str(artifact.complete)))
-            loaded = reader.get_artifact(key)
-            assert loaded is not None
-            assert loaded.complete == artifact.complete
-            assert trees_equal(loaded.root, artifact.root)
+        partial = _artifact(complete=False,
+                            function=DNF([(0, 1), (1, 2), (2, 3), (3, 0)]))
+        assert not partial.complete
+        for artifact in (_artifact(complete=True), partial):
+            directory = tmp_path / str(artifact.complete)
+            directory.mkdir()
+            _write_tree_shard(directory, {key: encode_artifact(artifact)})
+            for _handle in range(2):
+                loaded = DiskStore(str(directory)).get_artifact(key)
+                assert loaded is not None
+                assert loaded.complete == artifact.complete
+                assert trees_equal(loaded.root, artifact.root)
 
     def test_legacy_v1_tree_shard_reads_losslessly(self, tmp_path):
         # A shard written by a pre-arena deployment: format version 1,
-        # trees in the legacy nested-list encoding.  The store must read
-        # it losslessly (ARTIFACT_COMPAT_VERSIONS), serve the artifact,
-        # and rewrite the shard in the current format on the next flush.
+        # trees in the legacy nested-list encoding.  The reader must
+        # decode it losslessly (ARTIFACT_COMPAT_VERSIONS).
         from repro.dtree.compile import compile_dnf
-        from repro.dtree.serialize import encode_tree_v1, trees_equal
-        from repro.engine.store import encode_canonical_key
+        from repro.dtree.serialize import trees_equal
 
-        function = DNF([(0, 1), (1, 2)], domain=range(3))
-        tree = compile_dnf(function)
         key = _canonical_key()
-        document = {
-            "version": 1,
-            "entries": {
-                encode_canonical_key(key): {
-                    "stamp": 1,
-                    "entry": {
-                        "complete": True,
-                        "shannon_steps": 0,
-                        "expansion_steps": 0,
-                        "tree": encode_tree_v1(tree),
-                    },
-                },
-            },
-        }
-        os.makedirs(tmp_path, exist_ok=True)
-        (tmp_path / "trees-0000.json").write_text(json.dumps(document),
-                                                  encoding="utf-8")
+        _write_tree_shard(tmp_path, {key: {
+            "complete": True,
+            "shannon_steps": 0,
+            "expansion_steps": 0,
+            "tree": ["&", [["L", 1, False],
+                           ["|", [["L", 0, False], ["L", 2, False]]]]],
+        }}, version=1)
 
-        reader = DiskStore(str(tmp_path), tree_shards=1)
+        reader = DiskStore(str(tmp_path))
         loaded = reader.get_artifact(key)
         assert loaded is not None and loaded.complete
-        assert trees_equal(loaded.root, tree)
+        expected = compile_dnf(DNF([(0, 1), (1, 2)], domain=range(3)))
+        assert trees_equal(loaded.root, expected)
         assert reader.corrupt_shards == 0
-        # Touch the shard and flush: it is rewritten at the current
-        # version and stays readable (now through the v2 decoder).
-        reader.put_artifact(_canonical_key(clauses=((0,), (1, 2))),
-                            _artifact())
-        reader.flush()
-        from repro.engine.artifact import ARTIFACT_FORMAT_VERSION
-        rewritten = json.loads(
-            (tmp_path / "trees-0000.json").read_text(encoding="utf-8"))
-        assert rewritten["version"] == ARTIFACT_FORMAT_VERSION
-        reloaded = DiskStore(str(tmp_path), tree_shards=1).get_artifact(key)
-        assert reloaded is not None and trees_equal(reloaded.root, tree)
 
     def test_corrupted_tree_shard_is_ignored(self, tmp_path):
-        key, artifact = _canonical_key(), _artifact()
-        store = DiskStore(str(tmp_path), tree_shards=1)
-        store.put_artifact(key, artifact)
-        store.flush()
+        key = _canonical_key()
         (tmp_path / "trees-0000.json").write_text("{ nope", encoding="utf-8")
-        reader = DiskStore(str(tmp_path), tree_shards=1)
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_key()): (1, encode_entry(_entry()))})
+        reader = DiskStore(str(tmp_path))
         assert reader.get_artifact(key) is None
         assert reader.corrupt_shards == 1
         # Result shards are unaffected by tree-shard damage.
-        reader.put(_key(), _entry())
-        reader.flush()
-        assert DiskStore(str(tmp_path), tree_shards=1).get(_key()) == _entry()
+        assert reader.get(_key()) == _entry()
 
     def test_tampered_tree_is_rejected_not_crashing(self, tmp_path):
+        from repro.engine.artifact import encode_artifact
+
         key, artifact = _canonical_key(), _artifact()
-        store = DiskStore(str(tmp_path), tree_shards=1)
-        store.put_artifact(key, artifact)
-        store.flush()
-        path = tmp_path / "trees-0000.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
-        record = next(iter(document["entries"].values()))
-        record["entry"]["complete"] = not record["entry"]["complete"]
-        path.write_text(json.dumps(document), encoding="utf-8")
-        reader = DiskStore(str(tmp_path), tree_shards=1)
+        entry = encode_artifact(artifact)
+        entry["complete"] = not entry["complete"]
+        _write_tree_shard(tmp_path, {key: entry})
+        reader = DiskStore(str(tmp_path))
         assert reader.get_artifact(key) is None
         assert reader.corrupt_shards == 1
 
-    def test_artifact_eviction_honors_bound(self, tmp_path):
-        store = DiskStore(str(tmp_path), max_artifacts=3, tree_shards=1)
-        keys = [_canonical_key(clauses=((0, 1), (1, 2), (0, index % 3)))
-                for index in range(3)]
-        keys += [_canonical_key(clauses=((0, index),))
-                 for index in range(1, 4)]
-        for index, key in enumerate(keys):
-            store.put_artifact(key, _artifact(
-                function=DNF([(0, 1), (1, 2)], domain=range(3 + index))))
-        store.flush()
-        assert store.artifact_count() <= 3
-        reader = DiskStore(str(tmp_path), max_artifacts=3, tree_shards=1)
-        assert reader.artifact_count() <= 3
-
     def test_stats_report_per_kind(self, tmp_path):
-        store = DiskStore(str(tmp_path))
-        store.put(_key(), _entry())
-        store.put_artifact(_canonical_key(), _artifact())
-        store.flush()
-        stats = store.stats()
+        from repro.engine.artifact import encode_artifact
+
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_key()): (1, encode_entry(_entry()))})
+        _write_tree_shard(tmp_path,
+                          {_canonical_key(): encode_artifact(_artifact())})
+        stats = DiskStore(str(tmp_path)).stats()
         kinds = stats["kinds"]
         assert kinds["results"]["entries"] == 1
         assert kinds["compiled_trees"]["entries"] == 1
@@ -571,15 +488,16 @@ class TestArtifactTier:
         # 8 variables: the first round alone costs 8 bound evaluations,
         # so a 20-step budget allows a couple of expansions (a
         # non-trivial, persistable frontier) but not convergence.
-        starved = Engine(EngineConfig(method="rank", epsilon=None,
-                                      max_shannon_steps=20,
-                                      store=DiskStore(str(tmp_path))))
-        (partial,) = starved.attribute_lineages([lineage])
+        with LogStore(str(tmp_path)) as store:
+            starved = Engine(EngineConfig(method="rank", epsilon=None,
+                                          max_shannon_steps=20, store=store))
+            (partial,) = starved.attribute_lineages([lineage])
         assert starved.stats.partial_results == 1
 
-        warm = Engine(EngineConfig(method="rank", epsilon=None,
-                                   store=DiskStore(str(tmp_path))))
-        (full,) = warm.attribute_lineages([lineage])
+        with LogStore(str(tmp_path)) as store:
+            warm = Engine(EngineConfig(method="rank", epsilon=None,
+                                       store=store))
+            (full,) = warm.attribute_lineages([lineage])
         assert warm.stats.artifact_store_hits == 1
         assert warm.stats.artifact_resumes == 1
         assert warm.stats.tree_compilations == 0
@@ -590,93 +508,3 @@ class TestArtifactTier:
         exact = banzhaf_all_brute_force(lineage)
         for variable, (lo, hi) in full.bounds.items():
             assert lo <= exact[variable] <= hi
-
-
-class TestDiskStoreWriteAmplification:
-    """Regression tests pinning DiskStore's flush/eviction write costs.
-
-    The log backend exists because rewriting whole shards per flush does
-    not scale; these pin the DiskStore fixes that shrink the damage for
-    deployments that stay on it: one dirty entry rewrites exactly one
-    shard, identical re-puts write nothing, and sizing a reopened store
-    reads meta.json instead of parsing every shard file.
-    """
-
-    def _fill(self, store, count, method="approximate"):
-        for i in range(count):
-            store.put(_key(method=method, epsilon=Fraction(i + 1, 997)),
-                      _entry())
-        store.flush()
-
-    def test_single_new_entry_rewrites_exactly_one_shard(self, tmp_path):
-        store = DiskStore(str(tmp_path), shards=8)
-        self._fill(store, 64)
-        baseline_writes = store.flush_writes
-        store.put(_key(method="approximate", epsilon=Fraction(1, 99991)),
-                  _entry())
-        store.flush()
-        assert store.flush_writes == baseline_writes + 1
-
-    def test_identical_reput_is_a_noop_flush(self, tmp_path):
-        store = DiskStore(str(tmp_path), shards=8)
-        key, entry = _key(), _entry()
-        store.put(key, entry)
-        store.flush()
-        baseline_writes = store.flush_writes
-        baseline_bytes = store.bytes_flushed
-        # Re-putting byte-identical content must not dirty any shard:
-        # the flush rewrites nothing.
-        store.put(key, CachedAttribution(
-            method_used=entry.method_used, values=dict(entry.values),
-            bounds=dict(entry.bounds), converged=entry.converged))
-        store.flush()
-        assert store.flush_writes == baseline_writes
-        assert store.bytes_flushed == baseline_bytes
-        # A genuinely different value still flushes.
-        store.put(key, _entry(converged=False))
-        store.flush()
-        assert store.flush_writes == baseline_writes + 1
-
-    def test_reopened_store_sizes_without_loading_shards(self, tmp_path):
-        writer = DiskStore(str(tmp_path), shards=8)
-        self._fill(writer, 64)
-        writer.put_artifact(_canonical_key(), _artifact())
-        writer.flush()
-
-        reader = DiskStore(str(tmp_path), shards=8)
-        assert len(reader) == 64
-        assert reader.artifact_count() == 1
-        assert reader.stats()["entries"] == 64
-        # meta.json's per-shard counts answered all of that; no shard
-        # file was parsed.
-        assert reader.shard_loads == 0
-
-    def test_legacy_meta_without_counts_still_sizes_correctly(self, tmp_path):
-        writer = DiskStore(str(tmp_path), shards=8)
-        self._fill(writer, 32)
-        meta_path = os.path.join(str(tmp_path), "meta.json")
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        del meta["shard_counts"]
-        del meta["tree_shard_counts"]
-        with open(meta_path, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-
-        reader = DiskStore(str(tmp_path), shards=8)
-        assert len(reader) == 32          # falls back to loading
-        assert reader.shard_loads > 0
-
-    def test_stale_meta_count_self_heals_on_load(self, tmp_path):
-        writer = DiskStore(str(tmp_path), shards=1)
-        self._fill(writer, 4)
-        meta_path = os.path.join(str(tmp_path), "meta.json")
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        meta["shard_counts"]["0"] = 9999  # crash-torn meta
-        with open(meta_path, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-
-        reader = DiskStore(str(tmp_path), shards=1)
-        assert len(reader) == 9999        # advisory count, knowingly stale
-        reader.get(_key(method="approximate", epsilon=Fraction(1, 997)))
-        assert len(reader) == 4           # corrected by the actual load

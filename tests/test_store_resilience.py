@@ -3,8 +3,8 @@
 The persistent store is an optimization, so infrastructure failures
 must degrade it, never the requests: this file drives real ``ENOSPC``/
 ``EIO`` faults (via :mod:`repro.reliability.faults`) into
-:class:`DiskStore` and :class:`LogStore` and pins the recovery
-contract at each layer:
+:class:`LogStore` and the legacy :class:`DiskStore` reader and pins the
+recovery contract at each layer:
 
 * a failed flush never loses acked data, and a retry after the fault
   clears persists everything that was pending;
@@ -28,7 +28,7 @@ from repro.cli import run as cli_run
 from repro.engine import EngineConfig
 from repro.engine.logstore import LogStore, StoreLockedError
 from repro.engine.serve import AttributionService
-from repro.engine.store import DiskStore
+from repro.engine.store import DiskStore, encode_entry, encode_key
 from repro.reliability import (
     CircuitBreaker,
     FaultInjected,
@@ -39,7 +39,7 @@ from repro.reliability import (
 )
 from repro.reliability.breaker import OPEN
 
-from tests.test_store import _entry, _key
+from tests.test_store import _entry, _key, _write_shard
 
 
 def _fast_wrap(store, *, attempts=3, threshold=5, counters=None):
@@ -53,22 +53,10 @@ def _fast_wrap(store, *, attempts=3, threshold=5, counters=None):
 
 
 class TestDiskStoreTransients:
-    def test_enospc_on_flush_recovers_on_retry(self, tmp_path):
-        counters = []
-        store = _fast_wrap(DiskStore(str(tmp_path)), counters=counters)
-        key, entry = _key(), _entry()
-        store.put(key, entry)
-        with faults.installed({"rules": [{"site": "store.flush",
-                                          "errno": "ENOSPC", "times": 1}]}):
-            store.flush()  # first attempt hits ENOSPC, the retry lands
-        assert {"store_retries": 1} in counters
-        assert DiskStore(str(tmp_path)).get(key) == entry
-
     def test_read_fault_degrades_to_miss_then_recovers(self, tmp_path):
-        inner = DiskStore(str(tmp_path))
         key, entry = _key(), _entry()
-        inner.put(key, entry)
-        inner.flush()
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(key): (1, encode_entry(entry))})
         store = _fast_wrap(DiskStore(str(tmp_path)), attempts=1)
         with faults.installed({"rules": [{"site": "store.read",
                                           "errno": "EIO", "times": 1}]}):
@@ -77,6 +65,19 @@ class TestDiskStoreTransients:
 
 
 class TestLogStoreTransients:
+    def test_enospc_on_flush_recovers_on_retry(self, tmp_path):
+        counters = []
+        store = _fast_wrap(LogStore(str(tmp_path)), counters=counters)
+        key, entry = _key(), _entry()
+        store.put(key, entry)
+        with faults.installed({"rules": [{"site": "store.flush",
+                                          "errno": "ENOSPC", "times": 1}]}):
+            store.flush()  # first attempt hits ENOSPC, the retry lands
+        assert {"store_retries": 1} in counters
+        store.close()
+        with LogStore(str(tmp_path)) as reopened:
+            assert reopened.get(key) == entry
+
     def test_failed_append_preserves_acked_data_and_pending(self, tmp_path):
         store = LogStore(str(tmp_path))
         first_key, second_key = _key(), _key(clauses=((0, 2), (1, 2)))
@@ -204,10 +205,8 @@ class TestCliStoreFailures:
         store_dir = str(tmp_path / "store")
         holder = LogStore(store_dir)
         try:
-            for argv in (["cache", "load", "--store", store_dir,
-                          "--store-backend", "log"],
-                         ["cache", "compact", "--store", store_dir,
-                          "--store-backend", "log"]):
+            for argv in (["cache", "load", "--store", store_dir],
+                         ["cache", "compact", "--store", store_dir]):
                 output = io.StringIO()
                 assert cli_run(argv, output=output) == 2
                 row = json.loads(output.getvalue())
@@ -226,7 +225,7 @@ class TestCliStoreFailures:
             output = io.StringIO()
             code = cli_run(["serve", "--facts", f"R={facts}",
                             "--requests", str(requests),
-                            "--store", store_dir, "--store-backend", "log"],
+                            "--store", store_dir],
                            output=output)
         finally:
             holder.close()
@@ -253,7 +252,6 @@ class TestCliStoreFailures:
         code = cli_run(["serve", "--facts", f"R={facts}",
                         "--requests", str(requests),
                         "--store", str(tmp_path / "store"),
-                        "--store-backend", "log",
                         "--store-retries", "0",
                         "--breaker-threshold", "0"],
                        output=output)

@@ -1,12 +1,14 @@
 """Thread-safety tests for the engine's shared mutable state.
 
 The concurrent front-end hits :class:`EngineStats` (every counter bump)
-and the cache tiers (:class:`DiskStore` put/flush) from many worker
+and the cache tiers (:class:`LogStore` put/flush) from many worker
 threads at once.  These tests race exactly those operations behind a
 barrier -- so every thread contends on the same instant -- and assert
 that not a single update is lost.  Under the pre-``bump()`` code
 (``stats.cache_hits += 1`` read-modify-write), the counter test loses
-increments reliably at this contention level.
+increments reliably at this contention level.  The legacy
+:class:`DiskStore` reader, which counts the writes it drops, gets the
+same race.
 """
 
 import threading
@@ -16,6 +18,7 @@ import pytest
 
 from repro.engine.cache import CachedAttribution
 from repro.engine.stats import COUNTER_FIELDS, EngineStats
+from repro.engine.logstore import LogStore
 from repro.engine.store import DiskStore
 
 pytestmark = pytest.mark.concurrency
@@ -103,57 +106,106 @@ class TestEngineStats:
         assert target.answers == (THREADS - 1) * ROUNDS
 
 
-class TestDiskStore:
-    @staticmethod
-    def _key(seed):
-        return ((3, ((0, seed % 3), (1, 2))), "exact", None, seed)
+def _store_key(seed):
+    return ((3, ((0, seed % 3), (1, 2))), "exact", None, seed)
 
-    @staticmethod
-    def _entry(seed):
-        return CachedAttribution(
-            method_used="exact",
-            values={0: Fraction(seed, 7), 1: Fraction(1, seed + 1)},
-            bounds={},
-            converged=True,
-        )
 
+def _store_entry(seed):
+    return CachedAttribution(
+        method_used="exact",
+        values={0: Fraction(seed, 7), 1: Fraction(1, seed + 1)},
+        bounds={},
+        converged=True,
+    )
+
+
+class TestLogStore:
     def test_concurrent_put_and_flush_lose_nothing(self, tmp_path):
-        store = DiskStore(str(tmp_path / "store"))
+        store = LogStore(str(tmp_path / "store"))
         per_thread = 25
 
         def worker(index):
             for i in range(per_thread):
                 seed = index * per_thread + i
-                store.put(self._key(seed), self._entry(seed))
+                store.put(_store_key(seed), _store_entry(seed))
                 if i % 5 == 0:
                     store.flush()  # flush races against other puts
 
         _race(worker)
-        store.flush()
+        store.close()
 
         # Everything survives a cold reload from disk.
-        reloaded = DiskStore(str(tmp_path / "store"))
-        assert len(reloaded) == THREADS * per_thread
-        for seed in range(THREADS * per_thread):
-            entry = reloaded.get(self._key(seed))
-            assert entry is not None
-            assert entry.values[0] == Fraction(seed, 7)
+        with LogStore(str(tmp_path / "store")) as reloaded:
+            assert len(reloaded) == THREADS * per_thread
+            for seed in range(THREADS * per_thread):
+                entry = reloaded.get(_store_key(seed))
+                assert entry is not None
+                assert entry.values[0] == Fraction(seed, 7)
 
     def test_concurrent_readers_and_writers(self, tmp_path):
-        store = DiskStore(str(tmp_path / "store"))
+        store = LogStore(str(tmp_path / "store"))
         for seed in range(20):
-            store.put(self._key(seed), self._entry(seed))
+            store.put(_store_key(seed), _store_entry(seed))
         store.flush()
 
         def worker(index):
             for i in range(50):
                 if index % 2:
                     seed = 20 + index * 50 + i
-                    store.put(self._key(seed), self._entry(seed))
+                    store.put(_store_key(seed), _store_entry(seed))
                 else:
-                    entry = store.get(self._key(i % 20))
+                    entry = store.get(_store_key(i % 20))
                     assert entry is not None
 
         _race(worker)
         store.flush()
         assert len(store) == 20 + (THREADS // 2) * 50
+        store.close()
+
+
+class TestDiskStore:
+    """The legacy reader: concurrent reads, and no dropped write uncounted."""
+
+    @staticmethod
+    def _reader(tmp_path, count):
+        from repro.engine.store import encode_entry, encode_key
+
+        from tests.test_store import _write_shard
+
+        _write_shard(tmp_path, "shard-0000.json",
+                     {encode_key(_store_key(seed)):
+                      (seed, encode_entry(_store_entry(seed)))
+                      for seed in range(count)})
+        return DiskStore(str(tmp_path))
+
+    def test_concurrent_put_and_flush_lose_nothing(self, tmp_path):
+        store = self._reader(tmp_path, 20)
+        per_thread = 25
+
+        def worker(index):
+            for i in range(per_thread):
+                seed = 20 + index * per_thread + i
+                store.put(_store_key(seed), _store_entry(seed))
+                if i % 5 == 0:
+                    store.flush()  # a no-op, racing the puts
+
+        _race(worker)
+        assert store.stats()["dropped_writes"] == THREADS * per_thread
+        assert len(store) == 20
+        assert len(DiskStore(str(tmp_path))) == 20
+
+    def test_concurrent_readers_and_writers(self, tmp_path):
+        store = self._reader(tmp_path, 20)
+
+        def worker(index):
+            for i in range(50):
+                if index % 2:
+                    seed = 20 + index * 50 + i
+                    store.put(_store_key(seed), _store_entry(seed))
+                else:
+                    entry = store.get(_store_key(i % 20))
+                    assert entry == _store_entry(i % 20)
+
+        _race(worker)
+        assert store.dropped_writes == (THREADS // 2) * 50
+        assert len(store) == 20
