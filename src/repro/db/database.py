@@ -8,16 +8,28 @@ for granted and contribute the constant 1 to the lineage.
 
 The :class:`Database` also acts as the registry mapping endogenous facts to
 consecutive integer variable ids (the variables of the lineage DNF) and back.
+
+Each stored row carries its fact's variable id, and the database caches the
+hash indexes the query evaluator joins through, one per (relation, key
+positions).  Relations are append-only, so an index records how many rows
+it covers; the first lookup after its relation has grown rebuilds it, and
+:meth:`Database.add_fact` does no index work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.db.schema import RelationSymbol, Schema
 
 Value = object
+Row = Tuple[Value, ...]
+#: A row with its fact's lineage variable id (``None`` if exogenous).
+Entry = Tuple[Row, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -36,8 +48,17 @@ class Fact:
         return len(self.values)
 
 
+def key_getter(positions: Sequence[int]) -> Callable[[Sequence[Value]], object]:
+    """The index key of a row: its value at one position, the tuple of its
+    values at several, ``()`` at none."""
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
 class Database:
     """An in-memory database with endogenous/exogenous facts.
+
+    It supports one writer alongside concurrent readers, without locks:
+    an index lookup sees every fact added before it began.
 
     Parameters
     ----------
@@ -48,11 +69,13 @@ class Database:
 
     def __init__(self, schema: Optional[Schema] = None) -> None:
         self.schema = schema if schema is not None else Schema()
-        self._rows: Dict[str, List[Tuple[Value, ...]]] = {}
+        self._rows: Dict[str, List[Entry]] = {}
         self._endogenous: Dict[Fact, int] = {}
         self._exogenous: set[Fact] = set()
         self._by_variable: Dict[int, Fact] = {}
         self._next_variable = 0
+        self._indexes: Dict[Tuple[str, Tuple[int, ...]],
+                            Tuple[int, Dict[object, List[Entry]]]] = {}
 
     # ------------------------------------------------------------------ #
     # Fact insertion
@@ -84,7 +107,7 @@ class Database:
                     "endogenous/exogenous status"
                 )
             return fact
-        self._rows.setdefault(relation, []).append(fact.values)
+        variable = None
         if endogenous:
             variable = self._next_variable
             self._next_variable += 1
@@ -92,6 +115,7 @@ class Database:
             self._by_variable[variable] = fact
         else:
             self._exogenous.add(fact)
+        self._rows.setdefault(relation, []).append((fact.values, variable))
         return fact
 
     def add_facts(self, relation: str, rows: Iterable[Sequence[Value]],
@@ -104,9 +128,28 @@ class Database:
     # Lookup
     # ------------------------------------------------------------------ #
 
-    def rows(self, relation: str) -> Sequence[Tuple[Value, ...]]:
+    def rows(self, relation: str) -> Sequence[Row]:
         """All rows of a relation (empty if the relation has no facts)."""
-        return tuple(self._rows.get(relation, ()))
+        return tuple(row for row, _ in self._rows.get(relation, ()))
+
+    def index(self, relation: str, positions: Tuple[int, ...]
+              ) -> Dict[object, List[Entry]]:
+        """The cached hash index of ``relation`` on ``positions`` (within its
+        arity): each :func:`key_getter` key to its rows' entries in relation
+        order.  Read-only.  The row count it covers is read before the build
+        and the index published with one assignment, so concurrent readers at
+        worst build it twice and never get one missing an earlier row."""
+        rows = self._rows.get(relation, ())
+        count = len(rows)
+        cached = self._indexes.get((relation, positions))
+        if cached is not None and cached[0] == count:
+            return cached[1]
+        key = key_getter(positions)
+        index: Dict[object, List[Entry]] = {}
+        for entry in islice(rows, count):
+            index.setdefault(key(entry[0]), []).append(entry)
+        self._indexes[(relation, positions)] = (count, index)
+        return index
 
     def relations(self) -> List[str]:
         """Names of relations with at least one fact."""

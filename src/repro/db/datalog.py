@@ -13,6 +13,7 @@ The grammar is intentionally tiny:
   selections ``Var op const``;
 * terms starting with an upper-case letter are variables, quoted strings and
   numbers are constants;
+* a quoted constant may contain ``,``, ``;``, ``(`` and ``)``;
 * ``;`` separates disjuncts of a union query (all with the same head).
 """
 
@@ -29,7 +30,8 @@ from repro.db.query import (
     UnionQuery,
 )
 
-_ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*\(([^)]*)\)\s*")
+_ATOM_RE = re.compile(
+    r"""\s*([A-Za-z_][A-Za-z_0-9]*)\s*\(((?:[^()'"]|'[^']*'|"[^"]*")*)\)\s*""")
 _SELECTION_RE = re.compile(
     r"\s*([A-Z][A-Za-z_0-9]*)\s*(<=|>=|!=|<>|==|=|<|>)\s*(.+?)\s*$"
 )
@@ -67,27 +69,28 @@ def _parse_constant(text: str) -> object:
     return value
 
 
-def _split_body(body: str) -> List[str]:
-    """Split the body on commas that are not inside parentheses."""
+def _split(text: str, separator: str) -> List[str]:
+    """Split ``text`` on each ``separator`` outside quotes and parentheses."""
     parts: List[str] = []
-    depth = 0
-    current = []
-    for char in body:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
+    depth, quote, start = 0, "", 0
+    for at, char in enumerate(text):
+        if quote:
+            quote = "" if char == quote else quote
+        elif char in "'\"":
+            quote = char
+        elif char in "()":
+            depth += 1 if char == "(" else -1
             if depth < 0:
-                raise QueryParseError("unbalanced parentheses in query body")
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if depth != 0:
-        raise QueryParseError("unbalanced parentheses in query body")
-    parts.append("".join(current))
-    return [part for part in parts if part.strip()]
+                raise QueryParseError("unbalanced parentheses in query")
+        elif char == separator and depth == 0:
+            parts.append(text[start:at])
+            start = at + 1
+    if quote:
+        raise QueryParseError(f"unterminated string constant in {text!r}")
+    if depth:
+        raise QueryParseError("unbalanced parentheses in query")
+    parts.append(text[start:])
+    return parts
 
 
 def _parse_head(head: str) -> Tuple[str, Tuple[QueryVariable, ...]]:
@@ -98,7 +101,7 @@ def _parse_head(head: str) -> Tuple[str, Tuple[QueryVariable, ...]]:
     if not inner:
         return name, ()
     variables = []
-    for part in inner.split(","):
+    for part in _split(inner, ","):
         term = _parse_term(part)
         if not isinstance(term, QueryVariable):
             raise QueryParseError("head terms must be variables")
@@ -114,11 +117,11 @@ def parse_cq(text: str) -> ConjunctiveQuery:
     name, head = _parse_head(head_text)
     atoms: List[Atom] = []
     selections: List[Selection] = []
-    for part in _split_body(body_text):
+    for part in filter(str.strip, _split(body_text, ",")):
         atom_match = _ATOM_RE.fullmatch(part)
         if atom_match:
             relation, inner = atom_match.group(1), atom_match.group(2)
-            terms = tuple(_parse_term(t) for t in inner.split(",")) if inner.strip() else ()
+            terms = tuple(_parse_term(t) for t in _split(inner, ",")) if inner.strip() else ()
             atoms.append(Atom(relation, terms))
             continue
         selection_match = _SELECTION_RE.fullmatch(part)
@@ -137,7 +140,7 @@ def parse_cq(text: str) -> ConjunctiveQuery:
 
 def parse_query(text: str) -> Union[ConjunctiveQuery, UnionQuery]:
     """Parse a query; ``;`` separates the disjuncts of a union."""
-    rules = [part for part in text.split(";") if part.strip()]
+    rules = list(filter(str.strip, _split(text, ";")))
     if not rules:
         raise QueryParseError("empty query string")
     queries = [parse_cq(rule) for rule in rules]

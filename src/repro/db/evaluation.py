@@ -1,33 +1,34 @@
 """Query evaluation producing answer tuples and their groundings.
 
-The evaluator is a straightforward nested-loop/semi-naive join over the
-in-memory relations.  Besides the answer tuples it returns, for every answer,
-the list of *groundings*: total assignments of the query variables to
-constants under which every atom is matched by a database fact.  Each
-grounding corresponds to one clause of the answer's lineage (Example 6 of the
-paper), so the lineage builder consumes groundings directly.
+Each conjunctive query is planned once per call: its atoms are joined in the
+greedy order of :func:`_orderly_atoms`, each looked up in a hash index on its
+constants and the variables bound by earlier atoms.  A variable repeated
+inside one atom becomes an equality check on the row, and a selection is
+checked as soon as its variable is bound.  The indexes are cached on the
+:class:`Database` and their buckets keep relation order, so groundings come
+out in nested-loop order (atom by atom in plan order, each atom's rows in
+relation order) and answers in the order of their first grounding.
 
-Atoms are matched against both endogenous and exogenous facts; the
-distinction only matters when the lineage is built.
+A grounding -- a total assignment of the query variables under which every
+atom matches a fact, endogenous or exogenous -- is one clause of the
+answer's lineage (Example 6 of the paper).  :func:`evaluate_query` returns
+groundings as objects; :mod:`repro.db.lineage` takes the clauses straight
+from :func:`joined_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.db.database import Database, Fact
-from repro.db.query import (
-    Atom,
-    ConjunctiveQuery,
-    Query,
-    QueryVariable,
-    UnionQuery,
-    as_union,
-)
+from repro.db.database import Database, Entry, Fact, key_getter
+from repro.db.query import Atom, ConjunctiveQuery, Query, QueryVariable, as_union
 
 Value = object
-Binding = Dict[QueryVariable, Value]
+#: A partial grounding: its binding -- the query's key constants, then the
+#: rows joined so far, concatenated -- and those rows' entries.
+Partial = Tuple[Tuple[Value, ...], Tuple[Entry, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,31 +54,6 @@ class AnswerTuple:
         return f"AnswerTuple({self.values}, {len(self.groundings)} groundings)"
 
 
-def _match_atom(atom: Atom, row: Sequence[Value],
-                binding: Binding) -> Binding | None:
-    """Try to extend ``binding`` so that ``atom`` matches ``row``."""
-    if len(row) != len(atom.terms):
-        return None
-    extended = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, QueryVariable):
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extended
-
-
-class _Unbound:
-    """Sentinel distinct from any database value (including None)."""
-
-
-_UNBOUND = _Unbound()
-
-
 def _orderly_atoms(query: ConjunctiveQuery) -> List[Atom]:
     """Order atoms to bind variables early (simple greedy join order).
 
@@ -100,71 +76,117 @@ def _orderly_atoms(query: ConjunctiveQuery) -> List[Atom]:
     return ordered
 
 
-def _selections_hold(query: ConjunctiveQuery, binding: Binding) -> bool:
-    return all(
-        selection.holds(binding[selection.variable])
-        for selection in query.selections
-        if selection.variable in binding
-    )
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[Value]], tuple]:
+    """The values at ``indices`` of a sequence, always as a tuple."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return itemgetter(*indices) if indices else lambda values: ()
 
 
-def evaluate_cq(query: ConjunctiveQuery, database: Database) -> List[AnswerTuple]:
-    """Evaluate a conjunctive query, returning answers with their groundings.
+class _Plan:
+    """The join of one conjunctive query: its atoms in join order, each
+    looked up by the values of its key positions."""
 
-    For a Boolean query the single possible answer is the empty tuple; it is
-    returned iff the query is satisfied, with all its groundings.
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        atoms = _orderly_atoms(query)
+        self.relations = tuple(a.relation for a in atoms)
+        self.constants = tuple(term for a in atoms for term in a.terms
+                               if not isinstance(term, QueryVariable))
+        slots: Dict[QueryVariable, int] = {}  # first binding slot of each
+        constant_slot, offset = 0, len(self.constants)
+        self.steps = []
+        for current in atoms:
+            keyed: List[Tuple[int, int]] = []  # (position, binding slot)
+            equal: List[Tuple[int, int]] = []  # (first position, position)
+            for position, term in enumerate(current.terms):
+                if not isinstance(term, QueryVariable):  # constant: a key
+                    keyed.append((position, constant_slot))
+                    constant_slot += 1
+                elif slots.get(term, offset) < offset:  # bound earlier: a key
+                    keyed.append((position, slots[term]))
+                elif term in slots:  # repeated in this atom: an equality
+                    equal.append((slots[term] - offset, position))
+                else:  # first occurrence: bound by this atom's row
+                    slots[term] = offset + position
+            tests = [(slots[s.variable] - offset, s.holds)
+                     for s in query.selections
+                     if slots.get(s.variable, -1) >= offset]
+            self.steps.append((
+                current.relation, len(current.terms),
+                tuple(position for position, _ in keyed),
+                key_getter([slot for _, slot in keyed]), equal, tests))
+            offset += len(current.terms)
+        self.head = _tuple_getter([slots[v] for v in query.head])
+        self.names = sorted((v.name, slot) for v, slot in slots.items())
+
+    def groundings(self, database: Database) -> Iterator[Partial]:
+        """Every grounding as its binding and its rows in plan order."""
+        schema = database.schema
+        partials: Iterable[Partial] = ((self.constants, ()),)
+        for relation, arity, positions, key, equal, tests in self.steps:
+            if (relation not in schema
+                    or schema.relation(relation).arity != arity):
+                return iter(())
+            bucket = database.index(relation, positions).get
+            partials = _extend(partials, bucket, key, equal, tests)
+        return iter(partials)
+
+
+def _extend(partials: Iterable[Partial], bucket: Callable, key: Callable,
+            equal: List[Tuple[int, int]], tests: list) -> Iterator[Partial]:
+    """Join one more atom onto each partial grounding, lazily and in order:
+    its rows with the partial's key, then its repeated-variable equalities,
+    then its selections."""
+    for binding, entries in partials:
+        for entry in bucket(key(binding), ()):
+            row = entry[0]
+            if equal and any(row[first] != row[at] for first, at in equal):
+                continue
+            if tests and not all(holds(row[at]) for at, holds in tests):
+                continue
+            yield binding + row, entries + (entry,)
+
+
+def joined_rows(query: Query, database: Database
+                ) -> Iterator[Tuple[Tuple[Value, ...], Tuple[Entry, ...]]]:
+    """Every grounding of a CQ or UCQ as its answer values and its rows.
+
+    Each row comes with its fact's lineage variable id (``None`` for an
+    exogenous fact).  Disjuncts are joined in order.
     """
-    atoms = _orderly_atoms(query)
-    answers: Dict[Tuple[Value, ...], AnswerTuple] = {}
-
-    def recurse(index: int, binding: Binding, used: List[Fact]) -> None:
-        if index == len(atoms):
-            if not _selections_hold(query, binding):
-                return
-            key = tuple(binding[v] for v in query.head)
-            answer = answers.get(key)
-            if answer is None:
-                answer = AnswerTuple(values=key, groundings=[])
-                answers[key] = answer
-            named_binding = tuple(sorted(
-                (variable.name, value) for variable, value in binding.items()
-            ))
-            answer.groundings.append(
-                Grounding(binding=named_binding, facts=tuple(used))
-            )
-            return
-        current = atoms[index]
-        for row in database.rows(current.relation):
-            extended = _match_atom(current, row, binding)
-            if extended is None:
-                continue
-            # Prune early on selections whose variable is already bound.
-            if not _selections_hold(query, extended):
-                continue
-            fact = Fact(current.relation, tuple(row))
-            recurse(index + 1, extended, used + [fact])
-
-    recurse(0, {}, [])
-    return list(answers.values())
+    for disjunct in as_union(query).disjuncts:
+        plan = _Plan(disjunct)
+        for binding, entries in plan.groundings(database):
+            yield plan.head(binding), entries
 
 
 def evaluate_query(query: Query, database: Database) -> List[AnswerTuple]:
-    """Evaluate a CQ or UCQ; groundings of all disjuncts are merged per tuple."""
-    union = as_union(query)
-    merged: Dict[Tuple[Value, ...], AnswerTuple] = {}
-    for disjunct in union.disjuncts:
-        for answer in evaluate_cq(disjunct, database):
-            existing = merged.get(answer.values)
-            if existing is None:
-                merged[answer.values] = answer
-            else:
-                existing.groundings.extend(answer.groundings)
-    return list(merged.values())
+    """Evaluate a CQ or UCQ, returning answers with their groundings.
+
+    Groundings of all disjuncts are merged per tuple.  A grounding's
+    binding is sorted by variable name and its facts are in plan order.
+    For a Boolean query the single possible answer is the empty tuple; it
+    is returned iff the query is satisfied, with all its groundings.
+    """
+    answers: Dict[Tuple[Value, ...], AnswerTuple] = {}
+    for disjunct in as_union(query).disjuncts:
+        plan = _Plan(disjunct)
+        for binding, entries in plan.groundings(database):
+            values = plan.head(binding)
+            answer = answers.get(values)
+            if answer is None:
+                answer = answers[values] = AnswerTuple(values, [])
+            answer.groundings.append(Grounding(
+                tuple((name, binding[slot]) for name, slot in plan.names),
+                tuple(Fact(relation, row) for relation, (row, _)
+                      in zip(plan.relations, entries))))
+    return list(answers.values())
 
 
 def boolean_query_holds(query: Query, database: Database) -> bool:
-    """``True`` iff a Boolean query is satisfied by the database."""
+    """``True`` iff a Boolean query is satisfied; stops at the first grounding."""
     union = as_union(query)
     if not union.is_boolean():
         raise ValueError("boolean_query_holds expects a Boolean query")
-    return bool(evaluate_query(union, database))
+    return next(joined_rows(union, database), None) is not None

@@ -8,7 +8,9 @@ the clause); see Section 2 and Example 6 of the paper.
 
 For a non-Boolean query the lineage is computed per answer tuple: each output
 tuple defines a Boolean residual query whose lineage is built from exactly
-the groundings that produced the tuple.
+the groundings that produced the tuple.  The clauses are taken straight from
+the rows the join returns (:func:`repro.db.evaluation.joined_rows`), which
+carry their facts' variable ids; no grounding objects are built.
 
 The variable domain of each lineage is, by default, exactly the variables
 occurring in it.  ``domain="database"`` widens the domain to all endogenous
@@ -22,11 +24,11 @@ paper's prototype does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Literal, Optional, Sequence, Tuple
 
 from repro.boolean.dnf import DNF
-from repro.db.database import Database, Fact
-from repro.db.evaluation import AnswerTuple, evaluate_query
+from repro.db.database import Database
+from repro.db.evaluation import joined_rows
 from repro.db.query import Query, as_union
 
 Value = object
@@ -54,37 +56,24 @@ class EmptyLineageError(Exception):
     """
 
 
-def _clause_of_grounding(facts: Sequence[Fact], database: Database
-                         ) -> Tuple[int, ...] | None:
-    """The clause (variable ids) of one grounding; ``None`` if purely exogenous."""
-    variables = []
-    for fact in facts:
-        if database.is_endogenous(fact):
-            variables.append(database.variable_of(fact))
-    if not variables:
-        return None
-    return tuple(sorted(set(variables)))
+def _clauses_by_answer(query: Query, database: Database) -> Dict[tuple, list]:
+    """Each answer's clauses, in order of the answers' first groundings.
 
-
-def _lineage_from_answers(answer: AnswerTuple, database: Database,
-                          domain: DomainPolicy) -> DNF:
-    clauses: List[Tuple[int, ...]] = []
-    purely_exogenous = False
-    for grounding in answer.groundings:
-        clause = _clause_of_grounding(grounding.facts, database)
-        if clause is None:
-            purely_exogenous = True
-        else:
+    A grounding's clause is the set of variable ids of its endogenous rows;
+    an answer with a purely exogenous grounding maps to ``None``.
+    """
+    answers: Dict[Tuple[Value, ...], Optional[List[FrozenSet[int]]]] = {}
+    for values, entries in joined_rows(query, database):
+        clause = frozenset(variable for _, variable in entries
+                           if variable is not None)
+        clauses = answers.setdefault(values, [])
+        if clauses is None:
+            continue
+        if clause:
             clauses.append(clause)
-    if purely_exogenous:
-        raise EmptyLineageError(
-            f"answer {answer.values} is supported by exogenous facts only"
-        )
-    if not clauses:
-        raise EmptyLineageError(f"answer {answer.values} has no groundings")
-    if domain == "database":
-        return DNF(clauses, domain=database.endogenous_variables())
-    return DNF(clauses)
+        else:
+            answers[values] = None
+    return answers
 
 
 def lineage_of_answers(query: Query, database: Database,
@@ -95,13 +84,13 @@ def lineage_of_answers(query: Query, database: Database,
     Answers whose lineage would be trivially true (purely exogenous support)
     are skipped; Boolean queries that are not satisfied return an empty list.
     """
-    results: List[AnswerLineage] = []
-    for answer in evaluate_query(query, database):
-        try:
-            lineage = _lineage_from_answers(answer, database, domain)
-        except EmptyLineageError:
-            continue
-        results.append(AnswerLineage(values=answer.values, lineage=lineage))
+    variables = (database.endogenous_variables() if domain == "database"
+                 else None)
+    results = [AnswerLineage(values=values,
+                             lineage=DNF(clauses, domain=variables))
+               for values, clauses
+               in _clauses_by_answer(query, database).items()
+               if clauses is not None]
     results.sort(key=lambda entry: tuple(repr(v) for v in entry.values))
     return results
 
@@ -117,10 +106,13 @@ def lineage_of_boolean_query(query: Query, database: Database,
     union = as_union(query)
     if not union.is_boolean():
         raise ValueError("lineage_of_boolean_query expects a Boolean query")
-    answers = evaluate_query(union, database)
+    answers = _clauses_by_answer(union, database)
     if not answers:
         raise EmptyLineageError("the Boolean query is not satisfied")
-    return _lineage_from_answers(answers[0], database, domain)
+    if answers[()] is None:
+        raise EmptyLineageError("answer () is supported by exogenous facts only")
+    return DNF(answers[()], domain=(database.endogenous_variables()
+                                    if domain == "database" else None))
 
 
 def lineage_statistics(lineages: Sequence[AnswerLineage]) -> Dict[str, float]:

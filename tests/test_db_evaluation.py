@@ -13,7 +13,14 @@ from repro.db.lineage import (
     lineage_of_boolean_query,
     lineage_statistics,
 )
-from repro.db.query import ConjunctiveQuery, Selection, UnionQuery, atom, var
+from repro.db.query import (
+    ConjunctiveQuery,
+    Selection,
+    UnionQuery,
+    as_union,
+    atom,
+    var,
+)
 from repro.db.reductions import (
     appendix_d_database,
     appendix_d_query,
@@ -21,6 +28,7 @@ from repro.db.reductions import (
     pp2dnf_to_database,
 )
 from repro.boolean.pp2dnf import PP2DNF
+from repro.engine.serve import AttributionService
 
 
 def _example6_database() -> Database:
@@ -193,6 +201,40 @@ class TestDatalogParser:
             parse_cq("Q(X) :- R(X), ???")
         with pytest.raises(QueryParseError):
             parse_cq("Q(X) :- R(X), X < Y")
+
+    @pytest.mark.parametrize("constant", [
+        "Hello, World", "a;b", "a)b", "a(b", "it's (x, y); z"])
+    def test_quoted_constants_with_separators(self, constant):
+        quoted = f'"{constant}"' if "'" in constant else f"'{constant}'"
+        database = Database()
+        database.add_fact("Movie", ("m1", constant, 2001))
+        database.add_fact("Movie", ("m2", "other", 2002))
+        for text in (f"Q(M) :- Movie(M, {quoted}, Y)",
+                     f"Q(M) :- Movie(M, T, Y), T = {quoted}",
+                     f"Q(M) :- Movie(M, {quoted}, Y) ; Q(M) :- Movie(M, T, Y), "
+                     f"T = {quoted}, Y > 2001"):
+            query = parse_query(text)
+            first = as_union(query).disjuncts[0]
+            assert constant in first.atoms[0].terms or \
+                first.selections[0].constant == constant
+            assert [a.values for a in evaluate_query(query, database)] \
+                == [("m1",)]
+
+    def test_quoted_constant_served(self):
+        database = Database()
+        database.add_fact("Movie", ("m1", "Hello, World", 2001))
+        response = AttributionService(database).submit(
+            {"op": "attribute", "query": "Q(M) :- Movie(M, 'Hello, World', Y)"})
+        assert response["ok"] is True
+        assert [a["answer"] for a in response["answers"]] == [["m1"]]
+
+    def test_unterminated_quote_raises(self):
+        for text in ("Q(M) :- Movie(M, 'Hello, World, Y)",
+                     "Q(M) :- Movie(M, 'a;b, Y) ; Q(M) :- Movie(M, T, Y)",
+                     "Q(M) :- Movie(M, T, Y), T = 'x, y",
+                     "Q(M) :- Movie(M, \"a)b, Y)"):
+            with pytest.raises(QueryParseError):
+                parse_query(text)
 
     def test_parse_and_evaluate_roundtrip(self):
         database = Database()

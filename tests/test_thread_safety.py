@@ -8,14 +8,22 @@ that not a single update is lost.  Under the pre-``bump()`` code
 (``stats.cache_hits += 1`` read-modify-write), the counter test loses
 increments reliably at this contention level.  The legacy
 :class:`DiskStore` reader, which counts the writes it drops, gets the
-same race.
+same race.  A :class:`Database` is raced by query readers against one
+fact writer, which is what it supports.
 """
 
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+from join_reference import reference_answers, reference_lineages
+from repro.db.database import Database
+from repro.db.datalog import parse_query
+from repro.db.evaluation import evaluate_query
+from repro.db.lineage import lineage_of_answers
 from repro.engine.cache import CachedAttribution
 from repro.engine.stats import COUNTER_FIELDS, EngineStats
 from repro.engine.logstore import LogStore
@@ -209,3 +217,57 @@ class TestDiskStore:
         _race(worker)
         assert store.dropped_writes == (THREADS // 2) * 50
         assert len(store) == 20
+
+
+class TestDatabase:
+    def test_readers_see_every_fact_once_the_writer_is_done(self):
+        """Readers evaluate while one writer grows every joined relation.
+
+        Each reader evaluates once more after the writer has finished; that
+        evaluation must equal the nested-loop reference over the grown
+        database, so no index built mid-write is served stale.
+        """
+        query = parse_query("Q(A) :- R(A, B), S(B, C), T(C), C != 'c4'")
+        database = Database()
+        database.add_fact("R", ("a", "b0"))
+        database.add_fact("S", ("b0", "c"))
+        database.add_fact("T", ("c",), endogenous=False)
+        readers, facts = 4, 60
+        written = threading.Event()
+        finals = {}
+
+        def evaluate():
+            return ([(a.values, [(g.binding, g.facts) for g in a.groundings])
+                     for a in evaluate_query(query, database)],
+                    [(e.values, e.lineage.clauses, e.lineage.domain)
+                     for e in lineage_of_answers(query, database)])
+
+        def write():
+            for i in range(facts):  # each fact is new and joins earlier ones
+                relation, row = (("R", (f"a{i}", f"b{i % 5}")),
+                                 ("S", (f"b{i % 5}", f"c{i}")),
+                                 ("T", (f"c{i - 1}",)))[i % 3]
+                database.add_fact(relation, row, endogenous=i % 4 != 0)
+                time.sleep(0.0002)  # let the readers run mid-write
+
+        def worker(index):
+            if index == readers:
+                try:
+                    write()
+                finally:
+                    written.set()
+                return
+            while not written.is_set():
+                evaluate()
+            finals[index] = evaluate()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _race(worker, threads=readers + 1)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = (list(reference_answers(query, database).items()),
+                    reference_lineages(query, database))
+        assert expected[0]
+        assert finals == {index: expected for index in range(readers)}
