@@ -148,9 +148,11 @@ def run_benchmark() -> str:
     # ---- warm restart: resume persisted partial trees ---------------- #
     # Budget-starved certain rankings over cycle lineages (every variable
     # symmetric: separation needs deep expansion) leave partial frontiers
-    # in the store; the warm process must resume, not restart.
+    # in the store; the warm process must resume, not restart.  The cycles
+    # are long enough that 30 bound evaluations end before the batched
+    # expansion completes their trees.
     hard = [DNF([[i, (i + 1) % n] for i in range(n)])
-            for n in (8, 9, 10)]
+            for n in (12, 13, 14)]
     exact_hard = [banzhaf_all_brute_force(function) for function in hard]
     with tempfile.TemporaryDirectory() as directory:
         with LogStore(directory) as store:

@@ -7,18 +7,19 @@ The algorithm maintains a partial d-tree of the lineage.  In each round it
 2. intersects it with the best interval seen so far (each refinement can only
    tighten the interval -- this is the "anytime deterministic" property), and
 3. stops if the interval certifies the requested relative error, otherwise
-   expands one more leaf of the d-tree and repeats.
+   expands the d-tree by one batch of lazy steps and repeats.
 
-Three of the paper's optimizations (Section 3.2.4) are implemented here or in
-the modules this builds on: lazy re-evaluation only after Shannon expansions
-(in :class:`~repro.dtree.incremental.IncrementalCompiler`), per-subtree bound
-caching with path invalidation (in :mod:`repro.core.bounds`), and re-use of
-the partial d-tree across variables (in :func:`adaban_all`).  The fourth
-(deriving the Banzhaf bound from ``#phi`` and ``#phi[x:=0]``) is available as
-an alternative leaf bound and is exercised by the ablation benchmark.
+A batch does about as much expansion work as the evaluation before it, capped
+so the next evaluation costs at most about twice the last (anytime-algorithm
+doubling, in deterministic work units); a complete tree gives exact values off
+one :func:`~repro.core.exaban.exaban_all` pass.  The paper's optimizations
+(Section 3.2.4): (1) lazy expansion (:mod:`repro.dtree.incremental`), (2)
+bound caching with path invalidation and (4) the bound from ``#phi`` and
+``#phi[x:=0]`` at every node (:mod:`repro.core.bounds`), (3) one partial
+d-tree shared across variables (:func:`adaban_all`).
 
-``adaban_trace`` exposes the interval after every refinement step; the
-Figure 5 convergence experiment is built on it.
+``adaban_trace`` keeps one lazy step per evaluation and exposes the interval
+after every step; the Figure 5 convergence experiment is built on it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.boolean.dnf import DNF
-from repro.core.bounds import bounds_for_variable
+from repro.core.bounds import (
+    DeadlineExpired, WorkMeter, bounds_for_variable, check_deadline)
+from repro.core.exaban import exaban_all
 from repro.core.intervals import Interval
 from repro.dtree.heuristics import Heuristic, select_most_frequent
 from repro.dtree.incremental import IncrementalCompiler
+from repro.dtree.nodes import DNFLeaf
 
 
 class ApproximationTimeout(Exception):
@@ -86,6 +90,12 @@ def _initial_interval(function: DNF, variable: int) -> Interval:
     return Interval(0, 1 << max(0, n - 1))
 
 
+#: Cap (b): stop once the next round is predicted to cost this × the last.
+_GROWTH = 2
+#: Nodes replacing a decomposed leaf (Shannon: an exclusive OR, two ANDs).
+_SPLIT = 3
+
+
 class _AnytimeState:
     """Shared partial d-tree plus per-variable best intervals.
 
@@ -94,7 +104,8 @@ class _AnytimeState:
     :class:`~repro.engine.artifact.CompiledLineage` — instead of starting
     from the undecomposed lineage.  The resumed tree must represent the
     same function; refinement then starts from its current frontier, so
-    work a previous run (or process) paid for is never redone.
+    work a previous run (or process) paid for is never redone.  ``work``
+    sums this run's :class:`~repro.core.bounds.WorkMeter` units.
     """
 
     def __init__(self, function: DNF, heuristic: Heuristic,
@@ -104,10 +115,20 @@ class _AnytimeState:
                          else IncrementalCompiler(function,
                                                   heuristic=heuristic))
         self.best: Dict[int, Interval] = {}
+        self.work = 0
 
-    def refine(self, variable: int) -> Interval:
-        """Evaluate bounds for ``variable`` and fold them into the best interval."""
-        node_bounds = bounds_for_variable(self.compiler.root, variable)
+    def refine(self, variable: int,
+               deadline: Optional[float] = None) -> Interval:
+        """Fold fresh bounds for ``variable`` into its best interval.
+
+        Raises :class:`~repro.core.bounds.DeadlineExpired` rather than
+        compute a node bound past ``deadline``.
+        """
+        check_deadline(deadline)  # a fully cached evaluation charges nothing
+        meter = WorkMeter(deadline)
+        node_bounds = bounds_for_variable(self.compiler.root, variable,
+                                          meter=meter)
+        self.work += meter.units
         fresh = Interval(node_bounds.banzhaf_lower, node_bounds.banzhaf_upper)
         previous = self.best.get(variable)
         if previous is None:
@@ -119,6 +140,39 @@ class _AnytimeState:
     def expand(self, lazy: bool = True) -> bool:
         """Expand the partial d-tree by one (lazy) step."""
         return self.compiler.expand_step(lazy=lazy)
+
+    def expand_batch(self, round_work: int, targets: Iterable[int],
+                     deadline: Optional[float]) -> None:
+        """Take lazy steps sized by the evaluation round that just ran.
+
+        After one step, stop once (a) the batch's expansion work reaches
+        ``round_work`` (that round's ``work``), (b) the next round over
+        ``targets`` is predicted to cost ``_GROWTH * round_work``, or (c)
+        the tree is complete.  The prediction charges each node that round
+        must bound once plus twice per target in its domain: ``_SPLIT``
+        nodes per decomposed leaf, and each leaf opened and still open at
+        its clause count.  Past ``deadline`` it raises ``DeadlineExpired``.
+        """
+        compiler = self.compiler
+        targets = frozenset(targets)
+
+        def weight(leaf: DNFLeaf) -> int:
+            return 1 + 2 * len(targets & leaf.domain)
+
+        budget = compiler.expansion_work + round_work
+        before = frontier = set(compiler.nontrivial_leaves())
+        replacing = 0
+        while not compiler.is_complete():
+            check_deadline(deadline)
+            compiler.expand_step(lazy=True)
+            current = set(compiler.nontrivial_leaves())
+            replacing += _SPLIT * sum(map(weight, frontier - current))
+            frontier = current
+            predicted = replacing + sum(leaf.priority[0] * weight(leaf)
+                                        for leaf in current - before)
+            if (compiler.expansion_work >= budget
+                    or predicted >= _GROWTH * round_work):
+                return
 
     def is_complete(self) -> bool:
         """``True`` once the d-tree is complete (bounds are then exact)."""
@@ -135,10 +189,8 @@ def adaban(function: DNF, variable: int, epsilon: float = 0.1,
     exhausted before the error is certified (with ``epsilon=0`` the run
     degenerates into exact computation by full compilation).
     """
-    state = _AnytimeState(function, heuristic)
-    result = _run_for_variable(state, variable, epsilon, max_steps,
-                               timeout_seconds)
-    return result
+    return _run_for_variable(_AnytimeState(function, heuristic), variable,
+                             epsilon, max_steps, _deadline(timeout_seconds))
 
 
 def adaban_all(function: DNF, epsilon: float = 0.1,
@@ -171,64 +223,66 @@ def adaban_over_state(state: _AnytimeState, epsilon: float = 0.1,
     compiler) and to keep the state — and its partial tree — in hand when
     the budget runs out, so the work survives an
     :class:`ApproximationTimeout` instead of dying with the call.
+
+    Once the shared tree is complete, every remaining variable reads its
+    exact value off one :func:`~repro.core.exaban.exaban_all` pass (a point
+    interval, zero refinement steps), and so, at return, does every
+    variable that converged earlier.  The time budget is checked before
+    every node bound and every expansion step.
     """
     if variables is None:
         variables = sorted(state.function.variables)
-    deadline = (time.monotonic() + timeout_seconds
-                if timeout_seconds is not None else None)
-    results: Dict[int, AdaBanResult] = {}
-    for variable in variables:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ApproximationTimeout(
-                    "time budget exhausted before all variables converged"
-                )
-        results[variable] = _run_for_variable(state, variable, epsilon,
-                                              max_steps, remaining)
+    deadline = _deadline(timeout_seconds)
+    results = {variable: _run_for_variable(state, variable, epsilon,
+                                           max_steps, deadline)
+               for variable in variables}
+    if state.is_complete():
+        results = {variable: _exact(state, variable, epsilon,
+                                    result.refinement_steps)
+                   for variable, result in results.items()}
     return results
+
+
+def _deadline(timeout_seconds: Optional[float]) -> Optional[float]:
+    """The monotonic instant ``timeout_seconds`` from now (``None``: never)."""
+    if timeout_seconds is None:
+        return None
+    return time.monotonic() + timeout_seconds
 
 
 def _run_for_variable(state: _AnytimeState, variable: int, epsilon: float,
                       max_steps: Optional[int],
-                      timeout_seconds: Optional[float]) -> AdaBanResult:
-    started = time.monotonic()
+                      deadline: Optional[float]) -> AdaBanResult:
+    """Alternate one-evaluation rounds and batches until done or complete."""
     steps = 0
-    best = None
-    while True:
-        best = state.refine(variable)
-        steps += 1
-        if best.satisfies_relative_error(epsilon):
-            return AdaBanResult(
-                variable=variable,
-                interval=best,
-                epsilon=float(epsilon),
-                estimate=best.approximation(epsilon),
-                converged=True,
-                refinement_steps=steps,
-            )
-        if state.is_complete():
-            # Complete d-tree: the bounds are exact; the error test can only
-            # fail for epsilon = 0 and value 0, which is a point interval.
-            return AdaBanResult(
-                variable=variable,
-                interval=best,
-                epsilon=float(epsilon),
-                estimate=best.midpoint(),
-                converged=best.is_point(),
-                refinement_steps=steps,
-            )
-        if max_steps is not None and steps >= max_steps:
-            raise ApproximationTimeout(
-                f"no convergence within {max_steps} refinement steps"
-            )
-        if (timeout_seconds is not None
-                and time.monotonic() - started > timeout_seconds):
-            raise ApproximationTimeout(
-                f"no convergence within {timeout_seconds} seconds"
-            )
-        state.expand(lazy=True)
+    try:
+        while not state.is_complete():
+            mark = state.work
+            best = state.refine(variable, deadline)
+            steps += 1
+            if best.satisfies_relative_error(epsilon):
+                return AdaBanResult(variable=variable, interval=best,
+                                    epsilon=float(epsilon),
+                                    estimate=best.approximation(epsilon),
+                                    converged=True, refinement_steps=steps)
+            if max_steps is not None and steps >= max_steps:
+                raise ApproximationTimeout(
+                    f"no convergence within {max_steps} refinement steps"
+                )
+            state.expand_batch(state.work - mark, (variable,), deadline)
+    except DeadlineExpired:
+        raise ApproximationTimeout(
+            "no convergence within the time budget") from None
+    return _exact(state, variable, epsilon, steps)
+
+
+def _exact(state: _AnytimeState, variable: int, epsilon: float,
+           steps: int) -> AdaBanResult:
+    """The exact result off a complete tree (``exaban_all`` is memoized)."""
+    value = exaban_all(state.compiler.root).get(variable, 0)
+    return AdaBanResult(variable=variable, interval=Interval.point(value),
+                        epsilon=float(epsilon), estimate=Fraction(value),
+                        converged=True, refinement_steps=steps)
 
 
 def adaban_trace(function: DNF, variable: int,

@@ -15,12 +15,16 @@ path.  All three evaluations are **iterative** (explicit-stack postorder
 that stops descending at cached subtrees), matching the counting passes in
 :mod:`repro.core.exaban`: deep Shannon chains in a partial tree never hit
 the interpreter recursion limit.
+
+A :class:`WorkMeter` counts an evaluation's work in deterministic units, by
+which the anytime schedule sizes its batches, and stops it at a deadline.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.boolean.dnf import ConstantTrue, DNF
 from repro.boolean.idnf import idnf_model_count, lower_idnf, upper_idnf
@@ -36,6 +40,36 @@ from repro.dtree.nodes import (
 )
 
 _COUNT_KEY = "count_bounds"
+
+
+class DeadlineExpired(Exception):
+    """Raised by :func:`check_deadline` once its deadline has passed."""
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`DeadlineExpired` once monotonic ``deadline`` passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise DeadlineExpired("deadline passed")
+
+
+class WorkMeter:
+    """One evaluation's work, and the deadline no node bound is computed past.
+
+    A computed node bound costs 1 unit, a ``DNFLeaf``'s its clause count.
+    """
+
+    __slots__ = ("units", "deadline")
+
+    def __init__(self, deadline: Optional[float] = None) -> None:
+        self.units = 0
+        self.deadline = deadline
+
+
+def _charge(meter: Optional[WorkMeter], node: DTreeNode) -> None:
+    """Charge the bound ``node`` is about to get (checks the deadline)."""
+    if meter is not None:
+        check_deadline(meter.deadline)
+        meter.units += node.priority[0] if isinstance(node, DNFLeaf) else 1
 
 
 @dataclass(frozen=True)
@@ -99,7 +133,8 @@ def _count_bounds_node(node: DTreeNode) -> tuple[int, int]:
     raise TypeError(f"unknown d-tree node type {type(node).__name__}")
 
 
-def count_bounds(node: DTreeNode) -> tuple[int, int]:
+def count_bounds(node: DTreeNode,
+                 meter: Optional[WorkMeter] = None) -> tuple[int, int]:
     """Lower and upper bounds on the model count of ``node`` (cached)."""
     cached = node.cache_get(_COUNT_KEY)
     if cached is not None:
@@ -114,12 +149,14 @@ def count_bounds(node: DTreeNode) -> tuple[int, int]:
         pending.extend(current.children())
     for current in reversed(postorder):
         if current.cache_get(_COUNT_KEY) is None:
+            _charge(meter, current)
             current.cache_set(_COUNT_KEY, _count_bounds_node(current))
     return node.cache_get(_COUNT_KEY)  # type: ignore[return-value]
 
 
-def _cofactor_count_bounds_node(node: DTreeNode, variable: int,
-                                key: object) -> tuple[int, int]:
+def _cofactor_count_bounds_node(node: DTreeNode, variable: int, key: object,
+                                meter: Optional[WorkMeter]
+                                ) -> tuple[int, int]:
     """Cofactor count bounds of one node (children's values pre-cached)."""
     if isinstance(node, TrueLeaf):
         return (1 << (len(node.domain) - 1),) * 2
@@ -144,7 +181,7 @@ def _cofactor_count_bounds_node(node: DTreeNode, variable: int,
             if variable in child.domain:
                 child_lower, child_upper = child.cache_get(key)
             else:
-                child_lower, child_upper = count_bounds(child)
+                child_lower, child_upper = count_bounds(child, meter)
             lower *= child_lower
             upper *= child_upper
         return (lower, upper)
@@ -155,7 +192,7 @@ def _cofactor_count_bounds_node(node: DTreeNode, variable: int,
                 child_lower, child_upper = child.cache_get(key)
                 space = 1 << (len(child.domain) - 1)
             else:
-                child_lower, child_upper = count_bounds(child)
+                child_lower, child_upper = count_bounds(child, meter)
                 space = 1 << len(child.domain)
             non_lower *= space - child_upper
             non_upper *= space - child_lower
@@ -168,7 +205,9 @@ def _cofactor_count_bounds_node(node: DTreeNode, variable: int,
     raise TypeError(f"unknown d-tree node type {type(node).__name__}")
 
 
-def cofactor_count_bounds(node: DTreeNode, variable: int) -> tuple[int, int]:
+def cofactor_count_bounds(node: DTreeNode, variable: int,
+                          meter: Optional[WorkMeter] = None
+                          ) -> tuple[int, int]:
     """Bounds on ``#phi[x := 0]`` over the node's domain minus ``x`` (cached).
 
     This powers the paper's optimization (4) in Section 3.2.4: from bounds on
@@ -193,8 +232,9 @@ def cofactor_count_bounds(node: DTreeNode, variable: int) -> tuple[int, int]:
                 pending.append(child)
     for current in reversed(postorder):
         if current.cache_get(key) is None:
-            current.cache_set(
-                key, _cofactor_count_bounds_node(current, variable, key))
+            _charge(meter, current)
+            current.cache_set(key, _cofactor_count_bounds_node(
+                current, variable, key, meter))
     return node.cache_get(key)  # type: ignore[return-value]
 
 
@@ -220,9 +260,10 @@ def _leaf_banzhaf_bounds(function: DNF, variable: int) -> tuple[int, int]:
     return lower, max(lower, upper)
 
 
-def _bounds_node(node: DTreeNode, variable: int, key: object) -> BanzhafBounds:
+def _bounds_node(node: DTreeNode, variable: int, key: object,
+                 meter: Optional[WorkMeter]) -> BanzhafBounds:
     """Fig. 2 bounds of one node (descended children's bounds pre-cached)."""
-    count_lower, count_upper = count_bounds(node)
+    count_lower, count_upper = count_bounds(node, meter)
 
     if isinstance(node, (TrueLeaf, FalseLeaf)):
         result = BanzhafBounds(0, count_lower, 0, count_upper)
@@ -237,7 +278,7 @@ def _bounds_node(node: DTreeNode, variable: int, key: object) -> BanzhafBounds:
         result = BanzhafBounds(lower, count_lower, upper, count_upper)
     elif isinstance(node, (DecompAnd, DecompOr)):
         result = _decomposable_bounds(node, variable, key,
-                                      count_lower, count_upper)
+                                      count_lower, count_upper, meter)
     elif isinstance(node, ExclusiveOr):
         lower = 0
         upper = 0
@@ -252,7 +293,7 @@ def _bounds_node(node: DTreeNode, variable: int, key: object) -> BanzhafBounds:
     if variable in node.domain and not isinstance(node, LiteralLeaf):
         # Optimization (4): intersect with the bounds derived from
         # Banzhaf(phi, x) = #phi - 2 * #phi[x := 0].
-        cof_lower, cof_upper = cofactor_count_bounds(node, variable)
+        cof_lower, cof_upper = cofactor_count_bounds(node, variable, meter)
         alt_lower = count_lower - 2 * cof_upper
         alt_upper = count_upper - 2 * cof_lower
         lower = max(result.banzhaf_lower, alt_lower)
@@ -262,8 +303,9 @@ def _bounds_node(node: DTreeNode, variable: int, key: object) -> BanzhafBounds:
     return result
 
 
-def bounds_for_variable(node: DTreeNode, variable: int) -> BanzhafBounds:
-    """The ``bounds`` procedure of Fig. 2 for one variable (cached per node)."""
+def bounds_for_variable(node: DTreeNode, variable: int,
+                        meter: Optional[WorkMeter] = None) -> BanzhafBounds:
+    """Fig. 2 ``bounds`` for one variable, node-cached, billed to ``meter``."""
     key = ("banzhaf_bounds", variable)
     cached = node.cache_get(key)
     if cached is not None:
@@ -283,12 +325,14 @@ def bounds_for_variable(node: DTreeNode, variable: int) -> BanzhafBounds:
                 pending.append(child)
     for current in reversed(postorder):
         if current.cache_get(key) is None:
-            current.cache_set(key, _bounds_node(current, variable, key))
+            _charge(meter, current)
+            current.cache_set(key, _bounds_node(current, variable, key, meter))
     return node.cache_get(key)  # type: ignore[return-value]
 
 
 def _decomposable_bounds(node: DTreeNode, variable: int, key: object,
-                         count_lower: int, count_upper: int) -> BanzhafBounds:
+                         count_lower: int, count_upper: int,
+                         meter: Optional[WorkMeter]) -> BanzhafBounds:
     """Combine children bounds at an independent AND/OR node.
 
     The variable occurs in at most one child (disjoint domains); the bounds of
@@ -311,7 +355,7 @@ def _decomposable_bounds(node: DTreeNode, variable: int, key: object,
     for index, child in enumerate(children):
         if index == target_index:
             continue
-        child_lower, child_upper = count_bounds(child)
+        child_lower, child_upper = count_bounds(child, meter)
         if isinstance(node, DecompAnd):
             lower_factor *= child_lower
             upper_factor *= child_upper

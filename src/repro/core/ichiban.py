@@ -25,25 +25,27 @@ an ``epsilon``, those not yet certifying it).  Decided variables keep their
 last certified interval, which remains sound because refinement only ever
 tightens intervals.
 
-Budget accounting matches AdaBan: ``max_steps`` counts individual bound
-evaluations (one per variable refined per round), not refinement rounds, so
-step budgets are comparable across the anytime algorithms.  Budgets are
-checked between rounds, so the final round may overshoot by at most one
-evaluation per tracked variable.  Budget exhaustion raises
-:class:`IchiBanTimeout`, which carries the best-so-far intervals so callers
-can degrade to an uncertified answer instead of losing the work.
+Between rounds the tree grows by one batch sized by the round's evaluation
+work (AdaBan's schedule); a batch that completes it ends the run with exact
+point intervals.  ``max_steps`` counts bound evaluations (one per variable
+refined per round), as in AdaBan, and is checked between rounds, so the final
+round may overshoot it by at most one evaluation per tracked variable.  After
+the mandatory first round the time budget is checked before every expansion
+step and node bound.  Exhaustion raises :class:`IchiBanTimeout`, which carries
+the best-so-far intervals so callers can degrade instead of losing the work.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.boolean.dnf import DNF
-from repro.core.adaban import ApproximationTimeout, _AnytimeState
+from repro.core.adaban import ApproximationTimeout, _AnytimeState, _deadline
+from repro.core.bounds import DeadlineExpired
+from repro.core.exaban import exaban_all
 from repro.core.intervals import Interval
 from repro.dtree.heuristics import Heuristic, select_most_frequent
 
@@ -320,10 +322,11 @@ class _IchiBanRun:
         self.steps = 0
         self.rounds = 0
 
-    def refine(self, targets: Sequence[int]) -> Dict[int, Interval]:
+    def refine(self, targets: Sequence[int],
+               deadline: Optional[float] = None) -> Dict[int, Interval]:
         """Refresh the intervals of ``targets``; return all best intervals."""
         for variable in targets:
-            self.state.refine(variable)
+            self.state.refine(variable, deadline)
             self.steps += 1
         self.rounds += 1
         return {v: self.state.best[v] for v in self.variables}
@@ -336,31 +339,42 @@ class _IchiBanRun:
         both whether to stop and which variables to refine next (an empty
         target list falls back to refining everything, so progress never
         stalls); the first round always refines everything so every
-        variable has an interval.  ``max_steps`` counts bound evaluations
-        (AdaBan's unit).  Budget exhaustion raises :class:`IchiBanTimeout`
-        carrying the best-so-far intervals.
+        variable has an interval.  Between rounds one
+        :meth:`~repro.core.adaban._AnytimeState.expand_batch` grows the
+        tree; once it is complete, one :func:`~repro.core.exaban.exaban_all`
+        pass gives every tracked variable its exact point interval.
+        Budget exhaustion raises :class:`IchiBanTimeout` carrying the
+        best-so-far intervals, each sound whether refreshed or not.
         """
-        started = time.monotonic()
+        deadline = _deadline(timeout_seconds)
+        mark = self.state.work
         intervals = self.refine(self.variables)
-        while True:
-            done, targets = controller(intervals)
-            if done or self.state.is_complete():
-                return intervals
-            if max_steps is not None and self.steps >= max_steps:
-                raise IchiBanTimeout(
-                    f"IchiBan did not converge within {max_steps} "
-                    "bound evaluations",
-                    intervals, steps=self.steps, rounds=self.rounds,
-                )
-            if (timeout_seconds is not None
-                    and time.monotonic() - started > timeout_seconds):
-                raise IchiBanTimeout(
-                    f"IchiBan did not converge within {timeout_seconds} "
-                    "seconds",
-                    intervals, steps=self.steps, rounds=self.rounds,
-                )
-            self.state.expand(lazy=True)
-            intervals = self.refine(targets or self.variables)
+        try:
+            while True:
+                done, targets = controller(intervals)
+                if done:
+                    return intervals
+                if max_steps is not None and self.steps >= max_steps:
+                    raise IchiBanTimeout(
+                        f"IchiBan did not converge within {max_steps} "
+                        "bound evaluations",
+                        intervals, steps=self.steps, rounds=self.rounds,
+                    )
+                targets = targets or self.variables
+                self.state.expand_batch(self.state.work - mark, targets,
+                                        deadline)
+                if self.state.is_complete():
+                    exact = exaban_all(self.state.compiler.root)
+                    return {v: Interval.point(exact.get(v, 0))
+                            for v in self.variables}
+                mark = self.state.work
+                intervals = self.refine(targets, deadline)
+        except DeadlineExpired:
+            raise IchiBanTimeout(
+                "IchiBan did not converge within its time budget",
+                {v: self.state.best[v] for v in self.variables},
+                steps=self.steps, rounds=self.rounds,
+            ) from None
 
 
 def ichiban_topk(function: DNF, k: int, epsilon: float = 0.1,

@@ -1,11 +1,14 @@
 """Incremental (anytime) d-tree compilation.
 
-AdaBan (Fig. 3 of the paper) does not compile the lineage exhaustively.  It
-keeps a *partial* d-tree whose leaves may still be undecomposed DNF
-functions, and alternates between
-
-* refining bounds on the Banzhaf value using the current partial tree, and
-* expanding one leaf by a single decomposition step.
+AdaBan (Fig. 3 of the paper) and IchiBan do not compile the lineage
+exhaustively.  They keep a *partial* d-tree whose leaves may still be
+undecomposed DNF functions, and alternate between refining bounds on the
+Banzhaf values using the current partial tree and a batch of ``expand_step``
+calls sized by that refinement's work
+(:meth:`repro.core.adaban._AnytimeState.expand_batch`).  ``adaban_trace`` and
+the lazy-vs-eager ablation call ``expand_step`` once per refinement; the
+engine finishes partial trees with ``expand_step(lazy=False)``
+(:func:`repro.engine.artifact.complete_compilation`).
 
 :class:`IncrementalCompiler` owns the partial tree and implements the
 expansion steps.  Following the paper's optimization (1) (Section 3.2.4) the
@@ -70,6 +73,8 @@ class IncrementalCompiler:
         self.root: DTreeNode = node_for(function)
         self.shannon_steps = 0
         self.expansion_steps = 0
+        #: Clauses of every leaf decomposed: the anytime schedule's unit.
+        self.expansion_work = 0
         # The undecomposed leaves are maintained incrementally so that
         # leaf selection and the completeness check stay O(#leaves) and O(1)
         # instead of traversing the whole (growing) tree on every step.
@@ -98,6 +103,7 @@ class IncrementalCompiler:
         compiler.root = root
         compiler.shannon_steps = shannon_steps
         compiler.expansion_steps = expansion_steps
+        compiler.expansion_work = 0
         compiler._open_leaves = _frontier(root)
         return compiler
 
@@ -143,6 +149,7 @@ class IncrementalCompiler:
             if leaf is None:
                 return changed
             was_shannon = self._expand_leaf(leaf)
+            self.expansion_work += leaf.priority[0]
             changed = True
             self.expansion_steps += 1
             if was_shannon:

@@ -1,5 +1,6 @@
 """Tests for IchiBan (Banzhaf-based ranking and top-k)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from repro.boolean.dnf import DNF
 from repro.core.adaban import ApproximationTimeout
 from repro.core.ichiban import (
     IchiBanTimeout,
+    _IchiBanRun,
     _topk_classify,
     _topk_undecided,
     ichiban_rank,
@@ -158,14 +160,31 @@ class TestScheduling:
         assert classes[1] == classes[2] == 1
         assert set(_topk_undecided(intervals, 2)) == {1, 2}
 
-    def test_decided_variables_stop_refining(self, rng):
-        # The schedule refines only boundary-straddling variables: once the
-        # hub (in every clause) separates from the satellites, the run
-        # stops with wide intervals instead of refining them to points.
-        function = star_join_lineage(rng, 1, 4)
+    def test_decided_variables_stop_refining(self, monkeypatch):
+        # The schedule refines only boundary-straddling variables: once a
+        # variable is decided (certainly in or certainly out of the top-k),
+        # no later round evaluates it again.  On this lineage a variable is
+        # decided a round before the batched expansion completes the tree,
+        # so the check is not vacuous.
+        rounds = []
+        refine = _IchiBanRun.refine
+
+        def recording_refine(run, targets, deadline=None):
+            intervals = refine(run, targets, deadline)
+            undecided = set(_topk_undecided(intervals, 1))
+            rounds.append((set(targets), set(intervals) - undecided))
+            return intervals
+
+        monkeypatch.setattr(_IchiBanRun, "refine", recording_refine)
+        function = random_positive_dnf(random.Random(20), 22, 33, (2, 3))
         top = ichiban_topk_certain(function, 1)
         assert top[0].variable == 0
-        assert not top[0].interval.is_point()
+        skipped = 0
+        for index, (_, decided) in enumerate(rounds):
+            for later_targets, _ in rounds[index + 1:]:
+                assert not decided & later_targets
+                skipped += len(decided)
+        assert skipped > 0
 
     def test_out_variable_ranked_below_undecided(self):
         # A certainly-out variable can keep a wide interval with a large

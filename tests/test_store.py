@@ -484,10 +484,10 @@ class TestArtifactTier:
         # A budget-starved certain ranking persists its partial tree; a
         # fresh process over the same directory resumes it rather than
         # restarting the refinement.
-        lineage = DNF([[i, (i + 1) % 8] for i in range(8)])
-        # 8 variables: the first round alone costs 8 bound evaluations,
-        # so a 20-step budget allows a couple of expansions (a
-        # non-trivial, persistable frontier) but not convergence.
+        lineage = DNF([[i, (i + 1) % 12] for i in range(12)])
+        # 12 variables: the first round alone costs 12 bound evaluations,
+        # so a 20-step budget allows one expansion batch (a non-trivial,
+        # persistable frontier) but not convergence.
         with LogStore(str(tmp_path)) as store:
             starved = Engine(EngineConfig(method="rank", epsilon=None,
                                           max_shannon_steps=20, store=store))

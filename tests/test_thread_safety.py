@@ -9,9 +9,12 @@ that not a single update is lost.  Under the pre-``bump()`` code
 increments reliably at this contention level.  The legacy
 :class:`DiskStore` reader, which counts the writes it drops, gets the
 same race.  A :class:`Database` is raced by query readers against one
-fact writer, which is what it supports.
+fact writer, which is what it supports.  Concurrent AdaBan and IchiBan runs
+must size their expansion batches exactly as serial runs do: each run owns
+its work counters.
 """
 
+import random
 import sys
 import threading
 import time
@@ -20,14 +23,18 @@ from fractions import Fraction
 import pytest
 
 from join_reference import reference_answers, reference_lineages
+from repro.core.adaban import adaban_all
+from repro.core.ichiban import _IchiBanRun, _topk_controller
 from repro.db.database import Database
 from repro.db.datalog import parse_query
 from repro.db.evaluation import evaluate_query
 from repro.db.lineage import lineage_of_answers
+from repro.dtree.heuristics import select_most_frequent
 from repro.engine.cache import CachedAttribution
 from repro.engine.stats import COUNTER_FIELDS, EngineStats
 from repro.engine.logstore import LogStore
 from repro.engine.store import DiskStore
+from repro.workloads.generators import random_positive_dnf
 
 pytestmark = pytest.mark.concurrency
 
@@ -271,3 +278,32 @@ class TestDatabase:
                     reference_lineages(query, database))
         assert expected[0]
         assert finals == {index: expected for index in range(readers)}
+
+
+class TestAnytimeRuns:
+    def test_concurrent_runs_match_serial_runs(self):
+        # Multi-round lineages, so each batch's size depends on the run's
+        # own evaluation work; a shared counter would change steps/rounds.
+        lineages = [random_positive_dnf(random.Random(seed), 22, 33, (2, 3))
+                    for seed in (18, 20, 28, 35)]
+
+        def outcome(index):
+            function = lineages[index]
+            run = _IchiBanRun(function, select_most_frequent)
+            intervals = run.run(_topk_controller(1, None), None, None)
+            results = adaban_all(function, epsilon=0.1)
+            return (run.steps, run.rounds, run.state.work, intervals,
+                    {v: (r.interval, r.refinement_steps)
+                     for v, r in results.items()})
+
+        serial = [outcome(index) for index in range(len(lineages))]
+        concurrent = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _race(lambda index: concurrent.__setitem__(index, outcome(index)),
+                  threads=len(lineages))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rounds > 1 for _, rounds, *_ in serial)
+        assert [concurrent[index] for index in range(len(lineages))] == serial
