@@ -37,7 +37,6 @@ the best-so-far intervals so callers can degrade instead of losing the work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,9 +47,6 @@ from repro.core.bounds import DeadlineExpired
 from repro.core.exaban import exaban_all
 from repro.core.intervals import Interval
 from repro.dtree.heuristics import Heuristic, select_most_frequent
-
-
-_LN2 = math.log(2.0)
 
 
 class IchiBanTimeout(ApproximationTimeout):
@@ -201,42 +197,6 @@ def ranked_from_bounds(bounds: Dict[int, Tuple[int, int]],
          for variable, (lower, upper) in bounds.items()},
         k,
     )
-
-
-def float_straddlers(entries: Dict[int, Tuple[float, float]],
-                     margin: int = 8) -> set:
-    """Variables whose float-tier score intervals overlap another's.
-
-    ``entries`` maps a variable to ``(log2 score, relative error bound)``
-    from the arena float pass (:func:`repro.dtree.arena
-    .arena_float_banzhaf`); ``margin`` widens every error bound (the
-    configurable ULP margin), so callers can trade fallback frequency
-    against confidence.  A variable whose widened interval
-    ``[log - w, log + w]`` (``w = margin * err / ln 2`` in log2 units)
-    intersects any other variable's interval cannot be ordered by float
-    comparison alone and must fall back to exact evaluation; the rest
-    are separated beyond floating error and rank by float order.
-
-    Exact zeros (``log == -inf``) are exactly representable and never
-    straddle; an unbounded error (``err == inf``, a near-cancellation in
-    the pass) straddles everything.
-    """
-    items = []
-    for variable, (log, err) in entries.items():
-        if log == -math.inf:
-            continue
-        width = margin * err / _LN2
-        items.append((log - width, log + width, variable))
-    items.sort()
-    straddlers: set = set()
-    for i, (_, upper, variable) in enumerate(items):
-        for j in range(i + 1, len(items)):
-            other_lower, _, other = items[j]
-            if other_lower > upper:
-                break
-            straddlers.add(variable)
-            straddlers.add(other)
-    return straddlers
 
 
 #: A per-round controller: consumes the fresh intervals, returns

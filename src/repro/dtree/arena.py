@@ -21,8 +21,8 @@ parallel lists indexed by ``int``:
 * ``leaf_functions[i]`` — the undecomposed :class:`~repro.boolean.dnf.DNF`
   of a ``KIND_DNF`` row (partial trees only);
 * named **payload columns** (``DTreeArena.payloads``) — per-node
-  scratch shared by the passes: the exact subtree-count column, the
-  size-indexed model vectors, the float log-count column, …
+  scratch shared by the passes: the exact subtree-count column and the
+  size-indexed model vectors.
 
 **Postorder invariant**: every child row precedes its parent row
 (``children[j] < i`` for all ``j`` in the span of row ``i``), and the
@@ -43,14 +43,10 @@ count, Banzhaf and Shapley passes; :mod:`repro.core.exaban` and
 :mod:`repro.core.reference` keeps the recursive seed passes as the oracle.
 Bounds on partial trees are not computed here: the object-tree
 :mod:`repro.core.bounds`, whose per-node caches survive the incremental
-compiler's path invalidation, is their one implementation.  The float
-passes are the ranking fast path: log2-domain scores with a tracked
-relative-error bound, so callers can tell which variables are separated
-beyond floating error and which need the exact-``Fraction`` fallback.
+compiler's path invalidation, is their one implementation.
 
-The ``*_pass`` entry points (:func:`counts_pass`, :func:`banzhaf_pass`,
-:func:`float_banzhaf_pass`, :func:`float_surrogate_pass`) run the pass
-beside which they sit and report to an optional
+The ``*_pass`` entry points (:func:`counts_pass`, :func:`banzhaf_pass`)
+run the pass beside which they sit and report to an optional
 :class:`~repro.engine.stats.EngineStats`: a memoized answer counts as one
 ``payload_hits``, a computed one is timed under its pass label.
 """
@@ -94,13 +90,6 @@ _NODE_KINDS = {
 
 #: Root-cache key under which :func:`arena_of` memoizes the arena.
 _ARENA_CACHE_KEY = "dtree_arena"
-
-#: Per-operation relative-error unit of the float passes: a few double
-#: ULPs, deliberately conservative (``math.log1p``/``math.log2`` are not
-#: correctly rounded on every platform).
-FLOAT_ERROR_UNIT = 2.0 ** -50
-
-_LN2 = math.log(2.0)
 
 
 class ArenaBuilder:
@@ -178,9 +167,9 @@ class DTreeArena:
         self.children = builder.children
         self.domains = builder.domains
         self.leaf_functions = builder.leaf_functions
-        #: Named per-row payload columns (counts, models, float logs, ...).
+        #: Named per-row payload columns (``counts``, ``models``).
         self.payloads: Dict[str, list] = {}
-        #: Whole-arena derived results (the Banzhaf dict, float scores).
+        #: Whole-arena derived results (the ``banzhaf`` dict).
         self.results: Dict[str, object] = {}
 
     # -- construction --------------------------------------------------- #
@@ -393,11 +382,6 @@ def banzhaf_pass(arena: DTreeArena, stats=None) -> Dict[int, int]:
         return arena_banzhaf(arena)
 
 
-def arena_model_count(arena: DTreeArena) -> int:
-    """Exact model count of the root (reads the shared counts column)."""
-    return arena_counts(arena)[arena.root]
-
-
 # --------------------------------------------------------------------- #
 # Shapley support: size-indexed model vectors over the arena
 # --------------------------------------------------------------------- #
@@ -563,416 +547,3 @@ def arena_cofactor_vectors(arena: DTreeArena, variable: int
                 "Shapley computation requires a complete d-tree")
         vectors[row] = result
     return vectors[arena.root]
-
-
-# --------------------------------------------------------------------- #
-# Float tier: log2-domain scores with tracked relative error
-# --------------------------------------------------------------------- #
-#
-# Every quantity is a pair ``(log2(value), err)`` where ``err`` bounds the
-# *relative* error of the represented value (|computed/true - 1| <= err,
-# to first order).  Products add errors; log-domain additions keep the
-# max; subtractions amplify by t/(1-t) where t = 2^(small - large) — near
-# cancellation the bound blows up and we poison the result (``err = inf``)
-# so the caller falls back to the exact tier.  Each operation also
-# charges one FLOAT_ERROR_UNIT of rounding.
-
-
-def log2_add(a: float, b: float) -> float:
-    """``log2(2**a + 2**b)`` without overflow; -inf means zero."""
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(2.0 ** (b - a)) / _LN2
-
-
-def log2_sub(a: float, b: float) -> float:
-    """``log2(2**a - 2**b)`` for ``a >= b``; returns -inf on cancellation."""
-    if b == -math.inf:
-        return a
-    t = 2.0 ** (b - a)
-    if t >= 1.0:
-        return -math.inf
-    return a + math.log1p(-t) / _LN2
-
-
-def _sub_error(a: float, b: float, err: float) -> float:
-    """Relative-error bound after ``2**a - 2**b`` (amplified near ties)."""
-    if b == -math.inf:
-        return err + FLOAT_ERROR_UNIT
-    t = 2.0 ** (b - a)
-    if t >= 1.0 - 1e-9:
-        return math.inf
-    return err * (1.0 + t) / (1.0 - t) + FLOAT_ERROR_UNIT
-
-
-def arena_float_counts(arena: DTreeArena) -> Tuple[List[float], List[float]]:
-    """Log2 model counts + relative-error bounds per row (complete trees).
-
-    Cached as the ``float_counts`` / ``float_count_errs`` payload columns.
-    Raises :class:`IncompleteArenaError` on undecomposed leaves — partial
-    trees go through :func:`arena_float_surrogate` instead.
-    """
-    logs = arena.payloads.get("float_counts")
-    if logs is not None:
-        return logs, arena.payloads["float_count_errs"]
-    kinds = arena.kinds
-    domain_sizes = arena.domain_sizes
-    logs = [0.0] * len(kinds)
-    errs = [0.0] * len(kinds)
-    for row in range(len(kinds)):
-        kind = kinds[row]
-        if kind == KIND_TRUE:
-            value, err = float(domain_sizes[row]), 0.0
-        elif kind == KIND_FALSE:
-            value, err = -math.inf, 0.0
-        elif kind == KIND_LITERAL:
-            value, err = 0.0, 0.0
-        elif kind == KIND_AND:
-            value, err = 0.0, 0.0
-            for child in arena.child_rows(row):
-                value += logs[child]
-                err += errs[child] + FLOAT_ERROR_UNIT
-        elif kind == KIND_OR:
-            # #or = 2^d - prod(2^d_c - #c): accumulate the non-model
-            # product in log space, then one (possibly cancelling) sub.
-            non_log, err = 0.0, 0.0
-            for child in arena.child_rows(row):
-                child_non = log2_sub(float(domain_sizes[child]), logs[child])
-                non_log += child_non
-                err += _sub_error(float(domain_sizes[child]), logs[child],
-                                  errs[child])
-            space = float(domain_sizes[row])
-            value = log2_sub(space, non_log)
-            err = _sub_error(space, non_log, err)
-        elif kind == KIND_XOR:
-            value, err = -math.inf, 0.0
-            for child in arena.child_rows(row):
-                value = log2_add(value, logs[child])
-                err = max(err, errs[child]) + FLOAT_ERROR_UNIT
-        else:
-            raise IncompleteArenaError(
-                "float counting requires a complete d-tree; "
-                "found an undecomposed leaf")
-        logs[row] = value
-        errs[row] = err
-    arena.payloads["float_counts"] = logs
-    arena.payloads["float_count_errs"] = errs
-    return logs, errs
-
-
-def arena_float_banzhaf(arena: DTreeArena
-                        ) -> Dict[int, Tuple[float, float]]:
-    """Float fused Banzhaf pass: ``{variable: (log2 |score|, rel_err)}``.
-
-    Mirrors :func:`arena_banzhaf` in log2 space.  Banzhaf scores of
-    monotone lineages are non-negative, but per-literal contributions
-    carry signs (negated Shannon literals), so positive and negative
-    mass accumulate separately and combine with one final subtraction —
-    whose cancellation, if any, lands in the error bound.  A score of
-    zero is ``-inf``.  Cached in ``results["float_banzhaf"]``.
-    """
-    cached = arena.results.get("float_banzhaf")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    logs, errs = arena_float_counts(arena)
-    kinds = arena.kinds
-    domain_sizes = arena.domain_sizes
-    size = len(kinds)
-    multipliers: List[float] = [-math.inf] * size
-    mult_errs: List[float] = [0.0] * size
-    multipliers[size - 1] = 0.0
-    positive: Dict[int, Tuple[float, float]] = {}
-    negative: Dict[int, Tuple[float, float]] = {}
-    for row in range(size - 1, -1, -1):
-        multiplier = multipliers[row]
-        if multiplier == -math.inf:
-            continue
-        mult_err = mult_errs[row]
-        kind = kinds[row]
-        if kind == KIND_LITERAL:
-            bucket = negative if arena.negated[row] else positive
-            variable = arena.variables[row]
-            log, err = bucket.get(variable, (-math.inf, 0.0))
-            bucket[variable] = (log2_add(log, multiplier),
-                                max(err, mult_err) + FLOAT_ERROR_UNIT)
-        elif kind == KIND_AND or kind == KIND_OR:
-            conjunction = kind == KIND_AND
-            child_rows = list(arena.child_rows(row))
-            values: List[float] = []
-            value_errs: List[float] = []
-            for child in child_rows:
-                if conjunction:
-                    values.append(logs[child])
-                    value_errs.append(errs[child])
-                else:
-                    space = float(domain_sizes[child])
-                    values.append(log2_sub(space, logs[child]))
-                    value_errs.append(
-                        _sub_error(space, logs[child], errs[child]))
-            count = len(values)
-            prefixes = [0.0] * (count + 1)
-            prefix_errs = [0.0] * (count + 1)
-            for position in range(count):
-                prefixes[position + 1] = prefixes[position] + values[position]
-                prefix_errs[position + 1] = (
-                    prefix_errs[position] + value_errs[position]
-                    + FLOAT_ERROR_UNIT)
-            suffix = 0.0
-            suffix_err = 0.0
-            for position in range(count - 1, -1, -1):
-                child = child_rows[position]
-                contribution = multiplier + prefixes[position] + suffix
-                contribution_err = (mult_err + prefix_errs[position]
-                                    + suffix_err + FLOAT_ERROR_UNIT)
-                if multipliers[child] == -math.inf:
-                    multipliers[child] = contribution
-                    mult_errs[child] = contribution_err
-                else:
-                    multipliers[child] = log2_add(
-                        multipliers[child], contribution)
-                    mult_errs[child] = (max(mult_errs[child],
-                                            contribution_err)
-                                        + FLOAT_ERROR_UNIT)
-                suffix += values[position]
-                suffix_err += value_errs[position] + FLOAT_ERROR_UNIT
-        elif kind == KIND_XOR:
-            for child in arena.child_rows(row):
-                if multipliers[child] == -math.inf:
-                    multipliers[child] = multiplier
-                    mult_errs[child] = mult_err
-                else:
-                    multipliers[child] = log2_add(
-                        multipliers[child], multiplier)
-                    mult_errs[child] = (max(mult_errs[child], mult_err)
-                                        + FLOAT_ERROR_UNIT)
-    scores: Dict[int, Tuple[float, float]] = {}
-    for variable in arena.domains[size - 1]:
-        pos_log, pos_err = positive.get(variable, (-math.inf, 0.0))
-        neg_log, neg_err = negative.get(variable, (-math.inf, 0.0))
-        if neg_log == -math.inf:
-            scores[variable] = (pos_log, pos_err)
-        elif pos_log >= neg_log:
-            scores[variable] = (log2_sub(pos_log, neg_log),
-                                _sub_error(pos_log, neg_log,
-                                           max(pos_err, neg_err)))
-        else:
-            # Negative net score cannot happen for monotone lineages;
-            # poison rather than mis-rank if it ever does.
-            scores[variable] = (log2_sub(neg_log, pos_log), math.inf)
-    arena.results["float_banzhaf"] = scores
-    return scores
-
-
-def float_banzhaf_pass(arena: DTreeArena, stats=None
-                       ) -> Dict[int, Tuple[float, float]]:
-    """:func:`arena_float_banzhaf`, reported as a hit or ``float``."""
-    stats = stats if stats is not None else _NULL_STATS
-    cached = arena.results.get("float_banzhaf")
-    if cached is not None:
-        stats.bump(payload_hits=1)
-        return cached  # type: ignore[return-value]
-    with stats.timed_pass("float"):
-        return arena_float_banzhaf(arena)
-
-
-def _dnf_leaf_estimates(function: DNF, domain_size: int
-                        ) -> Tuple[float, Dict[int, float]]:
-    """Closed-form independence estimates for an undecomposed DNF leaf.
-
-    Treating clauses as independent events over the leaf's ``d``-variable
-    domain, a clause of width ``w`` is satisfied with probability
-    ``2**-w``, so::
-
-        log2(count_est)      = d + sum_c log2(1 - 2**-w_c)          # non-models
-        log2(banzhaf_est(x)) = (d-1) + sum_{c w/o x} log2(1 - 2**-w_c)
-                               + log2(1 - prod_{c with x} (1 - 2**-(w_c-1)))
-
-    (the last factor is the probability that flipping ``x`` to true
-    fires at least one clause containing it).  Exactness is irrelevant
-    here — only the surrogate *order* is consumed.  Returns
-    ``(log2 count_est, {variable: log2 banzhaf_est})``.
-    """
-    clauses = list(function.clauses)
-    widths = [len(clause) for clause in clauses]
-    per_clause_miss = [log2_sub(0.0, -float(width)) for width in widths]
-    total_miss = sum(per_clause_miss)
-    count_est = log2_sub(float(domain_size), float(domain_size) + total_miss)
-    estimates: Dict[int, float] = {}
-    by_variable: Dict[int, List[int]] = {}
-    for clause, width in zip(clauses, widths):
-        for variable in clause:
-            by_variable.setdefault(variable, []).append(width)
-    for variable, member_widths in by_variable.items():
-        without = total_miss - sum(
-            per_clause_miss[i] for i, clause in enumerate(clauses)
-            if variable in clause)
-        # ln prod_{c with x} (1 - 2**-(w_c - 1)); width-1 clause {x}
-        # always fires => product 0 => flip factor log2(1) = 0.
-        if any(width == 1 for width in member_widths):
-            flip = 0.0
-        else:
-            ln_stay = sum(math.log1p(-(2.0 ** -(width - 1)))
-                          for width in member_widths)
-            if ln_stay == 0.0:
-                estimates[variable] = -math.inf
-                continue
-            flip = math.log2(-math.expm1(ln_stay))
-        estimates[variable] = (domain_size - 1) + without + flip
-    return count_est, estimates
-
-
-def arena_float_surrogate(arena: DTreeArena) -> Dict[int, float]:
-    """Surrogate Banzhaf order estimates for a (possibly partial) tree.
-
-    Runs the same fused pass shape as :func:`arena_float_banzhaf` but
-    replaces every undecomposed ``KIND_DNF`` leaf with the closed-form
-    independence estimates of :func:`_dnf_leaf_estimates`.  The returned
-    ``{variable: log2 estimate}`` carries **order information only** — no
-    error bound, no exactness claim; callers must mark results as
-    non-converged surrogates.  Cached in ``results["float_surrogate"]``.
-    """
-    cached = arena.results.get("float_surrogate")
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    kinds = arena.kinds
-    domain_sizes = arena.domain_sizes
-    size = len(kinds)
-    # Bottom-up: estimated log2 counts (exact rules, DNF rows estimated).
-    logs: List[float] = [0.0] * size
-    leaf_scores: List[Optional[Dict[int, float]]] = [None] * size
-    for row in range(size):
-        kind = kinds[row]
-        if kind == KIND_TRUE:
-            logs[row] = float(domain_sizes[row])
-        elif kind == KIND_FALSE:
-            logs[row] = -math.inf
-        elif kind == KIND_LITERAL:
-            logs[row] = 0.0
-        elif kind == KIND_DNF:
-            count_est, estimates = _dnf_leaf_estimates(
-                arena.leaf_functions[row], domain_sizes[row])
-            logs[row] = count_est
-            leaf_scores[row] = estimates
-        elif kind == KIND_AND:
-            logs[row] = sum(logs[child] for child in arena.child_rows(row))
-        elif kind == KIND_OR:
-            non_log = sum(
-                log2_sub(float(domain_sizes[child]), logs[child])
-                for child in arena.child_rows(row))
-            logs[row] = log2_sub(float(domain_sizes[row]), non_log)
-        else:  # KIND_XOR
-            value = -math.inf
-            for child in arena.child_rows(row):
-                value = log2_add(value, logs[child])
-            logs[row] = value
-    # Top-down multipliers, literals and DNF leaves collect estimates.
-    multipliers: List[float] = [-math.inf] * size
-    multipliers[size - 1] = 0.0
-    estimates: Dict[int, float] = {
-        variable: -math.inf for variable in arena.domains[size - 1]}
-    for row in range(size - 1, -1, -1):
-        multiplier = multipliers[row]
-        if multiplier == -math.inf:
-            continue
-        kind = kinds[row]
-        if kind == KIND_LITERAL:
-            if not arena.negated[row]:
-                variable = arena.variables[row]
-                estimates[variable] = log2_add(
-                    estimates.get(variable, -math.inf), multiplier)
-            # Negated Shannon literals would subtract; the surrogate
-            # keeps the dominant positive mass (order heuristic).
-        elif kind == KIND_DNF:
-            for variable, estimate in leaf_scores[row].items():
-                # Leaf estimates are absolute over the leaf domain; the
-                # multiplier rescales them into the root space.
-                estimates[variable] = log2_add(
-                    estimates.get(variable, -math.inf),
-                    multiplier + estimate - (domain_sizes[row] - 1))
-        elif kind == KIND_AND or kind == KIND_OR:
-            conjunction = kind == KIND_AND
-            child_rows = list(arena.child_rows(row))
-            values = []
-            for child in child_rows:
-                if conjunction:
-                    values.append(logs[child])
-                else:
-                    values.append(log2_sub(float(domain_sizes[child]),
-                                           logs[child]))
-            count = len(values)
-            prefixes = [0.0] * (count + 1)
-            for position in range(count):
-                prefixes[position + 1] = prefixes[position] + values[position]
-            suffix = 0.0
-            for position in range(count - 1, -1, -1):
-                child = child_rows[position]
-                contribution = multiplier + prefixes[position] + suffix
-                multipliers[child] = log2_add(
-                    multipliers[child], contribution)
-                suffix += values[position]
-        else:  # KIND_XOR
-            for child in arena.child_rows(row):
-                multipliers[child] = log2_add(
-                    multipliers[child], multiplier)
-    # Wait-for-DNF leaves rescaled by multiplier - (d_leaf - 1): the leaf
-    # estimate already includes its own 2^(d-1) factor, the multiplier
-    # contributes the sibling product over the remaining variables.
-    arena.results["float_surrogate"] = estimates
-    return estimates
-
-
-def float_surrogate_pass(arena: DTreeArena, stats=None) -> Dict[int, float]:
-    """:func:`arena_float_surrogate`, reported as a hit or ``surrogate``."""
-    stats = stats if stats is not None else _NULL_STATS
-    cached = arena.results.get("float_surrogate")
-    if cached is not None:
-        stats.bump(payload_hits=1)
-        return cached  # type: ignore[return-value]
-    with stats.timed_pass("surrogate"):
-        return arena_float_surrogate(arena)
-
-
-def pow2_int(log2_value: float, err: float = 0.0, *, ceil: bool = False
-             ) -> int:
-    """Exact integer ``2**(log2_value +- err)``, floor or ceil.
-
-    Converts a float-tier log score into an exact bound the interval
-    machinery understands: ``floor(2**(log2_value - err'))`` or
-    ``ceil(2**(log2_value + err'))`` where ``err'`` is ``err`` converted
-    from relative error to a log2 half-width.  Works for arbitrarily
-    large magnitudes via mantissa shifting; clamps at zero; ``-inf``
-    maps to 0 (and 1 when ``ceil`` with positive error is requested of a
-    genuinely unknown zero — callers pass ``-inf`` only for exact zero,
-    which stays 0).
-    """
-    if log2_value == -math.inf:
-        return 0
-    if not math.isfinite(log2_value) or not math.isfinite(err):
-        raise ValueError("cannot convert an unbounded float score")
-    half_width = err / _LN2  # log2(1 + err) <= err / ln 2
-    target = log2_value + half_width if ceil else log2_value - half_width
-    floor_target = math.floor(target)
-    frac = target - floor_target
-    # 2**frac in [1, 2); scale into a 64-bit mantissa with 1-ulp slack.
-    mantissa = int(2.0 ** (frac + 53))
-    slack = 2
-    if ceil:
-        mantissa += slack
-        shift = floor_target - 53
-        if shift >= 0:
-            result = mantissa << shift
-        else:
-            divisor = 1 << (-shift)
-            result = -((-mantissa) // divisor)  # ceil division
-        return max(result, 1)
-    mantissa = max(mantissa - slack, 0)
-    shift = floor_target - 53
-    if shift >= 0:
-        result = mantissa << shift
-    else:
-        result = mantissa >> (-shift)
-    return max(result, 0)

@@ -103,7 +103,7 @@ class CompiledLineage:
         The arena is memoized in the root node's cache
         (:func:`repro.dtree.arena.arena_of`), which in-place mutation
         invalidates — so the handle is always consistent with ``root``.
-        Every exact/float evaluation pass over this artifact shares it
+        Every evaluation pass over this artifact shares it
         (and its payload columns, e.g. the ``"counts"`` column)
         automatically.
         """

@@ -185,17 +185,11 @@ class LineageCache:
         is normalized through :func:`canonical_epsilon` so float-repr
         drift can never split or alias equivalent entries.  ``k`` is kept
         for ``topk`` only.
-
-        Tier-suffixed methods (``"rank-float"``, ``"topk-float"``) keep
-        their base method's epsilon/k slots — the suffix itself stays in
-        the key, so a float-tier result can never serve an exact-tier
-        request or vice versa.
         """
-        base = method.split("-", 1)[0]
         return (key, method,
-                canonical_epsilon(epsilon) if base in _EPSILON_METHODS
+                canonical_epsilon(epsilon) if method in _EPSILON_METHODS
                 else None,
-                k if base == "topk" else None)
+                k if method == "topk" else None)
 
     def clear(self) -> None:
         """Drop both cache levels."""

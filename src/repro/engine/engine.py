@@ -189,22 +189,6 @@ class EngineConfig:
         converged results are written back, so canonical-space results
         survive process restarts.  ``None`` (the default) keeps the
         engine memory-only.
-    numeric:
-        Evaluation tier for the ranking methods: ``"exact"`` (default)
-        runs IchiBan's exact-``Fraction`` interval refinement;
-        ``"float"`` ranks by log-space float scores off the arena pass
-        (:mod:`repro.dtree.arena`), falling back to exact evaluation
-        only for boundary-straddling variables — and, for lineages whose
-        compilation exhausts its budget, degrades to an order-only
-        surrogate ranking instead of timing out.  Results are cached
-        under a ``-float``-suffixed method, so the tiers never serve
-        each other's entries.  Only meaningful for ``rank``/``topk``;
-        :meth:`Engine.rank`/:meth:`Engine.rank_many` accept a per-call
-        override.
-    float_ulp_margin:
-        Width multiplier (>= 1) applied to the float tier's per-variable
-        relative-error bounds before straddler detection: larger margins
-        fall back to exact arithmetic more eagerly.
     store_retries:
         Extra attempts (with exponential backoff) granted to a transient
         store-I/O failure before it counts against the circuit breaker
@@ -246,8 +230,6 @@ class EngineConfig:
     domain: DomainPolicy = "lineage"
     k: Optional[int] = None
     store: Optional[object] = None
-    numeric: str = "exact"
-    float_ulp_margin: int = 8
     store_retries: int = 2
     breaker_threshold: int = 5
     pool_restarts: int = 2
@@ -275,15 +257,6 @@ class EngineConfig:
                 f"k is only meaningful for method='topk', not "
                 f"{self.method!r}"
             )
-        if self.numeric not in ("exact", "float"):
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', not {self.numeric!r}")
-        if self.numeric == "float" and self.method not in ("rank", "topk"):
-            raise ValueError(
-                "numeric='float' is only meaningful for the ranking "
-                f"methods ('rank'/'topk'), not {self.method!r}")
-        if self.float_ulp_margin < 1:
-            raise ValueError("float_ulp_margin must be at least 1")
         if self.store_retries < 0:
             raise ValueError("store_retries must be >= 0")
         if self.breaker_threshold < 0:
@@ -380,8 +353,6 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                        artifact: Optional[CompiledLineage] = None,
                        k: Optional[int] = None,
                        artifact_sink=None,
-                       numeric: str = "exact",
-                       float_ulp_margin: int = 8,
                        stats=None
                        ) -> Tuple[CachedAttribution, bool,
                                   Optional[CompiledLineage], int]:
@@ -404,8 +375,6 @@ def _compute_canonical(function: DNF, method: EngineMethod,
         computation = compute_ranking(function, method, k, epsilon,
                                       timeout_seconds, artifact=artifact,
                                       max_steps=max_shannon_steps,
-                                      numeric=numeric,
-                                      float_ulp_margin=float_ulp_margin,
                                       stats=stats)
         return (computation.outcome, False, computation.artifact,
                 computation.rounds)
@@ -483,8 +452,7 @@ def _worker_compute_chunk(payload: Tuple
     The payload is fully picklable: clause tuples plus the scalar method
     configuration.  Exceptions propagate to the parent through the future.
     """
-    (chunk, method, epsilon, max_shannon_steps, timeout_seconds, k,
-     numeric, float_ulp_margin) = payload
+    chunk, method, epsilon, max_shannon_steps, timeout_seconds, k = payload
     # Inside the worker process: a ``kill`` rule here exercises the
     # supervised pool's crash recovery (plans reach workers by fork
     # inheritance or via the REPRO_FAULT_PLAN environment variable).
@@ -494,7 +462,7 @@ def _worker_compute_chunk(payload: Tuple
         function = DNF(clauses, domain=range(num_variables))
         outcome, fell_back, _, rounds = _compute_canonical(
             function, method, epsilon, max_shannon_steps, timeout_seconds,
-            k=k, numeric=numeric, float_ulp_margin=float_ulp_margin)
+            k=k)
         results.append((index, outcome, fell_back, rounds))
     return results
 
@@ -585,8 +553,7 @@ class Engine:
             yield query, results
 
     def rank_many(self, queries: Iterable[Query], database: Database,
-                  k: Optional[int] = None,
-                  numeric: Optional[str] = None
+                  k: Optional[int] = None
                   ) -> Iterator[Tuple[Query, List[RankedAnswer]]]:
         """Rank the facts of every answer of a query stream (IchiBan).
 
@@ -596,10 +563,7 @@ class Engine:
         ``"topk"``.  ``k`` overrides ``config.k`` per call; because results
         are cached per ``(canonical lineage, epsilon, k)`` and completed
         d-trees are shared across k values, one engine can serve mixed-k
-        traffic.  ``numeric`` likewise overrides ``config.numeric`` per
-        call (``"float"`` ranks by the log-space float tier; see
-        :class:`EngineConfig`), and the tiers cache separately while
-        still sharing compiled d-trees.
+        traffic.
         """
         if self.config.method not in ("rank", "topk"):
             raise ValueError(
@@ -612,7 +576,7 @@ class Engine:
                 answers = lineage_of_answers(query, database,
                                              domain=self.config.domain)
             outcomes = self._attribute_batch([a.lineage for a in answers],
-                                             k=k, numeric=numeric)
+                                             k=k)
             with self.stats.timed("assemble"):
                 rankings = [
                     (answer.values,
@@ -622,11 +586,9 @@ class Engine:
             yield query, rankings
 
     def rank(self, query: Query, database: Database,
-             k: Optional[int] = None,
-             numeric: Optional[str] = None) -> List[RankedAnswer]:
+             k: Optional[int] = None) -> List[RankedAnswer]:
         """Rank every answer of one query (see :meth:`rank_many`)."""
-        _, rankings = next(self.rank_many([query], database, k=k,
-                                          numeric=numeric))
+        _, rankings = next(self.rank_many([query], database, k=k))
         return rankings
 
     def attribute_lineages(self, lineages: Sequence[DNF]
@@ -716,8 +678,7 @@ class Engine:
     # ----------------------------------------------------------------- #
 
     def _attribute_batch(self, lineages: Sequence[DNF],
-                         k: Optional[int] = None,
-                         numeric: Optional[str] = None
+                         k: Optional[int] = None
                          ) -> List[Tuple[CanonicalLineage, CachedAttribution]]:
         """Canonicalize, cache-check, compute and return per-lineage outcomes."""
         config = self.config
@@ -732,23 +693,11 @@ class Engine:
                 "method 'topk' needs k: set EngineConfig.k or pass k "
                 "per call"
             )
-        if numeric is None:
-            numeric = config.numeric
-        elif numeric not in ("exact", "float"):
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', not {numeric!r}")
-        elif config.method not in ("rank", "topk"):
-            raise ValueError("a per-call numeric needs method='rank' or "
-                             "'topk'")
-        # Float-tier results live under a suffixed method key: the tiers
-        # produce different certificates, so they must never alias.
-        key_method = (config.method if numeric == "exact"
-                      else f"{config.method}-float")
         self.stats.bump(answers=len(lineages))
 
         with self.stats.timed("canonicalize"):
             canonicals = [canonicalize(lineage) for lineage in lineages]
-            keys = [self.cache.result_key(c.key, key_method,
+            keys = [self.cache.result_key(c.key, config.method,
                                           config.epsilon, k)
                     for c in canonicals]
             cached: Dict[int, CachedAttribution] = {}
@@ -787,8 +736,7 @@ class Engine:
             # attempt (e.g. against a d-tree cached in the meantime).
             try:
                 for position, outcome in self._compute_tasks(
-                        [canonicals[index] for _, index in tasks], k,
-                        numeric):
+                        [canonicals[index] for _, index in tasks], k):
                     key = tasks[position][0]
                     if outcome.converged:
                         self.cache.results.put(key, outcome)
@@ -820,7 +768,7 @@ class Engine:
         return max(1, min(self.config.max_workers, os.cpu_count() or 1))
 
     def _compute_tasks(self, tasks: Sequence[CanonicalLineage],
-                       k: Optional[int], numeric: str = "exact"
+                       k: Optional[int]
                        ) -> Iterator[Tuple[int, CachedAttribution]]:
         """Run the distinct cache misses, in the pool or serially.
 
@@ -835,8 +783,7 @@ class Engine:
         if (self._effective_workers() > 1
                 and len(tasks) >= config.parallel_min_tasks):
             try:
-                for position, outcome in self._compute_parallel(tasks, k,
-                                                                numeric):
+                for position, outcome in self._compute_parallel(tasks, k):
                     self.stats.bump(compilations=1)
                     done.add(position)
                     yield position, outcome
@@ -852,7 +799,7 @@ class Engine:
         for position, canonical in enumerate(tasks):
             if position in done:
                 continue
-            outcome = self._compute_serial(canonical, k, numeric)
+            outcome = self._compute_serial(canonical, k)
             self.stats.bump(compilations=1)
             yield position, outcome
 
@@ -899,8 +846,7 @@ class Engine:
             store.put_artifact(key, artifact)
 
     def _compute_serial(self, canonical: CanonicalLineage,
-                        k: Optional[int] = None,
-                        numeric: str = "exact") -> CachedAttribution:
+                        k: Optional[int] = None) -> CachedAttribution:
         config = self.config
         artifact = self._artifact_for(canonical.key)
         if artifact is None:
@@ -922,8 +868,7 @@ class Engine:
         outcome, fell_back, artifact_out, rounds = _compute_canonical(
             canonical.dnf, config.method, config.epsilon,
             config.max_shannon_steps, config.timeout_seconds,
-            artifact=artifact, k=k, artifact_sink=sink, numeric=numeric,
-            float_ulp_margin=config.float_ulp_margin, stats=self.stats)
+            artifact=artifact, k=k, artifact_sink=sink, stats=self.stats)
         self._record_outcome(outcome, fell_back, rounds)
         self._remember_artifact(canonical.key, artifact_out, known=artifact)
         return outcome
@@ -937,7 +882,7 @@ class Engine:
             self.stats.bump(partial_results=1)
 
     def _compute_parallel(self, tasks: Sequence[CanonicalLineage],
-                          k: Optional[int], numeric: str = "exact"
+                          k: Optional[int]
                           ) -> Iterator[Tuple[int, CachedAttribution]]:
         """Fan the tasks out over a supervised pool, yielding as chunks finish.
 
@@ -969,8 +914,7 @@ class Engine:
 
         payloads = [
             (chunk, config.method, config.epsilon,
-             config.max_shannon_steps, config.timeout_seconds, k,
-             numeric, config.float_ulp_margin)
+             config.max_shannon_steps, config.timeout_seconds, k)
             for chunk in chunks
         ]
         pool = SupervisedPool(

@@ -152,9 +152,8 @@ class EngineStats:
         Wall-clock seconds per pipeline stage (``evaluate``,
         ``canonicalize``, ``compute``, ``assemble``).
     pass_seconds:
-        Wall-clock seconds per arena *pass* (``compile``, ``count``,
-        ``banzhaf``, ``float``, ``surrogate``).  Populated by the pass
-        label of :meth:`timed` / :meth:`timed_pass`.
+        Wall-clock seconds per arena *pass* (``count``, ``banzhaf``).
+        Populated by the pass label of :meth:`timed` / :meth:`timed_pass`.
     """
 
     queries: int = 0

@@ -4,8 +4,8 @@ The struct-of-arrays arena (:mod:`repro.dtree.arena`) implements the
 fused counting, Banzhaf and Shapley passes as index loops over
 postorder-contiguous columns.  This module pins their core contract --
 **bit-identical results** -- by fuzzing random DNFs through the arena and
-the recursive seed reference (:mod:`repro.core.reference`), exercises
-the float tier's enclosure and ordering guarantees on tie-rich instances,
+the recursive seed reference (:mod:`repro.core.reference`), checks the
+ranking tier's enclosures and order against ExaBan on tie-rich instances,
 and covers the shapes the column layout is most likely to get wrong:
 deep trees (built and rebuilt far beyond the recursion limit) and trees
 decoded from legacy v1 shards.
@@ -27,7 +27,6 @@ from repro.dtree.arena import (
     DTreeArena,
     arena_banzhaf,
     arena_counts,
-    arena_model_count,
     arena_of,
 )
 from repro.baselines.brute_force import banzhaf_all_brute_force
@@ -60,7 +59,6 @@ def test_arena_counts_and_banzhaf_match_baselines(function: DNF):
     arena = DTreeArena.from_tree(tree)
     counts = arena_counts(arena)
     # Model count: arena column vs recursive seed.
-    assert counts[arena.root] == arena_model_count(arena)
     assert counts[arena.root] == seed.model_count_recursive(tree)
     assert counts[arena.root] == model_count(tree)
     # Fused all-variables Banzhaf: bit-identical ints.
@@ -89,28 +87,27 @@ def _tie_rich_instances():
     return instances
 
 
-def test_float_rank_encloses_and_orders_like_exact():
+def test_rank_encloses_and_orders_like_exact():
     for function in _tie_rich_instances():
         tree = compile_dnf(function)
         exact = {v: value for v, value in exaban_all(tree).items()
                  if v in function.variables}
-        result = compute_ranking(function, "rank", None, None, None,
-                                 numeric="float")
+        result = compute_ranking(function, "rank", None, None, None)
         outcome = result.outcome
-        assert outcome.method_used == "rank-float"
+        assert outcome.method_used == "rank"
         assert outcome.converged
         assert set(outcome.values) == set(exact)
         for variable, (lower, upper) in outcome.bounds.items():
             assert lower <= exact[variable] <= upper
-        # Non-straddlers are certifiably separated, straddlers fall back
-        # to exact points: the value order must match the exact order.
-        float_order = sorted(outcome.values,
-                             key=lambda v: (-outcome.values[v], v))
+        # Certainty (epsilon=None) leaves every pair separated or tied at
+        # one point: the value order must match the exact order.
+        rank_order = sorted(outcome.values,
+                            key=lambda v: (-outcome.values[v], v))
         exact_order = sorted(exact, key=lambda v: (-exact[v], v))
-        assert float_order == exact_order
+        assert rank_order == exact_order
 
 
-def test_float_topk_sets_legitimate_on_tie_rich_instances():
+def test_topk_sets_legitimate_on_tie_rich_instances():
     k = 3
     for function in _tie_rich_instances():
         if len(function.variables) <= k:
@@ -118,16 +115,16 @@ def test_float_topk_sets_legitimate_on_tie_rich_instances():
         exact = {v: value
                  for v, value in exaban_all(compile_dnf(function)).items()
                  if v in function.variables}
-        result = compute_ranking(function, "topk", k, None, None,
-                                 numeric="float")
-        assert result.outcome.method_used == "topk-float"
+        result = compute_ranking(function, "topk", k, None, None)
+        assert result.outcome.method_used == "topk"
+        assert result.outcome.converged
         reported = [entry.variable
                     for entry in ranked_from_bounds(result.outcome.bounds, k)]
         legitimate = ground_truth_topk(exact, k)
         assert set(reported) <= legitimate
         assert len(reported) >= min(k, len(exact))
         # And the certain top-k set (exact values above the (k+1)-th) is
-        # fully recovered: float separation never drops a certain member.
+        # fully recovered: interval separation never drops a certain member.
         certain = {v for v in exact
                    if sum(exact[u] > exact[v] for u in exact) < k
                    and sum(exact[u] >= exact[v] for u in exact) <= k}
@@ -192,7 +189,7 @@ def test_v1_shard_round_trips_into_the_arena():
 
 def test_arena_shapley_values_are_fractions():
     # Exactness guard: the arena-backed Shapley path must keep returning
-    # exact Fractions (the float tier is ranking-only by design).
+    # exact Fractions.
     function = DNF([(0, 1), (1, 2)], domain=range(3))
     values = shapley_all(function)
     assert all(isinstance(value, Fraction) for value in values.values())

@@ -1,6 +1,5 @@
 """Tests for the batched attribution engine (repro.engine)."""
 
-import math
 import os
 import random
 import subprocess
@@ -12,23 +11,15 @@ import pytest
 from repro import Database, attribute_facts, parse_query
 from repro.baselines.brute_force import banzhaf_all_brute_force
 from repro.boolean.dnf import DNF
-from repro.core.exaban import exaban_all
 from repro.core.ichiban import ichiban_topk
 from repro.dtree.arena import (
     DTreeArena,
     arena_banzhaf,
     arena_counts,
-    arena_float_banzhaf,
-    arena_float_counts,
-    arena_float_surrogate,
     banzhaf_pass,
     counts_pass,
-    float_banzhaf_pass,
-    float_surrogate_pass,
-    pow2_int,
 )
 from repro.dtree.compile import CompilationLimitReached, compile_dnf
-from repro.dtree.incremental import IncrementalCompiler
 from repro.engine import (
     CompiledLineage,
     Engine,
@@ -37,7 +28,7 @@ from repro.engine import (
     canonicalize,
 )
 from repro.engine.cache import LineageCache, LRUCache
-from repro.engine.ranking import uncertified_enclosure
+from repro.engine.ranking import compute_ranking
 from repro.engine.stats import EngineStats
 from repro.experiments.runner import ExperimentConfig, run_workload_batched
 from repro.workloads.generators import random_positive_dnf, star_join_lineage
@@ -242,17 +233,6 @@ class TestStats:
                             ("shapley", 1, 0), ("approximate", 1, 0)]
 
 
-def _float_encloses(log: float, err: float, exact: int,
-                    margin: int = 8) -> bool:
-    """The float passes' enclosure contract for one (log2, rel-err) value."""
-    if math.isinf(log) and log < 0:
-        return exact == 0
-    if uncertified_enclosure(log, err, margin):
-        return True  # vacuous; the ranking tier falls back to exact
-    return (pow2_int(log, margin * err) <= exact
-            <= pow2_int(log, margin * err, ceil=True))
-
-
 class TestPassEntryPoints:
     def test_pass_entry_points_match_arena_passes(self):
         rng = random.Random(11)
@@ -265,20 +245,6 @@ class TestPassEntryPoints:
         assert banzhaf_pass(arena, stats=stats) == exact_banzhaf
         # The fused pass filled the count column counts_pass reads.
         assert counts_pass(arena, stats=stats) == exact_counts
-        scores = float_banzhaf_pass(arena, stats=stats)
-        assert scores == arena_float_banzhaf(reference)
-        assert set(scores) == set(exact_banzhaf)
-        for variable, (log, err) in scores.items():
-            assert _float_encloses(log, err, exact_banzhaf[variable])
-        logs, errs = arena_float_counts(DTreeArena.from_tree(tree))
-        for row, exact in enumerate(exact_counts):
-            assert _float_encloses(logs[row], errs[row], exact)
-        compiler = IncrementalCompiler(random_positive_dnf(rng, 14, 10))
-        for _ in range(3):
-            compiler.expand_step()
-        assert not compiler.is_complete()
-        assert (float_surrogate_pass(DTreeArena.from_tree(compiler.root))
-                == arena_float_surrogate(DTreeArena.from_tree(compiler.root)))
 
     def test_exact_passes_are_bit_identical_across_profiles(self):
         rng = random.Random(12)
@@ -509,38 +475,23 @@ class TestRankingEngine:
         engine.attribute_lineages([hard])
         assert engine.stats.cache_misses == 2  # partials never cached
 
-    def test_uncertified_enclosure_guards_vacuous_widths(self):
-        # Deep chains accumulate relative errors up to ~1e307; asking
-        # pow2_int for that enclosure would allocate err/ln2 bits.  The
-        # ranking tier must route such scores to the exact fallback.
-        assert not uncertified_enclosure(-math.inf, math.inf, 8)  # zero
-        assert not uncertified_enclosure(1500.0, 1e-12, 8)
-        assert not uncertified_enclosure(1500.0, 300.0, 8)  # ~3500 bits
-        assert uncertified_enclosure(1500.0, math.inf, 8)
-        assert uncertified_enclosure(1500.0, math.nan, 8)
-        assert uncertified_enclosure(1500.0, 4.7e307, 8)  # deep-chain regime
-
-    def test_float_ranking_single_answer_encloses_exact(self):
-        lineage = star_join_lineage(random.Random(41), 3, 3)
-        engine = Engine(EngineConfig(method="rank", epsilon=None,
-                                     numeric="float"))
-        (ranked,) = engine.attribute_lineages([lineage])
-        exact = exaban_all(compile_dnf(lineage))
-        assert set(ranked.bounds) == set(exact)
-        for variable, (lower, upper) in ranked.bounds.items():
-            assert lower <= exact[variable] <= upper
-
-    def test_float_ranking_bounds_enclose_exact(self):
-        rng = random.Random(41)
-        lineages = [star_join_lineage(rng, 3, 3),
-                    star_join_lineage(rng, 4, 2)]
-        engine = Engine(EngineConfig(method="rank", epsilon=None,
-                                     numeric="float"))
-        for lineage, ranked in zip(lineages,
-                                   engine.attribute_lineages(lineages)):
-            exact = exaban_all(compile_dnf(lineage))
-            for variable, (lower, upper) in ranked.bounds.items():
-                assert lower <= exact[variable] <= upper
+    def test_removed_float_tier_knobs_raise_type_error(self):
+        # The ranking methods have one tier; its old knobs are not
+        # silently accepted anywhere.
+        for knob in ({"numeric": "float"}, {"float_ulp_margin": 8}):
+            with pytest.raises(TypeError):
+                EngineConfig(method="rank", **knob)
+            with pytest.raises(TypeError):
+                compute_ranking(self.FUNCTION, "rank", None, None, None,
+                                **knob)
+        database = Database()
+        database.add_fact("R", (1,))
+        query = parse_query("Q() :- R(X)")
+        engine = Engine(EngineConfig(method="rank"))
+        with pytest.raises(TypeError):
+            engine.rank(query, database, numeric="float")
+        with pytest.raises(TypeError):
+            next(engine.rank_many([query], database, numeric="float"))
 
 
 class TestLRUCache:

@@ -509,3 +509,58 @@ class TestMigration:
             v2 = migrated.get_artifact((4, ((0, 1), (2,), (3,))))
             assert v2.complete and trees_equal(
                 v2.root, compile_dnf(DNF([(0, 1), (2,), (3,)])))
+
+
+class TestRetiredRankingRecords:
+    def test_float_tier_records_load_but_are_never_served(self, tmp_path):
+        # Stores written while the engine had a float ranking tier hold
+        # results under the methods "rank-float" and "topk-float".  A
+        # warm start still loads them, but no request key reaches them.
+        from repro import Database, parse_query
+        from repro.db.lineage import lineage_of_answers
+        from repro.engine.cache import CachedAttribution, canonical_epsilon
+        from repro.engine.canonical import canonicalize
+        from repro.engine.serve import AttributionService
+
+        database = Database()
+        for value in ("a", "b"):
+            database.add_fact("R", (value,))
+        for row in (("a", 1), ("b", 1), ("b", 2)):
+            database.add_fact("S", row)
+        query = "Q() :- R(X), S(X, Y)"
+        (answer,) = lineage_of_answers(parse_query(query), database)
+        key = canonicalize(answer.lineage).key
+        epsilon = canonical_epsilon(EngineConfig().epsilon)
+
+        def record(method):
+            # Negative values no Banzhaf ranking has: serving them shows.
+            return CachedAttribution(
+                method_used=method,
+                values={v: Fraction(-1) for v in range(key[0])},
+                bounds={v: (-1, -1) for v in range(key[0])})
+
+        with LogStore(str(tmp_path)) as store:
+            store.put((key, "rank-float", epsilon, None), record("rank-float"))
+            store.put((key, "topk-float", epsilon, 1), record("topk-float"))
+            store.flush()
+
+        requests = ({"op": "rank", "query": query},
+                    {"op": "topk", "query": query, "k": 1})
+        storeless = AttributionService(database)
+        expected = [storeless.submit(request) for request in requests]
+        assert all(response["ok"] for response in expected)
+
+        store = LogStore(str(tmp_path))
+        try:
+            service = AttributionService(database, store=store,
+                                         warm_start=True)
+            assert service.warm_loaded == 2
+            assert not service.warm_start_failed
+            assert [service.submit(request) for request in requests] \
+                == expected
+            stats = service.stats()
+            assert stats["cache_hits"] == 0
+            assert stats["store_hits"] == 0
+            assert stats["cache_misses"] == 2
+        finally:
+            store.close()
