@@ -4,35 +4,34 @@ Simulates the deployment story of :class:`~repro.engine.frontend.
 ServingFrontend`: several clients hammer one service with *repeat
 traffic* (the same pool of non-read-once query classes, so concurrent
 duplicates are the norm, as in any dashboard- or API-driven
-deployment).  Three runs over identical traffic:
+deployment).  Two runs over identical traffic:
 
-* **serial** -- one thread calling :meth:`AttributionService.submit`;
-  the ground truth for both values and the single-thread baseline rate;
-* **coalesce-off** -- the threaded front-end with single-flight
-  coalescing and micro-batching disabled: racing duplicates compute
-  redundantly (the failure mode the front-end exists to fix);
-* **coalesce-on** -- the full front-end: duplicates ride the leader's
-  computation.
+* **serial** -- one thread calling :meth:`AttributionService.submit`
+  for every client's requests in turn: the ground truth for values and
+  compilations, and the live alternative to the front-end;
+* **frontend** -- the threaded front-end (micro-batching on), whose
+  engines share each in-flight computation (single-flight).
 
-Asserts the acceptance criteria of the serving tier:
+Gates only the deterministic properties:
 
-* coalescing lifts throughput **>= 1.5x** over the disabled run at
-  >= 4 concurrent clients;
-* every concurrent response is **bit-identical** (exact ``Fraction``
-  equality) to the serial run;
-* **zero dropped or failed responses**: every request produces exactly
-  one ``ok`` response in every run.
+* **exactly once** -- every front-end round compiles exactly as many
+  lineages as the serial run (one per query class), however the
+  concurrent duplicates interleave;
+* **exactness** -- every front-end response is bit-identical (exact
+  ``Fraction`` equality) to the serial run;
+* **delivery** -- zero failed or dropped responses: every request
+  produces exactly one ``ok`` response.
 
-Emits ``BENCH_serve_load.json`` (throughput_rps, p50/p95 latency,
-failure_rate, coalesce rate per run) plus a per-run table
+Throughput (``throughput_rps``), p50/p95 latency of both runs and the
+front-end/serial throughput ratio are reported, not gated: they depend
+on the scheduler and the host's core count.  Emits
+``BENCH_serve_load.json`` plus a per-run table
 (``serve_load_run_table.csv``).  Environment knobs:
 ``REPRO_BENCH_CLIENTS`` (default 4), ``REPRO_BENCH_CLASSES`` (query
 classes, default 6), ``REPRO_BENCH_REPEATS`` (passes over the pool per
 client, default 2), ``REPRO_BENCH_ROUNDS`` (best-of timing rounds,
 default 2), and ``REPRO_BENCH_SMOKE=1`` for the CI smoke configuration
-(4 clients, 3 small classes, 1 repeat, 1 round, and a relaxed >= 1.0x
-sanity bar instead of the full run's >= 1.5x claim -- shared CI runners
-cannot prove a scheduling-sensitive throughput ratio).  Runs standalone
+(4 clients, 3 small classes, 1 repeat, 1 round).  Runs standalone
 (``python benchmarks/bench_serve_load.py``) or under pytest with the
 benchmark harness.
 """
@@ -67,8 +66,8 @@ def _workload(num_classes: int, size: int,
 
     Class ``i`` drops ``i`` edges from its complete bipartite graph:
     distinct clause counts guarantee the classes are *not* WL-isomorphic
-    (renaming relations alone would coalesce into one canonical lineage
-    and the whole pool would compile exactly once)."""
+    (renaming relations alone would give one canonical lineage and the
+    whole pool would compile exactly once)."""
     db = Database()
     for i in range(num_classes):
         drop = {((j * 2 + i) % size, (j + i) % size) for j in range(i)}
@@ -108,19 +107,15 @@ def _run_serial(database: Database, traffic: List[str]) -> Dict[str, object]:
         latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - started
     return {"responses": responses, "latencies": latencies,
-            "elapsed": elapsed, "service": service, "coalesced": 0}
+            "elapsed": elapsed, "service": service}
 
 
-def _run_concurrent(database: Database, per_client: List[str],
-                    clients: int, coalesce: bool) -> Dict[str, object]:
+def _run_frontend(database: Database, per_client: List[str],
+                  clients: int) -> Dict[str, object]:
     """Each client thread submits the same repeat-traffic sequence."""
     service = AttributionService(database)
-    config = FrontendConfig(
-        workers=clients,
-        max_queue=max(16, clients * 4),
-        coalesce=coalesce,
-        batch_max=8 if coalesce else 1,
-    )
+    config = FrontendConfig(workers=clients,
+                            max_queue=max(16, clients * 4), batch_max=8)
     frontend = ServingFrontend(service, config)
     barrier = threading.Barrier(clients)
     per_client_out: List[List] = [[] for _ in range(clients)]
@@ -152,26 +147,25 @@ def _run_concurrent(database: Database, per_client: List[str],
         f"{len(responses)} != {clients * len(per_client)}")
     return {"responses": responses,
             "latencies": [l for ls in latencies for l in ls],
-            "elapsed": elapsed, "service": service,
-            "coalesced": service.stats_counters.coalesced_requests,
-            "frontend": report}
+            "elapsed": elapsed, "service": service, "frontend": report}
 
 
-def _row(name: str, run: Dict[str, object], clients: int,
-         coalesce: str) -> Dict[str, object]:
+def _row(name: str, run: Dict[str, object],
+         clients: int) -> Dict[str, object]:
     responses = run["responses"]
     latencies = run["latencies"]
+    counters = run["service"].stats_counters
     failures = sum(1 for response in responses if not response.get("ok"))
     return {
         "run": name,
         "clients": clients,
-        "coalesce": coalesce,
         "requests": len(responses),
         "throughput_rps": round(len(responses) / run["elapsed"], 1),
         "p50_ms": round(_percentile(latencies, 0.50) * 1000, 2),
         "p95_ms": round(_percentile(latencies, 0.95) * 1000, 2),
         "failure_rate": round(failures / len(responses), 4),
-        "coalesce_rate": round(run["coalesced"] / len(responses), 3),
+        "compilations": counters.compilations,
+        "coalesced_answers": counters.coalesced_requests,
     }
 
 
@@ -194,103 +188,90 @@ def run_benchmark(clients: int = None, num_classes: int = None,
         "REPRO_BENCH_CLASSES", "3" if smoke else "6"))
     repeats = repeats or int(os.environ.get(
         "REPRO_BENCH_REPEATS", "1" if smoke else "2"))
-    rounds = int(os.environ.get("REPRO_BENCH_ROUNDS",
-                                "1" if smoke else "2"))
+    rounds = max(1, int(os.environ.get("REPRO_BENCH_ROUNDS",
+                                       "1" if smoke else "2")))
     size = 4 if smoke else 5
-    # The >= 1.5x throughput claim is made by the full benchmark; the
-    # smoke configuration runs the identical machinery on a noisy shared
-    # runner and only sanity-checks that coalescing does not *hurt*.
-    target_speedup = 1.0 if smoke else 1.5
-    assert clients >= 4, "the acceptance claim is at >= 4 clients"
+    assert clients >= 4, "the load story is told at >= 4 clients"
 
     database, queries = _workload(num_classes, size)
     per_client = queries * repeats
+    traffic = per_client * clients
 
-    # Ground truth: one serial pass over each client's traffic.
-    serial = _run_serial(database, per_client * clients)
+    # Best-of-rounds timing (each round gets a fresh service and
+    # caches); every round of both runs is checked below.
+    serial_rounds = [_run_serial(database, traffic) for _ in range(rounds)]
+    frontend_rounds = [_run_frontend(database, per_client, clients)
+                       for _ in range(rounds)]
+
     expected = {}
-    for query, response in zip(per_client * clients, serial["responses"]):
+    for query, response in zip(traffic, serial_rounds[0]["responses"]):
         assert response["ok"], response
         expected[query] = _fractions(response)
+    required = serial_rounds[0]["service"].stats_counters.compilations
+    assert required == num_classes, (
+        f"serial run compiled {required} lineages for {num_classes} "
+        "classes")
 
-    # Best-of-rounds timing (each round gets fresh services and caches);
-    # correctness is asserted on every round's responses below.
-    off = on = None
-    for _ in range(max(1, rounds)):
-        round_off = _run_concurrent(database, per_client, clients,
-                                    coalesce=False)
-        round_on = _run_concurrent(database, per_client, clients,
-                                   coalesce=True)
-        if off is None or round_off["elapsed"] < off["elapsed"]:
-            off = round_off
-        if on is None or round_on["elapsed"] < on["elapsed"]:
-            on = round_on
-
-    # Exactness: every concurrent response (either mode) bit-identical
-    # to the serial Fractions for its query.
-    for run in (off, on):
-        for query, response in zip(per_client * clients,
-                                   run["responses"]):
+    for run in serial_rounds + frontend_rounds:
+        for query, response in zip(traffic, run["responses"]):
             assert response["ok"], response
             assert _fractions(response) == expected[query], (
-                f"concurrent values diverged from serial for {query!r}")
+                f"values diverged from the serial run for {query!r}")
+    for run in frontend_rounds:
+        compilations = run["service"].stats_counters.compilations
+        assert compilations == required, (
+            f"the front-end compiled {compilations} lineages, the serial "
+            f"run {required}: concurrent duplicates computed twice")
 
-    rows = [
-        _row("serial", serial, 1, "n/a"),
-        _row("frontend-coalesce-off", off, clients, "off"),
-        _row("frontend-coalesce-on", on, clients, "on"),
-    ]
+    serial = min(serial_rounds, key=lambda run: run["elapsed"])
+    frontend = min(frontend_rounds, key=lambda run: run["elapsed"])
+    rows = [_row("serial", serial, 1), _row("frontend", frontend, clients)]
     table_path = _write_run_table(rows)
-
-    on_rps = rows[2]["throughput_rps"]
-    off_rps = rows[1]["throughput_rps"]
-    speedup = on_rps / off_rps
-    assert speedup >= target_speedup, (
-        f"coalescing lifted throughput only {speedup:.2f}x over the "
-        f"disabled front-end (target >= {target_speedup}x at "
-        f"{clients} clients)")
-    assert rows[1]["failure_rate"] == 0 and rows[2]["failure_rate"] == 0
-    assert on["coalesced"] > 0, "no request ever coalesced"
+    ratio = rows[1]["throughput_rps"] / rows[0]["throughput_rps"]
 
     emit_bench_json(
         "serve_load",
         workload=f"{clients} clients x {len(per_client)} requests of "
                  f"repeat traffic over {num_classes} non-read-once "
                  f"query classes (bipartite size {size})",
-        speedup=round(speedup, 3),
         ops_per_sec={
-            "serve.requests_per_sec.coalesce_on": on_rps,
-            "serve.requests_per_sec.coalesce_off": off_rps,
+            "serve.requests_per_sec.frontend": rows[1]["throughput_rps"],
             "serve.requests_per_sec.serial": rows[0]["throughput_rps"],
         },
         metrics={
             "runs": rows,
             "clients": clients,
-            "requests_per_run": clients * len(per_client),
-            "coalesce_rate_on": rows[2]["coalesce_rate"],
-            "frontend_stats_on": on["frontend"],
+            "rounds": rounds,
+            "requests_per_run": len(traffic),
+            "frontend_over_serial": round(ratio, 3),
+            "compilations_required": required,
+            "frontend_compilations": [
+                run["service"].stats_counters.compilations
+                for run in frontend_rounds],
+            "frontend_stats": frontend["frontend"],
             "exactness": "all responses Fraction-identical to serial",
             "run_table_csv": os.path.basename(table_path),
         },
     )
 
-    header = (f"{'run':<22} {'clients':>7} {'req':>5} {'rps':>8} "
-              f"{'p50 ms':>8} {'p95 ms':>8} {'fail':>6} {'coalesce':>9}")
+    header = (f"{'run':<10} {'clients':>7} {'req':>5} {'rps':>8} "
+              f"{'p50 ms':>8} {'p95 ms':>8} {'fail':>6} {'compiles':>9}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row['run']:<22} {row['clients']:>7} {row['requests']:>5} "
+            f"{row['run']:<10} {row['clients']:>7} {row['requests']:>5} "
             f"{row['throughput_rps']:>8.1f} {row['p50_ms']:>8.2f} "
             f"{row['p95_ms']:>8.2f} {row['failure_rate']:>6.2%} "
-            f"{row['coalesce_rate']:>9.1%}")
+            f"{row['compilations']:>9}")
     lines += [
         "",
-        f"coalescing speedup:  {speedup:.2f}x over the disabled "
-        f"front-end (target >= {target_speedup}x, best of "
-        f"{max(1, rounds)} rounds)",
-        f"exactness:           all {2 * clients * len(per_client)} "
-        "concurrent responses Fraction-identical to serial",
+        f"exactly once:        every front-end round ({rounds}) compiled "
+        f"{required} lineages, as the serial run",
+        f"exactness:           all {rounds * len(traffic)} front-end "
+        "responses Fraction-identical to serial",
         "delivery:            zero dropped responses, zero failures",
+        f"front-end / serial:  {ratio:.2f}x throughput (best round of "
+        f"{rounds} each; reported, not gated)",
     ]
     return "\n".join(lines)
 

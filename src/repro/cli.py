@@ -40,13 +40,13 @@ JSON Lines request file (one ``{"op": "attribute"|"rank"|"topk", "query":
 per line; ``--store DIR`` adds the on-disk cache tier and ``--warm-start``
 preloads it into memory.  ``--workers N`` (N >= 2) serves through the
 concurrent front-end (:mod:`repro.engine.frontend`) -- worker threads,
-in-flight coalescing of isomorphic computations (``--no-coalesce``
-disables), micro-batching (``--batch-max``), a bounded admission queue
+micro-batching (``--batch-max``), a bounded admission queue
 (``--max-queue``), and a default per-request deadline (``--deadline-ms``)
 under which late requests degrade to best-effort partials -- while
-keeping responses in input order.  Every store is the append-only
-record log of :mod:`repro.engine.logstore` (point reads, single-writer
-locking, compaction); every store-taking command accepts
+keeping responses in input order; concurrent requests that need the
+same result share one computation in the engine.  Every store is the
+append-only record log of :mod:`repro.engine.logstore` (point reads,
+single-writer locking, compaction); every store-taking command accepts
 ``--store-shards N`` (consistent-hash sharding across N roots).
 ``cache save`` computes the given queries and persists the resulting
 cache entries -- results *and* compiled-lineage artifacts, so a later
@@ -415,9 +415,8 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
                              "engine counters after the stream")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker threads; 2 or more serve through the "
-                             "concurrent front-end with in-flight "
-                             "coalescing and micro-batching (default: 1, "
-                             "the plain serial loop)")
+                             "concurrent front-end with micro-batching "
+                             "(default: 1, the plain serial loop)")
     parser.add_argument("--max-queue", type=int, default=64, metavar="N",
                         help="admission-queue bound of the concurrent "
                              "front-end (default: 64; needs --workers >= 2)")
@@ -431,9 +430,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
                         help="micro-batch bound of the concurrent "
                              "front-end; 1 disables batching (default: 8; "
                              "needs --workers >= 2)")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable in-flight coalescing of isomorphic "
-                             "computations (needs --workers >= 2)")
     arguments = parser.parse_args(list(argv))
     if not arguments.facts:
         parser.error("at least one --facts NAME=PATH is required")
@@ -441,13 +437,9 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
         parser.error("--warm-start needs --store")
     if arguments.workers < 1:
         parser.error("--workers must be at least 1")
-    if arguments.workers == 1:
-        for flag, given in (("--deadline-ms",
-                             arguments.deadline_ms is not None),
-                            ("--no-coalesce", arguments.no_coalesce)):
-            if given:
-                parser.error(f"{flag} needs the concurrent front-end: "
-                             "pass --workers 2 or more")
+    if arguments.workers == 1 and arguments.deadline_ms is not None:
+        parser.error("--deadline-ms needs the concurrent front-end: "
+                     "pass --workers 2 or more")
     if arguments.store_retries < 0:
         parser.error("--store-retries must be non-negative")
     if arguments.breaker_threshold < 0:
@@ -477,7 +469,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
             workers=arguments.workers,
             max_queue=arguments.max_queue,
             batch_max=arguments.batch_max,
-            coalesce=not arguments.no_coalesce,
             deadline_ms=arguments.deadline_ms,
         )
 

@@ -100,8 +100,9 @@ class LRUCache(Generic[_V]):
 
     Individual operations are lock-protected, so concurrent readers and
     writers (e.g. threads sharing one engine through ``attribute_facts``)
-    can never corrupt the structure; the worst cross-thread outcome is a
-    duplicated computation whose identical result is stored twice.
+    can never corrupt the structure.  The LRU itself does not stop two
+    threads from computing one missing entry; the in-flight table of
+    :class:`LineageCache` does.
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -166,12 +167,34 @@ class LineageCache:
     (``artifact_entries``).  Artifacts are keyed by
     :data:`~repro.engine.canonical.CanonicalKey` alone — one compilation
     serves every method, epsilon and k over that lineage.
+
+    It also holds the in-flight table that makes the engine's compute
+    stage single-flight: the first caller to :meth:`claim` a key computes
+    it, later callers wait on the owner's event and then read
+    :attr:`results`, across every engine and thread sharing this cache.
     """
 
     def __init__(self, max_entries: int = 4096,
                  artifact_entries: int = 256) -> None:
         self.results: LRUCache[CachedAttribution] = LRUCache(max_entries)
         self.artifacts: LRUCache[object] = LRUCache(artifact_entries)
+        self._inflight: Dict[Hashable, threading.Event] = {}
+        self._inflight_lock = threading.Lock()
+
+    def claim(self, key: Hashable) -> Optional[threading.Event]:
+        """``None`` if the caller now owns ``key`` (and must
+        :meth:`release` it), else the owner's event, set on release."""
+        with self._inflight_lock:
+            event = self._inflight.get(key)
+            if event is None:
+                self._inflight[key] = threading.Event()
+            return event
+
+    def release(self, key: Hashable) -> None:
+        """End the caller's ownership of ``key`` and wake its waiters."""
+        with self._inflight_lock:
+            event = self._inflight.pop(key)
+        event.set()
 
     @staticmethod
     def result_key(key: CanonicalKey, method: str,

@@ -19,7 +19,9 @@ lineages) it runs a four-stage pipeline:
    method, a partial one is resumed from its persisted frontier, and the
    updated artifact is written back so the compilation is paid at most
    once per canonical lineage -- across methods, epsilons, k values and
-   (via the store) processes.  Batches may also fan out over a
+   (via the store) processes.  The stage is single-flight: a miss that
+   another caller sharing the cache is computing is waited for, not
+   computed again.  Batches may also fan out over a
    ``concurrent.futures`` process pool with chunked scheduling and a
    transparent serial fallback (artifacts never cross the pool boundary);
 4. **assemble** -- translate canonical-space values back through each
@@ -66,6 +68,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -78,6 +81,7 @@ from typing import (
     Literal,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -95,7 +99,7 @@ from repro.dtree.compile import (
     compile_dnf,
 )
 from repro.engine.artifact import CompiledLineage, complete_compilation
-from repro.engine.cache import CachedAttribution, LineageCache
+from repro.engine.cache import CachedAttribution, LineageCache, ResultKey
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
 from repro.engine.logstore import resolve_store
 from repro.engine.ranking import compute_ranking
@@ -213,9 +217,10 @@ class EngineConfig:
     fault_plan:
         Deterministic fault-injection plan for tests and chaos suites: a
         :class:`~repro.reliability.faults.FaultPlan`, a JSON string, or
-        a dict/list spec (see :mod:`repro.reliability.faults`).  The
-        plan is installed process-wide when the engine is constructed.
-        ``None`` (the default) injects nothing and costs nothing.
+        a dict/list spec (see :mod:`repro.reliability.faults`), resolved
+        once, so every ``replace()`` copy shares one plan and its
+        counters.  Engines and services install it process-wide on
+        construction.  ``None`` (the default) injects nothing.
     """
 
     method: EngineMethod = "auto"
@@ -265,8 +270,9 @@ class EngineConfig:
             raise ValueError("pool_restarts must be >= 0")
         if self.pool_task_timeout is not None and self.pool_task_timeout <= 0:
             raise ValueError("pool_task_timeout must be positive when given")
-        # Validate the plan spec at configuration time, not mid-batch.
-        resolve_fault_plan(self.fault_plan)
+        # Resolve once, at configuration time: copies share one schedule.
+        object.__setattr__(self, "fault_plan",
+                           resolve_fault_plan(self.fault_plan))
 
 
 @dataclass(frozen=True)
@@ -472,13 +478,13 @@ class Engine:
 
     One engine instance owns one cache and one stats object; reuse the
     instance across queries to benefit from cross-query memoization.  Cache
-    operations are individually lock-protected, so threads sharing an
-    engine can at worst duplicate a computation (never corrupt state), and
-    stats counters go through :meth:`EngineStats.bump`, so concurrent
-    increments are never dropped either (the concurrent front-end in
-    :mod:`repro.engine.frontend` relies on both).  The process pool is
-    created per compute batch and always torn down before the batch
-    returns.
+    operations are individually lock-protected, and threads sharing an
+    engine (or its cache) compute each distinct result once: the compute
+    stage is single-flight.  Stats counters go through
+    :meth:`EngineStats.bump`, so concurrent increments are never dropped
+    either (the concurrent front-end in :mod:`repro.engine.frontend`
+    relies on both).  The process pool is created per compute batch and
+    always torn down before the batch returns.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -486,7 +492,7 @@ class Engine:
         self.cache = LineageCache(self.config.cache_size,
                                   self.config.dtree_cache_size)
         self.stats = EngineStats()
-        faults.install(resolve_fault_plan(self.config.fault_plan))
+        faults.install(self.config.fault_plan)
         #: The persistent result tier (or ``None``).  Mutable on purpose:
         #: a service can attach one store to several engines after
         #: construction.  A path-valued config opens its backend here,
@@ -700,41 +706,101 @@ class Engine:
             keys = [self.cache.result_key(c.key, config.method,
                                           config.epsilon, k)
                     for c in canonicals]
-            cached: Dict[int, CachedAttribution] = {}
-            pending: Dict[object, List[int]] = {}
-            for index, key in enumerate(keys):
+        cached: Dict[int, CachedAttribution] = {}
+        unresolved: Sequence[int] = range(len(lineages))
+        while unresolved:
+            followed = self._lookup_and_compute(unresolved, keys, canonicals,
+                                                cached, k)
+            # Wait only now, with every key this pass owned released, so
+            # callers that follow each other's keys cannot deadlock.
+            unresolved = []
+            for key, (flight, indices) in followed.items():
+                flight.wait()
                 hit = self.cache.results.get(key)
-                if hit is not None:
+                if hit is None:
+                    # The owner raised, or did not cache its result.
+                    unresolved.extend(indices)
+                    continue
+                for index in indices:
                     cached[index] = hit
-                    self.stats.bump(cache_hits=1)
-                    continue
-                if key in pending:
-                    # An isomorphic lineage earlier in this batch is already
-                    # scheduled; share its computation.
-                    pending[key].append(index)
-                    self.stats.bump(cache_hits=1)
-                    continue
-                if self.store is not None:
-                    stored = self.store.get(key)
-                    if stored is not None and stored.converged:
-                        # Promote the store hit into the memory tier so
-                        # the rest of this process serves it for free.
-                        self.cache.results.put(key, stored)
-                        cached[index] = stored
-                        self.stats.bump(store_hits=1)
-                        continue
-                pending[key] = [index]
-                self.stats.bump(cache_misses=1)
+                self.stats.bump(cache_hits=len(indices),
+                                coalesced_requests=len(indices))
+        return [(canonicals[index], cached[index])
+                for index in range(len(lineages))]
 
-        with self.stats.timed("compute"):
-            tasks = [(key, indices[0]) for key, indices in pending.items()]
-            # Cache each outcome as soon as it is computed: if a later task
-            # fails (budget exhaustion on a pathological lineage), the work
-            # already done stays reusable and a per-instance retry hits it.
-            # Unconverged ranking results (best-so-far intervals) are
-            # reported but never cached -- a later call deserves a fresh
-            # attempt (e.g. against a d-tree cached in the meantime).
-            try:
+    def _lookup_and_compute(self, indices: Iterable[int],
+                            keys: List[ResultKey],
+                            canonicals: List[CanonicalLineage],
+                            cached: Dict[int, CachedAttribution],
+                            k: Optional[int]
+                            ) -> Dict[ResultKey, Tuple[threading.Event,
+                                                       List[int]]]:
+        """One single-flight pass of the cache-check and compute stages.
+
+        Fills ``cached`` and returns the keys other callers are computing,
+        each with the owner's event and the indices waiting for it.  A
+        claim pairs the key with this engine's budget, so only identical
+        computations share a flight; all are released before returning.
+        """
+        config = self.config
+        budget = (config.max_shannon_steps, config.timeout_seconds)
+        pending: Dict[ResultKey, List[int]] = {}
+        followed: Dict[ResultKey, Tuple[threading.Event, List[int]]] = {}
+        owned: Set[ResultKey] = set()
+        tasks: List[Tuple[ResultKey, int]] = []
+        try:
+            with self.stats.timed("canonicalize"):
+                for index in indices:
+                    key = keys[index]
+                    hit = self.cache.results.get(key)
+                    if hit is not None:
+                        cached[index] = hit
+                        self.stats.bump(cache_hits=1)
+                        continue
+                    if key in pending:
+                        # An isomorphic lineage earlier in this batch is
+                        # already scheduled; share its computation.
+                        pending[key].append(index)
+                        self.stats.bump(cache_hits=1)
+                        continue
+                    if key in followed:
+                        followed[key][1].append(index)
+                        continue
+                    if self.store is not None:
+                        stored = self.store.get(key)
+                        if stored is not None and stored.converged:
+                            # Promote the store hit into the memory tier so
+                            # the rest of this process serves it for free.
+                            self.cache.results.put(key, stored)
+                            cached[index] = stored
+                            self.stats.bump(store_hits=1)
+                            continue
+                    flight = self.cache.claim((key, budget))
+                    if flight is not None:
+                        followed[key] = (flight, [index])
+                        continue
+                    # Another owner may have finished between the lookup
+                    # above and the claim.
+                    hit = self.cache.results.get(key)
+                    if hit is not None:
+                        self.cache.release((key, budget))
+                        cached[index] = hit
+                        self.stats.bump(cache_hits=1)
+                        continue
+                    owned.add(key)
+                    pending[key] = [index]
+                    self.stats.bump(cache_misses=1)
+
+            with self.stats.timed("compute"):
+                tasks = [(key, members[0])
+                         for key, members in pending.items()]
+                # Cache each outcome as soon as it is computed (and wake
+                # its followers): if a later task fails (budget exhaustion
+                # on a pathological lineage), the work already done stays
+                # reusable and a per-instance retry hits it.  Unconverged
+                # ranking results (best-so-far intervals) are reported but
+                # never cached -- a later call deserves a fresh attempt
+                # (e.g. against a d-tree cached in the meantime).
                 for position, outcome in self._compute_tasks(
                         [canonicals[index] for _, index in tasks], k):
                     key = tasks[position][0]
@@ -742,20 +808,22 @@ class Engine:
                         self.cache.results.put(key, outcome)
                         if self.store is not None:
                             self.store.put(key, outcome)
+                    owned.discard(key)
+                    self.cache.release((key, budget))
                     for index in pending[key]:
                         cached[index] = outcome
-            finally:
-                # One durability point per batch: buffered writes become
-                # one log append here, not one per lineage.  In a
-                # ``finally`` so that a failing computation's sunk
-                # partial artifact (and every result already computed
-                # this batch) still becomes durable before the
-                # exception propagates.
-                if tasks and self.store is not None:
-                    self.store.flush()
-
-        return [(canonicals[index], cached[index])
-                for index in range(len(lineages))]
+        finally:
+            # A failed computation must never strand a follower.
+            for key in owned:
+                self.cache.release((key, budget))
+            # One durability point per batch: buffered writes become one
+            # log append here, not one per lineage.  In a ``finally`` so
+            # that a failing computation's sunk partial artifact (and
+            # every result already computed this batch) still becomes
+            # durable before the exception propagates.
+            if tasks and self.store is not None:
+                self.store.flush()
+        return followed
 
     def _effective_workers(self) -> int:
         """Worker processes the pool could actually run in parallel.

@@ -1,7 +1,7 @@
 """The concurrent SLO-aware serving front-end.
 
 :class:`ServingFrontend` puts a thread pool, an admission-controlled
-queue, and two work-sharing mechanisms in front of one (thread-safe)
+queue, and micro-batching in front of one (thread-safe)
 :class:`~repro.engine.serve.AttributionService`, turning the
 single-threaded serving loop into the concurrent front-end the ROADMAP's
 "heavy traffic" north star asks for.  Any number of client threads call
@@ -14,13 +14,9 @@ The request lifecycle::
     client -> [admission] -> bounded queue -> [worker] -> response
                  |                               |
                  |- invalid ........ error       |- deadline expired .. shed
-                 |- queue full ..... shed        |- single-flight
-                 |- client budget .. shed        |     follower ....... wait,
-                 |- deadline <= 0 .. shed        |     then cache hit
-                                                 |- leader: micro-batch
-                                                 |     compatible queued
-                                                 |     requests
-                                                 |- deadline scoped:
+                 |- queue full ..... shed        |- micro-batch compatible
+                 |- client budget .. shed        |     queued requests
+                 |- deadline <= 0 .. shed        |- deadline scoped:
                                                        degrade to partial
 
 **Admission control** happens on the *client's* thread, before a queue
@@ -30,17 +26,10 @@ or an already-expired deadline yields a structured rejection
 (``{"ok": false, "rejected": "<reason>", ...}``) -- counted as
 ``shed_requests`` in the shared engine stats, never silently dropped.
 
-**In-flight coalescing (single-flight).**  Concurrent requests whose
-computations are identical -- same op and method parameters over
-WL-*isomorphic* answer lineages, per
-:meth:`AttributionService.coalesce_key` -- share one computation.  The
-first worker to take a key becomes its *leader* and computes through the
-service (populating the shared result cache); *followers* wait on the
-leader's event and then serve themselves from the now-warm cache.  The
-leader always pops the key and sets the event in a ``finally``, so a
-failing computation can never poison the map or strand a follower, and
-each follower still produces its own fact-space response (isomorphic
-lineages over *different* facts coalesce compute, not answers).
+**Shared computation** is the engine's: the service's engines compute
+single-flight over one cache, so concurrent requests needing the same
+result (isomorphic lineages included, in any worker or micro-batch)
+compute it once.  Each request still gets its own fact-space response.
 
 **Micro-batching.**  A worker that picks up an ``attribute`` request
 drains up to ``batch_max - 1`` further compatible requests (same method,
@@ -54,8 +43,8 @@ request picked up in time runs with its *remaining* budget on a
 deadline-scoped engine and degrades to a best-effort partial instead of
 erroring when the budget runs out mid-compute (see
 :meth:`AttributionService.submit`).  Deadline-carrying requests skip
-coalescing and batching: their partial results are never cached, so
-there is nothing for a follower to reuse.
+batching, and their budget keeps them out of other requests'
+computations: their partial results are never cached.
 
 Typical use::
 
@@ -101,10 +90,6 @@ class FrontendConfig:
     batch_max:
         Upper bound of one micro-batch, including the request that
         started it; ``1`` disables batching.
-    coalesce:
-        Enable in-flight coalescing of isomorphic computations.
-        Disabling it (``repro serve --no-coalesce``; the load benchmark's
-        baseline) makes every request compute independently.
     deadline_ms:
         Default per-request deadline applied when a request carries no
         ``deadline_ms`` of its own; ``None`` = no default (requests are
@@ -119,7 +104,6 @@ class FrontendConfig:
     workers: int = 4
     max_queue: int = 64
     batch_max: int = 8
-    coalesce: bool = True
     deadline_ms: Optional[float] = None
     max_inflight_per_client: Optional[int] = None
 
@@ -201,12 +185,10 @@ class ServingFrontend:
         self.config = config or FrontendConfig()
         self._queue: "queue.Queue[object]" = queue.Queue(
             maxsize=self.config.max_queue)
-        self._inflight: Dict[Tuple[object, ...], threading.Event] = {}
-        self._inflight_lock = threading.Lock()
         self._client_inflight: Dict[str, int] = {}
         self._client_lock = threading.Lock()
         self._counters = {
-            "submitted": 0, "completed": 0, "coalesced": 0,
+            "submitted": 0, "completed": 0,
             "rejected_invalid": 0, "shed_queue_full": 0,
             "shed_client_budget": 0, "shed_deadline": 0,
             "batches": 0, "batched_requests": 0, "degraded": 0,
@@ -351,10 +333,7 @@ class ServingFrontend:
     def _serve_safely(self, ticket: Ticket, allow_batch: bool) -> None:
         # Serving an "attribute" ticket may drain one incompatible
         # request from the queue (see _drain_batchmates); it is served
-        # here after the original ticket fully settled -- in particular
-        # after _serve_coalesced released its single-flight key, so a
-        # leftover that becomes a follower can never wait on a key this
-        # worker still holds (that cross-worker wait cycle is a deadlock).
+        # here after the original ticket and its batch fully settled.
         pending: Optional[Ticket] = ticket
         while pending is not None:
             current, pending = pending, None
@@ -389,19 +368,13 @@ class ServingFrontend:
             self._count("shed_queue_full")
             self.service.stats_counters.bump(shed_requests=1)
 
-    def _remaining(self, ticket: Ticket) -> Optional[float]:
-        if ticket.deadline_at is None:
-            return None
-        return ticket.deadline_at - time.monotonic()
-
     def _serve_ticket(self, ticket: Ticket,
                       allow_batch: bool) -> Optional[Ticket]:
-        """Serve one ticket; returns the drained-but-incompatible
-        "leftover" ticket, if any, for the caller to serve *after* every
-        resource of this ticket (notably its single-flight key) is
-        released."""
-        remaining = self._remaining(ticket)
-        if remaining is not None:
+        """Serve one ticket (with its batchmates); returns the
+        drained-but-incompatible "leftover" ticket, if any, for the
+        caller to serve once this ticket settled."""
+        if ticket.deadline_at is not None:
+            remaining = ticket.deadline_at - time.monotonic()
             if remaining <= 0:
                 # Expired while queued: shedding now is cheaper for
                 # everyone than computing an answer nobody awaits.
@@ -414,45 +387,11 @@ class ServingFrontend:
                     ticket.request))
                 return None
             # Deadline requests run alone: their best-effort partials are
-            # never cached, so coalescing/batching would share nothing.
+            # never cached, so batching would share nothing.
             self._finish(ticket, self.service.submit(
                 ticket.request, deadline_seconds=remaining))
             return None
 
-        if self.config.coalesce:
-            return self._serve_coalesced(ticket, allow_batch)
-        return self._serve_leader(ticket, allow_batch)
-
-    def _serve_coalesced(self, ticket: Ticket,
-                         allow_batch: bool) -> Optional[Ticket]:
-        key = self.service.coalesce_key(ticket.parsed)
-        with self._inflight_lock:
-            leader_done = self._inflight.get(key)
-            if leader_done is None:
-                self._inflight[key] = threading.Event()
-        if leader_done is not None:
-            # Follower: ride on the leader's computation, then serve this
-            # request's own fact-space response off the warm cache.
-            leader_done.wait()
-            self._count("coalesced")
-            self.service.stats_counters.bump(coalesced_requests=1)
-            self._finish(ticket, self.service.submit(ticket.request))
-            return None
-        try:
-            return self._serve_leader(ticket, allow_batch)
-        finally:
-            # Always un-register and wake the followers -- even when the
-            # computation failed, so an error can never poison the map.
-            # This runs before the returned leftover is served: a leftover
-            # waiting on another worker's key while this worker still held
-            # its own would deadlock the moment two workers do it to each
-            # other.
-            with self._inflight_lock:
-                event = self._inflight.pop(key)
-            event.set()
-
-    def _serve_leader(self, ticket: Ticket,
-                      allow_batch: bool) -> Optional[Ticket]:
         batchmates: List[Ticket] = []
         leftover: Optional[Ticket] = None
         if allow_batch:
@@ -476,22 +415,6 @@ class ServingFrontend:
     def _serve_batch(self, group: List[Ticket]) -> None:
         self._count("batches")
         self._count("batched_requests", len(group))
-        if self.config.coalesce:
-            # In-batch dedup is coalescing too: members beyond the first
-            # of each computation identity share its work.  Count textual
-            # duplicates only -- that is free, whereas computing coalesce
-            # keys here would re-evaluate every member's query just for
-            # accounting (attribute_many evaluates them again right
-            # after).  Isomorphic-but-differently-spelled batchmates still
-            # share compute through the canonical cache tiers; they just
-            # surface as cache hits rather than coalesced requests.
-            identities = {(member.parsed.method, member.parsed.query_text)
-                          for member in group}
-            duplicates = len(group) - len(identities)
-            if duplicates:
-                self._count("coalesced", duplicates)
-                self.service.stats_counters.bump(
-                    coalesced_requests=duplicates)
         try:
             # Front-end-level injection point: a raise here exercises the
             # catch-all below, which must still answer every member.
@@ -581,9 +504,9 @@ class ServingFrontend:
         self.close()
 
     def stats(self) -> Dict[str, object]:
-        """Front-end counters (admission, sharing, degradation) plus the
-        live queue depth; the engine-side counters live in
-        :meth:`AttributionService.stats`."""
+        """Front-end counters (admission, batching, degradation) plus the
+        live queue depth; the engine-side counters, shared computations
+        included, live in :meth:`AttributionService.stats`."""
         with self._counters_lock:
             counters = dict(self._counters)
         shed = {reason: counters.pop(f"shed_{reason}")
@@ -593,7 +516,6 @@ class ServingFrontend:
         report["workers"] = self.config.workers
         report["queue_depth"] = self._queue.qsize()
         report["max_queue"] = self.config.max_queue
-        report["coalesce"] = self.config.coalesce
         report["batch_max"] = self.config.batch_max
         return report
 

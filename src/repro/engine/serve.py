@@ -40,7 +40,9 @@ instead of erroring, flagging the response with ``degraded``/``partial``
 hooks the concurrent front-end (:mod:`repro.engine.frontend`) builds
 its response routing and per-client admission control on; the service
 itself is also directly thread-safe, so the front-end's workers drive
-one shared instance.  :meth:`AttributionService.stats` reports the
+one shared instance.  Its engines share one cache and so one
+single-flight table: identical concurrent work, from any thread, is
+computed once.  :meth:`AttributionService.stats` reports the
 shared engine counters including the per-tier hit rates (memory / store
 / compute), the answer to "is the warm start working?".
 """
@@ -56,11 +58,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 from repro.core.adaban import ApproximationTimeout
 from repro.db.database import Database
 from repro.db.datalog import parse_query
-from repro.db.lineage import lineage_of_answers
 from repro.db.query import Query
 from repro.dtree.compile import CompilationLimitReached
 from repro.engine.cache import LineageCache
-from repro.engine.canonical import canonicalize
 from repro.engine.engine import Engine, EngineConfig
 from repro.engine.logstore import StoreLockedError, resolve_store
 from repro.engine.stats import EngineStats
@@ -68,6 +68,10 @@ from repro.engine.store import CacheStore
 from repro.reliability import faults
 from repro.reliability.errors import CircuitOpenError, TransientStoreError
 from repro.reliability.resilient import wrap_store
+
+# Not called here: perfbench/tracing.py wraps these two module bindings.
+from repro.db.lineage import lineage_of_answers  # noqa: F401
+from repro.engine.canonical import canonicalize  # noqa: F401
 
 #: Ops a request may carry.
 OPS = ("attribute", "rank", "topk")
@@ -127,7 +131,8 @@ class AttributionService:
     :class:`~repro.engine.stats.EngineStats` counters) lock internally,
     so any number of threads may call :meth:`submit` concurrently --
     that is exactly what the workers of
-    :class:`~repro.engine.frontend.ServingFrontend` do.
+    :class:`~repro.engine.frontend.ServingFrontend` do.  Concurrent
+    requests without a deadline that need one result compute it once.
 
     Parameters
     ----------
@@ -178,6 +183,9 @@ class AttributionService:
         self._base = replace(base, store=None, k=None)
         self.cache = LineageCache(base.cache_size, base.dtree_cache_size)
         self.stats_counters = EngineStats()
+        # One plan for every engine this service creates, installed before
+        # the first request (engines are created lazily, on first use).
+        faults.install(base.fault_plan)
         # A path-valued config store opens its backend exactly once,
         # here, and is then shared by every method engine (per-engine
         # resolution would trip LogStore's single-writer lock).  The
@@ -493,38 +501,6 @@ class AttributionService:
                 or isinstance(deadline_ms, bool) or deadline_ms <= 0):
             raise RequestError("'deadline_ms' must be a positive number")
         return float(deadline_ms) / 1000.0
-
-    def coalesce_key(self, parsed: ParsedRequest) -> Tuple[object, ...]:
-        """Hashable identity of the computation a request would trigger.
-
-        Two requests with equal coalesce keys ask for exactly the same
-        set of result-cache entries -- the op, the method configuration,
-        and the WL-canonical keys of every answer's lineage -- so the
-        front-end lets the second ride on the first's computation
-        (single-flight) regardless of how differently the queries are
-        *spelled*: isomorphic lineages over differently-named relations
-        coalesce, textually identical queries under different methods do
-        not.  Evaluating the query here is the cheap pipeline stage;
-        the expensive stage (compilation) is exactly what coalescing
-        avoids repeating.
-        """
-        if parsed.op == "attribute":
-            method = parsed.method or self._base.method
-        else:
-            method = "topk" if parsed.op == "topk" else "rank"
-        epsilon = self._engine_epsilon(method)
-        answers = lineage_of_answers(parsed.query, self.database,
-                                     domain=self._base.domain)
-        keys = {
-            LineageCache.result_key(canonicalize(answer.lineage).key,
-                                    method, epsilon, parsed.k)
-            for answer in answers
-        }
-        if not keys:
-            # Zero-answer queries share no computation worth coalescing;
-            # key them by text so unrelated empty queries stay apart.
-            return (parsed.op, method, parsed.k, parsed.query_text)
-        return (parsed.op, method, parsed.k, tuple(sorted(keys)))
 
     # ----------------------------------------------------------------- #
     # Execution

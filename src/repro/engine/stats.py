@@ -110,11 +110,11 @@ class EngineStats:
     parallel_batches:
         Batches dispatched to the process pool (0 when running serially).
     coalesced_requests:
-        Serving-layer counter (bumped by the concurrent front-end,
-        :mod:`repro.engine.frontend`): requests that shared another
-        in-flight request's computation instead of running their own --
-        single-flight followers plus micro-batch members deduplicated
-        against an isomorphic batchmate.  Always 0 outside the front-end.
+        Answers served by waiting for another caller's in-flight
+        computation of the same result (the engine's single-flight, see
+        :meth:`~repro.engine.cache.LineageCache.claim`) instead of
+        computing it; each is also counted in ``cache_hits``.  Non-zero
+        only when threads or engines share one cache concurrently.
     shed_requests:
         Serving-layer counter: requests the front-end's admission control
         rejected (bounded queue full, per-client budget exhausted, or

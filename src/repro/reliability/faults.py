@@ -37,8 +37,8 @@ Actions
 Installation
 ------------
 ``install(plan)`` / ``clear()`` manage the ambient plan;
-``installed(plan)`` is the context-manager form tests use.  Engines
-install their ``EngineConfig(fault_plan=...)`` on construction.  For
+``installed(plan)`` is the context-manager form tests use.  Engines and
+services install their ``EngineConfig(fault_plan=...)`` on construction.  For
 subprocesses that do not inherit interpreter state, ``check`` lazily
 loads a plan from the ``REPRO_FAULT_PLAN`` environment variable (a JSON
 spec) on its first call.

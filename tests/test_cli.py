@@ -248,17 +248,17 @@ class TestServeCommand:
         assert "coalesced_requests" in capsys.readouterr().err
 
     def test_serve_no_coalesce_flag(self, csv_relations, tmp_path):
+        """``--no-coalesce`` is gone: the engine always shares identical
+        concurrent work, so the flag is a usage error."""
         r_path, s_path = csv_relations
         requests = self._requests_file(tmp_path, [
             json.dumps({"op": "attribute", "query": "Q(X) :- R(X), S(X, Y)"}),
-        ] * 3)
-        output = io.StringIO()
-        code = run(["serve", "--facts", f"R={r_path}",
-                    "--facts", f"S={s_path}", "--requests", requests,
-                    "--workers", "2", "--no-coalesce", "--batch-max", "1",
-                    "--max-queue", "8"], output=output)
-        assert code == 0
-        assert len(output.getvalue().splitlines()) == 3
+        ])
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve", "--facts", f"R={r_path}",
+                 "--facts", f"S={s_path}", "--requests", requests,
+                 "--workers", "2", "--no-coalesce"], output=io.StringIO())
+        assert excinfo.value.code == 2
 
     def test_serve_deadline_ms_flag(self, csv_relations, tmp_path):
         r_path, s_path = csv_relations
@@ -278,11 +278,10 @@ class TestServeCommand:
     def test_concurrency_flags_need_workers(self, csv_relations, tmp_path):
         r_path, _ = csv_relations
         requests = self._requests_file(tmp_path, [])
-        for extra in (["--no-coalesce"], ["--deadline-ms", "100"]):
-            with pytest.raises(SystemExit):
-                run(["serve", "--facts", f"R={r_path}",
-                     "--requests", requests] + extra,
-                    output=io.StringIO())
+        with pytest.raises(SystemExit):
+            run(["serve", "--facts", f"R={r_path}",
+                 "--requests", requests, "--deadline-ms", "100"],
+                output=io.StringIO())
 
     def test_serve_requires_facts(self, tmp_path):
         requests = self._requests_file(tmp_path, [])

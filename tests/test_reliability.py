@@ -183,6 +183,31 @@ class TestAmbientPlan:
             engine.attribute_lineages([DNF([[0, 1]])])
         assert isinstance(excinfo.value, FaultInjected)
 
+    def test_service_engines_share_one_plan(self):
+        """The service creates engines lazily (one per method, one per
+        deadline request); all of them must count against one schedule,
+        installed before the first request."""
+        from repro import Database
+        from repro.engine.serve import AttributionService
+
+        db = Database()
+        for value in ("a", "b"):
+            db.add_fact("R", (value,))
+            db.add_fact("S", (value, 1))
+        service = AttributionService(db, EngineConfig(fault_plan={
+            "rules": [{"site": "serve.request", "times": 1}]}))
+        query = "Q(X) :- R(X), S(X, Y)"
+        requests = [
+            {"op": "attribute", "query": query},
+            {"op": "attribute", "query": query},
+            {"op": "rank", "query": query},
+            {"op": "rank", "query": query},
+            {"op": "attribute", "query": query, "deadline_ms": 60_000},
+            {"op": "attribute", "query": query, "deadline_ms": 60_000},
+        ]
+        ok = [service.submit(request)["ok"] for request in requests]
+        assert ok == [False, True, True, True, True, True]
+
 
 # --------------------------------------------------------------------- #
 # Retry policy

@@ -171,7 +171,7 @@ class TestEngineFaults:
         monkeypatch.setattr(Engine, "attribute_many", broken_many)
         gate = _Gate(monkeypatch)  # holds worker 0 so a batch can form
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=8, coalesce=False))
+            service, FrontendConfig(workers=1, max_queue=8))
         try:
             blocker = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY2})
@@ -195,7 +195,7 @@ class TestAdmissionControl:
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=1, coalesce=False,
+            service, FrontendConfig(workers=1, max_queue=1,
                                     batch_max=1))
         try:
             running = frontend.submit_nowait(
@@ -225,7 +225,7 @@ class TestAdmissionControl:
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=4, coalesce=False,
+            service, FrontendConfig(workers=1, max_queue=4,
                                     batch_max=1,
                                     max_inflight_per_client=1))
         try:
@@ -258,7 +258,7 @@ class TestAdmissionControl:
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=4, coalesce=False,
+            service, FrontendConfig(workers=1, max_queue=4,
                                     batch_max=1))
         try:
             blocker = frontend.submit_nowait(
@@ -339,7 +339,7 @@ class TestShutdownRaces:
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=1, coalesce=False,
+            service, FrontendConfig(workers=1, max_queue=1,
                                     batch_max=4))
         results = []
         lock = threading.Lock()
