@@ -2,16 +2,12 @@
 
 Attributes a repeat-traffic stream over the multi-answer workloads
 (Academic, IMDB, TPC-H stand-ins; the same query log arriving for several
-epochs, as a serving deployment sees it) three ways:
+epochs, as a serving deployment sees it) two ways:
 
 * **seed-serial** -- the pre-engine execution path: compile a d-tree and run
   ExaBan per instance, from scratch, one instance at a time;
 * **engine-serial** -- the batched engine with lineage canonicalization and
-  the result cache, still single-process;
-* **engine-parallel** -- the same engine fanning distinct lineages out over
-  a small process pool (informational: a parallel wall-clock win needs
-  multiple cores and per-lineage compute that dwarfs pool startup; the
-  reported core count tells you which regime you are in).
+  the result cache.
 
 Asserts the engine produces identical attributions to the seed path, that
 the lineage cache actually hits (isomorphic answers are common in workload
@@ -23,7 +19,6 @@ pytest with the rest of the benchmark harness.
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -45,10 +40,9 @@ def _seed_serial(lineages) -> Tuple[List[Dict[int, Fraction]], float]:
     return values, time.monotonic() - started
 
 
-def _engine_run(lineages, max_workers: int
+def _engine_run(lineages
                 ) -> Tuple[List[Dict[int, Fraction]], float, Engine]:
-    engine = Engine(EngineConfig(method="exact", max_workers=max_workers,
-                                 parallel_min_tasks=2))
+    engine = Engine(EngineConfig(method="exact"))
     started = time.monotonic()
     attributions = engine.attribute_lineages(lineages)
     elapsed = time.monotonic() - started
@@ -67,17 +61,14 @@ def run_benchmark(rounds: int = 3, epochs: int = 3) -> str:
 
     # Best-of-N timing so one scheduling hiccup on a shared CI runner does
     # not flip the wall-clock assertion; correctness is asserted every round.
-    seed_seconds = serial_seconds = parallel_seconds = float("inf")
+    seed_seconds = serial_seconds = float("inf")
     stats = None
     for _ in range(max(1, rounds)):
         seed_values, seed_elapsed = _seed_serial(lineages)
-        serial_values, serial_elapsed, serial_engine = _engine_run(lineages, 0)
-        parallel_values, parallel_elapsed, _ = _engine_run(lineages, 4)
+        serial_values, serial_elapsed, serial_engine = _engine_run(lineages)
         assert serial_values == seed_values, "engine-serial diverged from seed path"
-        assert parallel_values == seed_values, "engine-parallel diverged from seed path"
         seed_seconds = min(seed_seconds, seed_elapsed)
         serial_seconds = min(serial_seconds, serial_elapsed)
-        parallel_seconds = min(parallel_seconds, parallel_elapsed)
         stats = serial_engine.stats.as_dict()
 
     assert stats["cache_hits"] > 0, "expected isomorphic lineages to hit the cache"
@@ -102,18 +93,15 @@ def run_benchmark(rounds: int = 3, epochs: int = 3) -> str:
             "instances": len(lineages),
             "engine_serial_ms": round(serial_seconds * 1000, 1),
             "seed_serial_ms": round(seed_seconds * 1000, 1),
-            "parallel_ms": round(parallel_seconds * 1000, 1),
             "cache_hit_rate": stats["hit_rate"],
         },
     )
     lines = [
-        f"cpu cores:            {os.cpu_count()}",
         f"instances:            {len(lineages)} "
         f"({len(per_epoch)} distinct x {max(1, epochs)} epochs)",
         f"seed-serial:          {seed_seconds * 1000:8.1f} ms",
         f"engine-serial:        {serial_seconds * 1000:8.1f} ms  "
         f"({speedup:.2f}x vs seed)",
-        f"engine-parallel (4):  {parallel_seconds * 1000:8.1f} ms",
         f"cache hits:           {stats['cache_hits']} / {len(lineages)} "
         f"(hit rate {stats['hit_rate']:.0%})",
         f"compilations:         {stats['compilations']}",

@@ -64,7 +64,6 @@ from repro.engine import (
     ResilientStore,
     RetryPolicy,
     ShardedStore,
-    SupervisedPool,
     migrate_store,
     open_store,
     wrap_store,
@@ -100,7 +99,6 @@ __all__ = [
     "RetryPolicy",
     "Selection",
     "ShardedStore",
-    "SupervisedPool",
     "UnionQuery",
     "adaban",
     "adaban_all",

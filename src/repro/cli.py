@@ -18,9 +18,7 @@ top K.
 
 The CLI runs on the batched attribution engine: repeatable ``--query``
 attributes several queries in one process (sharing the lineage cache),
-``--jobs N`` fans independent answers out over N worker processes (capped
-at the machine's core count), and ``--stats`` prints the engine's
-cache/timing counters afterwards.
+and ``--stats`` prints the engine's cache/timing counters afterwards.
 
 Two subcommands expose the persistent cache tier and the serving loop
 (both leave the flag-style attribution interface above untouched)::
@@ -159,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print only the top-K facts per answer "
                              "(0 = all; trims the output, unlike --top-k "
                              "which changes the algorithm)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for independent answers "
-                             "(0 or 1 = serial)")
     parser.add_argument("--stats", action="store_true",
                         help="print engine statistics (cache hits, "
                              "compilations, stage timings) after the results")
@@ -217,12 +212,10 @@ def run(argv: Sequence[str], output=None) -> int:
     if ranking:
         engine = Engine(EngineConfig(
             method="topk" if arguments.top_k is not None else "rank",
-            epsilon=epsilon, k=arguments.top_k,
-            max_workers=arguments.jobs))
+            epsilon=epsilon, k=arguments.top_k))
         all_answered = _run_ranking(engine, queries, database, stream)
     else:
-        engine = Engine(EngineConfig(method=method, epsilon=epsilon,
-                                     max_workers=arguments.jobs))
+        engine = Engine(EngineConfig(method=method, epsilon=epsilon))
         all_answered = _run_attribution(engine, queries, database,
                                         arguments.top, stream)
 

@@ -138,7 +138,7 @@ def attribute_facts(query: Query, database: Database,
     """Attribute every answer of ``query`` to the endogenous facts.
 
     A thin wrapper over :class:`repro.engine.Engine` (kept for backward
-    compatibility); use the engine directly for batching, parallelism and
+    compatibility); use the engine directly for batching, caching and
     statistics.
 
     Parameters

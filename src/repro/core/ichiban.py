@@ -189,8 +189,7 @@ def ranked_from_bounds(bounds: Dict[int, Tuple[int, int]],
     """:func:`ranked_from_intervals` over raw ``(lower, upper)`` pairs.
 
     Convenience for reading a ranking off engine results, whose ``bounds``
-    store plain tuples (picklable for the process pool) rather than
-    :class:`Interval` objects.
+    store plain tuples rather than :class:`Interval` objects.
     """
     return ranked_from_intervals(
         {variable: Interval(lower, upper)

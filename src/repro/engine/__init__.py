@@ -2,8 +2,8 @@
 
 The :class:`Engine` canonicalizes answer lineages into variable-order-
 independent keys, memoizes d-tree compilations and Banzhaf results across
-answers and queries, fans independent lineages out over a process pool, and
-auto-selects ExaBan or the AdaBan fallback per lineage.  Results are served
+answers and queries, and auto-selects ExaBan or the AdaBan fallback per
+lineage.  Results are served
 through two cache tiers -- the in-memory :class:`LineageCache` and an
 optional persistent :class:`CacheStore` (a :class:`LogStore`, or a
 :class:`ShardedStore` of them, which survives process restarts; or a
@@ -11,9 +11,9 @@ optional persistent :class:`CacheStore` (a :class:`LogStore`, or a
 ``repro cache migrate``) -- and the
 long-lived serving loop (:class:`AttributionService`) keeps one warm set
 of tiers behind a stream of attribute/rank/topk requests.  The
-reliability layer (:mod:`repro.reliability`, re-exported here) supervises
-the process pool, retries/breakers the store tier, and provides
-deterministic fault injection to prove all of it.  See
+reliability layer (:mod:`repro.reliability`, re-exported here)
+retries/breakers the store tier and provides deterministic fault
+injection to prove it.  See
 ``docs/ARCHITECTURE.md`` for the design, ``docs/API.md`` for the supported
 public surface, and :mod:`repro.engine.engine` for the pipeline details.
 """
@@ -80,9 +80,7 @@ from repro.reliability import (
     FaultRule,
     ResilientStore,
     RetryPolicy,
-    SupervisedPool,
     TransientStoreError,
-    WorkerCrash,
     faults,
     wrap_store,
 )
@@ -122,10 +120,8 @@ __all__ = [
     "ServingFrontend",
     "ShardedStore",
     "StoreLockedError",
-    "SupervisedPool",
     "Ticket",
     "TransientStoreError",
-    "WorkerCrash",
     "canonical_epsilon",
     "canonicalize",
     "complete_compilation",

@@ -21,9 +21,7 @@ lineages) it runs a four-stage pipeline:
    once per canonical lineage -- across methods, epsilons, k values and
    (via the store) processes.  The stage is single-flight: a miss that
    another caller sharing the cache is computing is waited for, not
-   computed again.  Batches may also fan out over a
-   ``concurrent.futures`` process pool with chunked scheduling and a
-   transparent serial fallback (artifacts never cross the pool boundary);
+   computed again;
 4. **assemble** -- translate canonical-space values back through each
    answer's variable mapping and attach database facts.
 
@@ -44,7 +42,7 @@ runner records as a failure rather than a crash.
 
 Ranking is first-class: ``method="rank"`` and ``method="topk"`` (with
 ``k``) run IchiBan (Section 4.1) through the same pipeline -- canonical
-variable space, shared lineage cache, optional pool fan-out -- so
+variable space, shared lineage cache and artifact tier -- so
 isomorphic answers share one anytime run and repeat ranking traffic is
 served from the cache.  A cached complete d-tree short-circuits to an
 exact ranking; budget exhaustion degrades to best-so-far intervals (see
@@ -55,7 +53,7 @@ Typical use::
 
     from repro.engine import Engine, EngineConfig
 
-    engine = Engine(EngineConfig(method="auto", max_workers=4))
+    engine = Engine(EngineConfig(method="auto"))
     for query, results in engine.attribute_many(queries, database):
         ...
     print(engine.stats.as_dict())
@@ -67,10 +65,8 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import (
@@ -87,7 +83,8 @@ from typing import (
 
 from repro.boolean.dnf import DNF
 from repro.core.adaban import adaban_over_state, shared_state
-from repro.core.exaban import exaban_all
+# Not called here: perfbench/tracing.py wraps this module's binding.
+from repro.core.exaban import exaban_all  # noqa: F401
 from repro.core.ichiban import RankedVariable, ranked_from_bounds
 from repro.core.shapley import shapley_all
 from repro.db.database import Database, Fact
@@ -102,7 +99,7 @@ from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution, LineageCache, ResultKey
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
 from repro.engine.logstore import resolve_store
-from repro.engine.ranking import compute_ranking
+from repro.engine.ranking import compute_ranking, exact_attribution
 from repro.engine.stats import EngineStats
 from repro.engine.store import (
     CacheStore,
@@ -112,10 +109,8 @@ from repro.engine.store import (
     save_results,
 )
 from repro.reliability import faults
-from repro.reliability.errors import WorkerCrash
 from repro.reliability.faults import resolve_fault_plan
 from repro.reliability.resilient import wrap_store
-from repro.reliability.supervisor import SupervisedPool
 
 EngineMethod = Literal["auto", "exact", "approximate", "shapley",
                        "rank", "topk"]
@@ -162,16 +157,6 @@ class EngineConfig:
     timeout_seconds:
         Per-lineage wall-clock budget for exact compilation (``None`` =
         unlimited).
-    max_workers:
-        Process-pool width for the compute stage.  ``0`` or ``1`` runs
-        serially; values above 1 fan independent lineages out over
-        ``concurrent.futures.ProcessPoolExecutor``.
-    chunk_size:
-        Number of lineages submitted per pool task, amortizing IPC overhead
-        over several small computations.
-    parallel_min_tasks:
-        Minimum number of distinct cache misses before the pool is used at
-        all; tiny batches stay serial (pool startup would dominate).
     cache_size:
         Capacity of the result cache (entries).
     dtree_cache_size:
@@ -204,16 +189,6 @@ class EngineConfig:
         breaker, degrading the engine to memory-only caching (counted in
         ``EngineStats.store_degraded``) until a half-open probe
         re-attaches the store.
-    pool_restarts:
-        Worker-crash/hang budget of the supervised process pool: how
-        many times the executor may be rebuilt (resubmitting only
-        unfinished chunks) before the batch degrades to the serial path
-        (:class:`~repro.reliability.supervisor.SupervisedPool`).
-    pool_task_timeout:
-        Per-task wall-clock watchdog of the supervised pool, in seconds:
-        if no chunk completes within this window the pool is presumed
-        hung and restarted (counted against ``pool_restarts``).
-        ``None`` (default) disables the watchdog.
     fault_plan:
         Deterministic fault-injection plan for tests and chaos suites: a
         :class:`~repro.reliability.faults.FaultPlan`, a JSON string, or
@@ -227,9 +202,6 @@ class EngineConfig:
     epsilon: Optional[float] = 0.1
     max_shannon_steps: Optional[int] = None
     timeout_seconds: Optional[float] = None
-    max_workers: int = 0
-    chunk_size: int = 8
-    parallel_min_tasks: int = 4
     cache_size: int = 4096
     dtree_cache_size: int = 256
     domain: DomainPolicy = "lineage"
@@ -237,8 +209,6 @@ class EngineConfig:
     store: Optional[object] = None
     store_retries: int = 2
     breaker_threshold: int = 5
-    pool_restarts: int = 2
-    pool_task_timeout: Optional[float] = None
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -266,10 +236,6 @@ class EngineConfig:
             raise ValueError("store_retries must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
-        if self.pool_restarts < 0:
-            raise ValueError("pool_restarts must be >= 0")
-        if self.pool_task_timeout is not None and self.pool_task_timeout <= 0:
-            raise ValueError("pool_task_timeout must be positive when given")
         # Resolve once, at configuration time: copies share one schedule.
         object.__setattr__(self, "fault_plan",
                            resolve_fault_plan(self.fault_plan))
@@ -291,7 +257,7 @@ class LineageAttribution:
 
 
 # --------------------------------------------------------------------- #
-# The per-lineage computation, shared by the serial path and the workers
+# The per-lineage computation
 # --------------------------------------------------------------------- #
 
 
@@ -338,7 +304,9 @@ def _complete_artifact(function: DNF, artifact: Optional[CompiledLineage],
     On budget exhaustion mid-resume the mid-flight compiler is left in
     ``partial_slot`` (a one-element list) so the caller can keep the
     progress -- feed it to the ``auto`` fallback, or persist it --
-    before the ``CompilationLimitReached`` propagates.
+    before the ``CompilationLimitReached`` propagates.  A fresh
+    compilation keeps nothing: :func:`compile_dnf` builds bottom-up and
+    leaves no partial tree, so ``partial_slot`` stays empty.
     """
     if artifact is not None and artifact.complete:
         return artifact
@@ -370,8 +338,11 @@ def _compute_canonical(function: DNF, method: EngineMethod,
     (no compilation at all) and *resumes* a partial one from its
     frontier; the artifact handed back -- fresh, reused, or further
     refined -- is what the caller caches/persists.  ``artifact_sink``
-    receives partial progress when a computation fails (budget
-    exhaustion), so the work survives the raised exception.
+    receives the partial tree when a resumed compilation or an AdaBan
+    run fails (budget exhaustion), so that work survives the raised
+    exception.  A fresh exact or ``auto`` compilation that exhausts its
+    budget keeps nothing (see :func:`_complete_artifact`): a retry, and
+    the ``auto`` fallback, start from the undecomposed lineage.
     """
     faults.check("compile.step")
     if method in ("rank", "topk"):
@@ -390,15 +361,8 @@ def _compute_canonical(function: DNF, method: EngineMethod,
             # values (a valid approximation for every epsilon) directly,
             # without cloning or re-persisting the tree.  As under
             # ``auto``, ``method_used`` records what actually ran.
-            occurring = function.variables
-            raw = exaban_all(artifact.root, stats=stats)
-            return CachedAttribution(
-                method_used="exact",
-                values={v: Fraction(value) for v, value in raw.items()
-                        if v in occurring},
-                bounds={v: (value, value) for v, value in raw.items()
-                        if v in occurring},
-            ), False, artifact, 0
+            return (exact_attribution(artifact, function.variables, stats),
+                    False, artifact, 0)
         compiler = (artifact.resume_compiler() if artifact is not None
                     else None)
         outcome, artifact_out = _approximate(function, epsilon,
@@ -420,7 +384,7 @@ def _compute_canonical(function: DNF, method: EngineMethod,
             return (CachedAttribution(method_used="shapley",
                                       values=dict(values)),
                     False, artifact_out, 0)
-        raw = exaban_all(artifact_out.root, stats=stats)
+        outcome = exact_attribution(artifact_out, stats=stats)
     except CompilationLimitReached:
         compiler = partial_slot[0] if partial_slot else None
         if method != "auto":
@@ -444,37 +408,11 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                                                   compiler=compiler,
                                                   artifact_sink=artifact_sink)
         return outcome, True, fallback_artifact, 0
-    return CachedAttribution(
-        method_used="exact",
-        values={v: Fraction(value) for v, value in raw.items()},
-        bounds={v: (value, value) for v, value in raw.items()},
-    ), False, artifact_out, 0
-
-
-def _worker_compute_chunk(payload: Tuple
-                          ) -> List[Tuple[int, CachedAttribution, bool, int]]:
-    """Process-pool task: attribute a chunk of canonical lineages.
-
-    The payload is fully picklable: clause tuples plus the scalar method
-    configuration.  Exceptions propagate to the parent through the future.
-    """
-    chunk, method, epsilon, max_shannon_steps, timeout_seconds, k = payload
-    # Inside the worker process: a ``kill`` rule here exercises the
-    # supervised pool's crash recovery (plans reach workers by fork
-    # inheritance or via the REPRO_FAULT_PLAN environment variable).
-    faults.check("pool.task")
-    results = []
-    for index, num_variables, clauses in chunk:
-        function = DNF(clauses, domain=range(num_variables))
-        outcome, fell_back, _, rounds = _compute_canonical(
-            function, method, epsilon, max_shannon_steps, timeout_seconds,
-            k=k)
-        results.append((index, outcome, fell_back, rounds))
-    return results
+    return outcome, False, artifact_out, 0
 
 
 class Engine:
-    """Batched attribution engine with a lineage cache and parallel fan-out.
+    """Batched attribution engine with a lineage cache and artifact tier.
 
     One engine instance owns one cache and one stats object; reuse the
     instance across queries to benefit from cross-query memoization.  Cache
@@ -483,8 +421,7 @@ class Engine:
     stage is single-flight.  Stats counters go through
     :meth:`EngineStats.bump`, so concurrent increments are never dropped
     either (the concurrent front-end in :mod:`repro.engine.frontend`
-    relies on both).  The process pool is created per compute batch and
-    always torn down before the batch returns.
+    relies on both).
     """
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
@@ -747,7 +684,7 @@ class Engine:
         pending: Dict[ResultKey, List[int]] = {}
         followed: Dict[ResultKey, Tuple[threading.Event, List[int]]] = {}
         owned: Set[ResultKey] = set()
-        tasks: List[Tuple[ResultKey, int]] = []
+        tasks: List[Tuple[ResultKey, List[int]]] = []
         try:
             with self.stats.timed("canonicalize"):
                 for index in indices:
@@ -792,25 +729,26 @@ class Engine:
                     self.stats.bump(cache_misses=1)
 
             with self.stats.timed("compute"):
-                tasks = [(key, members[0])
-                         for key, members in pending.items()]
+                tasks = list(pending.items())
                 # Cache each outcome as soon as it is computed (and wake
                 # its followers): if a later task fails (budget exhaustion
                 # on a pathological lineage), the work already done stays
-                # reusable and a per-instance retry hits it.  Unconverged
-                # ranking results (best-so-far intervals) are reported but
-                # never cached -- a later call deserves a fresh attempt
-                # (e.g. against a d-tree cached in the meantime).
-                for position, outcome in self._compute_tasks(
-                        [canonicals[index] for _, index in tasks], k):
-                    key = tasks[position][0]
+                # reusable and a per-instance retry hits it, and
+                # ``compilations`` never counts work a failure prevented.
+                # Unconverged ranking results (best-so-far intervals) are
+                # reported but never cached -- a later call deserves a
+                # fresh attempt (e.g. against a d-tree cached in the
+                # meantime).
+                for key, members in tasks:
+                    outcome = self._compute_serial(canonicals[members[0]], k)
+                    self.stats.bump(compilations=1)
                     if outcome.converged:
                         self.cache.results.put(key, outcome)
                         if self.store is not None:
                             self.store.put(key, outcome)
                     owned.discard(key)
                     self.cache.release((key, budget))
-                    for index in pending[key]:
+                    for index in members:
                         cached[index] = outcome
         finally:
             # A failed computation must never strand a follower.
@@ -824,52 +762,6 @@ class Engine:
             if tasks and self.store is not None:
                 self.store.flush()
         return followed
-
-    def _effective_workers(self) -> int:
-        """Worker processes the pool could actually run in parallel.
-
-        ``max_workers`` is clamped to the machine's core count *before*
-        deciding whether to use the pool at all: a 4-worker request on a
-        1-core host would otherwise build a 1-worker pool and pay
-        pickling/IPC for zero parallelism.
-        """
-        return max(1, min(self.config.max_workers, os.cpu_count() or 1))
-
-    def _compute_tasks(self, tasks: Sequence[CanonicalLineage],
-                       k: Optional[int]
-                       ) -> Iterator[Tuple[int, CachedAttribution]]:
-        """Run the distinct cache misses, in the pool or serially.
-
-        Yields ``(task position, outcome)`` pairs as they complete, so the
-        caller can cache incrementally; ``compilations`` is counted per
-        completed outcome, never for work a failure prevented.
-        """
-        if not tasks:
-            return
-        config = self.config
-        done = set()
-        if (self._effective_workers() > 1
-                and len(tasks) >= config.parallel_min_tasks):
-            try:
-                for position, outcome in self._compute_parallel(tasks, k):
-                    self.stats.bump(compilations=1)
-                    done.add(position)
-                    yield position, outcome
-                return
-            except (OSError, ImportError, BrokenProcessPool, WorkerCrash):
-                # Terminal degradation: pool creation failed in a
-                # restricted environment, or the supervised pool burned
-                # through its restart budget (workers kept dying or
-                # hanging).  The serial path computes identical results
-                # either way, picking up where the pool left off -- and
-                # the degradation is counted, never silent.
-                self.stats.bump(pool_fallbacks=1)
-        for position, canonical in enumerate(tasks):
-            if position in done:
-                continue
-            outcome = self._compute_serial(canonical, k)
-            self.stats.bump(compilations=1)
-            yield position, outcome
 
     def _artifact_for(self, key: CanonicalKey) -> Optional[CompiledLineage]:
         """The compile-once stage: fetch the lineage's compilation state.
@@ -937,69 +829,13 @@ class Engine:
             canonical.dnf, config.method, config.epsilon,
             config.max_shannon_steps, config.timeout_seconds,
             artifact=artifact, k=k, artifact_sink=sink, stats=self.stats)
-        self._record_outcome(outcome, fell_back, rounds)
-        self._remember_artifact(canonical.key, artifact_out, known=artifact)
-        return outcome
-
-    def _record_outcome(self, outcome: CachedAttribution, fell_back: bool,
-                        rounds: int) -> None:
         if fell_back:
             self.stats.bump(fallbacks=1)
         self.stats.bump(refinement_rounds=rounds)
         if not outcome.converged:
             self.stats.bump(partial_results=1)
-
-    def _compute_parallel(self, tasks: Sequence[CanonicalLineage],
-                          k: Optional[int]
-                          ) -> Iterator[Tuple[int, CachedAttribution]]:
-        """Fan the tasks out over a supervised pool, yielding as chunks finish.
-
-        The chunk size amortizes IPC over several small computations but is
-        capped so every effective worker gets at least one chunk -- a fixed
-        chunk size would silently throttle parallelism on mid-size batches.
-
-        The pool is supervised: a dead or hung worker rebuilds the
-        executor and resubmits only the unfinished chunks (each event is
-        counted in ``pool_worker_crashes``), bounded by
-        ``config.pool_restarts``; past the budget
-        :class:`~repro.reliability.errors.WorkerCrash` propagates and
-        the caller degrades to the serial path.  Chunks are idempotent
-        pure functions of their payload, so a resubmitted chunk yields
-        bit-identical results and already-yielded chunks never recompute.
-        """
-        config = self.config
-        max_workers = self._effective_workers()
-        chunk_size = max(1, min(config.chunk_size,
-                                -(-len(tasks) // max_workers)))
-        chunks: List[List[Tuple[int, int, Tuple[Tuple[int, ...], ...]]]] = []
-        for start in range(0, len(tasks), chunk_size):
-            chunk = [
-                (position, canonical.dnf.num_variables(), canonical.key[1])
-                for position, canonical
-                in enumerate(tasks[start:start + chunk_size], start)
-            ]
-            chunks.append(chunk)
-
-        payloads = [
-            (chunk, config.method, config.epsilon,
-             config.max_shannon_steps, config.timeout_seconds, k)
-            for chunk in chunks
-        ]
-        pool = SupervisedPool(
-            _worker_compute_chunk,
-            max_workers=min(max_workers, len(chunks)),
-            max_restarts=config.pool_restarts,
-            task_timeout=config.pool_task_timeout,
-            on_crash=lambda kind: self.stats.bump(pool_worker_crashes=1),
-        )
-        for _chunk_index, chunk_results in pool.run(payloads):
-            for position, outcome, fell_back, rounds in chunk_results:
-                self._record_outcome(outcome, fell_back, rounds)
-                # Artifacts never cross the pool boundary: every
-                # worker computation compiles from scratch.
-                self.stats.bump(tree_compilations=1)
-                yield position, outcome
-        self.stats.bump(parallel_batches=1)
+        self._remember_artifact(canonical.key, artifact_out, known=artifact)
+        return outcome
 
     # ----------------------------------------------------------------- #
     # Assembly helpers
@@ -1046,11 +882,9 @@ class Engine:
 def engine_for(method: EngineMethod = "auto", *,
                epsilon: Optional[float] = 0.1,
                budget: Optional[CompilationBudget] = None,
-               max_workers: int = 0,
                k: Optional[int] = None) -> Engine:
     """Build an engine from the legacy per-call knobs of ``attribute_facts``."""
-    config = EngineConfig(method=method, epsilon=epsilon,
-                          max_workers=max_workers, k=k)
+    config = EngineConfig(method=method, epsilon=epsilon, k=k)
     if budget is not None:
         config = replace(config,
                          max_shannon_steps=budget.max_shannon_steps,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import AbstractSet, Dict, Optional
 
 from repro.boolean.dnf import DNF
 from repro.core.exaban import exaban_all
@@ -90,22 +90,24 @@ def _from_intervals(method: str, intervals: Dict[int, Interval],
     )
 
 
-def _exact_ranking(function: DNF, artifact: CompiledLineage,
-                   stats=None) -> RankingComputation:
-    """Read an exact ranking off a complete artifact (one ExaBan pass).
+def exact_attribution(artifact: CompiledLineage,
+                      occurring: Optional[AbstractSet[int]] = None,
+                      stats=None) -> CachedAttribution:
+    """The exact result read off a complete artifact (one ExaBan pass).
 
-    Restricted to the occurring variables, matching IchiBan's scope
-    (silent domain variables have Banzhaf value 0 and never rank).
+    ``occurring`` restricts it to a lineage's occurring variables, the
+    scope of AdaBan and IchiBan (a silent domain variable has Banzhaf
+    value 0 and never ranks); ``None`` keeps every variable of the tree,
+    as the exact and ``auto`` methods report them.
     """
-    occurring = function.variables
-    values = {v: value
-              for v, value in exaban_all(artifact.root, stats=stats).items()
-              if v in occurring}
-    return RankingComputation(outcome=CachedAttribution(
+    values = exaban_all(artifact.root, stats=stats)
+    if occurring is not None:
+        values = {v: value for v, value in values.items() if v in occurring}
+    return CachedAttribution(
         method_used="exact",
         values={v: Fraction(value) for v, value in values.items()},
         bounds={v: (value, value) for v, value in values.items()},
-    ), artifact=artifact)
+    )
 
 
 def compute_ranking(function: DNF, method: str, k: Optional[int],
@@ -135,7 +137,9 @@ def compute_ranking(function: DNF, method: str, k: Optional[int],
     if method == "topk" and (k is None or k < 1):
         raise ValueError("method 'topk' needs k >= 1")
     if artifact is not None and artifact.complete:
-        return _exact_ranking(function, artifact, stats=stats)
+        return RankingComputation(
+            outcome=exact_attribution(artifact, function.variables, stats),
+            artifact=artifact)
     if method == "topk":
         controller = _topk_controller(k, epsilon)
     else:

@@ -36,9 +36,12 @@ gets a wall-clock compute budget: when exact compilation blows through
 it the service **degrades** to a best-effort answer (one IchiBan bounds
 pass over whatever partial d-tree the failed attempt left behind)
 instead of erroring, flagging the response with ``degraded``/``partial``
--- see :meth:`AttributionService.submit`.  ``id``/``client`` are the
-hooks the concurrent front-end (:mod:`repro.engine.frontend`) builds
-its response routing and per-client admission control on; the service
+-- see :meth:`AttributionService.submit`.  Only a resumed compilation or
+an anytime run leaves a partial tree; a fresh exact compilation leaves
+none, so that pass may read its bounds off the undecomposed lineage
+(every lower bound 0).  ``id``/``client`` are the hooks the concurrent
+front-end (:mod:`repro.engine.frontend`) builds its response routing
+and per-client admission control on; the service
 itself is also directly thread-safe, so the front-end's workers drive
 one shared instance.  Its engines share one cache and so one
 single-flight table: identical concurrent work, from any thread, is
@@ -273,10 +276,11 @@ class AttributionService:
 
         ``max_shannon_steps=0`` lets the anytime run do exactly one
         bound evaluation over the (possibly partial) d-tree the failed
-        attempt left in the shared artifact tier, then surface the
-        resulting intervals as an uncertified partial -- unless the
-        artifact happens to be complete, in which case the pass is an
-        exact read.  Either way it is cheap: no Shannon expansion at all.
+        attempt left in the shared artifact tier, if it left one (see
+        the module docstring), then surface the resulting intervals as
+        an uncertified partial -- unless the artifact happens to be
+        complete, in which case the pass is an exact read.  Either way
+        it is cheap: no Shannon expansion at all.
         """
         method = "topk" if op == "topk" else "rank"
         engine = Engine(replace(self._base, method=method,
@@ -523,9 +527,10 @@ class AttributionService:
                                ) -> Dict[str, object]:
         """Run under a wall-clock budget; degrade instead of erroring.
 
-        The scoped engine shares the cache/store tiers, so even a failed
-        attempt leaves its partial d-tree behind -- which is precisely
-        what the best-effort pass then reads its bounds off.
+        The scoped engine shares the cache/store tiers, so a failed
+        resumed or anytime attempt leaves its partial d-tree behind --
+        which is precisely what the best-effort pass then reads its
+        bounds off.
         """
         if parsed.op == "attribute":
             method = parsed.method or self._base.method

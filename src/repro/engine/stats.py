@@ -43,12 +43,9 @@ COUNTER_FIELDS = (
     "fallbacks",
     "refinement_rounds",
     "partial_results",
-    "parallel_batches",
     "coalesced_requests",
     "shed_requests",
     "payload_hits",
-    "pool_fallbacks",
-    "pool_worker_crashes",
     "store_retries",
     "store_degraded",
 )
@@ -107,8 +104,6 @@ class EngineStats:
     partial_results:
         Ranking computations that exhausted their budget and returned
         best-so-far intervals instead of a certified result.
-    parallel_batches:
-        Batches dispatched to the process pool (0 when running serially).
     coalesced_requests:
         Answers served by waiting for another caller's in-flight
         computation of the same result (the engine's single-flight, see
@@ -129,17 +124,6 @@ class EngineStats:
         Always 0.  Not counters (``bump`` rejects them, ``as_dict`` omits
         them); they stay readable only because ``perfbench/workloads.py``
         sums them every round.
-    pool_fallbacks:
-        Times the parallel compute path degraded terminally to the
-        serial path (pool unusable: ``OSError``/``ImportError`` at
-        startup, or a :class:`~repro.reliability.errors.WorkerCrash`
-        after the supervised pool exhausted its restart budget).
-        Before the reliability subsystem this degradation was silent.
-    pool_worker_crashes:
-        Worker-death/hang events survived by the supervised pool
-        (each one is an executor rebuild + resubmission of the
-        unfinished chunks; see
-        :class:`~repro.reliability.supervisor.SupervisedPool`).
     store_retries:
         Transient store-I/O failures that were retried with backoff by
         :class:`~repro.reliability.resilient.ResilientStore` (one per
@@ -170,12 +154,9 @@ class EngineStats:
     fallbacks: int = 0
     refinement_rounds: int = 0
     partial_results: int = 0
-    parallel_batches: int = 0
     coalesced_requests: int = 0
     shed_requests: int = 0
     payload_hits: int = 0
-    pool_fallbacks: int = 0
-    pool_worker_crashes: int = 0
     store_retries: int = 0
     store_degraded: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
@@ -317,13 +298,10 @@ class EngineStats:
             "fallbacks": self.fallbacks,
             "refinement_rounds": self.refinement_rounds,
             "partial_results": self.partial_results,
-            "parallel_batches": self.parallel_batches,
             "coalesced_requests": self.coalesced_requests,
             "shed_requests": self.shed_requests,
             "payload_hits": self.payload_hits,
             "reliability": {
-                "pool_fallbacks": self.pool_fallbacks,
-                "pool_worker_crashes": self.pool_worker_crashes,
                 "store_retries": self.store_retries,
                 "store_degraded": self.store_degraded,
             },

@@ -117,7 +117,7 @@ def _run_monte_carlo(lineage: DNF, config: ExperimentConfig
 #: the ``engine`` and ``topk`` algorithms benefit from their lineage
 #: caches across the instances of a workload (isomorphic lineages compile
 #: once).
-_ENGINE_POOL: Dict[Tuple[ExperimentConfig, int, str], Engine] = {}
+_ENGINE_POOL: Dict[Tuple[ExperimentConfig, str], Engine] = {}
 
 
 def clear_engine_pool() -> None:
@@ -132,7 +132,6 @@ def clear_engine_pool() -> None:
 
 
 def engine_for_config(config: ExperimentConfig,
-                      max_workers: int = 0,
                       method: str = "auto") -> Engine:
     """The shared batched engine for one experiment configuration.
 
@@ -148,7 +147,7 @@ def engine_for_config(config: ExperimentConfig,
     across a workload's instances; see :func:`clear_engine_pool` for when
     that history is unwanted.
     """
-    key = (config, max_workers, method)
+    key = (config, method)
     engine = _ENGINE_POOL.get(key)
     if engine is None:
         engine = Engine(EngineConfig(
@@ -156,7 +155,6 @@ def engine_for_config(config: ExperimentConfig,
             epsilon=config.epsilon,
             max_shannon_steps=config.max_shannon_steps,
             timeout_seconds=config.timeout_seconds,
-            max_workers=max_workers,
             k=config.topk[0] if method == "topk" else None,
         ))
         _ENGINE_POOL[key] = engine
@@ -260,7 +258,6 @@ def run_workloads(workloads: Sequence[Workload], algorithms: Sequence[str],
 
 def run_workload_batched(workload: Workload,
                          config: Optional[ExperimentConfig] = None,
-                         max_workers: int = 0,
                          engine: Optional[Engine] = None
                          ) -> Tuple[List[AlgorithmResult], Dict[str, object]]:
     """Run a whole workload through one batched engine call.
@@ -268,8 +265,8 @@ def run_workload_batched(workload: Workload,
     Unlike :func:`run_algorithm`, which measures each instance in isolation
     (the paper's per-instance protocol), this hands *all* instances of the
     workload to :meth:`repro.engine.Engine.attribute_lineages` at once, so
-    isomorphic lineages are deduplicated, repeated structures hit the cache,
-    and independent instances can fan out over ``max_workers`` processes.
+    isomorphic lineages are deduplicated and repeated structures hit the
+    cache.
 
     By default a *fresh* engine is built, so the reported stats and timings
     describe exactly this batch and repeated calls are reproducible; pass
@@ -293,7 +290,6 @@ def run_workload_batched(workload: Workload,
             epsilon=config.epsilon,
             max_shannon_steps=config.max_shannon_steps,
             timeout_seconds=config.timeout_seconds,
-            max_workers=max_workers,
         ))
     engine.reset_stats()
     _ensure_recursion_head_room()

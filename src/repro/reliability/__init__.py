@@ -1,13 +1,10 @@
-"""Reliability subsystem: fault injection, supervision, store resilience.
+"""Reliability subsystem: fault injection and store resilience.
 
-Four cooperating pieces (each in its own module):
+Three cooperating pieces:
 
 * :mod:`~repro.reliability.faults` -- deterministic, seeded fault
   injection behind named sites (``faults.check("store.flush")``), off by
   default and free when disabled;
-* :mod:`~repro.reliability.supervisor` -- :class:`SupervisedPool`,
-  which survives process-pool worker crashes by rebuilding the executor
-  and resubmitting only unfinished work under a bounded restart budget;
 * :mod:`~repro.reliability.retry` / :mod:`~repro.reliability.breaker` /
   :mod:`~repro.reliability.resilient` -- bounded backoff, a circuit
   breaker, and the :class:`ResilientStore` wrapper that degrades the
@@ -23,12 +20,10 @@ from .errors import (
     ReliabilityError,
     RetryBudgetExceeded,
     TransientStoreError,
-    WorkerCrash,
 )
 from .faults import FaultPlan, FaultRule, injected_error, resolve_fault_plan
 from .resilient import ResilientStore, wrap_store
 from .retry import RetryPolicy
-from .supervisor import SupervisedPool
 
 from . import faults
 
@@ -42,9 +37,7 @@ __all__ = [
     "ResilientStore",
     "RetryBudgetExceeded",
     "RetryPolicy",
-    "SupervisedPool",
     "TransientStoreError",
-    "WorkerCrash",
     "faults",
     "injected_error",
     "resolve_fault_plan",

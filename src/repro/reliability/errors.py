@@ -1,11 +1,10 @@
 """Failure taxonomy of the reliability subsystem.
 
-Retry sites, circuit breakers and supervisors need to catch *precisely*
-what they mean to: a transient I/O hiccup is retryable, a worker crash
-is a supervision event, a tripped breaker is a degradation signal, and a
-malformed request is none of those.  This module gives each failure
-shape its own class so the handling code reads as policy, not as
-``except Exception`` guesswork.
+Retry sites and circuit breakers need to catch *precisely* what they
+mean to: a transient I/O hiccup is retryable, a tripped breaker is a
+degradation signal, and a malformed request is neither.  This module
+gives each failure shape its own class so the handling code reads as
+policy, not as ``except Exception`` guesswork.
 
 The classes compose with the standard hierarchy on purpose:
 
@@ -15,10 +14,6 @@ The classes compose with the standard hierarchy on purpose:
   :meth:`~repro.engine.logstore.LogStore.flush` and by
   :class:`~repro.reliability.resilient.ResilientStore` when it
   re-raises.
-* :class:`WorkerCrash` -- a process-pool worker died (or hung past the
-  watchdog) and the :class:`~repro.reliability.supervisor.SupervisedPool`
-  exhausted its restart budget.  The engine's terminal degradation
-  (serial fallback) catches exactly this.
 * :class:`CircuitOpenError` -- an operation was refused because the
   breaker guarding a persistently failing backend is open.
 * :class:`FaultInjected` -- a *mixin* marker: every exception raised by
@@ -42,16 +37,6 @@ class TransientStoreError(ReliabilityError):
     Carries the original failure as ``__cause__`` (``raise ... from``).
     :class:`~repro.reliability.retry.RetryPolicy`'s default ``retry_on``
     includes it alongside plain ``OSError``.
-    """
-
-
-class WorkerCrash(ReliabilityError):
-    """A supervised pool exhausted its restart budget.
-
-    Raised by :class:`~repro.reliability.supervisor.SupervisedPool` when
-    worker processes keep dying (or keep tripping the per-task watchdog)
-    past ``max_restarts``; the engine treats it like a broken pool and
-    degrades to the serial path.
     """
 
 
@@ -88,5 +73,4 @@ __all__ = [
     "ReliabilityError",
     "RetryBudgetExceeded",
     "TransientStoreError",
-    "WorkerCrash",
 ]

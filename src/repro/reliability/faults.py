@@ -1,24 +1,21 @@
 """Deterministic fault injection behind named sites.
 
 Production code plants *sites* -- ``faults.check("store.flush")`` -- at
-the points where real failures happen (store I/O, pool tasks, compile
-steps, batch serving).  A :class:`FaultPlan` is a seeded list of
-:class:`FaultRule` entries that decide, per site and per call count,
-whether to raise, delay, or kill the process.  With no plan installed
-``check`` is a single global load and a ``None`` test, so the hooks are
-free in production; with a plan installed the behaviour is a pure
-function of the plan (seed, rule order, per-site call counts), so a
-chaos schedule replays bit-identically.
+the points where real failures happen (store I/O, compile steps, batch
+serving).  A :class:`FaultPlan` is a seeded list of :class:`FaultRule`
+entries that decide, per site and per call count, whether to raise or
+delay.  With no plan installed ``check`` is a single global load and a
+``None`` test, so the hooks are free in production; with a plan
+installed the behaviour is a pure function of the plan (seed, rule
+order, per-site call counts), so a chaos schedule replays
+bit-identically.
 
 Rules
 -----
 A rule fires on calls to its ``site`` once the site's call count exceeds
 ``after``, at most ``times`` times, each time with ``probability``
 (drawn from a per-rule ``random.Random`` seeded from the plan seed, so
-one rule's draws never perturb another's).  ``once_path`` gates a rule
-on atomic creation of a sentinel file (``O_CREAT | O_EXCL``), which
-makes "exactly one worker process dies" expressible across forked pool
-workers that would otherwise each inherit a private counter.
+one rule's draws never perturb another's).
 
 Actions
 -------
@@ -30,9 +27,6 @@ Actions
     accepts numbers or names (``"ENOSPC"``).
 ``delay``
     Sleep ``delay_seconds`` (default 50 ms).
-``kill``
-    ``os._exit(1)`` -- the hard death of a pool worker, not an
-    exception anything can catch.
 
 Installation
 ------------
@@ -62,7 +56,6 @@ from .errors import CircuitOpenError, FaultInjected, TransientStoreError
 KNOWN_SITES = (
     "store.flush",
     "store.read",
-    "pool.task",
     "compile.step",
     "serve.batch",
     "serve.request",
@@ -128,7 +121,7 @@ class FaultRule:
 
     Attributes:
         site: Injection site the rule listens on (see ``KNOWN_SITES``).
-        action: ``"raise"``, ``"delay"``, or ``"kill"``.
+        action: ``"raise"`` or ``"delay"``.
         error: Exception class name for ``"raise"`` (default ``OSError``).
         errno: Optional errno number or name (``"ENOSPC"``) set on
             injected ``OSError`` instances.
@@ -138,8 +131,6 @@ class FaultRule:
             per-rule seeded RNG.
         delay_seconds: Sleep length for ``"delay"``.
         message: Text of the injected exception.
-        once_path: Sentinel file path; the rule fires only for the one
-            process/call that atomically creates it.
     """
 
     site: str
@@ -151,14 +142,13 @@ class FaultRule:
     probability: float = 1.0
     delay_seconds: float = 0.05
     message: str = ""
-    once_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.site not in KNOWN_SITES:
             raise ValueError(
                 f"unknown fault site {self.site!r}; known: {KNOWN_SITES}"
             )
-        if self.action not in ("raise", "delay", "kill"):
+        if self.action not in ("raise", "delay"):
             raise ValueError(f"unknown fault action {self.action!r}")
         if self.action == "raise":
             _error_class(self.error)  # validate eagerly
@@ -188,8 +178,6 @@ class FaultRule:
             spec["delay_seconds"] = self.delay_seconds
         if self.message:
             spec["message"] = self.message
-        if self.once_path is not None:
-            spec["once_path"] = self.once_path
         return spec
 
 
@@ -266,14 +254,6 @@ class FaultPlan:
         with self._lock:
             return self._calls.get(site, 0)
 
-    def _claim_once(self, path: str) -> bool:
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(handle)
-        return True
-
     def fire(self, site: str) -> None:
         """Advance the site counter and execute the first matching rule."""
         action: Optional[Tuple[FaultRule, str]] = None
@@ -289,8 +269,6 @@ class FaultPlan:
                     continue
                 if rule.probability < 1.0 and state.rng.random() >= rule.probability:
                     continue
-                if rule.once_path is not None and not self._claim_once(rule.once_path):
-                    continue
                 state.fired += 1
                 self.fired[site] = self.fired.get(site, 0) + 1
                 action = (rule, rule.action)
@@ -301,8 +279,6 @@ class FaultPlan:
         if kind == "delay":
             time.sleep(rule.delay_seconds)
             return
-        if kind == "kill":
-            os._exit(1)
         message = rule.message or f"injected {rule.error} at {site} (call {self._calls[site]})"
         raise injected_error(
             _error_class(rule.error),
@@ -326,7 +302,7 @@ def check(site: str) -> None:
 
     The fast path is one global load and a ``None`` test; the
     environment variable is consulted exactly once per process so
-    subprocess tests (pool workers, CLI invocations) pick up plans
+    subprocesses (a ``repro`` CLI invocation, say) pick up plans
     without code changes.
     """
     global _env_checked, _ACTIVE

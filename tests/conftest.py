@@ -21,8 +21,8 @@ def _no_ambient_fault_plan():
     """Keep fault plans test-local.
 
     ``Engine(EngineConfig(fault_plan=...))`` installs the plan as
-    process-ambient state (so forked pool workers inherit it); without
-    this guard one test's plan would keep firing in every later test.
+    process-ambient state; without this guard one test's plan would keep
+    firing in every later test.
     """
     from repro.reliability import faults
 

@@ -10,24 +10,17 @@ reliability subsystem promises, rather than any single component:
   (exact ``Fraction`` values survive retries, fallbacks and
   recomputation);
 * a store written under flush faults is never poisoned -- after the
-  faults clear, everything it holds loads cleanly;
-* a killed pool worker is supervised back to a complete, correct
-  result set (and a worker *storm* degrades to the serial path, still
-  correct, still counted).
+  faults clear, everything it holds loads cleanly.
 
 CI runs these in a dedicated ``-m chaos`` lane under pytest-timeout.
 """
 
 import io
 import json
-import os
-from fractions import Fraction
 
 import pytest
 
 from repro import Database
-from repro.baselines.brute_force import banzhaf_all_brute_force
-from repro.boolean.dnf import DNF
 from repro.engine import Engine, EngineConfig
 from repro.engine.frontend import FrontendConfig, serve_jsonl_concurrent
 from repro.engine.logstore import LogStore
@@ -161,53 +154,3 @@ class TestFrontendChaos:
             else:
                 assert "error" in row  # structured, never a lost ticket
         assert any(row["ok"] for row in rows)
-
-
-def _lineages():
-    return [DNF([[0, 1]]), DNF([[0, 1], [1, 2]]),
-            DNF([[0], [1, 2]]), DNF([[0, 1], [0, 2], [1, 2]]),
-            DNF([[0, 2], [1, 3]]), DNF([[0], [1], [2, 3]])]
-
-
-class TestWorkerKills:
-    def test_one_killed_worker_is_supervised_back(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        lineages = _lineages()
-        expected = [banzhaf_all_brute_force(lineage)
-                    for lineage in lineages]
-        engine = Engine(EngineConfig(
-            method="exact", max_workers=2, chunk_size=1,
-            parallel_min_tasks=1, pool_restarts=2,
-            fault_plan={"rules": [{
-                "site": "pool.task", "action": "kill",
-                # os._exit(1) in exactly the one (forked) worker that
-                # claims the sentinel; everyone else proceeds.
-                "once_path": str(tmp_path / "kill-once"),
-            }]}))
-        values = [a.values for a in engine.attribute_lineages(lineages)]
-        for computed, raw in zip(values, expected):
-            assert computed == {v: Fraction(x) for v, x in raw.items()}
-        assert engine.stats.pool_worker_crashes >= 1
-        assert engine.stats.pool_fallbacks == 0
-        assert engine.stats.parallel_batches == 1
-
-    def test_worker_kill_storm_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        lineages = _lineages()
-        expected = [banzhaf_all_brute_force(lineage)
-                    for lineage in lineages]
-        # No once_path: every fresh worker's first chunk dies, so the
-        # pool burns its whole restart budget and the engine falls back
-        # to the serial path -- counted, and still correct.
-        engine = Engine(EngineConfig(
-            method="exact", max_workers=2, chunk_size=1,
-            parallel_min_tasks=1, pool_restarts=1,
-            fault_plan={"rules": [{"site": "pool.task",
-                                   "action": "kill"}]}))
-        values = [a.values for a in engine.attribute_lineages(lineages)]
-        for computed, raw in zip(values, expected):
-            assert computed == {v: Fraction(x) for v, x in raw.items()}
-        assert engine.stats.pool_fallbacks == 1
-        assert engine.stats.pool_worker_crashes == 2  # budget + 1 attempts
-        assert engine.stats.parallel_batches == 0

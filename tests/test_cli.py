@@ -143,6 +143,15 @@ class TestRun:
             run(["--facts", f"R={r_path}", "--rank", "--top", "2",
                  "--query", "Q(X) :- R(X)"], output=io.StringIO())
 
+    def test_jobs_flag_is_a_usage_error(self, csv_relations):
+        """``--jobs`` is gone with the process pool: exit 2."""
+        r_path, s_path = csv_relations
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--facts", f"R={r_path}", "--facts", f"S={s_path}",
+                 "--query", "Q(X) :- R(X), S(X, Y)", "--jobs", "2"],
+                output=io.StringIO())
+        assert excinfo.value.code == 2
+
     def test_epsilon_warns_for_exact(self, csv_relations):
         r_path, _ = csv_relations
         output = io.StringIO()

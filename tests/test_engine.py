@@ -115,50 +115,6 @@ class TestCacheReuse:
         assert [a.attributions for a in first] == [a.attributions for a in second]
 
 
-class TestParallel:
-    def test_parallel_matches_serial(self, monkeypatch):
-        # Pretend the host has cores to give: gating is on the *effective*
-        # worker count, so a 1-core CI box would otherwise stay serial.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        workload = build_workload("academic", include_hard=False)
-        lineages = [instance.lineage for instance in workload.instances][:12]
-        serial = Engine(EngineConfig(method="exact"))
-        parallel = Engine(EngineConfig(method="exact", max_workers=2,
-                                       chunk_size=3, parallel_min_tasks=1))
-        serial_values = [a.values for a in serial.attribute_lineages(lineages)]
-        parallel_values = [a.values
-                           for a in parallel.attribute_lineages(lineages)]
-        assert serial_values == parallel_values
-        assert parallel.stats.parallel_batches == 1
-
-    def test_small_batches_stay_serial(self):
-        engine = Engine(EngineConfig(method="exact", max_workers=4,
-                                     parallel_min_tasks=10))
-        engine.attribute_lineages([DNF([[0, 1]])])
-        assert engine.stats.parallel_batches == 0
-
-    def test_single_core_host_stays_serial(self, monkeypatch):
-        # Regression: max_workers > 1 on a 1-core host used to build a
-        # 1-worker pool and pay pickling/IPC for zero parallelism.
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        engine = Engine(EngineConfig(method="exact", max_workers=4,
-                                     parallel_min_tasks=1))
-        lineages = [DNF([[0, 1]]), DNF([[0, 1], [1, 2]]),
-                    DNF([[0], [1, 2]]), DNF([[0, 1], [0, 2], [1, 2]])]
-        values = [a.values for a in engine.attribute_lineages(lineages)]
-        assert engine.stats.parallel_batches == 0
-        for lineage, computed in zip(lineages, values):
-            expected = banzhaf_all_brute_force(lineage)
-            assert computed == {v: Fraction(x) for v, x in expected.items()}
-
-    def test_unknown_cpu_count_stays_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        engine = Engine(EngineConfig(method="exact", max_workers=4,
-                                     parallel_min_tasks=1))
-        engine.attribute_lineages([DNF([[0, 1]]), DNF([[2], [3, 4]])])
-        assert engine.stats.parallel_batches == 0
-
-
 class TestAutoFallback:
     # Non-hierarchical cycle: compilation must Shannon-expand, so a
     # zero-step budget forces the exact path to give up.
@@ -273,16 +229,19 @@ class TestPassEntryPoints:
 
 
 def test_import_repro_does_not_load_numpy():
-    """The library is pure Python: no import may pull numpy's start-up
-    cost into every process that uses it."""
+    """The library is pure Python with one compute path: no import may
+    pull numpy's or a process pool's start-up cost into every process
+    that uses it."""
+    modules = ("numpy", "multiprocessing", "concurrent.futures")
     env = dict(os.environ)
     env["PYTHONPATH"] = _REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro; print('numpy' in sys.modules)"],
+         f"import sys, repro; print([m for m in {modules!r} "
+         "if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "[]"
 
 
 class TestResultKey:
@@ -476,9 +435,12 @@ class TestRankingEngine:
         assert engine.stats.cache_misses == 2  # partials never cached
 
     def test_removed_float_tier_knobs_raise_type_error(self):
-        # The ranking methods have one tier; its old knobs are not
-        # silently accepted anywhere.
-        for knob in ({"numeric": "float"}, {"float_ulp_margin": 8}):
+        # The ranking methods have one tier and the engine one compute
+        # path; their old knobs are not silently accepted anywhere.
+        for knob in ({"numeric": "float"}, {"float_ulp_margin": 8},
+                     {"max_workers": 2}, {"chunk_size": 8},
+                     {"parallel_min_tasks": 4}, {"pool_restarts": 2},
+                     {"pool_task_timeout": 1.0}):
             with pytest.raises(TypeError):
                 EngineConfig(method="rank", **knob)
             with pytest.raises(TypeError):

@@ -1,8 +1,7 @@
 """Unit tests for the reliability subsystem (repro.reliability).
 
 Each primitive is pinned in isolation -- with injected clocks, sleeps
-and RNGs, so nothing here waits on wall-clock time except the (tiny)
-real process pools of the supervision tests:
+and RNGs, so nothing here waits on wall-clock time:
 
 * :mod:`repro.reliability.faults` -- deterministic fault plans: rule
   eligibility (``after``/``times``/``probability``), seeded replay,
@@ -10,15 +9,11 @@ real process pools of the supervision tests:
   injected-exception taxonomy (real base class + ``FaultInjected``).
 * :class:`RetryPolicy` -- the backoff schedule and the retry loop.
 * :class:`CircuitBreaker` -- the closed/open/half-open state machine.
-* :class:`SupervisedPool` -- crash/hang recovery with exactly-once
-  result delivery.
 * :class:`ResilientStore` -- degradation policy around a flaky store.
 """
 
 import errno
-import os
 import random
-import time
 
 import pytest
 
@@ -31,9 +26,7 @@ from repro.reliability import (
     FaultRule,
     ResilientStore,
     RetryPolicy,
-    SupervisedPool,
     TransientStoreError,
-    WorkerCrash,
     faults,
     wrap_store,
 )
@@ -61,8 +54,18 @@ def _fire_pattern(plan: FaultPlan, site: str, calls: int):
 
 class TestFaultRules:
     def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultRule(site="store.nonsense")
+        # "pool.task" went with the process pool.
+        for site in ("store.nonsense", "pool.task"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultRule(site=site)
+
+    def test_removed_kill_action_and_once_path_rejected(self):
+        # Both existed only to kill one forked pool worker.
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultRule(site="compile.step", action="kill")
+        with pytest.raises(TypeError):
+            FaultPlan.from_spec({"rules": [{"site": "store.read",
+                                            "once_path": "sentinel"}]})
 
     def test_unknown_error_class_rejected(self):
         with pytest.raises(ValueError, match="unknown fault error class"):
@@ -97,8 +100,8 @@ class TestFaultRules:
     def test_probability_draws_replay_bit_identically(self):
         def run(seed):
             plan = FaultPlan(
-                [FaultRule(site="pool.task", probability=0.5)], seed=seed)
-            return _fire_pattern(plan, "pool.task", 32)
+                [FaultRule(site="compile.step", probability=0.5)], seed=seed)
+            return _fire_pattern(plan, "compile.step", 32)
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # the seed genuinely steers the draws
@@ -129,22 +132,14 @@ class TestFaultRules:
     def test_spec_round_trip(self):
         plan = FaultPlan(
             [FaultRule(site="store.flush", errno="ENOSPC", after=1, times=2),
-             FaultRule(site="pool.task", action="kill",
-                       once_path="/tmp/sentinel"),
+             FaultRule(site="compile.step", error="TimeoutError",
+                       message="injected budget blow-up"),
              FaultRule(site="serve.batch", action="delay",
                        delay_seconds=0.01, probability=0.25)],
             seed=42)
         clone = FaultPlan.from_spec(plan.to_json())
         assert clone.to_spec() == plan.to_spec()
         assert clone.seed == 42
-
-    def test_once_path_fires_for_exactly_one_claimant(self, tmp_path):
-        sentinel = str(tmp_path / "once")
-        plan = FaultPlan([FaultRule(site="store.read",
-                                    once_path=sentinel)])
-        assert _fire_pattern(plan, "store.read", 4) == [
-            True, False, False, False]
-        assert os.path.exists(sentinel)
 
 
 class TestAmbientPlan:
@@ -354,94 +349,6 @@ class TestCircuitBreaker:
         snapshot = breaker.snapshot()
         assert snapshot == {"state": CLOSED, "failures": 1, "trips": 0,
                             "reattaches": 0}
-
-
-# --------------------------------------------------------------------- #
-# Supervised pool
-# --------------------------------------------------------------------- #
-# The worker functions live at module scope so the (forked) pool
-# processes can unpickle them by reference.
-
-
-def _double(value):
-    return value * 2
-
-
-def _crash_once(payload):
-    sentinel, value = payload
-    try:
-        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        os._exit(1)  # hard worker death, exactly once across the pool
-    except FileExistsError:
-        pass
-    return value * 2
-
-
-def _always_crash(_value):
-    os._exit(1)
-
-
-def _task_error(value):
-    raise ValueError(f"task-level failure on {value}")
-
-
-def _hang_once_then_return(payload):
-    sentinel, value = payload
-    try:
-        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        with open(sentinel + ".pid", "w") as handle:
-            handle.write(str(os.getpid()))
-        time.sleep(60)  # the watchdog must cut this short
-    except FileExistsError:
-        pass
-    return value * 2
-
-
-class TestSupervisedPool:
-    def test_yields_every_result_exactly_once(self):
-        pool = SupervisedPool(_double, max_workers=2)
-        results = dict(pool.run([1, 2, 3, 4, 5]))
-        assert results == {0: 2, 1: 4, 2: 6, 3: 8, 4: 10}
-        assert pool.restarts == 0
-
-    def test_worker_crash_rebuilds_and_resubmits(self, tmp_path):
-        sentinel = str(tmp_path / "crash-once")
-        pool = SupervisedPool(_crash_once, max_workers=2, max_restarts=2)
-        payloads = [(sentinel, value) for value in range(6)]
-        results = dict(pool.run(payloads))
-        assert results == {i: i * 2 for i in range(6)}
-        assert pool.crashes >= 1
-        assert pool.restarts == pool.crashes + pool.hangs
-
-    def test_restart_budget_exhaustion_raises_worker_crash(self):
-        events = []
-        pool = SupervisedPool(_always_crash, max_workers=1, max_restarts=1,
-                              on_crash=events.append)
-        with pytest.raises(WorkerCrash, match="restart budget"):
-            list(pool.run([1, 2]))
-        assert pool.crashes == 2  # initial attempt + one permitted restart
-        assert events == ["crash", "crash"]
-
-    def test_task_exceptions_are_not_supervision_events(self):
-        pool = SupervisedPool(_task_error, max_workers=1, max_restarts=0)
-        with pytest.raises(ValueError, match="task-level failure"):
-            list(pool.run([7]))
-        assert pool.crashes == 0
-        assert pool.restarts == 0
-
-    def test_watchdog_restarts_a_hung_worker(self, tmp_path):
-        sentinel = str(tmp_path / "hang-once")
-        pool = SupervisedPool(_hang_once_then_return, max_workers=1,
-                              max_restarts=2, task_timeout=1.0)
-        payloads = [(sentinel, value) for value in range(2)]
-        results = dict(pool.run(payloads))
-        assert results == {0: 0, 1: 2}
-        assert pool.hangs >= 1
-        # The hung worker is ended, not left to block interpreter exit.
-        with open(sentinel + ".pid") as handle:
-            hung_pid = int(handle.read())
-        with pytest.raises(ProcessLookupError):
-            os.kill(hung_pid, 0)
 
 
 # --------------------------------------------------------------------- #

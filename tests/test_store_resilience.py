@@ -167,7 +167,6 @@ class TestServingDegradation:
         assert service.store.breaker.state == OPEN
         report = service.stats()
         assert report["reliability"]["store_degraded"] == 1
-        assert report["reliability"]["pool_fallbacks"] == 0
 
     def test_locked_store_read_is_a_structured_degraded_response(
             self, database, tmp_path):
