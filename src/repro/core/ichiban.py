@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.boolean.dnf import DNF
@@ -88,17 +89,6 @@ class RankedVariable:
     def upper(self) -> int:
         """Upper bound of the Banzhaf interval."""
         return self.interval.upper
-
-
-def _ranked(intervals: Dict[int, Interval]) -> List[RankedVariable]:
-    """Order variables by interval midpoint (descending), ties by id."""
-    entries = [
-        RankedVariable(variable=v, interval=interval,
-                       estimate=interval.midpoint())
-        for v, interval in intervals.items()
-    ]
-    entries.sort(key=lambda entry: (-entry.estimate, entry.variable))
-    return entries
 
 
 #: Top-k decidedness classes (order matters: it is the ranking sort key).
@@ -157,6 +147,42 @@ def _ties_decide(intervals: Dict[int, Interval],
     return True
 
 
+def ranked_groups(intervals: Dict[int, Interval], k: Optional[int] = None
+                  ) -> List[Tuple[Fraction, List[Tuple[int, Interval]]]]:
+    """The ranking as ``(estimate, [(variable, interval), ...])`` groups.
+
+    Groups are in rank order (see :func:`ranked_from_intervals`), their
+    members unordered: the grouping ignores variable ids, so it serves
+    every renaming of a lineage.  :func:`ranked_from_groups` breaks ties.
+    """
+    classes = _topk_classify(intervals, k) if k is not None else {}
+    groups: Dict[Tuple[int, Fraction], List[Tuple[int, Interval]]] = {}
+    for variable, interval in intervals.items():
+        groups.setdefault((classes.get(variable, _IN), interval.midpoint()),
+                          []).append((variable, interval))
+    ordered = sorted(groups.items(), key=lambda item: (item[0][0], -item[0][1]))
+    return [(estimate, members) for (_, estimate), members in ordered]
+
+
+def ranked_from_groups(groups: list, k: Optional[int] = None,
+                       renaming: Optional[Sequence[int]] = None
+                       ) -> List[RankedVariable]:
+    """The first ``k`` (default all) entries of a :func:`ranked_groups`
+    ranking, ties by variable id -- after mapping each id through
+    ``renaming`` when one is given."""
+    entries: List[RankedVariable] = []
+    for estimate, members in groups:
+        if renaming is not None:
+            members = [(renaming[v], interval) for v, interval in members]
+        if len(members) > 1:
+            members = sorted(members, key=itemgetter(0))
+        for variable, interval in members:
+            if len(entries) == k:
+                return entries
+            entries.append(RankedVariable(variable, interval, estimate))
+    return entries
+
+
 def ranked_from_intervals(intervals: Dict[int, Interval],
                           k: Optional[int] = None) -> List[RankedVariable]:
     """Order variables by the interval evidence.
@@ -171,17 +197,7 @@ def ranked_from_intervals(intervals: Dict[int, Interval],
     wide: a certainly-out variable can retain a large midpoint, so midpoints
     alone would rank it above a certain member of the top-k.
     """
-    if k is None:
-        return _ranked(intervals)
-    classes = _topk_classify(intervals, k)
-    entries = [
-        RankedVariable(variable=v, interval=interval,
-                       estimate=interval.midpoint())
-        for v, interval in intervals.items()
-    ]
-    entries.sort(key=lambda entry: (classes[entry.variable],
-                                    -entry.estimate, entry.variable))
-    return entries[:k]
+    return ranked_from_groups(ranked_groups(intervals, k), k)
 
 
 def ranked_from_bounds(bounds: Dict[int, Tuple[int, int]],
@@ -193,9 +209,7 @@ def ranked_from_bounds(bounds: Dict[int, Tuple[int, int]],
     """
     return ranked_from_intervals(
         {variable: Interval(lower, upper)
-         for variable, (lower, upper) in bounds.items()},
-        k,
-    )
+         for variable, (lower, upper) in bounds.items()}, k)
 
 
 #: A per-round controller: consumes the fresh intervals, returns
@@ -383,4 +397,4 @@ def ichiban_rank(function: DNF, epsilon: Optional[float] = None,
     run = _IchiBanRun(function, heuristic)
     intervals = run.run(_rank_controller(epsilon), max_steps,
                         timeout_seconds)
-    return _ranked(intervals)
+    return ranked_from_intervals(intervals)

@@ -85,6 +85,9 @@ class CachedAttribution:
     bounds:
         Canonical variable id -> (lower, upper) certificate, present for
         exact (degenerate interval) and approximate results.
+    templates:
+        Answer templates the engine derives at first use: the variables
+        grouped in output order.  Never persisted; not part of equality.
     """
 
     method_used: str
@@ -93,6 +96,8 @@ class CachedAttribution:
     #: ``False`` for best-so-far ranking results whose anytime run exhausted
     #: its budget; such entries are never written to the cache.
     converged: bool = True
+    templates: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 class LRUCache(Generic[_V]):
@@ -156,7 +161,11 @@ class LRUCache(Generic[_V]):
 
 
 class LineageCache:
-    """The engine's two-level memo: results (primary) and compiled artifacts.
+    """The engine's memo: canonical forms, results and compiled artifacts.
+
+    :attr:`forms` memoizes canonical forms by first-occurrence encoding
+    (``canonicalize``'s ``memo``), at the result tier's capacity; it is
+    never persisted.
 
     Result entries are small (per-variable Fractions keyed by tuples of int
     tuples), so the default of 4096 is only a few megabytes for typical
@@ -176,6 +185,7 @@ class LineageCache:
 
     def __init__(self, max_entries: int = 4096,
                  artifact_entries: int = 256) -> None:
+        self.forms: LRUCache[tuple] = LRUCache(max_entries)
         self.results: LRUCache[CachedAttribution] = LRUCache(max_entries)
         self.artifacts: LRUCache[object] = LRUCache(artifact_entries)
         self._inflight: Dict[Hashable, threading.Event] = {}
@@ -209,12 +219,18 @@ class LineageCache:
         drift can never split or alias equivalent entries.  ``k`` is kept
         for ``topk`` only.
         """
-        return (key, method,
-                canonical_epsilon(epsilon) if method in _EPSILON_METHODS
-                else None,
-                k if method == "topk" else None)
+        return (key,) + LineageCache.result_suffix(method, epsilon, k)
+
+    @staticmethod
+    def result_suffix(method: str, epsilon: Union[float, Fraction, None],
+                      k: Optional[int] = None) -> tuple:
+        """The ``(method, epsilon, k)`` part of :meth:`result_key`."""
+        if method not in _EPSILON_METHODS:
+            epsilon = None
+        return method, canonical_epsilon(epsilon), k if method == "topk" else None
 
     def clear(self) -> None:
-        """Drop both cache levels."""
+        """Drop every cache level."""
+        self.forms.clear()
         self.results.clear()
         self.artifacts.clear()

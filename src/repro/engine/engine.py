@@ -6,11 +6,12 @@ lineages) it runs a four-stage pipeline:
 
 1. **evaluate** -- evaluate each query and build per-answer lineage DNFs
    (:mod:`repro.db.lineage`);
-2. **canonicalize** -- rename each lineage into its variable-order-independent
-   canonical form (:mod:`repro.engine.canonical`) and look it up in the
-   cache tiers -- the in-memory lineage cache first, then the optional
-   persistent store (:mod:`repro.engine.store`) -- deduplicating
-   isomorphic answers within the batch;
+2. **canonicalize** -- rename each lineage into its canonical form
+   (:mod:`repro.engine.canonical`, memoized per first-occurrence encoding
+   in :attr:`LineageCache.forms <repro.engine.cache.LineageCache>`) and
+   look it up in the cache tiers -- the in-memory lineage cache first,
+   then the optional persistent store (:mod:`repro.engine.store`) --
+   deduplicating isomorphic answers within the batch;
 3. **compute**, split into **compile-once / evaluate-per-method** -- each
    distinct cache miss first obtains its lineage's
    :class:`~repro.engine.artifact.CompiledLineage` (memory artifact cache
@@ -23,7 +24,8 @@ lineages) it runs a four-stage pipeline:
    another caller sharing the cache is computing is waited for, not
    computed again;
 4. **assemble** -- translate canonical-space values back through each
-   answer's variable mapping and attach database facts.
+   answer's variable mapping and attach database facts, in the order of
+   the entry's answer template (ties broken by the answer's own ids).
 
 Freshly computed converged results -- and fresh or further-refined
 compilation artifacts, converged or not -- are written back to every
@@ -69,6 +71,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -85,7 +88,8 @@ from repro.boolean.dnf import DNF
 from repro.core.adaban import adaban_over_state, shared_state
 # Not called here: perfbench/tracing.py wraps this module's binding.
 from repro.core.exaban import exaban_all  # noqa: F401
-from repro.core.ichiban import RankedVariable, ranked_from_bounds
+from repro.core.ichiban import RankedVariable, ranked_from_groups, ranked_groups
+from repro.core.intervals import Interval
 from repro.core.shapley import shapley_all
 from repro.db.database import Database, Fact
 from repro.db.lineage import AnswerLineage, DomainPolicy, lineage_of_answers
@@ -548,11 +552,13 @@ class Engine:
         attributions = []
         with self.stats.timed("assemble"):
             for lineage, (canonical, cached) in zip(lineages, outcomes):
+                renaming = canonical.renaming
                 attributions.append(LineageAttribution(
                     lineage=lineage,
                     method_used=cached.method_used,
-                    values=self._map_back(cached.values, canonical),
-                    bounds={canonical.from_canonical[v]: bound
+                    values={renaming[v]: value
+                            for v, value in cached.values.items()},
+                    bounds={renaming[v]: bound
                             for v, bound in cached.bounds.items()},
                 ))
         return attributions
@@ -639,10 +645,11 @@ class Engine:
         self.stats.bump(answers=len(lineages))
 
         with self.stats.timed("canonicalize"):
-            canonicals = [canonicalize(lineage) for lineage in lineages]
-            keys = [self.cache.result_key(c.key, config.method,
-                                          config.epsilon, k)
-                    for c in canonicals]
+            forms = self.cache.forms
+            canonicals = [canonicalize(lineage, memo=forms)
+                          for lineage in lineages]
+            suffix = self.cache.result_suffix(config.method, config.epsilon, k)
+            keys = [(c.key,) + suffix for c in canonicals]
         cached: Dict[int, CachedAttribution] = {}
         unresolved: Sequence[int] = range(len(lineages))
         while unresolved:
@@ -841,42 +848,57 @@ class Engine:
     # Assembly helpers
     # ----------------------------------------------------------------- #
 
-    @staticmethod
-    def _map_back(values: Dict[int, Fraction], canonical: CanonicalLineage
-                  ) -> Dict[int, Fraction]:
-        return {canonical.from_canonical[variable]: value
-                for variable, value in values.items()}
-
     def _ranked_facts(self, outcome: Tuple[CanonicalLineage, CachedAttribution],
                       database: Database, k: Optional[int]
                       ) -> List[Tuple[Fact, RankedVariable]]:
         """Order one answer's facts by the cached interval evidence."""
         canonical, cached = outcome
-        bounds = {canonical.from_canonical[variable]: bound
-                  for variable, bound in cached.bounds.items()}
-        if self.config.method == "topk":
-            effective_k: Optional[int] = self.config.k if k is None else k
-        else:
-            effective_k = None
-        return [(database.fact_of(entry.variable), entry)
-                for entry in ranked_from_bounds(bounds, effective_k)]
+        effective_k = ((self.config.k if k is None else k)
+                       if self.config.method == "topk" else None)
+        slot = ("ranked", effective_k)
+        groups = cached.templates.get(slot)
+        if groups is None:
+            groups = cached.templates[slot] = ranked_groups(
+                {variable: Interval(lower, upper)
+                 for variable, (lower, upper) in cached.bounds.items()},
+                effective_k)
+        fact_of = database.fact_of
+        return [(fact_of(entry.variable), entry)
+                for entry in ranked_from_groups(groups, effective_k,
+                                                canonical.renaming)]
 
     def _assemble(self, answer: AnswerLineage,
                   outcome: Tuple[CanonicalLineage, CachedAttribution],
                   database: Database) -> "AttributionResult":
-        from repro.core.attribution import (
-            AttributionResult,
-            _attributions_from_values,
-        )
+        """One answer's facts, best first: ``(-value, variable)`` order."""
+        from repro.core.attribution import AttributionResult, FactAttribution
 
         canonical, cached = outcome
-        values = self._map_back(cached.values, canonical)
-        bounds = {canonical.from_canonical[v]: bound
-                  for v, bound in cached.bounds.items()}
-        return AttributionResult(
-            answer=answer.values,
-            attributions=_attributions_from_values(values, database, bounds),
-        )
+        groups = cached.templates.get("values")
+        if groups is None:
+            groups = cached.templates["values"] = _value_groups(cached)
+        renaming = canonical.renaming
+        fact_of = database.fact_of
+        attributions = []
+        for value, members in groups:
+            rows = [(renaming[v], lower, upper) for v, lower, upper in members]
+            if len(rows) > 1:
+                rows.sort(key=itemgetter(0))
+            attributions.extend(
+                FactAttribution(fact_of(variable), variable, value, lower, upper)
+                for variable, lower, upper in rows)
+        return AttributionResult(answer=answer.values,
+                                 attributions=tuple(attributions))
+
+
+def _value_groups(cached: CachedAttribution) -> list:
+    """An entry's attribution template: ``(value, [(canonical variable,
+    lower, upper), ...])`` groups, highest value first."""
+    groups: Dict[Fraction, list] = {}
+    for variable, value in cached.values.items():
+        lower, upper = cached.bounds.get(variable, (None, None))
+        groups.setdefault(Fraction(value), []).append((variable, lower, upper))
+    return sorted(groups.items(), key=itemgetter(0), reverse=True)
 
 
 def engine_for(method: EngineMethod = "auto", *,

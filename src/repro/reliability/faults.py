@@ -301,9 +301,10 @@ def check(site: str) -> None:
     """Fault hook: free when no plan is installed.
 
     The fast path is one global load and a ``None`` test; the
-    environment variable is consulted exactly once per process so
-    subprocesses (a ``repro`` CLI invocation, say) pick up plans
-    without code changes.
+    environment variable is consulted once per process so subprocesses
+    (a ``repro`` CLI invocation, say) pick up plans without code
+    changes.  It counts as consulted only once it parses: until then
+    every check raises the parse error.
     """
     global _env_checked, _ACTIVE
     plan = _ACTIVE
@@ -312,10 +313,10 @@ def check(site: str) -> None:
             return
         with _install_lock:
             if not _env_checked:
-                _env_checked = True
                 spec = os.environ.get(ENV_VAR)
                 if spec:
                     _ACTIVE = FaultPlan.from_spec(spec)
+                _env_checked = True
         plan = _ACTIVE
         if plan is None:
             return

@@ -164,6 +164,22 @@ class TestAmbientPlan:
         faults.check("compile.step")  # times=1 exhausted
         assert faults.active() is not None
 
+    @pytest.mark.parametrize("spec, error", [
+        ('{"rules": [{"site": "store.read", "once_path": "x"}]}', TypeError),
+        ('{"rules": [{"site": "bogus"}]}', ValueError),
+    ])
+    def test_malformed_env_var_raises_on_every_check(self, monkeypatch,
+                                                     spec, error):
+        # A plan that does not parse must not fail one check and then
+        # leave the process silently running without it.
+        monkeypatch.setenv(faults.ENV_VAR, spec)
+        monkeypatch.setattr(faults, "_ACTIVE", None)
+        monkeypatch.setattr(faults, "_env_checked", False)
+        for _ in range(3):
+            with pytest.raises(error):
+                faults.check("compile.step")
+        assert faults.active() is None
+
     def test_engine_config_validates_plans_eagerly(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             EngineConfig(fault_plan={"rules": [{"site": "bogus"}]})
