@@ -160,5 +160,9 @@ def upper_idnf(function: DNF) -> DNF:
                 if existing & shared_bit:
                     kept_masks[index] = shared_bit
                     break
+            else:
+                # An earlier weakening dropped this variable from every
+                # kept clause, so it can be kept on its own.
+                kept_masks.append(shared_bit)
     return DNF._from_kernel(
         kept_masks, function._bitset().order).absorb()

@@ -17,8 +17,10 @@ anytime algorithms --- arbitrary positive DNF functions.
 The package provides:
 
 * :mod:`repro.dtree.nodes` -- the node classes;
-* :mod:`repro.dtree.compile` -- the exhaustive compiler used by ExaBan;
-* :mod:`repro.dtree.incremental` -- the step-wise compiler used by AdaBan;
+* :mod:`repro.dtree.compile` -- the decomposition rules and the
+  exhaustive compiler used by ExaBan;
+* :mod:`repro.dtree.incremental` -- the partial d-tree of the anytime
+  algorithms, expanded step-wise or completed by that compiler;
 * :mod:`repro.dtree.heuristics` -- Shannon-variable selection heuristics.
 """
 

@@ -1,27 +1,28 @@
-"""Exhaustive d-tree compilation (the ExaBan front end).
+"""The d-tree decomposition rules and the exhaustive compiler (ExaBan's front end).
 
-``compile_dnf`` turns a positive DNF into a *complete* d-tree whose leaves
-are literals or constants, using the strategy described in Section 3.1 of the
-paper:
-
-1. absorption and factoring out variables that occur in every clause
-   (producing an independent-AND with literal children);
-2. independence partitioning via connected components of the clause graph
-   (producing an independent-OR);
-3. otherwise, Shannon expansion on a heuristically chosen variable
-   (producing a mutually-exclusive OR).
+The rules of Section 3.1 of the paper are written once, here:
+:func:`settle` turns a trivial function into its leaf, :func:`decompose`
+applies one step to any other -- (1) split off silent variables, (2)
+factor out the variables common to every clause, (3) partition into
+independent components, (4) else Shannon-expand on a heuristic variable
+-- and :func:`combine` builds the node that step describes.  They are
+applied two ways: by :func:`compile_exhaustively`, depth-first to
+completion (behind :func:`compile_dnf` and the engine's completions), and
+by :class:`repro.dtree.incremental.IncrementalCompiler`, one leaf per step.
 
 Shannon expansion is the only step that can blow up; a
 :class:`CompilationBudget` caps the number of expansions and the wall-clock
 time so that hard instances *fail* rather than hang, mirroring the one-hour
-timeout used in the paper's experiments.
+timeout used in the paper's experiments.  An exhausted run still leaves a
+valid partial d-tree: every sub-function it has not decomposed becomes a
+``DNFLeaf``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.boolean.dnf import ConstantTrue, DNF
 from repro.boolean.operations import factor_common_variables, independent_components
@@ -29,6 +30,7 @@ from repro.dtree.heuristics import Heuristic, select_most_frequent
 from repro.dtree.nodes import (
     DecompAnd,
     DecompOr,
+    DNFLeaf,
     DTreeNode,
     ExclusiveOr,
     FalseLeaf,
@@ -77,16 +79,182 @@ class CompilationBudget:
             )
 
 
+# ---------------------------------------------------------------------- #
+# The rules
+# ---------------------------------------------------------------------- #
+
+
+def settle(function: DNF) -> Union[DTreeNode, DNF]:
+    """The leaf of an absorbed ``function`` if it is trivial, else ``function``.
+
+    The constant 0 becomes a ``FalseLeaf``; a single literal becomes a
+    ``LiteralLeaf``, conjoined with a ``TrueLeaf`` over the silent
+    variables when the domain is larger (so model counts stay correct).
+    """
+    if function.is_false():
+        return FalseLeaf(function.domain)
+    if function.is_single_literal():
+        variable = function.single_literal()
+        literal = LiteralLeaf(variable)
+        if function.num_variables() == 1:
+            return literal
+        return DecompAnd([literal, TrueLeaf(function.domain - {variable})],
+                         domain=function.domain)
+    return function
+
+
+def node_for(function: DNF) -> DTreeNode:
+    """Wrap a DNF into the appropriate leaf node without decomposing it.
+
+    The function is absorbed first (absorption can leave a single
+    literal); a non-trivial one becomes a ``DNFLeaf``.
+    """
+    settled = settle(function.absorb())
+    return DNFLeaf(settled) if isinstance(settled, DNF) else settled
+
+
+def decompose(function: DNF, heuristic: Heuristic,
+              budget: Optional[CompilationBudget] = None
+              ) -> Tuple[tuple, List[DNF]]:
+    """One decomposition step on an absorbed, non-trivial ``function``.
+
+    Returns ``(frame, parts)``: the frame ``(kind, arity, domain,
+    variables, true_domain)`` from which :func:`combine` builds the node
+    over ``arity`` subtrees, and a fresh list of the sub-functions left to
+    compile, absorbed and in tree order.  A Shannon expansion charges
+    ``budget`` *before* it cofactors, so a budget of N Shannon steps
+    performs at most N.
+    """
+    domain = function.domain
+    silent = function.silent_variables()
+    if silent:
+        return (DecompAnd, 1, domain, (), silent), [
+            function.restricted_domain()]
+    try:
+        common, residual = factor_common_variables(function)
+    except ConstantTrue as constant:
+        # Some clause consists solely of the common variables, so the
+        # whole function is the conjunction of those literals (times the
+        # constant 1 over any leftover domain variables).
+        return (DecompAnd, 0, domain, sorted(function.common_variables()),
+                constant.domain), []
+    if common:
+        return (DecompAnd, 1, domain, sorted(common), None), [residual]
+    components = independent_components(function)
+    if len(components) > 1:
+        return (DecompOr, len(components), domain, None, None), components
+    variable = heuristic(function)
+    if budget is not None:
+        budget.charge_shannon()
+    # Restricting, factoring, partitioning and dropping clauses keep a
+    # clause set absorbed; removing a variable from clauses may not.
+    negative = function.cofactor(variable, False)
+    try:
+        positive = function.cofactor(variable, True).absorb()
+    except ConstantTrue as constant:
+        return (ExclusiveOr, 1, domain, variable, constant.domain), [negative]
+    return (ExclusiveOr, 2, domain, variable, None), [positive, negative]
+
+
+def combine(frame: tuple, children: List[DTreeNode]) -> DTreeNode:
+    """Build the node ``frame`` (from :func:`decompose`) over ``children``.
+
+    A ``DecompAnd`` conjoins literals over ``variables``, the children and
+    a ``TrueLeaf`` over a non-empty ``true_domain``; an ``ExclusiveOr``
+    expands on the variable ``variables``, its positive branch a
+    ``TrueLeaf`` over ``true_domain`` unless that is ``None``.
+    """
+    kind, _, domain, variables, true_domain = frame
+    if kind is ExclusiveOr:
+        positive = (children[0] if true_domain is None
+                    else TrueLeaf(true_domain))
+        return ExclusiveOr([
+            DecompAnd([LiteralLeaf(variables), positive], domain=domain),
+            DecompAnd([LiteralLeaf(variables, negated=True), children[-1]],
+                      domain=domain),
+        ], domain=domain)
+    if kind is DecompOr:
+        return DecompOr(children, domain=domain)
+    parts: List[DTreeNode] = [*map(LiteralLeaf, variables), *children]
+    if true_domain:
+        parts.append(TrueLeaf(true_domain))
+    return DecompAnd(parts, domain=domain) if len(parts) > 1 else parts[0]
+
+
+# ---------------------------------------------------------------------- #
+# The exhaustive compiler
+# ---------------------------------------------------------------------- #
+
+
+class Compilation(NamedTuple):
+    """What :func:`compile_exhaustively` built.
+
+    ``root`` is complete unless ``error`` is set; then ``open_leaves`` are
+    its ``DNFLeaf`` frontier, in tree order.  ``steps`` and
+    ``shannon_steps`` count the decompositions performed.
+    """
+
+    root: DTreeNode
+    steps: int
+    shannon_steps: int
+    open_leaves: List[DNFLeaf]
+    error: Optional[CompilationLimitReached]
+
+
+def compile_exhaustively(function: DNF, heuristic: Heuristic,
+                         budget: CompilationBudget) -> Compilation:
+    """Compile an absorbed ``function`` to completion under ``budget``.
+
+    The work stack holds open sub-functions and combine frames: it runs
+    depth-first, builds bottom-up and never recurses, so deep Shannon
+    chains never hit the interpreter recursion limit.  The wall clock is
+    checked once per open sub-function.  When ``budget`` runs out, the
+    sub-function being compiled and every one still open become
+    ``DNFLeaf``s, the pending frames still combine, and the partial tree
+    comes back with the error instead of raising it.
+    """
+    work: list = [function]
+    results: List[DTreeNode] = []
+    open_leaves: List[DNFLeaf] = []
+    steps = shannon_steps = 0
+    error: Optional[CompilationLimitReached] = None
+    while work:
+        item = work.pop()
+        if item.__class__ is tuple:  # a frame over the last results
+            split = len(results) - item[1]
+            node = combine(item, results[split:])
+            del results[split:]
+            results.append(node)
+            continue
+        if error is None:
+            try:
+                budget.check_time()
+                settled = settle(item)
+                if settled is not item:
+                    results.append(settled)
+                    continue
+                frame, parts = decompose(item, heuristic, budget)
+                steps += 1
+                shannon_steps += frame[0] is ExclusiveOr
+                work.append(frame)
+                # In place: a reversed() iterator would add one
+                # GC-tracked allocation per step of the hottest loop.
+                parts.reverse()
+                work += parts
+                continue
+            except CompilationLimitReached as exhausted:
+                error = exhausted
+        node = node_for(item)
+        if isinstance(node, DNFLeaf):
+            open_leaves.append(node)
+        results.append(node)
+    return Compilation(results[0], steps, shannon_steps, open_leaves, error)
+
+
 def compile_dnf(function: DNF,
                 heuristic: Heuristic = select_most_frequent,
                 budget: CompilationBudget | None = None) -> DTreeNode:
     """Compile a positive DNF into a complete d-tree.
-
-    The compilation is **iterative** (an explicit work stack replaces the
-    call stack), so deep Shannon chains -- one expansion per level -- never
-    hit the interpreter recursion limit.  Decomposition decisions, their
-    order, and the budget charging are exactly those of the recursive
-    formulation.
 
     Parameters
     ----------
@@ -98,117 +266,9 @@ def compile_dnf(function: DNF,
         Optional resource budget; :class:`CompilationLimitReached` is raised
         when it is exhausted.
     """
-    if budget is None:
-        budget = CompilationBudget()
-
-    # Work frames: ("open", function) analyzes one sub-function depth-first;
-    # the other tags combine already-built children (kept on ``results``)
-    # into an inner node once their subtrees are complete.
-    work: list[tuple] = [("open", function)]
-    results: list[DTreeNode] = []
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-
-        if tag == "open":
-            current: DNF = frame[1]
-            budget.check_time()
-
-            if current.is_false():
-                results.append(FalseLeaf(current.domain))
-                continue
-
-            # Absorption first: it can silence variables (e.g. (x) absorbs
-            # (x & y)), and silent variables must be split off before
-            # independence partitioning.
-            current = current.absorb()
-
-            # Separate silent domain variables: phi over D equals (phi over
-            # vars) ⊙ 1 over the silent variables, and the TrueLeaf accounts
-            # for their 2^k assignments.
-            silent = current.silent_variables()
-            if silent:
-                work.append(("silent", silent, current.domain))
-                work.append(("open", current.restricted_domain()))
-                continue
-
-            if current.is_single_literal():
-                results.append(LiteralLeaf(current.single_literal()))
-                continue
-
-            # Factor out common variables: phi = x1 & ... & xk & rest.
-            try:
-                common, residual = factor_common_variables(current)
-            except ConstantTrue as constant:
-                # Some clause consists solely of the common variables, so the
-                # whole function is the conjunction of those literals (times
-                # the constant 1 over any leftover domain variables).
-                common = current.common_variables()
-                literals: list[DTreeNode] = [
-                    LiteralLeaf(v) for v in sorted(common)
-                ]
-                if constant.domain:
-                    literals.append(TrueLeaf(constant.domain))
-                results.append(
-                    DecompAnd(literals, domain=current.domain)
-                    if len(literals) > 1 else literals[0])
-                continue
-            if common:
-                work.append(("factored", sorted(common), current.domain))
-                work.append(("open", residual))
-                continue
-
-            # Independence partitioning: variable-disjoint components.
-            components = independent_components(current)
-            if len(components) > 1:
-                work.append(("or", len(components), current.domain))
-                for component in reversed(components):
-                    work.append(("open", component))
-                continue
-
-            # Shannon expansion on a heuristically selected variable.
-            variable = heuristic(current)
-            budget.charge_shannon()
-            negative_cofactor = current.cofactor(variable, False)
-            try:
-                positive_cofactor = current.cofactor(variable, True)
-            except ConstantTrue as constant:
-                work.append(("shannon", variable, constant.domain,
-                             current.domain))
-                work.append(("open", negative_cofactor))
-            else:
-                work.append(("shannon", variable, None, current.domain))
-                work.append(("open", negative_cofactor))
-                work.append(("open", positive_cofactor))
-            continue
-
-        if tag == "silent":
-            core = results.pop()
-            results.append(DecompAnd([core, TrueLeaf(frame[1])],
-                                     domain=frame[2]))
-        elif tag == "factored":
-            residual_node = results.pop()
-            literals = [LiteralLeaf(v) for v in frame[1]]
-            results.append(DecompAnd(literals + [residual_node],
-                                     domain=frame[2]))
-        elif tag == "or":
-            count = frame[1]
-            children = results[-count:]
-            del results[-count:]
-            results.append(DecompOr(children, domain=frame[2]))
-        else:  # "shannon"
-            variable, constant_domain, domain = frame[1], frame[2], frame[3]
-            if constant_domain is None:
-                positive_node, negative_node = results[-2], results[-1]
-                del results[-2:]
-            else:
-                negative_node = results.pop()
-                positive_node = TrueLeaf(constant_domain)
-            results.append(ExclusiveOr([
-                DecompAnd([LiteralLeaf(variable), positive_node],
-                          domain=domain),
-                DecompAnd([LiteralLeaf(variable, negated=True),
-                           negative_node], domain=domain),
-            ], domain=domain))
-
-    return results[0]
+    compilation = compile_exhaustively(
+        function.absorb(), heuristic,
+        CompilationBudget() if budget is None else budget)
+    if compilation.error is not None:
+        raise compilation.error
+    return compilation.root

@@ -6,62 +6,34 @@ undecomposed DNF functions, and alternate between refining bounds on the
 Banzhaf values using the current partial tree and a batch of ``expand_step``
 calls sized by that refinement's work
 (:meth:`repro.core.adaban._AnytimeState.expand_batch`).  ``adaban_trace`` and
-the lazy-vs-eager ablation call ``expand_step`` once per refinement; the
-engine finishes partial trees with ``expand_step(lazy=False)``
-(:func:`repro.engine.artifact.complete_compilation`).
+the lazy-vs-eager ablation call ``expand_step`` once per refinement.
 
-:class:`IncrementalCompiler` owns the partial tree and implements the
-expansion steps.  Following the paper's optimization (1) (Section 3.2.4) the
-``expand_step`` method is *lazy*: cheap structural steps (absorption,
-factoring, independence partitioning) are applied eagerly until either a
-Shannon expansion is performed or no non-trivial leaf remains, because only
-Shannon expansions change the bounds enough to be worth re-evaluating.
+:class:`IncrementalCompiler` owns the partial tree and applies the rules of
+:mod:`repro.dtree.compile` to it: ``expand_step`` one leaf at a time in
+priority order, ``complete`` every open leaf with the exhaustive compiler
+(how the engine finishes fresh and resumed compilations,
+:func:`repro.engine.artifact.complete_compilation`).  Following the paper's
+optimization (1) (Section 3.2.4) the ``expand_step`` method is *lazy*:
+cheap structural steps (absorption, factoring, independence partitioning)
+are applied eagerly until either a Shannon expansion is performed or no
+non-trivial leaf remains, because only Shannon expansions change the
+bounds enough to be worth re-evaluating.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro.boolean.dnf import ConstantTrue, DNF
-from repro.boolean.operations import factor_common_variables, independent_components
-from repro.dtree.heuristics import Heuristic, select_most_frequent
-from repro.dtree.nodes import (
-    DecompAnd,
-    DecompOr,
-    DNFLeaf,
-    DTreeNode,
-    ExclusiveOr,
-    FalseLeaf,
-    LiteralLeaf,
-    TrueLeaf,
+from repro.boolean.dnf import DNF
+from repro.dtree.compile import (
+    CompilationBudget,
+    combine,
+    compile_exhaustively,
+    decompose,
+    node_for,
 )
-
-
-def node_for(function: DNF) -> DTreeNode:
-    """Wrap a DNF into the appropriate leaf node without decomposing it.
-
-    Single literals and constants become trivial leaves; a single literal
-    over a larger domain becomes the literal conjoined with the constant 1
-    over the silent variables (so model counts stay correct).
-    """
-    if function.is_false():
-        return FalseLeaf(function.domain)
-    absorbed = function.absorb()
-    if absorbed.is_single_literal():
-        variable = absorbed.single_literal()
-        literal = LiteralLeaf(variable)
-        silent = absorbed.domain - {variable}
-        if silent:
-            return DecompAnd([literal, TrueLeaf(silent)],
-                             domain=absorbed.domain)
-        return literal
-    return DNFLeaf(absorbed)
-
-
-def _frontier(root: DTreeNode) -> Dict[DNFLeaf, None]:
-    """The undecomposed leaves under ``root``, in tree order."""
-    return dict.fromkeys(leaf for leaf in root.iter_leaves()
-                         if isinstance(leaf, DNFLeaf))
+from repro.dtree.heuristics import Heuristic, select_most_frequent
+from repro.dtree.nodes import DNFLeaf, DTreeNode, ExclusiveOr
 
 
 class IncrementalCompiler:
@@ -71,6 +43,7 @@ class IncrementalCompiler:
                  heuristic: Heuristic = select_most_frequent) -> None:
         self._heuristic = heuristic
         self.root: DTreeNode = node_for(function)
+        #: Shannon expansions and decompositions of any kind performed.
         self.shannon_steps = 0
         self.expansion_steps = 0
         #: Clauses of every leaf decomposed: the anytime schedule's unit.
@@ -81,7 +54,8 @@ class IncrementalCompiler:
         # An insertion-ordered dict, not a set: leaves hash by identity, so
         # set order (and hence priority tie-breaks) would follow memory
         # addresses and differ between processes.
-        self._open_leaves: Dict[DNFLeaf, None] = _frontier(self.root)
+        self._open_leaves: Dict[DNFLeaf, None] = (
+            {self.root: None} if isinstance(self.root, DNFLeaf) else {})
 
     @classmethod
     def resume(cls, root: DTreeNode,
@@ -104,7 +78,8 @@ class IncrementalCompiler:
         compiler.shannon_steps = shannon_steps
         compiler.expansion_steps = expansion_steps
         compiler.expansion_work = 0
-        compiler._open_leaves = _frontier(root)
+        compiler._open_leaves = dict.fromkeys(
+            leaf for leaf in root.iter_leaves() if isinstance(leaf, DNFLeaf))
         return compiler
 
     # ------------------------------------------------------------------ #
@@ -159,60 +134,33 @@ class IncrementalCompiler:
 
     def _expand_leaf(self, leaf: DNFLeaf) -> bool:
         """Decompose one leaf in place.  Returns ``True`` on Shannon expansion."""
-        function = leaf.function
-        silent = function.silent_variables()
+        frame, parts = decompose(leaf.function, self._heuristic)
+        children = [node_for(part) for part in parts]
+        self._replace(leaf, combine(frame, children),
+                      [child for child in children
+                       if isinstance(child, DNFLeaf)])
+        return frame[0] is ExclusiveOr
 
-        if silent:
-            replacement = DecompAnd([
-                node_for(function.restricted_domain()),
-                TrueLeaf(silent),
-            ], domain=function.domain)
-            self._replace(leaf, replacement)
-            return False
+    def complete(self, budget: CompilationBudget) -> None:
+        """Replace each open leaf by its exhaustive compilation under ``budget``.
 
-        try:
-            common, residual = factor_common_variables(function)
-        except ConstantTrue as constant:
-            literals: List[DTreeNode] = [
-                LiteralLeaf(v) for v in sorted(function.common_variables())
-            ]
-            if constant.domain:
-                literals.append(TrueLeaf(constant.domain))
-            replacement = (DecompAnd(literals, domain=function.domain)
-                           if len(literals) > 1 else literals[0])
-            self._replace(leaf, replacement)
-            return False
-        if common:
-            children = [LiteralLeaf(v) for v in sorted(common)]
-            children.append(node_for(residual))
-            self._replace(leaf, DecompAnd(children, domain=function.domain))
-            return False
+        The step counters grow by the decompositions performed.  When the
+        budget runs out the leaf's partial subtree takes its place, its open
+        leaves join the frontier, and the ``CompilationLimitReached``
+        propagates.
+        """
+        for leaf in list(self._open_leaves):
+            compilation = compile_exhaustively(leaf.function,
+                                               self._heuristic, budget)
+            self.expansion_steps += compilation.steps
+            self.shannon_steps += compilation.shannon_steps
+            self._replace(leaf, compilation.root, compilation.open_leaves)
+            if compilation.error is not None:
+                raise compilation.error
 
-        components = independent_components(function)
-        if len(components) > 1:
-            self._replace(leaf, DecompOr([node_for(c) for c in components],
-                                         domain=function.domain))
-            return False
-
-        # Shannon expansion.
-        variable = self._heuristic(function)
-        negative = function.cofactor(variable, False)
-        try:
-            positive_node = node_for(function.cofactor(variable, True))
-        except ConstantTrue as constant:
-            positive_node = TrueLeaf(constant.domain)
-        domain = function.domain
-        positive_branch = DecompAnd([LiteralLeaf(variable), positive_node],
-                                    domain=domain)
-        negative_branch = DecompAnd([
-            LiteralLeaf(variable, negated=True),
-            node_for(negative),
-        ], domain=domain)
-        self._replace(leaf, ExclusiveOr([positive_branch, negative_branch],
-                                        domain=domain))
-        return True
-
-    def _replace(self, old: DTreeNode, new: DTreeNode) -> None:
+    def _replace(self, old: DNFLeaf, new: DTreeNode,
+                 opened: Iterable[DNFLeaf]) -> None:
+        """Put ``new``, whose open leaves are ``opened``, in place of ``old``."""
         parent = old.parent
         if parent is None:
             self.root = new
@@ -221,7 +169,6 @@ class IncrementalCompiler:
             parent.replace_child(old, new)
             # Bounds cached on the ancestors are now stale.
             new.invalidate()
-        old.parent = None
-        if isinstance(old, DNFLeaf):
-            self._open_leaves.pop(old, None)
-        self._open_leaves.update(_frontier(new))
+        del self._open_leaves[old]
+        for leaf in opened:
+            self._open_leaves[leaf] = None

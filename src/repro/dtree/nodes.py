@@ -1,10 +1,10 @@
 """D-tree node classes.
 
-Nodes are lightweight mutable objects: the exhaustive compiler builds a tree
-once and never changes it, while the incremental compiler used by AdaBan
-replaces leaves in place and therefore needs parent pointers and cache
-invalidation.  Every node knows the variable domain of the function it
-represents; the structural invariants are:
+Nodes are lightweight mutable objects: the exhaustive compiler builds a
+subtree once and never changes it, while the incremental compiler replaces
+open leaves in place (by one decomposition step or by such a subtree) and
+therefore needs parent pointers and cache invalidation.  Every node knows
+the variable domain of the function it represents; the invariants are:
 
 * children of a :class:`DecompAnd` or :class:`DecompOr` have pairwise
   disjoint domains whose union is the parent's domain;

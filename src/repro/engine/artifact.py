@@ -15,6 +15,10 @@ epsilon, no k in the key), holding either
   anytime methods resume refinement from it instead of restarting, and
   the exact methods can *finish* the compilation instead of redoing it.
 
+Fresh and resumed compilations complete on one path
+(:func:`complete_compilation`); one that runs out of budget still holds a
+valid partial tree, a resumable artifact.
+
 Artifacts are exactly serializable (:mod:`repro.dtree.serialize`), so the
 store tier persists them alongside results and a warm-started process
 resumes partial compilations across restarts.
@@ -84,12 +88,6 @@ class CompiledLineage:
     expansion_steps: int = 0
 
     @classmethod
-    def from_complete_tree(cls, root: DTreeNode,
-                           shannon_steps: int = 0) -> "CompiledLineage":
-        """Wrap a tree built by the exhaustive compiler."""
-        return cls(root=root, complete=True, shannon_steps=shannon_steps)
-
-    @classmethod
     def from_compiler(cls, compiler: IncrementalCompiler) -> "CompiledLineage":
         """Snapshot an incremental compilation (complete or mid-flight)."""
         return cls(root=compiler.root,
@@ -126,24 +124,16 @@ class CompiledLineage:
 
 def complete_compilation(compiler: IncrementalCompiler,
                          budget: CompilationBudget) -> None:
-    """Expand a resumed compilation to a complete d-tree under a budget.
+    """Finish a fresh or resumed compilation to a complete d-tree.
 
-    Charges the budget exactly like the exhaustive compiler — one
-    :meth:`~repro.dtree.compile.CompilationBudget.charge_shannon` per
-    Shannon expansion performed *in this attempt* (work a previous
-    process already paid for is not re-charged), with the wall clock
-    checked on structural steps too.  Raises
-    :class:`~repro.dtree.compile.CompilationLimitReached` on exhaustion,
-    leaving the compiler mid-flight (its partial tree is still valid and
-    worth persisting).
+    Runs the exhaustive compiler on every open leaf, charging ``budget``
+    like :func:`~repro.dtree.compile.compile_dnf` for the Shannon steps
+    of *this attempt* only, so ``max_shannon_steps=N`` performs at most
+    N.  Raises :class:`~repro.dtree.compile.CompilationLimitReached` on
+    exhaustion, leaving the compiler's tree and frontier partial but valid
+    -- worth persisting, resuming, or handing to the anytime fallback.
     """
-    while not compiler.is_complete():
-        before = compiler.shannon_steps
-        compiler.expand_step(lazy=False)
-        if compiler.shannon_steps > before:
-            budget.charge_shannon()
-        else:
-            budget.check_time()
+    compiler.complete(budget)
 
 
 def encode_artifact(artifact: CompiledLineage) -> Dict[str, object]:

@@ -94,11 +94,10 @@ from repro.core.shapley import shapley_all
 from repro.db.database import Database, Fact
 from repro.db.lineage import AnswerLineage, DomainPolicy, lineage_of_answers
 from repro.db.query import Query
-from repro.dtree.compile import (
-    CompilationBudget,
-    CompilationLimitReached,
-    compile_dnf,
-)
+from repro.dtree.compile import CompilationBudget, CompilationLimitReached
+# Not called here: perfbench/tracing.py wraps this module's binding.
+from repro.dtree.compile import compile_dnf  # noqa: F401
+from repro.dtree.incremental import IncrementalCompiler
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution, LineageCache, ResultKey
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
@@ -303,25 +302,19 @@ def _approximate(function: DNF, epsilon: float,
 def _complete_artifact(function: DNF, artifact: Optional[CompiledLineage],
                        budget: CompilationBudget,
                        partial_slot: list) -> CompiledLineage:
-    """Obtain a *complete* artifact: reuse, resume-and-finish, or compile.
+    """Reuse a complete artifact, or finish a fresh or resumed compilation.
 
-    On budget exhaustion mid-resume the mid-flight compiler is left in
-    ``partial_slot`` (a one-element list) so the caller can keep the
-    progress -- feed it to the ``auto`` fallback, or persist it --
-    before the ``CompilationLimitReached`` propagates.  A fresh
-    compilation keeps nothing: :func:`compile_dnf` builds bottom-up and
-    leaves no partial tree, so ``partial_slot`` stays empty.
+    The compiler is left in ``partial_slot`` (a one-element list), so on
+    budget exhaustion the caller keeps its partial tree -- for the
+    ``auto`` fallback, or to persist -- before the exception propagates.
     """
     if artifact is not None and artifact.complete:
         return artifact
-    if artifact is not None:
-        compiler = artifact.resume_compiler()
-        partial_slot.append(compiler)
-        complete_compilation(compiler, budget)
-        return CompiledLineage.from_compiler(compiler)
-    tree = compile_dnf(function, budget=budget)
-    return CompiledLineage.from_complete_tree(
-        tree, shannon_steps=budget.shannon_steps)
+    compiler = (artifact.resume_compiler() if artifact is not None
+                else IncrementalCompiler(function))
+    partial_slot.append(compiler)
+    complete_compilation(compiler, budget)
+    return CompiledLineage.from_compiler(compiler)
 
 
 def _compute_canonical(function: DNF, method: EngineMethod,
@@ -342,11 +335,10 @@ def _compute_canonical(function: DNF, method: EngineMethod,
     (no compilation at all) and *resumes* a partial one from its
     frontier; the artifact handed back -- fresh, reused, or further
     refined -- is what the caller caches/persists.  ``artifact_sink``
-    receives the partial tree when a resumed compilation or an AdaBan
-    run fails (budget exhaustion), so that work survives the raised
-    exception.  A fresh exact or ``auto`` compilation that exhausts its
-    budget keeps nothing (see :func:`_complete_artifact`): a retry, and
-    the ``auto`` fallback, start from the undecomposed lineage.
+    receives the partial tree when a compilation (fresh or resumed) or
+    an AdaBan run fails (budget exhaustion), so that work survives the
+    raised exception: a retry resumes it, and the ``auto`` fallback
+    continues from it.
     """
     faults.check("compile.step")
     if method in ("rank", "topk"):
@@ -390,15 +382,15 @@ def _compute_canonical(function: DNF, method: EngineMethod,
                     False, artifact_out, 0)
         outcome = exact_attribution(artifact_out, stats=stats)
     except CompilationLimitReached:
-        compiler = partial_slot[0] if partial_slot else None
+        (compiler,) = partial_slot
         if method != "auto":
-            if compiler is not None and artifact_sink is not None:
+            if artifact_sink is not None:
                 artifact_sink(CompiledLineage.from_compiler(compiler))
             raise
         # The fallback shares the wall-clock budget: AdaBan only gets what
         # the failed exact attempt left over -- and it *continues from*
-        # the partial tree that attempt built (when there is one), so the
-        # budget spent on the exact side is not thrown away.  If it cannot
+        # the partial tree that attempt built, so the budget spent on the
+        # exact side is not thrown away.  If it cannot
         # certify epsilon in that remainder, ApproximationTimeout
         # propagates (the experiment runner records it as a failure,
         # matching the paper's Table 6 where AdaBan too fails on some

@@ -1,6 +1,9 @@
 """Tests for d-tree nodes, the exhaustive compiler and the incremental compiler."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolean.assignments import count_models, enumerate_assignments
 from repro.boolean.dnf import DNF
@@ -27,8 +30,9 @@ from repro.dtree.nodes import (
     TrueLeaf,
     pretty_print,
 )
-from repro.engine.artifact import complete_compilation
-from repro.workloads.generators import random_positive_dnf
+from repro.dtree.serialize import decode_tree, encode_tree, trees_equal
+from repro.engine.artifact import CompiledLineage, complete_compilation
+from repro.workloads.generators import bipartite_lineage, random_positive_dnf
 
 
 class TestNodes:
@@ -255,3 +259,94 @@ class TestIncremental:
         for leaf in tied:
             assert compiler.pick_leaf() is leaf
             compiler.expand_step(lazy=False)
+
+
+class TestShannonBudget:
+    """``max_shannon_steps=N`` allows at most N Shannon expansions per
+    attempt, whether the compilation is fresh or resumed."""
+
+    # Needs 13 Shannon expansions in all.
+    FUNCTION = bipartite_lineage(random.Random(3), left=8, right=12,
+                                 density=0.35)
+
+    def test_fresh_compilation_performs_n(self):
+        budget = CompilationBudget(max_shannon_steps=5)
+        with pytest.raises(CompilationLimitReached):
+            compile_dnf(self.FUNCTION, budget=budget)
+        assert budget.shannon_steps == 6  # five performed, the sixth refused
+        compiler = IncrementalCompiler(self.FUNCTION)
+        with pytest.raises(CompilationLimitReached):
+            complete_compilation(compiler,
+                                 CompilationBudget(max_shannon_steps=5))
+        assert compiler.shannon_steps == 5
+
+    def test_resumed_compilation_performs_n(self):
+        compiler = IncrementalCompiler(self.FUNCTION)
+        compiler.expand_step()
+        assert compiler.shannon_steps == 1
+        resumed = CompiledLineage.from_compiler(compiler).resume_compiler()
+        with pytest.raises(CompilationLimitReached):
+            complete_compilation(resumed,
+                                 CompilationBudget(max_shannon_steps=5))
+        assert resumed.shannon_steps == 1 + 5
+
+    def test_a_budget_of_the_work_left_suffices(self):
+        total = CompilationBudget()
+        expected = compile_dnf(self.FUNCTION, budget=total)
+        compiler = IncrementalCompiler(self.FUNCTION)
+        compiler.expand_step()
+        complete_compilation(compiler, CompilationBudget(
+            max_shannon_steps=total.shannon_steps - 1))
+        assert compiler.shannon_steps == total.shannon_steps
+        assert trees_equal(compiler.root, expected)
+
+
+def _dnf_leaves(root):
+    return {leaf for leaf in root.iter_leaves() if isinstance(leaf, DNFLeaf)}
+
+
+def _exhausts(compile_call) -> bool:
+    try:
+        compile_call()
+    except CompilationLimitReached:
+        return True
+    return False
+
+
+@st.composite
+def _shannon_dnfs(draw):
+    """Random positive DNFs of 2-3 variable clauses, silent variables
+    included; under budgets of 0-5 Shannon steps about half exhaust."""
+    rng = draw(st.randoms(use_true_random=False))
+    size = rng.randint(4, 10)
+    function = random_positive_dnf(rng, size, rng.randint(3, 14), (2, 3))
+    return DNF(function.clauses, domain=range(size + rng.randint(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(function=_shannon_dnfs())
+def test_exhausted_compilation_leaves_a_resumable_tree(function):
+    """Under every budget of 0-5 Shannon steps, a compilation either
+    completes or leaves a valid partial d-tree of the lineage, whose
+    completion is ``compile_dnf``'s tree; ``compile_dnf`` exhausts the
+    same budgets."""
+    total = CompilationBudget()
+    expected = compile_dnf(function, budget=total)
+    for steps in range(6):
+        compiler = IncrementalCompiler(function)
+        exhausted = _exhausts(lambda: complete_compilation(
+            compiler, CompilationBudget(max_shannon_steps=steps)))
+        assert exhausted == _exhausts(lambda: compile_dnf(
+            function, budget=CompilationBudget(max_shannon_steps=steps)))
+        assert exhausted == (total.shannon_steps > steps)
+        assert compiler.is_complete() is not exhausted
+        assert compiler.shannon_steps == min(steps, total.shannon_steps)
+        tree = compiler.root
+        tree.validate()
+        _assert_equivalent(tree, function)
+        assert set(compiler.nontrivial_leaves()) == _dnf_leaves(tree)
+        assert trees_equal(decode_tree(encode_tree(tree)), tree)
+        resumed = CompiledLineage.from_compiler(compiler).resume_compiler()
+        complete_compilation(resumed, CompilationBudget())
+        assert trees_equal(resumed.root, expected)
+        assert resumed.shannon_steps == total.shannon_steps

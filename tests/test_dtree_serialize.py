@@ -91,8 +91,8 @@ class TestTreeCodec:
 
 class TestArtifactCodec:
     def test_complete_artifact_roundtrip(self):
-        artifact = CompiledLineage.from_complete_tree(compile_dnf(_CHAIN),
-                                                      shannon_steps=3)
+        artifact = CompiledLineage(root=compile_dnf(_CHAIN), complete=True,
+                                   shannon_steps=3)
         decoded = decode_artifact(encode_artifact(artifact))
         assert decoded.complete is True
         assert decoded.shannon_steps == 3
@@ -120,7 +120,7 @@ class TestArtifactCodec:
         assert encode_tree(artifact.root) == before
 
     def test_completeness_flag_must_match_tree(self):
-        artifact = CompiledLineage.from_complete_tree(compile_dnf(_CHAIN))
+        artifact = CompiledLineage(root=compile_dnf(_CHAIN), complete=True)
         encoded = encode_artifact(artifact)
         encoded["complete"] = False
         with pytest.raises(ValueError):

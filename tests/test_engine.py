@@ -31,7 +31,11 @@ from repro.engine.cache import LineageCache, LRUCache
 from repro.engine.ranking import compute_ranking
 from repro.engine.stats import EngineStats
 from repro.experiments.runner import ExperimentConfig, run_workload_batched
-from repro.workloads.generators import random_positive_dnf, star_join_lineage
+from repro.workloads.generators import (
+    bipartite_lineage,
+    random_positive_dnf,
+    star_join_lineage,
+)
 from repro.workloads.suite import build_workload
 
 _REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -144,6 +148,54 @@ class TestAutoFallback:
         expected = banzhaf_all_brute_force(self.CYCLE)
         assert attribution.values == {v: Fraction(x)
                                       for v, x in expected.items()}
+
+
+class TestExhaustedFreshCompilation:
+    """A fresh compilation that exhausts its budget keeps its partial
+    tree: a retry resumes it and the ``auto`` fallback continues it."""
+
+    # Needs 13 Shannon expansions; a budget of 5 leaves a partial tree.
+    FUNCTION = bipartite_lineage(random.Random(3), left=8, right=12,
+                                 density=0.35)
+
+    def test_failed_exact_compilation_is_resumed_by_the_retry(self):
+        store = MemoryStore()
+        budgeted = Engine(EngineConfig(method="exact", max_shannon_steps=5,
+                                       store=store))
+        with pytest.raises(CompilationLimitReached):
+            budgeted.attribute_lineages([self.FUNCTION])
+        ((_, partial),) = budgeted.cache.artifacts.snapshot()
+        assert not partial.complete
+        assert partial.shannon_steps == 5
+        ((_, stored),) = store.artifact_items()
+        assert stored is partial
+        retry = Engine(EngineConfig(method="exact"))
+        retry.cache = budgeted.cache
+        (attribution,) = retry.attribute_lineages([self.FUNCTION])
+        assert retry.stats.artifact_resumes == 1
+        assert retry.stats.tree_compilations == 0
+        (fresh,) = Engine(EngineConfig(method="exact")).attribute_lineages(
+            [self.FUNCTION])
+        assert attribution.values == fresh.values
+        assert attribution.bounds == fresh.bounds
+
+    def test_auto_fallback_continues_the_exhausted_compiler(
+            self, monkeypatch):
+        import repro.engine.engine as engine_module
+
+        received = []
+        original = engine_module.shared_state
+
+        def spy(function, *args, compiler=None, **kwargs):
+            received.append(None if compiler is None
+                            else compiler.shannon_steps)
+            return original(function, *args, compiler=compiler, **kwargs)
+
+        monkeypatch.setattr(engine_module, "shared_state", spy)
+        engine = Engine(EngineConfig(method="auto", max_shannon_steps=5))
+        (attribution,) = engine.attribute_lineages([self.FUNCTION])
+        assert attribution.method_used == "approximate"
+        assert received == [5]
 
 
 class TestStats:
@@ -358,7 +410,7 @@ class TestRankingEngine:
         canonical = canonicalize(self.FUNCTION)
         engine.cache.artifacts.put(
             canonical.key,
-            CompiledLineage.from_complete_tree(compile_dnf(canonical.dnf)))
+            CompiledLineage(root=compile_dnf(canonical.dnf), complete=True))
         (attribution,) = engine.attribute_lineages([self.FUNCTION])
         assert attribution.method_used == "exact"
         assert engine.stats.refinement_rounds == 0

@@ -95,6 +95,21 @@ class TestSynthesis:
         assert idnf_model_count(lower_idnf(function)) == count_models(function)
         assert idnf_model_count(upper_idnf(function)) == count_models(function)
 
+    @pytest.mark.parametrize("clauses", [
+        [[0, 1, 4], [0], [2, 3, 5], [2, 4, 5], [3, 4, 5]],
+        [[0], [1, 5], [2, 3, 4], [2, 4, 5], [3, 4, 5]],
+        [[0, 1, 4], [0, 3, 4], [1, 3, 4], [2, 3]],
+    ])
+    def test_upper_covers_clauses_after_a_weakening(self, clauses):
+        # A weakening frees variables; a later clause whose first variable
+        # is one of them still needs a subclause in U.
+        function = DNF(clauses)
+        upper = upper_idnf(function)
+        assert is_idnf(upper)
+        assert all(any(kept <= clause for kept in upper.clauses)
+                   for clause in function.clauses)
+        assert idnf_model_count(upper) >= count_models(function)
+
     def test_upper_handles_fully_covered_clause(self):
         # The clause (y & z) shares all variables with previously kept clauses.
         function = DNF([[0, 1], [0, 2], [1, 2]])

@@ -197,6 +197,40 @@ class TestSharedTiers:
         assert fresh.stats_counters.cache_misses == 0
 
 
+class TestDeadlineDegradation:
+    QUERY = "Q() :- R(X), S(X, Y), T(Y)"
+
+    @pytest.fixture
+    def join(self):
+        db = Database()
+        for x in range(5):
+            db.add_fact("R", (x,))
+            db.add_fact("T", (x,))
+            for y in range(5):
+                db.add_fact("S", (x, y))
+        return db
+
+    def test_degraded_bounds_come_from_the_partial_tree(self, join):
+        # The Shannon budget, not the clock, runs out: the failed exact
+        # compilation leaves its partial tree for the best-effort pass.
+        service = AttributionService(join, EngineConfig(
+            method="exact", max_shannon_steps=5))
+        response = service.submit({"op": "attribute", "query": self.QUERY,
+                                   "deadline_ms": 60000})
+        assert response["ok"] is True
+        assert response["degraded"] is True
+        exact = AttributionService(join, EngineConfig(method="exact")).submit(
+            {"op": "attribute", "query": self.QUERY})
+        values = {entry["fact"]: Fraction(entry["value"])
+                  for entry in exact["answers"][0]["attributions"]}
+        (answer,) = response["answers"]
+        entries = answer["attributions"]
+        assert len(entries) == len(values) == 35
+        assert any(entry["lower"] > 0 for entry in entries)
+        for entry in entries:
+            assert entry["lower"] <= values[entry["fact"]] <= entry["upper"]
+
+
 class TestStatsReport:
     def test_stats_shape(self, database, tmp_path):
         with LogStore(str(tmp_path)) as store:

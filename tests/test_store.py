@@ -298,7 +298,7 @@ def _artifact(complete=True, function=None):
     if function is None:
         function = DNF([(0, 1), (1, 2)], domain=range(3))
     if complete:
-        return CompiledLineage.from_complete_tree(compile_dnf(function))
+        return CompiledLineage(root=compile_dnf(function), complete=True)
     compiler = IncrementalCompiler(function)
     compiler.expand_step()
     return CompiledLineage.from_compiler(compiler)
