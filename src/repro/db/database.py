@@ -19,6 +19,7 @@ it covers; the first lookup after its relation has grown rebuilds it, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -40,8 +41,11 @@ class Fact:
     values: Tuple[Value, ...]
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(v) for v in self.values)
-        return f"{self.relation}({inner})"
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:  # rendered once per object; not a field
+        return f"{self.relation}({', '.join(repr(v) for v in self.values)})"
 
     def arity(self) -> int:
         """Number of values in the fact."""
@@ -58,7 +62,9 @@ class Database:
     """An in-memory database with endogenous/exogenous facts.
 
     It supports one writer alongside concurrent readers, without locks:
-    an index lookup sees every fact added before it began.
+    an index lookup sees every fact added before it began.  :attr:`version`
+    counts effective inserts and is bumped after the row is appended, so a
+    reader that sees version ``v`` sees every row of the first ``v`` inserts.
 
     Parameters
     ----------
@@ -76,6 +82,7 @@ class Database:
         self._next_variable = 0
         self._indexes: Dict[Tuple[str, Tuple[int, ...]],
                             Tuple[int, Dict[object, List[Entry]]]] = {}
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Fact insertion
@@ -116,6 +123,7 @@ class Database:
         else:
             self._exogenous.add(fact)
         self._rows.setdefault(relation, []).append((fact.values, variable))
+        self.version += 1
         return fact
 
     def add_facts(self, relation: str, rows: Iterable[Sequence[Value]],

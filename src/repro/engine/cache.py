@@ -32,7 +32,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Generic, Hashable, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Generic, Hashable, Optional, Tuple, TypeVar, Union
 
 from repro.engine.canonical import CanonicalKey
 
@@ -101,7 +101,7 @@ class CachedAttribution:
 
 
 class LRUCache(Generic[_V]):
-    """A minimal ordered-dict LRU with explicit capacity.
+    """A minimal ordered-dict LRU whose capacity bounds the sum of ``weigh``.
 
     Individual operations are lock-protected, so concurrent readers and
     writers (e.g. threads sharing one engine through ``attribute_facts``)
@@ -110,12 +110,15 @@ class LRUCache(Generic[_V]):
     :class:`LineageCache` does.
     """
 
-    def __init__(self, max_entries: int) -> None:
+    def __init__(self, max_entries: int,
+                 weigh: Callable[[_V], int] = lambda value: 1) -> None:
         if max_entries < 1:
             raise ValueError("cache capacity must be positive")
         self._max_entries = max_entries
         self._entries: "OrderedDict[Hashable, _V]" = OrderedDict()
         self._lock = threading.Lock()
+        self._weigh = weigh
+        self._weight = 0
 
     def get(self, key: Hashable) -> Optional[_V]:
         """Return the cached value and refresh its recency (``None`` on miss)."""
@@ -128,12 +131,16 @@ class LRUCache(Generic[_V]):
             return value
 
     def put(self, key: Hashable, value: _V) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used."""
+        """Insert (or refresh) an entry, evicting the least recently used;
+        a value heavier than the whole capacity is not kept."""
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
+            if key in self._entries:
+                self._weight -= self._weigh(self._entries.pop(key))
+            if self._weigh(value) <= self._max_entries:
+                self._entries[key] = value
+                self._weight += self._weigh(value)
+            while self._weight > self._max_entries:
+                self._weight -= self._weigh(self._entries.popitem(last=False)[1])
 
     def __len__(self) -> int:
         with self._lock:
@@ -147,6 +154,7 @@ class LRUCache(Generic[_V]):
         """Drop all entries."""
         with self._lock:
             self._entries.clear()
+            self._weight = 0
 
     def snapshot(self):
         """List of ``(key, value)`` pairs, least recently used first.
@@ -164,8 +172,10 @@ class LineageCache:
     """The engine's memo: canonical forms, results and compiled artifacts.
 
     :attr:`forms` memoizes canonical forms by first-occurrence encoding
-    (``canonicalize``'s ``memo``), at the result tier's capacity; it is
-    never persisted.
+    (``canonicalize``'s ``memo``), at the result tier's capacity;
+    :attr:`prepared` holds each query's answers and canonical lineages
+    per database version (``Engine._prepare``), at that capacity in
+    answers, with a weak reference to the database.  Neither is persisted.
 
     Result entries are small (per-variable Fractions keyed by tuples of int
     tuples), so the default of 4096 is only a few megabytes for typical
@@ -186,6 +196,8 @@ class LineageCache:
     def __init__(self, max_entries: int = 4096,
                  artifact_entries: int = 256) -> None:
         self.forms: LRUCache[tuple] = LRUCache(max_entries)
+        self.prepared: LRUCache[tuple] = LRUCache(
+            max_entries, weigh=lambda entry: max(len(entry[1]), 1))
         self.results: LRUCache[CachedAttribution] = LRUCache(max_entries)
         self.artifacts: LRUCache[object] = LRUCache(artifact_entries)
         self._inflight: Dict[Hashable, threading.Event] = {}
@@ -232,5 +244,6 @@ class LineageCache:
     def clear(self) -> None:
         """Drop every cache level."""
         self.forms.clear()
+        self.prepared.clear()
         self.results.clear()
         self.artifacts.clear()

@@ -8,10 +8,10 @@ lineages) it runs a four-stage pipeline:
    (:mod:`repro.db.lineage`);
 2. **canonicalize** -- rename each lineage into its canonical form
    (:mod:`repro.engine.canonical`, memoized per first-occurrence encoding
-   in :attr:`LineageCache.forms <repro.engine.cache.LineageCache>`) and
-   look it up in the cache tiers -- the in-memory lineage cache first,
-   then the optional persistent store (:mod:`repro.engine.store`) --
-   deduplicating isomorphic answers within the batch;
+   in ``LineageCache.forms``), then look each distinct form up once in the
+   cache tiers -- the in-memory lineage cache first, then the optional
+   persistent store (:mod:`repro.engine.store`).  ``LineageCache.prepared``
+   keeps each query's answers and forms per database version;
 3. **compute**, split into **compile-once / evaluate-per-method** -- each
    distinct cache miss first obtains its lineage's
    :class:`~repro.engine.artifact.CompiledLineage` (memory artifact cache
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
@@ -92,7 +93,7 @@ from repro.core.ichiban import RankedVariable, ranked_from_groups, ranked_groups
 from repro.core.intervals import Interval
 from repro.core.shapley import shapley_all
 from repro.db.database import Database, Fact
-from repro.db.lineage import AnswerLineage, DomainPolicy, lineage_of_answers
+from repro.db.lineage import DomainPolicy, lineage_of_answers
 from repro.db.query import Query
 from repro.dtree.compile import CompilationBudget, CompilationLimitReached
 # Not called here: perfbench/tracing.py wraps this module's binding.
@@ -473,17 +474,14 @@ class Engine:
         completes, so callers can start consuming attributions while later
         queries are still being computed.  The cache persists across the
         whole stream: queries sharing lineage structure pay for compilation
-        once.  Inputs and outputs are fact-space; canonical variable space
-        is an internal detail of the cache tiers.
+        once, and a repeat query over an unchanged database skips its
+        evaluation.  Inputs and outputs are fact-space; canonical variable
+        space is an internal detail of the cache tiers.
         """
-        from repro.core.attribution import AttributionResult
-
         for query in queries:
             self.stats.bump(queries=1)
-            with self.stats.timed("evaluate"):
-                answers = lineage_of_answers(query, database,
-                                             domain=self.config.domain)
-            outcomes = self._attribute_batch([a.lineage for a in answers])
+            answers, canonicals = self._prepare(query, database)
+            outcomes = self._attribute_batch(canonicals)
             with self.stats.timed("assemble"):
                 results = [
                     self._assemble(answer, outcome, database)
@@ -511,17 +509,11 @@ class Engine:
             )
         for query in queries:
             self.stats.bump(queries=1)
-            with self.stats.timed("evaluate"):
-                answers = lineage_of_answers(query, database,
-                                             domain=self.config.domain)
-            outcomes = self._attribute_batch([a.lineage for a in answers],
-                                             k=k)
+            answers, canonicals = self._prepare(query, database)
+            outcomes = self._attribute_batch(canonicals, k=k)
             with self.stats.timed("assemble"):
-                rankings = [
-                    (answer.values,
-                     self._ranked_facts(outcome, database, k))
-                    for answer, outcome in zip(answers, outcomes)
-                ]
+                rankings = [(answer, self._ranked_facts(outcome, database, k))
+                            for answer, outcome in zip(answers, outcomes)]
             yield query, rankings
 
     def rank(self, query: Query, database: Database,
@@ -540,7 +532,7 @@ class Engine:
         intervals are in ``bounds``); use :meth:`rank` when the ordered
         top-k set itself is wanted.
         """
-        outcomes = self._attribute_batch(lineages)
+        outcomes = self._attribute_batch(self._canonicalize(lineages))
         attributions = []
         with self.stats.timed("assemble"):
             for lineage, (canonical, cached) in zip(lineages, outcomes):
@@ -618,10 +610,40 @@ class Engine:
     # Pipeline stages
     # ----------------------------------------------------------------- #
 
-    def _attribute_batch(self, lineages: Sequence[DNF],
+    def _prepare(self, query: Query, database: Database) -> tuple:
+        """``(answer tuples, canonical lineages)``, memoized per database
+        version in :attr:`LineageCache.prepared`; the version is read first
+        and an entry kept only if it is unchanged after the evaluation.
+        Concurrent first misses may both evaluate (identical results); an
+        unhashable query skips the memo."""
+        version = database.version
+        key = (query, self.config.domain, id(database), version)
+        try:
+            entry = self.cache.prepared.get(key)
+        except TypeError:
+            key = entry = None
+        if entry is not None and entry[0]() is database:
+            self.stats.bump(prepared_hits=1)
+            return entry[1:]
+        with self.stats.timed("evaluate"):
+            answers = lineage_of_answers(query, database,
+                                         domain=self.config.domain)
+        entry = (weakref.ref(database), [answer.values for answer in answers],
+                 self._canonicalize(answer.lineage for answer in answers))
+        if key is not None and database.version == version:
+            self.cache.prepared.put(key, entry)
+        return entry[1:]
+
+    def _canonicalize(self, lineages: Iterable[DNF]) -> List[CanonicalLineage]:
+        """Canonical forms, through the shared ``forms`` memo."""
+        with self.stats.timed("canonicalize"):
+            forms = self.cache.forms
+            return [canonicalize(lineage, memo=forms) for lineage in lineages]
+
+    def _attribute_batch(self, canonicals: Sequence[CanonicalLineage],
                          k: Optional[int] = None
                          ) -> List[Tuple[CanonicalLineage, CachedAttribution]]:
-        """Canonicalize, cache-check, compute and return per-lineage outcomes."""
+        """Cache-check and compute each distinct canonical key once."""
         config = self.config
         if k is None:
             k = config.k
@@ -634,73 +656,59 @@ class Engine:
                 "method 'topk' needs k: set EngineConfig.k or pass k "
                 "per call"
             )
-        self.stats.bump(answers=len(lineages))
+        self.stats.bump(answers=len(canonicals))
 
         with self.stats.timed("canonicalize"):
-            forms = self.cache.forms
-            canonicals = [canonicalize(lineage, memo=forms)
-                          for lineage in lineages]
+            groups: Dict[CanonicalKey, List[CanonicalLineage]] = {}
+            for canonical in canonicals:
+                groups.setdefault(canonical.key, []).append(canonical)
             suffix = self.cache.result_suffix(config.method, config.epsilon, k)
-            keys = [(c.key,) + suffix for c in canonicals]
-        cached: Dict[int, CachedAttribution] = {}
-        unresolved: Sequence[int] = range(len(lineages))
+        cached: Dict[CanonicalKey, CachedAttribution] = {}
+        unresolved = list(groups.values())
         while unresolved:
-            followed = self._lookup_and_compute(unresolved, keys, canonicals,
-                                                cached, k)
+            followed = self._lookup_and_compute(unresolved, suffix, cached, k)
             # Wait only now, with every key this pass owned released, so
             # callers that follow each other's keys cannot deadlock.
             unresolved = []
-            for key, (flight, indices) in followed.items():
+            for key, flight, members in followed:
                 flight.wait()
                 hit = self.cache.results.get(key)
                 if hit is None:
                     # The owner raised, or did not cache its result.
-                    unresolved.extend(indices)
+                    unresolved.append(members)
                     continue
-                for index in indices:
-                    cached[index] = hit
-                self.stats.bump(cache_hits=len(indices),
-                                coalesced_requests=len(indices))
-        return [(canonicals[index], cached[index])
-                for index in range(len(lineages))]
+                cached[key[0]] = hit
+                self.stats.bump(cache_hits=len(members),
+                                coalesced_requests=len(members))
+        return [(canonical, cached[canonical.key]) for canonical in canonicals]
 
-    def _lookup_and_compute(self, indices: Iterable[int],
-                            keys: List[ResultKey],
-                            canonicals: List[CanonicalLineage],
-                            cached: Dict[int, CachedAttribution],
+    def _lookup_and_compute(self, groups: Iterable[List[CanonicalLineage]],
+                            suffix: tuple,
+                            cached: Dict[CanonicalKey, CachedAttribution],
                             k: Optional[int]
-                            ) -> Dict[ResultKey, Tuple[threading.Event,
-                                                       List[int]]]:
+                            ) -> List[Tuple[ResultKey, threading.Event, list]]:
         """One single-flight pass of the cache-check and compute stages.
 
-        Fills ``cached`` and returns the keys other callers are computing,
-        each with the owner's event and the indices waiting for it.  A
-        claim pairs the key with this engine's budget, so only identical
-        computations share a flight; all are released before returning.
+        Fills ``cached`` per canonical key and returns the groups (the
+        lineages of one key) other callers are computing, each with its
+        key and the owner's event.  A claim pairs the key with this
+        engine's budget, so only identical computations share a flight;
+        all are released before returning.
         """
         config = self.config
         budget = (config.max_shannon_steps, config.timeout_seconds)
-        pending: Dict[ResultKey, List[int]] = {}
-        followed: Dict[ResultKey, Tuple[threading.Event, List[int]]] = {}
+        pending: List[Tuple[ResultKey, list]] = []
+        followed: List[Tuple[ResultKey, threading.Event, list]] = []
         owned: Set[ResultKey] = set()
-        tasks: List[Tuple[ResultKey, List[int]]] = []
+        tasks: List[Tuple[ResultKey, list]] = []
         try:
             with self.stats.timed("canonicalize"):
-                for index in indices:
-                    key = keys[index]
+                for members in groups:
+                    key = (members[0].key,) + suffix
                     hit = self.cache.results.get(key)
                     if hit is not None:
-                        cached[index] = hit
-                        self.stats.bump(cache_hits=1)
-                        continue
-                    if key in pending:
-                        # An isomorphic lineage earlier in this batch is
-                        # already scheduled; share its computation.
-                        pending[key].append(index)
-                        self.stats.bump(cache_hits=1)
-                        continue
-                    if key in followed:
-                        followed[key][1].append(index)
+                        cached[key[0]] = hit
+                        self.stats.bump(cache_hits=len(members))
                         continue
                     if self.store is not None:
                         stored = self.store.get(key)
@@ -708,27 +716,29 @@ class Engine:
                             # Promote the store hit into the memory tier so
                             # the rest of this process serves it for free.
                             self.cache.results.put(key, stored)
-                            cached[index] = stored
-                            self.stats.bump(store_hits=1)
+                            cached[key[0]] = stored
+                            self.stats.bump(store_hits=1,
+                                            cache_hits=len(members) - 1)
                             continue
                     flight = self.cache.claim((key, budget))
                     if flight is not None:
-                        followed[key] = (flight, [index])
+                        followed.append((key, flight, members))
                         continue
                     # Another owner may have finished between the lookup
                     # above and the claim.
                     hit = self.cache.results.get(key)
                     if hit is not None:
                         self.cache.release((key, budget))
-                        cached[index] = hit
-                        self.stats.bump(cache_hits=1)
+                        cached[key[0]] = hit
+                        self.stats.bump(cache_hits=len(members))
                         continue
                     owned.add(key)
-                    pending[key] = [index]
-                    self.stats.bump(cache_misses=1)
+                    pending.append((key, members))
+                    self.stats.bump(cache_misses=1,
+                                    cache_hits=len(members) - 1)
 
             with self.stats.timed("compute"):
-                tasks = list(pending.items())
+                tasks = pending
                 # Cache each outcome as soon as it is computed (and wake
                 # its followers): if a later task fails (budget exhaustion
                 # on a pathological lineage), the work already done stays
@@ -739,7 +749,7 @@ class Engine:
                 # fresh attempt (e.g. against a d-tree cached in the
                 # meantime).
                 for key, members in tasks:
-                    outcome = self._compute_serial(canonicals[members[0]], k)
+                    outcome = self._compute_serial(members[0], k)
                     self.stats.bump(compilations=1)
                     if outcome.converged:
                         self.cache.results.put(key, outcome)
@@ -747,8 +757,7 @@ class Engine:
                             self.store.put(key, outcome)
                     owned.discard(key)
                     self.cache.release((key, budget))
-                    for index in members:
-                        cached[index] = outcome
+                    cached[key[0]] = outcome
         finally:
             # A failed computation must never strand a follower.
             for key in owned:
@@ -859,7 +868,7 @@ class Engine:
                 for entry in ranked_from_groups(groups, effective_k,
                                                 canonical.renaming)]
 
-    def _assemble(self, answer: AnswerLineage,
+    def _assemble(self, answer: tuple,
                   outcome: Tuple[CanonicalLineage, CachedAttribution],
                   database: Database) -> "AttributionResult":
         """One answer's facts, best first: ``(-value, variable)`` order."""
@@ -879,7 +888,7 @@ class Engine:
             attributions.extend(
                 FactAttribution(fact_of(variable), variable, value, lower, upper)
                 for variable, lower, upper in rows)
-        return AttributionResult(answer=answer.values,
+        return AttributionResult(answer=answer,
                                  attributions=tuple(attributions))
 
 

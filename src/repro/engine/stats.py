@@ -48,6 +48,7 @@ COUNTER_FIELDS = (
     "payload_hits",
     "store_retries",
     "store_degraded",
+    "prepared_hits",
 )
 
 
@@ -132,6 +133,8 @@ class EngineStats:
         Circuit-breaker trips: the persistent store failed persistently
         and the engine degraded to memory-only caching until a
         half-open probe re-attached it.
+    prepared_hits:
+        Queries whose evaluation and canonicalization the prepared tier saved.
     stage_seconds:
         Wall-clock seconds per pipeline stage (``evaluate``,
         ``canonicalize``, ``compute``, ``assemble``).
@@ -159,6 +162,7 @@ class EngineStats:
     payload_hits: int = 0
     store_retries: int = 0
     store_degraded: int = 0
+    prepared_hits: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock,
@@ -280,6 +284,7 @@ class EngineStats:
         return {
             "queries": self.queries,
             "answers": self.answers,
+            "prepared_hits": self.prepared_hits,
             "cache_hits": self.cache_hits,
             "store_hits": self.store_hits,
             "cache_misses": self.cache_misses,

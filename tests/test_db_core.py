@@ -1,5 +1,7 @@
 """Tests for schemas, databases, queries and the hierarchy classification."""
 
+import dataclasses
+
 import pytest
 
 from repro.db.database import Database, Fact
@@ -45,6 +47,42 @@ class TestSchema:
     def test_unknown_relation(self):
         with pytest.raises(KeyError):
             Schema().relation("missing")
+
+
+class TestFactRendering:
+    """A fact renders once per object; the text is not a field."""
+
+    @pytest.mark.parametrize("values, text", [
+        ((1, -2, 10 ** 20), "R(1, -2, 100000000000000000000)"),
+        ((2.5, 1e-07, float("inf")), "R(2.5, 1e-07, inf)"),
+        ((None,), "R(None)"),
+        (("it's", 'say "hi"', "a\\b"), """R("it's", 'say "hi"', 'a\\\\b')"""),
+        (("Zürich", "東京", "\u00e9"), "R('Zürich', '東京', 'é')"),
+        ((), "R()"),
+    ])
+    def test_repr_is_the_values_reprs(self, values, text):
+        fact = Fact("R", values)
+        assert repr(fact) == text
+        assert repr(fact) == f"R({', '.join(repr(v) for v in values)})"
+        assert str(fact) == text
+
+    def test_second_call_returns_the_same_string(self):
+        fact = Fact("S", ("a", 1))
+        first = repr(fact)
+        assert repr(fact) is first
+        assert str(fact) is first
+
+    def test_equality_hash_and_fields_are_unchanged(self):
+        rendered, plain = Fact("R", (1, "a")), Fact("R", (1, "a"))
+        repr(rendered)
+        assert rendered == plain
+        assert hash(rendered) == hash(plain) == hash(("R", (1, "a")))
+        assert rendered != Fact("R", (1, "b"))
+        assert [field.name for field in dataclasses.fields(Fact)] \
+            == ["relation", "values"]
+        assert dataclasses.astuple(rendered) == ("R", (1, "a"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rendered.relation = "S"
 
 
 class TestDatabase:

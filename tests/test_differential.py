@@ -26,6 +26,7 @@ from repro.core.exaban import exaban_all
 from repro.core.ichiban import ichiban_rank, ichiban_topk, ichiban_topk_certain
 from repro.dtree.compile import compile_dnf
 from repro.engine import Engine, EngineConfig
+from repro.engine.canonical import canonicalize
 from repro.experiments.metrics import ground_truth_topk
 from repro.workloads.generators import random_positive_dnf
 
@@ -109,7 +110,7 @@ class TestRankingPaths:
         engine = Engine(EngineConfig(method="topk", k=3, epsilon=None))
         for function in _instances(seed=18):
             exact = banzhaf_all_brute_force(function)
-            outcomes = engine._attribute_batch([function])
+            outcomes = engine._attribute_batch([canonicalize(function)])
             canonical, cached = outcomes[0]
             for variable, (lower, upper) in cached.bounds.items():
                 original = canonical.from_canonical[variable]

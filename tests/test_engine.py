@@ -432,7 +432,7 @@ class TestRankingEngine:
         artifact = engine.cache.artifacts.get(canonical.key)
         assert artifact is not None and artifact.complete
         rounds_before = engine.stats.refinement_rounds
-        outcomes = engine._attribute_batch([chain], k=1)
+        outcomes = engine._attribute_batch([canonical], k=1)
         assert outcomes[0][1].method_used == "exact"
         assert engine.stats.refinement_rounds == rounds_before
 

@@ -403,10 +403,10 @@ class TestLeftoverServing:
 class TestBatchEvaluationSharing:
     def test_batch_accounting_does_not_reevaluate_queries(
             self, database, monkeypatch):
-        """Every front-end request evaluates its query exactly once, in
-        the engine: the front-end computes no key of its own, so the
-        service module's evaluation binding is never called -- neither
-        for a single request nor for micro-batch members."""
+        """Front-end requests evaluate their queries in the engine only,
+        once per distinct query: the front-end computes no key of its
+        own, so the service module's evaluation binding is never called
+        -- neither for a single request nor for micro-batch members."""
         service = AttributionService(database)
         engine_evaluations = []
         serve_evaluations = []
@@ -449,8 +449,10 @@ class TestBatchEvaluationSharing:
             report = frontend.stats()
             assert report["batches"] == 1
             assert report["batched_requests"] == 3
-            # Four requests, four evaluations, all of them the engine's.
-            assert len(engine_evaluations) == 4
+            # Four requests over two distinct queries: two evaluations,
+            # all of them the engine's; the batch's repeats of QUERY_A
+            # read the engine's prepared tier.
+            assert len(engine_evaluations) == 2
             assert serve_evaluations == []
         finally:
             release.set()
