@@ -9,8 +9,8 @@ deployment).  Two runs over identical traffic:
 * **serial** -- one thread calling :meth:`AttributionService.submit`
   for every client's requests in turn: the ground truth for values and
   compilations, and the live alternative to the front-end;
-* **frontend** -- the threaded front-end (micro-batching on), whose
-  engines share each in-flight computation (single-flight).
+* **frontend** -- the threaded front-end, one request per worker at a
+  time, whose engines share each in-flight computation (single-flight).
 
 Gates only the deterministic properties:
 
@@ -32,9 +32,9 @@ fourth sends long cold lineages (larger bipartite joins that compile
 for about 0.5 s each at full size, 0.2 s in smoke); every client thinks
 between requests.  It runs once through one ``AttributionService`` whose
 ``submit`` calls are serialized by a lock -- short requests queue behind
-a long one -- and once through a 4-worker front-end with ``batch_max``
-1.  Short-request p50/p95 and wall time of both are reported, not
-gated; every response must be ``ok``.
+a long one -- and once through a 4-worker front-end.  Short-request
+p50/p95 and wall time of both are reported, not gated; every response
+must be ``ok``.
 
 Emits ``BENCH_serve_load.json`` (the head-of-line figures under
 ``metrics.head_of_line``) plus a per-run table of the repeat-traffic runs
@@ -142,8 +142,7 @@ def _run_frontend(database: Database, per_client: List[str],
                   clients: int) -> Dict[str, object]:
     """Each client thread submits the same repeat-traffic sequence."""
     service = AttributionService(database)
-    config = FrontendConfig(workers=clients,
-                            max_queue=max(16, clients * 4), batch_max=8)
+    config = FrontendConfig(workers=clients, max_queue=max(16, clients * 4))
     frontend = ServingFrontend(service, config)
     barrier = threading.Barrier(clients)
     per_client_out: List[List] = [[] for _ in range(clients)]
@@ -253,8 +252,7 @@ def _run_head_of_line(smoke: bool) -> Dict[str, object]:
             return service.submit(request)
 
     serial = _hol_clients(serialized, short, long, per_client, think)
-    frontend = ServingFrontend(warm_service(),
-                               FrontendConfig(workers=4, batch_max=1))
+    frontend = ServingFrontend(warm_service(), FrontendConfig(workers=4))
     try:
         concurrent = _hol_clients(frontend.submit, short, long,
                                   per_client, think)
@@ -399,7 +397,7 @@ def run_benchmark(clients: int = None, num_classes: int = None,
         f"{'wall s':>8}",
     ]
     for name, key in (("lock-serialized", "serial"),
-                      ("front-end, batch_max 1", "frontend")):
+                      ("front-end", "frontend")):
         run = head_of_line[key]
         lines.append(f"{name:<22} {run['short_p50_ms']:>12.2f} "
                      f"{run['short_p95_ms']:>12.2f} {run['wall_s']:>8.3f}")

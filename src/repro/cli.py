@@ -37,12 +37,12 @@ JSON Lines request file (one ``{"op": "attribute"|"rank"|"topk", "query":
 ...}`` object per line; ``-`` reads stdin), printing one JSON response
 per line; ``--store DIR`` adds the on-disk cache tier and ``--warm-start``
 preloads it into memory.  ``--workers N`` (N >= 2) serves through the
-concurrent front-end (:mod:`repro.engine.frontend`) -- worker threads,
-micro-batching (``--batch-max``), a bounded admission queue
-(``--max-queue``), and a default per-request deadline (``--deadline-ms``)
-under which late requests degrade to best-effort partials -- while
-keeping responses in input order; concurrent requests that need the
-same result share one computation in the engine.  Every store is the
+concurrent front-end (:mod:`repro.engine.frontend`) -- worker threads, a
+bounded admission queue (``--max-queue``), and a default per-request
+deadline (``--deadline-ms``) under which late requests degrade to
+best-effort partials -- while keeping responses in input order;
+concurrent requests that need the same result share one computation in
+the engine.  Every store is the
 append-only record log of :mod:`repro.engine.logstore` (point reads,
 single-writer locking, compaction); every store-taking command accepts
 ``--store-shards N`` (consistent-hash sharding across N roots).
@@ -408,8 +408,8 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
                              "engine counters after the stream")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker threads; 2 or more serve through the "
-                             "concurrent front-end with micro-batching "
-                             "(default: 1, the plain serial loop)")
+                             "concurrent front-end, one request per worker "
+                             "at a time (default: 1, the plain serial loop)")
     parser.add_argument("--max-queue", type=int, default=64, metavar="N",
                         help="admission-queue bound of the concurrent "
                              "front-end (default: 64; needs --workers >= 2)")
@@ -419,10 +419,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
                              "missing it degrade to best-effort partial "
                              "answers (needs --workers >= 2; a request's "
                              "own deadline_ms field overrides it)")
-    parser.add_argument("--batch-max", type=int, default=8, metavar="N",
-                        help="micro-batch bound of the concurrent "
-                             "front-end; 1 disables batching (default: 8; "
-                             "needs --workers >= 2)")
     arguments = parser.parse_args(list(argv))
     if not arguments.facts:
         parser.error("at least one --facts NAME=PATH is required")
@@ -461,7 +457,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
         frontend_config = FrontendConfig(
             workers=arguments.workers,
             max_queue=arguments.max_queue,
-            batch_max=arguments.batch_max,
             deadline_ms=arguments.deadline_ms,
         )
 

@@ -1,7 +1,7 @@
 """The concurrent SLO-aware serving front-end.
 
-:class:`ServingFrontend` puts a thread pool, an admission-controlled
-queue, and micro-batching in front of one (thread-safe)
+:class:`ServingFrontend` puts a thread pool and an admission-controlled
+queue in front of one (thread-safe)
 :class:`~repro.engine.serve.AttributionService`, turning the
 single-threaded serving loop into the concurrent front-end the ROADMAP's
 "heavy traffic" north star asks for.  Any number of client threads call
@@ -14,37 +14,32 @@ The request lifecycle::
     client -> [admission] -> bounded queue -> [worker] -> response
                  |                               |
                  |- invalid ........ error       |- deadline expired .. shed
-                 |- queue full ..... shed        |- micro-batch compatible
-                 |- client budget .. shed        |     queued requests
-                 |- deadline <= 0 .. shed        |- deadline scoped:
-                                                       degrade to partial
+                 |- queue full ..... shed        |- else: execute the parsed
+                 |- client budget .. shed        |  request with the budget
+                                                 |  left; a deadline-scoped
+                                                 |  run degrades to partial
 
 **Admission control** happens on the *client's* thread, before a queue
-slot is taken: malformed requests are answered immediately (they must
-not occupy capacity), and a full queue, an exhausted per-client budget,
-or an already-expired deadline yields a structured rejection
-(``{"ok": false, "rejected": "<reason>", ...}``) -- counted as
-``shed_requests`` in the shared engine stats, never silently dropped.
+slot is taken: the request is validated (malformed requests, a
+non-positive ``deadline_ms`` included, are answered immediately; they
+must not occupy capacity), and a full queue or an exhausted per-client
+budget yields a structured rejection (``{"ok": false, "rejected":
+"<reason>", ...}``) -- counted as ``shed_requests`` in the shared engine
+stats, never silently dropped.
 
-**Shared computation** is the engine's: the service's engines compute
-single-flight over one cache, so concurrent requests needing the same
-result (isomorphic lineages included, in any worker or micro-batch)
-compute it once.  Each request still gets its own fact-space response.
-
-**Micro-batching.**  A worker that picks up an ``attribute`` request
-drains up to ``batch_max - 1`` further compatible requests (same method,
-no deadline) from the queue and runs them through one
-:meth:`AttributionService.submit_batch` call -- one engine batch, one
-store flush, and in-batch isomorph deduplication for free.
+**Execution.**  A worker takes one ticket at a time and runs the request
+that admission parsed through :meth:`AttributionService.execute`.
+Concurrent requests needing the same result (isomorphic lineages
+included, in any worker) compute it once: the service's engines compute
+single-flight over one cache.  Each request still gets its own
+fact-space response.
 
 **Deadlines.**  A request's ``deadline_ms`` (or the configured default)
 is measured from admission.  Expiry while queued sheds the request; a
 request picked up in time runs with its *remaining* budget on a
 deadline-scoped engine and degrades to a best-effort partial instead of
-erroring when the budget runs out mid-compute (see
-:meth:`AttributionService.submit`).  Deadline-carrying requests skip
-batching, and their budget keeps them out of other requests'
-computations: their partial results are never cached.
+erroring when the budget runs out mid-compute.  Its budget keeps it out
+of other requests' computations: its partial results are never cached.
 
 Typical use::
 
@@ -65,15 +60,19 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, Iterable, Optional, TextIO, Union
 
 from repro.engine.serve import (
     AttributionService,
     ParsedRequest,
     RequestError,
+    attach_id,
+    jsonl_outcomes,
 )
-from repro.reliability import faults
+
+_SHUTDOWN_DETAIL = "the front-end closed before serving this request"
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,6 @@ class FrontendConfig:
     max_queue:
         Bound of the admission queue; a full queue sheds (non-blocking
         admission) or backpressures (blocking admission) new requests.
-    batch_max:
-        Upper bound of one micro-batch, including the request that
-        started it; ``1`` disables batching.
     deadline_ms:
         Default per-request deadline applied when a request carries no
         ``deadline_ms`` of its own; ``None`` = no default (requests are
@@ -103,7 +99,6 @@ class FrontendConfig:
 
     workers: int = 4
     max_queue: int = 64
-    batch_max: int = 8
     deadline_ms: Optional[float] = None
     max_inflight_per_client: Optional[int] = None
 
@@ -112,8 +107,6 @@ class FrontendConfig:
             raise ValueError("workers must be at least 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be at least 1")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be at least 1")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if (self.max_inflight_per_client is not None
@@ -191,7 +184,7 @@ class ServingFrontend:
             "submitted": 0, "completed": 0,
             "rejected_invalid": 0, "shed_queue_full": 0,
             "shed_client_budget": 0, "shed_deadline": 0,
-            "batches": 0, "batched_requests": 0, "degraded": 0,
+            "shed_shutdown": 0, "degraded": 0,
         }
         self._counters_lock = threading.Lock()
         self._closed = False
@@ -239,8 +232,7 @@ class ServingFrontend:
         except RequestError as error:
             self._count("rejected_invalid")
             self.service.record_rejection()
-            return self._attach_id({"ok": False, "error": str(error)},
-                                   request)
+            return attach_id({"ok": False, "error": str(error)}, request)
 
         deadline_seconds = parsed.deadline_seconds
         if deadline_seconds is None and self.config.deadline_ms is not None:
@@ -265,7 +257,7 @@ class ServingFrontend:
             # which case nobody would ever serve this ticket.  Settle it
             # with the shutdown rejection ourselves -- the ticket's claim
             # makes this a no-op if a worker or the drain got there first.
-            self._finish_shutdown(ticket)
+            self._shed_ticket(ticket, "shutdown", _SHUTDOWN_DETAIL)
         return ticket
 
     def _admit_client(self, client: Optional[str]) -> bool:
@@ -291,24 +283,17 @@ class ServingFrontend:
 
     def _shed(self, request: Dict[str, object], reason: str,
               detail: str) -> Dict[str, object]:
-        """A structured rejection: the admission-control answer is still
-        an answer."""
+        """A structured rejection, counted: the admission-control answer
+        is still an answer."""
         self._count(f"shed_{reason}")
         self.service.stats_counters.bump(shed_requests=1)
         self.service.record_rejection()
-        return self._attach_id(
+        return attach_id(
             {"ok": False, "rejected": reason, "error": detail}, request)
 
-    @staticmethod
-    def _attach_id(response: Dict[str, object],
-                   request: object) -> Dict[str, object]:
-        if isinstance(request, dict) and "id" in request:
-            response["id"] = request["id"]
-        return response
-
-    def _count(self, name: str, delta: int = 1) -> None:
+    def _count(self, name: str) -> None:
         with self._counters_lock:
-            self._counters[name] += delta
+            self._counters[name] += 1
 
     # ----------------------------------------------------------------- #
     # Worker side
@@ -317,153 +302,54 @@ class ServingFrontend:
     def _worker_loop(self) -> None:
         # The poll timeout is the shutdown latency bound: workers exit as
         # soon as the queue stays empty with the stop flag set.  There is
-        # deliberately no in-queue shutdown sentinel -- a sentinel that
-        # micro-batch draining consumes would have to be re-posted into a
-        # queue that blocked submitters may keep full.
+        # deliberately no in-queue shutdown sentinel -- close() would have
+        # to post one per worker into a queue that blocked submitters may
+        # keep full.
         while True:
             try:
-                item = self._queue.get(timeout=0.05)
+                ticket = self._queue.get(timeout=0.05)
             except queue.Empty:
                 if self._stop.is_set():
                     return
                 continue
-            assert isinstance(item, Ticket)
-            self._serve_safely(item, allow_batch=True)
-
-    def _serve_safely(self, ticket: Ticket, allow_batch: bool) -> None:
-        # Serving an "attribute" ticket may drain one incompatible
-        # request from the queue (see _drain_batchmates); it is served
-        # here after the original ticket and its batch fully settled.
-        pending: Optional[Ticket] = ticket
-        while pending is not None:
-            current, pending = pending, None
             try:
-                pending = self._serve_ticket(current, allow_batch)
+                self._serve_ticket(ticket)
             except Exception as error:
                 # The loop must survive anything a request does.
-                self._finish(current, self._attach_id(
+                self._finish(ticket, attach_id(
                     {"ok": False,
                      "error": f"{type(error).__name__}: {error}"},
-                    current.request))
-            allow_batch = False
+                    ticket.request))
 
-    def _finish(self, ticket: Ticket,
-                response: Dict[str, object]) -> bool:
-        """Answer a ticket; exactly one racing call wins, the rest no-op."""
-        if not ticket._claim():
-            return False
-        self._release_client(ticket.parsed.client)
-        if response.get("degraded"):
-            self._count("degraded")
-        self._count("completed")
-        ticket._finish(response)
-        return True
-
-    def _finish_shutdown(self, ticket: Ticket) -> None:
-        response = self._attach_id(
-            {"ok": False, "rejected": "shutdown",
-             "error": "the front-end closed before serving this request"},
-            ticket.request)
-        if self._finish(ticket, response):
-            self._count("shed_queue_full")
-            self.service.stats_counters.bump(shed_requests=1)
-
-    def _serve_ticket(self, ticket: Ticket,
-                      allow_batch: bool) -> Optional[Ticket]:
-        """Serve one ticket (with its batchmates); returns the
-        drained-but-incompatible "leftover" ticket, if any, for the
-        caller to serve once this ticket settled."""
+    def _serve_ticket(self, ticket: Ticket) -> None:
+        remaining = None
         if ticket.deadline_at is not None:
             remaining = ticket.deadline_at - time.monotonic()
             if remaining <= 0:
                 # Expired while queued: shedding now is cheaper for
                 # everyone than computing an answer nobody awaits.
-                self._count("shed_deadline")
-                self.service.stats_counters.bump(shed_requests=1)
-                self.service.record_rejection()
-                self._finish(ticket, self._attach_id(
-                    {"ok": False, "rejected": "deadline",
-                     "error": "deadline expired while queued"},
-                    ticket.request))
-                return None
-            # Deadline requests run alone: their best-effort partials are
-            # never cached, so batching would share nothing.
-            self._finish(ticket, self.service.submit(
-                ticket.request, deadline_seconds=remaining))
-            return None
+                self._shed_ticket(ticket, "deadline",
+                                  "deadline expired while queued")
+                return
+        self._finish(ticket, self.service.execute(ticket.parsed, remaining))
 
-        batchmates: List[Ticket] = []
-        leftover: Optional[Ticket] = None
-        if allow_batch:
-            batchmates, leftover = self._drain_batchmates(ticket)
-        try:
-            if not batchmates:
-                self._finish(ticket, self.service.submit(ticket.request))
-            else:
-                self._serve_batch([ticket] + batchmates)
-        except Exception as error:
-            # service.submit/_serve_batch answer failures themselves; this
-            # catch-all keeps a bug above that layer from losing both the
-            # group's responses and the leftover waiting to be served.
-            for member in [ticket] + batchmates:
-                self._finish(member, self._attach_id(
-                    {"ok": False,
-                     "error": f"{type(error).__name__}: {error}"},
-                    member.request))
-        return leftover
+    def _finish(self, ticket: Ticket, response: Dict[str, object]) -> None:
+        """Answer a ticket; exactly one racing call wins, the rest no-op."""
+        if ticket._claim():
+            self._deliver(ticket, response)
 
-    def _serve_batch(self, group: List[Ticket]) -> None:
-        self._count("batches")
-        self._count("batched_requests", len(group))
-        try:
-            # Front-end-level injection point: a raise here exercises the
-            # catch-all below, which must still answer every member.
-            faults.check("serve.batch")
-            responses = self.service.submit_batch(
-                [member.request for member in group])
-            for member, response in zip(group, responses):
-                self._finish(member, response)
-        except Exception as error:
-            # submit_batch itself degrades per-request failures to error
-            # responses; this catches bugs above that layer.  Whatever
-            # happened, every member still gets a response.
-            for member in group:
-                if not member.done():
-                    self._finish(member, self._attach_id(
-                        {"ok": False,
-                         "error": f"{type(error).__name__}: {error}"},
-                        member.request))
+    def _shed_ticket(self, ticket: Ticket, reason: str, detail: str) -> None:
+        """Shed an admitted ticket; only the call that answers it counts
+        the shed."""
+        if ticket._claim():
+            self._deliver(ticket, self._shed(ticket.request, reason, detail))
 
-    def _drain_batchmates(self, ticket: Ticket
-                          ) -> Tuple[List[Ticket], Optional[Ticket]]:
-        """Pull queued requests that can join this ticket's engine batch.
-
-        Only ``attribute`` requests of the same method without deadlines
-        are compatible (matching :meth:`AttributionService.submit_batch`'s
-        contract).  Draining stops at the first incompatible request,
-        which is returned as the ``leftover`` for the caller to serve
-        individually -- handing it back to the queue could block on a
-        full queue, and dropping it is out of the question.
-        """
-        limit = self.config.batch_max - 1
-        if limit <= 0 or ticket.parsed.op != "attribute":
-            return [], None
-        batchmates: List[Ticket] = []
-        leftover: Optional[Ticket] = None
-        while len(batchmates) < limit:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            assert isinstance(item, Ticket)
-            if (item.parsed.op == "attribute"
-                    and item.deadline_at is None
-                    and item.parsed.method == ticket.parsed.method):
-                batchmates.append(item)
-            else:
-                leftover = item
-                break
-        return batchmates, leftover
+    def _deliver(self, ticket: Ticket, response: Dict[str, object]) -> None:
+        self._release_client(ticket.parsed.client)
+        if response.get("degraded"):
+            self._count("degraded")
+        self._count("completed")
+        ticket._finish(response)
 
     # ----------------------------------------------------------------- #
     # Lifecycle and reporting
@@ -493,8 +379,7 @@ class ServingFrontend:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
-            assert isinstance(item, Ticket)
-            self._finish_shutdown(item)
+            self._shed_ticket(item, "shutdown", _SHUTDOWN_DETAIL)
         self.service.flush()
 
     def __enter__(self) -> "ServingFrontend":
@@ -504,19 +389,19 @@ class ServingFrontend:
         self.close()
 
     def stats(self) -> Dict[str, object]:
-        """Front-end counters (admission, batching, degradation) plus the
-        live queue depth; the engine-side counters, shared computations
+        """Front-end counters (admission, sheds, degradation) plus the live
+        queue depth; the engine-side counters, shared computations
         included, live in :meth:`AttributionService.stats`."""
         with self._counters_lock:
             counters = dict(self._counters)
         shed = {reason: counters.pop(f"shed_{reason}")
-                for reason in ("queue_full", "client_budget", "deadline")}
+                for reason in ("queue_full", "client_budget", "deadline",
+                               "shutdown")}
         report: Dict[str, object] = dict(counters)
         report["shed"] = shed
         report["workers"] = self.config.workers
         report["queue_depth"] = self._queue.qsize()
         report["max_queue"] = self.config.max_queue
-        report["batch_max"] = self.config.batch_max
         return report
 
 
@@ -536,9 +421,8 @@ def serve_jsonl_concurrent(service: AttributionService,
     buffer instead of growing with input length.  A full queue
     backpressures the reader instead of shedding -- a file is a patient
     client; admission *validation* and deadline semantics still apply.
-    Blank lines and ``#`` comments are skipped; an unparseable line
-    yields an error response.  Returns ``True`` when every served
-    request succeeded.
+    Lines are read by :func:`~repro.engine.serve.jsonl_outcomes`.
+    Returns ``True`` when every served request succeeded.
     """
     frontend = ServingFrontend(service, config)
     # The reader -> writer hand-off carries outcomes in input order; its
@@ -568,21 +452,11 @@ def serve_jsonl_concurrent(service: AttributionService,
                               name="repro-serve-writer", daemon=True)
     writer.start()
     try:
-        for line in lines:
+        for outcome in jsonl_outcomes(
+                service, lines, partial(frontend.submit_nowait, block=True)):
+            pending.put(outcome)
             if state["error"] is not None:
                 break  # a dead writer cannot deliver; stop reading
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                request = json.loads(text)
-            except json.JSONDecodeError as error:
-                service.record_malformed_line()
-                pending.put({
-                    "ok": False,
-                    "error": f"unparseable request line: {error}"})
-                continue
-            pending.put(frontend.submit_nowait(request, block=True))
     finally:
         # Closing first guarantees every admitted ticket is finished, so
         # the writer's result() calls can never block indefinitely.

@@ -36,14 +36,18 @@ gets a wall-clock compute budget: when exact compilation blows through
 it the service **degrades** to a best-effort answer (one IchiBan bounds
 pass over whatever partial d-tree the failed attempt left behind)
 instead of erroring, flagging the response with ``degraded``/``partial``
--- see :meth:`AttributionService.submit`.  Every exhausted compilation,
+-- see :meth:`AttributionService.execute`.  Every exhausted compilation,
 fresh or resumed, and every anytime run leaves its partial tree in the
 shared artifact tier, so that pass starts from the work the failed
-attempt did.  ``id``/``client`` are the hooks the concurrent
-front-end (:mod:`repro.engine.frontend`) builds its response routing
-and per-client admission control on; the service
-itself is also directly thread-safe, so the front-end's workers drive
-one shared instance.  Its engines share one cache and so one
+attempt did.
+
+:meth:`AttributionService.submit` is :meth:`~AttributionService.
+validate_request` followed by :meth:`~AttributionService.execute`.  The
+concurrent front-end (:mod:`repro.engine.frontend`) calls the two steps
+apart: it validates on the client's thread at admission, routes
+responses by ``id`` and budgets by ``client``, and its workers execute
+the parsed request, one at a time each, on one shared service -- the
+service is thread-safe.  Its engines share one cache and so one
 single-flight table: identical concurrent work, from any thread, is
 computed once.  :meth:`AttributionService.stats` reports the
 shared engine counters including the per-tier hit rates (memory / store
@@ -56,7 +60,8 @@ import json
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    TextIO)
 
 from repro.core.adaban import ApproximationTimeout
 from repro.db.database import Database
@@ -103,10 +108,11 @@ class RequestError(ValueError):
 class ParsedRequest:
     """A validated request, ready to execute.
 
-    Produced by :meth:`AttributionService.validate_request`; the
-    concurrent front-end validates at admission time (rejections must
-    not wait in the queue) and executes later, so validation and
-    execution are separate steps with this as the hand-off.
+    Produced by :meth:`AttributionService.validate_request` and run by
+    :meth:`AttributionService.execute`.  The concurrent front-end
+    validates at admission time (rejections must not wait in the queue)
+    and executes the same parsed request later, so the query is parsed
+    once per request.
     """
 
     op: str
@@ -132,10 +138,11 @@ class AttributionService:
     engine creation is serialized, and the shared tiers
     (:class:`~repro.engine.cache.LRUCache`, the store, the
     :class:`~repro.engine.stats.EngineStats` counters) lock internally,
-    so any number of threads may call :meth:`submit` concurrently --
-    that is exactly what the workers of
-    :class:`~repro.engine.frontend.ServingFrontend` do.  Concurrent
-    requests without a deadline that need one result compute it once.
+    so any number of threads may call :meth:`submit` or :meth:`execute`
+    concurrently -- the workers of
+    :class:`~repro.engine.frontend.ServingFrontend` call :meth:`execute`.
+    Concurrent requests without a deadline that need one result compute
+    it once.
 
     Parameters
     ----------
@@ -151,7 +158,7 @@ class AttributionService:
     warm_start:
         When true (and a store is present), preload the store's entries
         -- results and compilation artifacts -- into the shared
-        in-memory tiers at construction, so even the very first batch
+        in-memory tiers at construction, so even the very first request
         hits memory and partial compilations resume instead of
         restarting.  The number of result entries loaded is reported by
         :meth:`stats` as ``warm_loaded``.  A store that fails to load
@@ -297,105 +304,41 @@ class AttributionService:
         for request in requests:
             yield self.submit(request)
 
-    def submit(self, request: Dict[str, object],
-               deadline_seconds: Optional[float] = None
-               ) -> Dict[str, object]:
+    def submit(self, request: Dict[str, object]) -> Dict[str, object]:
         """Serve one request dict; never raises on a malformed request.
 
-        ``deadline_seconds`` overrides the request's own ``deadline_ms``
-        (the front-end passes the *remaining* budget after queueing).
-        When a deadline is in force the request runs on a deadline-scoped
-        engine; blowing the budget degrades to a best-effort partial
-        response (``degraded: true``) rather than an error.
+        :meth:`validate_request` followed by :meth:`execute` with the
+        request's own ``deadline_ms``.  When a deadline is in force the
+        request runs on a deadline-scoped engine; blowing the budget
+        degrades to a best-effort partial response (``degraded: true``)
+        rather than an error.
+        """
+        try:
+            parsed = self.validate_request(request)
+        except RequestError as error:
+            self.record_rejection()
+            return attach_id({"ok": False, "error": str(error)}, request)
+        return self.execute(parsed, parsed.deadline_seconds)
+
+    def execute(self, parsed: ParsedRequest,
+                deadline_seconds: Optional[float]) -> Dict[str, object]:
+        """Execute an already-validated request; never raises.
+
+        ``deadline_seconds`` is the wall-clock budget the request has
+        left (``None`` = unbounded): the concurrent front-end validates
+        at admission and passes what remains after queueing.  Counts the
+        request in ``requests_served``.
         """
         with self._counter_lock:
             self.requests_served += 1
         try:
-            parsed = self.validate_request(request)
-        except RequestError as error:
-            with self._counter_lock:
-                self.request_errors += 1
-            return self._attach_id({"ok": False, "error": str(error)},
-                                   request)
-        if deadline_seconds is None:
-            deadline_seconds = parsed.deadline_seconds
-        return self._submit_parsed(parsed, deadline_seconds)
-
-    def submit_batch(self, requests: List[Dict[str, object]]
-                     ) -> List[Dict[str, object]]:
-        """Serve several ``attribute`` requests as one engine batch.
-
-        The micro-batching hook of the concurrent front-end: all valid
-        requests run through a single
-        :meth:`~repro.engine.engine.Engine.attribute_many` pass, so
-        isomorphic lineages *across requests* are deduplicated by the
-        batch pipeline itself and the store is flushed once, not once
-        per request.  All requests must be ``op="attribute"`` with one
-        shared method and no deadlines (the front-end only groups such
-        requests); anything else is a caller bug and raises.  Per-request
-        validation errors still yield per-request error responses, and a
-        computation that dies mid-batch falls back to serving the
-        not-yet-answered requests individually -- one poisoned lineage
-        cannot take down its batchmates.  Responses come back in request
-        order, one per request, always.
-        """
-        responses: List[Optional[Dict[str, object]]] = [None] * len(requests)
-        valid: List[Tuple[int, ParsedRequest]] = []
-        method: Optional[str] = None
-        for index, request in enumerate(requests):
-            with self._counter_lock:
-                self.requests_served += 1
-            try:
-                parsed = self.validate_request(request)
-            except RequestError as error:
-                with self._counter_lock:
-                    self.request_errors += 1
-                responses[index] = self._attach_id(
-                    {"ok": False, "error": str(error)}, request)
-                continue
-            if parsed.op != "attribute":
-                raise ValueError(
-                    "submit_batch serves 'attribute' requests only; got "
-                    f"op {parsed.op!r}")
-            if parsed.deadline_seconds is not None:
-                raise ValueError(
-                    "submit_batch requests must not carry deadlines")
-            if method is None:
-                method = parsed.method
-            elif parsed.method != method:
-                raise ValueError(
-                    "submit_batch requests must share one method; got "
-                    f"{method!r} and {parsed.method!r}")
-            valid.append((index, parsed))
-        if valid:
-            engine = self._engine(method or self._base.method)
-            queries = [parsed.query for _, parsed in valid]
-            try:
-                # Inside the try on purpose: an injected mid-batch fault
-                # takes the same recovery path as a real one -- the
-                # not-yet-answered requests are served individually below.
-                faults.check("serve.batch")
-                for (index, parsed), (_, results) in zip(
-                        valid, engine.attribute_many(queries,
-                                                     self.database)):
-                    responses[index] = self._attach_response_id(
-                        self._attribute_response(parsed, results), parsed)
-            except Exception:
-                for index, parsed in valid:
-                    if responses[index] is None:
-                        responses[index] = self._submit_parsed(parsed, None)
-        return responses  # type: ignore[return-value]
-
-    def _submit_parsed(self, parsed: ParsedRequest,
-                       deadline_seconds: Optional[float]
-                       ) -> Dict[str, object]:
-        """Execute an already-validated request; never raises."""
-        try:
-            response = self._execute(parsed, deadline_seconds)
-        except RequestError as error:
-            with self._counter_lock:
-                self.request_errors += 1
-            response = {"ok": False, "error": str(error)}
+            faults.check("serve.request")
+            if deadline_seconds is None:
+                response = self._run_op(
+                    parsed, self._engine(self._method(parsed)))
+            else:
+                response = self._execute_with_deadline(parsed,
+                                                       deadline_seconds)
         except _STORE_UNAVAILABLE as error:
             # The persistent tier is locked, tripped, or mid-outage; the
             # request failed for infrastructure reasons, not because it
@@ -412,16 +355,6 @@ class AttributionService:
             response = {"ok": False,
                         "error": f"{type(error).__name__}: {error}"}
         return self._attach_response_id(response, parsed)
-
-    @staticmethod
-    def _attach_id(response: Dict[str, object],
-                   request: object) -> Dict[str, object]:
-        """Echo the request's ``id`` into the response (even on errors --
-        a client multiplexing over one connection must always be able to
-        route the response back to its request)."""
-        if isinstance(request, dict) and "id" in request:
-            response["id"] = request["id"]
-        return response
 
     @staticmethod
     def _attach_response_id(response: Dict[str, object],
@@ -509,17 +442,11 @@ class AttributionService:
     # Execution
     # ----------------------------------------------------------------- #
 
-    def _execute(self, parsed: ParsedRequest,
-                 deadline_seconds: Optional[float]) -> Dict[str, object]:
-        faults.check("serve.request")
-        if deadline_seconds is None:
-            if parsed.op == "attribute":
-                engine = self._engine(parsed.method or self._base.method)
-            else:
-                engine = self._engine("topk" if parsed.op == "topk"
-                                      else "rank")
-            return self._run_op(parsed, engine)
-        return self._execute_with_deadline(parsed, deadline_seconds)
+    def _method(self, parsed: ParsedRequest) -> str:
+        """The engine method a request runs on."""
+        if parsed.op == "attribute":
+            return parsed.method or self._base.method
+        return "topk" if parsed.op == "topk" else "rank"
 
     def _execute_with_deadline(self, parsed: ParsedRequest,
                                deadline_seconds: float
@@ -531,11 +458,7 @@ class AttributionService:
         leaves its partial d-tree behind, which is precisely what the
         best-effort pass then reads its bounds off.
         """
-        if parsed.op == "attribute":
-            method = parsed.method or self._base.method
-        else:
-            method = "topk" if parsed.op == "topk" else "rank"
-        engine = self._scoped_engine(method, deadline_seconds)
+        engine = self._scoped_engine(self._method(parsed), deadline_seconds)
         try:
             response = self._run_op(parsed, engine)
         except _BUDGET_EXHAUSTED:
@@ -625,19 +548,11 @@ class AttributionService:
     # Cache management and reporting
     # ----------------------------------------------------------------- #
 
-    def record_malformed_line(self) -> None:
-        """Account for an input line that never became a request
-        (unparseable JSON); the JSONL loops call this so the served/error
-        counters cover every line a client sent, not only valid ones."""
-        with self._counter_lock:
-            self.requests_served += 1
-            self.request_errors += 1
-
     def record_rejection(self) -> None:
-        """Account for a request answered at admission time (validation
-        failure or shed) without ever running.  The concurrent front-end
-        calls this so ``requests_served`` / ``request_errors`` cover every
-        response a client received, whether the serial loop or the
+        """Account for a request answered without ever running: an
+        unparseable JSONL line, a validation failure, or a front-end
+        shed.  ``requests_served`` / ``request_errors`` thereby cover
+        every response a client received, whether the serial loop or the
         front-end produced it."""
         with self._counter_lock:
             self.requests_served += 1
@@ -670,15 +585,26 @@ class AttributionService:
         return report
 
 
-def serve_jsonl(service: AttributionService, lines: Iterable[str],
-                output: TextIO) -> bool:
-    """Drive a service from JSON Lines, writing one JSON response per line.
+def attach_id(response: Dict[str, object],
+              request: object) -> Dict[str, object]:
+    """Echo the request's ``id`` into the response (even on errors -- a
+    client multiplexing over one connection must always be able to
+    route the response back to its request)."""
+    if isinstance(request, dict) and "id" in request:
+        response["id"] = request["id"]
+    return response
+
+
+def jsonl_outcomes(service: AttributionService, lines: Iterable[str],
+                   submit: Callable[[Any], Any]) -> Iterator[Any]:
+    """Yield ``submit(request)`` for each request line of a JSON Lines
+    stream, in input order.
 
     Blank lines and ``#`` comment lines are skipped.  A line that is not
-    valid JSON produces an error response (and does not stop the loop).
-    Returns ``True`` when every served request succeeded.
+    valid JSON yields an error response instead (and does not stop the
+    stream); it is counted through
+    :meth:`AttributionService.record_rejection`.
     """
-    all_ok = True
     for line in lines:
         text = line.strip()
         if not text or text.startswith("#"):
@@ -686,11 +612,21 @@ def serve_jsonl(service: AttributionService, lines: Iterable[str],
         try:
             request = json.loads(text)
         except json.JSONDecodeError as error:
-            service.record_malformed_line()
-            response: Dict[str, object] = {
-                "ok": False, "error": f"unparseable request line: {error}"}
+            service.record_rejection()
+            yield {"ok": False, "error": f"unparseable request line: {error}"}
         else:
-            response = service.submit(request)
+            yield submit(request)
+
+
+def serve_jsonl(service: AttributionService, lines: Iterable[str],
+                output: TextIO) -> bool:
+    """Drive a service from JSON Lines, writing one JSON response per line.
+
+    Lines are read by :func:`jsonl_outcomes`.  Returns ``True`` when
+    every served request succeeded.
+    """
+    all_ok = True
+    for response in jsonl_outcomes(service, lines, service.submit):
         all_ok = all_ok and bool(response.get("ok"))
         print(json.dumps(response), file=output)
     service.flush()
@@ -703,5 +639,7 @@ __all__ = [
     "AttributionService",
     "ParsedRequest",
     "RequestError",
+    "attach_id",
+    "jsonl_outcomes",
     "serve_jsonl",
 ]

@@ -1,7 +1,7 @@
 """Deterministic fault injection behind named sites.
 
 Production code plants *sites* -- ``faults.check("store.flush")`` -- at
-the points where real failures happen (store I/O, compile steps, batch
+the points where real failures happen (store I/O, compile steps, request
 serving).  A :class:`FaultPlan` is a seeded list of :class:`FaultRule`
 entries that decide, per site and per call count, whether to raise or
 delay.  With no plan installed ``check`` is a single global load and a
@@ -57,7 +57,6 @@ KNOWN_SITES = (
     "store.flush",
     "store.read",
     "compile.step",
-    "serve.batch",
     "serve.request",
 )
 

@@ -5,7 +5,7 @@ failure replays bit-identically) and checks the *global* invariants the
 reliability subsystem promises, rather than any single component:
 
 * exactly one response per request, in request order, no matter what
-  faults fire mid-batch or mid-request;
+  faults fire mid-request;
 * every ``ok: true`` response is bit-identical to the fault-free run
   (exact ``Fraction`` values survive retries, fallbacks and
   recomputation);
@@ -67,10 +67,6 @@ class TestServiceChaos:
         plan = {
             "seed": 1234,
             "rules": [
-                # One mid-batch raise: every batched request must fall
-                # back to its individual computation.
-                {"site": "serve.batch", "error": "RuntimeError",
-                 "times": 1},
                 # A flaky disk underneath: reads and flushes fail half
                 # the time; the wrapper retries or degrades to misses.
                 {"site": "store.read", "errno": "EIO",
@@ -82,7 +78,7 @@ class TestServiceChaos:
         store_dir = str(tmp_path / "store")
         service = AttributionService(database, store=LogStore(store_dir))
         with faults.installed(plan):
-            responses = service.submit_batch([dict(r) for r in requests])
+            responses = [service.submit(dict(r)) for r in requests]
         assert len(responses) == len(requests)  # exactly one per request
         assert [r["id"] for r in responses] == [r["id"] for r in requests]
         for response in responses:
@@ -126,7 +122,7 @@ class TestFrontendChaos:
         plan = {
             "seed": 99,
             "rules": [
-                {"site": "serve.batch", "error": "RuntimeError",
+                {"site": "serve.request", "error": "RuntimeError",
                  "probability": 0.5},
                 {"site": "store.read", "errno": "EIO",
                  "probability": 0.4},
@@ -140,17 +136,19 @@ class TestFrontendChaos:
         output = io.StringIO()
         with faults.installed(plan):
             serve_jsonl_concurrent(service, lines, output,
-                                   FrontendConfig(workers=3, batch_max=4))
+                                   FrontendConfig(workers=3))
+        service.store.close()
         rows = [json.loads(line) for line in output.getvalue().splitlines()]
         assert len(rows) == len(requests)
         # Responses come back in request order, one per request.
         assert [row["id"] for row in rows] == [r["id"] for r in requests]
-        # A batch the *front-end* fails mid-flight comes back as error
-        # responses (the catch-all never strands a ticket); everything
-        # that did succeed is bit-identical to the fault-free run.
+        # A request that fails mid-flight comes back as an error
+        # response (never a stranded ticket); everything that did
+        # succeed is bit-identical to the fault-free run.
         for row in rows:
             if row["ok"]:
                 assert row == baseline[row["id"]]
             else:
                 assert "error" in row  # structured, never a lost ticket
         assert any(row["ok"] for row in rows)
+        assert not all(row["ok"] for row in rows)  # the raise fired

@@ -269,6 +269,19 @@ class TestServeCommand:
                  "--workers", "2", "--no-coalesce"], output=io.StringIO())
         assert excinfo.value.code == 2
 
+    def test_serve_batch_max_flag(self, csv_relations, tmp_path):
+        """``--batch-max`` is gone: a worker executes one request at a
+        time, so the flag is a usage error."""
+        r_path, s_path = csv_relations
+        requests = self._requests_file(tmp_path, [
+            json.dumps({"op": "attribute", "query": "Q(X) :- R(X), S(X, Y)"}),
+        ])
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve", "--facts", f"R={r_path}",
+                 "--facts", f"S={s_path}", "--requests", requests,
+                 "--workers", "2", "--batch-max", "4"], output=io.StringIO())
+        assert excinfo.value.code == 2
+
     def test_serve_deadline_ms_flag(self, csv_relations, tmp_path):
         r_path, s_path = csv_relations
         requests = self._requests_file(tmp_path, [

@@ -54,8 +54,9 @@ def _fire_pattern(plan: FaultPlan, site: str, calls: int):
 
 class TestFaultRules:
     def test_unknown_site_rejected(self):
-        # "pool.task" went with the process pool.
-        for site in ("store.nonsense", "pool.task"):
+        # "pool.task" went with the process pool, "serve.batch" with
+        # micro-batching.
+        for site in ("store.nonsense", "pool.task", "serve.batch"):
             with pytest.raises(ValueError, match="unknown fault site"):
                 FaultRule(site=site)
 
@@ -92,10 +93,10 @@ class TestFaultRules:
         assert isinstance(excinfo.value, OSError)
 
     def test_delay_action_does_not_raise(self):
-        plan = FaultPlan([FaultRule(site="serve.batch", action="delay",
+        plan = FaultPlan([FaultRule(site="serve.request", action="delay",
                                     delay_seconds=0.0)])
-        assert _fire_pattern(plan, "serve.batch", 2) == [False, False]
-        assert plan.fired == {"serve.batch": 2}
+        assert _fire_pattern(plan, "serve.request", 2) == [False, False]
+        assert plan.fired == {"serve.request": 2}
 
     def test_probability_draws_replay_bit_identically(self):
         def run(seed):
@@ -134,7 +135,7 @@ class TestFaultRules:
             [FaultRule(site="store.flush", errno="ENOSPC", after=1, times=2),
              FaultRule(site="compile.step", error="TimeoutError",
                        message="injected budget blow-up"),
-             FaultRule(site="serve.batch", action="delay",
+             FaultRule(site="serve.request", action="delay",
                        delay_seconds=0.01, probability=0.25)],
             seed=42)
         clone = FaultPlan.from_spec(plan.to_json())

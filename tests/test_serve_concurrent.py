@@ -5,12 +5,11 @@ The load-bearing claims, each pinned here:
 
 * **Correctness under concurrency**: N client threads hammering one
   front-end get bit-identical ``Fraction`` values to serial execution --
-  single-flight and micro-batching are pure compute-sharing, never
-  approximations.
+  single-flight is pure compute-sharing, never an approximation.
 * **Exactly-once computation**: overlapping isomorphic workloads compile
   each distinct canonical lineage once, whether the duplicates arrive
-  through front-end workers, micro-batches or plain library threads;
-  the sharing shows up in the ``coalesced_requests`` counter.
+  through front-end workers or plain library threads; the sharing shows
+  up in the ``coalesced_requests`` counter.
 * **No lost or duplicated responses**: every submitted request produces
   exactly one response, routed back via its ``id``.
 
@@ -32,7 +31,9 @@ import pytest
 
 import repro.engine.engine as engine_module
 import repro.engine.serve as serve_module
-from repro import Database
+from repro import Database, parse_query
+from repro.db.lineage import lineage_of_answers
+from repro.engine.canonical import canonicalize
 from repro.engine.engine import Engine
 from repro.engine.frontend import (
     FrontendConfig,
@@ -124,14 +125,15 @@ class _HeldCompile:
 
 
 def _in_thread(target, *args):
-    """Run ``target(*args)`` in a started thread; returns (thread, box)
-    where ``box["result"]`` holds the return value once it joined."""
+    """Run ``target(*args)`` in a started daemon thread (a deadlocked one
+    must not hang the interpreter); returns (thread, box) where
+    ``box["result"]`` holds the return value once it joined."""
     box = {}
 
     def run():
         box["result"] = target(*args)
 
-    thread = threading.Thread(target=run)
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return thread, box
 
@@ -210,12 +212,12 @@ class TestExactlyOnceComputation:
         frontend, responses = _run_concurrent(service, requests, workers=6)
         assert all(r["ok"] for r in responses.values())
         # 10x the traffic, identical compute: every duplicate was served
-        # by the cache, a single-flight leader, or an in-batch dedup.
+        # by the cache or a single-flight leader.
         assert service.stats_counters.compilations == required
         report = frontend.stats()
         assert report["completed"] == 30
         assert report["shed"] == {"queue_full": 0, "client_budget": 0,
-                                  "deadline": 0}
+                                  "deadline": 0, "shutdown": 0}
 
     def test_coalesce_counter_reports_sharing(self, database):
         service = AttributionService(database)
@@ -224,8 +226,7 @@ class TestExactlyOnceComputation:
         # cache after it completed.
         requests = [{"op": "attribute", "query": QUERY_B, "id": i}
                     for i in range(12)]
-        _, responses = _run_concurrent(service, requests, workers=6,
-                                       batch_max=1)
+        _, responses = _run_concurrent(service, requests, workers=6)
         assert all(r["ok"] for r in responses.values())
         counters = service.stats_counters
         assert counters.compilations == 1
@@ -274,15 +275,6 @@ class TestResponseDelivery:
         rows = [json.loads(line) for line in output.getvalue().splitlines()]
         assert [row["id"] for row in rows] == list(range(12))
 
-    def test_batching_disabled_still_serves_everything(self, database):
-        service = AttributionService(database)
-        requests = [{"op": "attribute", "query": QUERY_A, "id": i}
-                    for i in range(10)]
-        frontend, responses = _run_concurrent(service, requests,
-                                              workers=2, batch_max=1)
-        assert len(responses) == 10
-        assert frontend.stats()["batches"] == 0
-
     def test_jsonl_streams_responses_before_eof(self, database):
         """Responses must be emitted as they finish, not buffered until
         the input is exhausted -- an interactive client sends its next
@@ -316,88 +308,11 @@ class TestResponseDelivery:
         with pytest.raises(RuntimeError):
             frontend.submit({"op": "attribute", "query": QUERY_A})
 
-
-class TestLeftoverServing:
-    def test_crossed_leftovers_do_not_deadlock(self, database, monkeypatch):
-        """Two workers whose batch-drained leftovers follow *each other's*
-        in-flight engine computations must both complete.
-
-        Regression: leftovers used to be served while their worker still
-        held its own computation, so two workers whose leftovers waited
-        on each other hung forever.  Now a leftover is served after its
-        worker's batch settled, and the engine waits for another
-        caller's computation only after releasing every key it owns.
-        The orchestration pins the crossed interleaving: both batch
-        leaders are held at a barrier inside their computations before
-        either leftover is served.
-        """
-        service = AttributionService(database)
-        original_rank = Engine.rank
-        original_attribute = Engine.attribute
-        rank_count = itertools.count()
-        rank_started = [threading.Event(), threading.Event()]
-        rank_release = [threading.Event(), threading.Event()]
-        attribute_started = threading.Semaphore(0)
-        compute_barrier = threading.Barrier(2, timeout=30)
-
-        def gated_rank(engine, query, db, **kwargs):
-            index = next(rank_count)
-            rank_started[index].set()
-            assert rank_release[index].wait(timeout=30)
-            return original_rank(engine, query, db, **kwargs)
-
-        def synced_attribute(engine, query, db, **kwargs):
-            attribute_started.release()
-            compute_barrier.wait()
-            return original_attribute(engine, query, db, **kwargs)
-
-        monkeypatch.setattr(Engine, "rank", gated_rank)
-        monkeypatch.setattr(Engine, "attribute", synced_attribute)
-        frontend = ServingFrontend(
-            service, FrontendConfig(workers=2, max_queue=8, batch_max=8))
-        try:
-            # Occupy both workers with gated rank computations so the
-            # four attribute tickets below are queued, not picked up.
-            warmup_a = frontend.submit_nowait({"op": "rank",
-                                               "query": QUERY_A})
-            assert rank_started[0].wait(timeout=30)
-            warmup_b = frontend.submit_nowait({"op": "rank",
-                                               "query": QUERY_B})
-            assert rank_started[1].wait(timeout=30)
-
-            # Queue order: leader 1 (exact A) drains leftover (approx B);
-            # leader 2 (approx B) drains leftover (exact A).  Each
-            # leftover needs the *other* worker's computation.
-            tickets = [frontend.submit_nowait(request) for request in (
-                {"op": "attribute", "query": QUERY_A, "method": "exact",
-                 "id": "leader-1"},
-                {"op": "attribute", "query": QUERY_B,
-                 "method": "approximate", "id": "leftover-1"},
-                {"op": "attribute", "query": QUERY_B,
-                 "method": "approximate", "id": "leader-2"},
-                {"op": "attribute", "query": QUERY_A, "method": "exact",
-                 "id": "leftover-2"},
-            )]
-
-            # Release worker 1 alone: it takes leader-1 and drains
-            # leftover-1 before worker 2 can steal it, then blocks at the
-            # barrier inside its computation (key registered, held).
-            rank_release[0].set()
-            assert warmup_a.result(timeout=30)["ok"] is True
-            assert attribute_started.acquire(timeout=30)
-            # Release worker 2: it takes leader-2, drains leftover-2, and
-            # joins the barrier -- both keys held, both leftovers pending.
-            rank_release[1].set()
-            assert warmup_b.result(timeout=30)["ok"] is True
-
-            responses = [ticket.result(timeout=30) for ticket in tickets]
-            assert all(response["ok"] is True for response in responses)
-            assert sorted(response["id"] for response in responses) == [
-                "leader-1", "leader-2", "leftover-1", "leftover-2"]
-        finally:
-            rank_release[0].set()
-            rank_release[1].set()
-            frontend.close()
+    def test_removed_batch_max_raises_type_error(self):
+        # A worker executes one request at a time; there is no batch
+        # bound to set.
+        with pytest.raises(TypeError):
+            FrontendConfig(batch_max=4)
 
 
 class TestBatchEvaluationSharing:
@@ -405,8 +320,8 @@ class TestBatchEvaluationSharing:
             self, database, monkeypatch):
         """Front-end requests evaluate their queries in the engine only,
         once per distinct query: the front-end computes no key of its
-        own, so the service module's evaluation binding is never called
-        -- neither for a single request nor for micro-batch members."""
+        own, so the service module's evaluation binding is never
+        called."""
         service = AttributionService(database)
         engine_evaluations = []
         serve_evaluations = []
@@ -422,41 +337,42 @@ class TestBatchEvaluationSharing:
                             counting(engine_evaluations))
         monkeypatch.setattr(serve_module, "lineage_of_answers",
                             counting(serve_evaluations))
+        with ServingFrontend(service, FrontendConfig(workers=1)) as frontend:
+            tickets = [frontend.submit_nowait({"op": "attribute",
+                                               "query": query})
+                       for query in (QUERY_B, QUERY_A, QUERY_A, QUERY_A)]
+            responses = [ticket.result(timeout=30) for ticket in tickets]
+        assert all(response["ok"] is True for response in responses)
+        # Four requests over two distinct queries: two evaluations, all
+        # of them the engine's; the repeats of QUERY_A read the engine's
+        # prepared tier.
+        assert len(engine_evaluations) == 2
+        assert serve_evaluations == []
 
-        release = threading.Event()
-        started = threading.Event()
-        original_attribute = Engine.attribute
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000])
+    def test_front_end_parses_each_request_once(self, database,
+                                                monkeypatch, deadline_ms):
+        """Admission validates the request and the worker executes the
+        parsed request it admitted: one query parse per request."""
+        parses = []
+        original_parse = serve_module.parse_query
 
-        def gated_attribute(engine, query, db, **kwargs):
-            started.set()
-            assert release.wait(timeout=30)
-            return original_attribute(engine, query, db, **kwargs)
+        def counting_parse(text):
+            parses.append(text)
+            return original_parse(text)
 
-        monkeypatch.setattr(Engine, "attribute", gated_attribute)
-        frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=8, batch_max=8))
-        try:
-            blocker = frontend.submit_nowait({"op": "attribute",
-                                              "query": QUERY_B})
-            assert started.wait(timeout=30)
-            batched = [frontend.submit_nowait(
-                {"op": "attribute", "query": QUERY_A, "id": i})
-                for i in range(3)]
-            release.set()
-            assert blocker.result(timeout=30)["ok"] is True
-            responses = [ticket.result(timeout=30) for ticket in batched]
-            assert all(response["ok"] is True for response in responses)
-            report = frontend.stats()
-            assert report["batches"] == 1
-            assert report["batched_requests"] == 3
-            # Four requests over two distinct queries: two evaluations,
-            # all of them the engine's; the batch's repeats of QUERY_A
-            # read the engine's prepared tier.
-            assert len(engine_evaluations) == 2
-            assert serve_evaluations == []
-        finally:
-            release.set()
-            frontend.close()
+        monkeypatch.setattr(serve_module, "parse_query", counting_parse)
+        service = AttributionService(database)
+        requests = [{"op": op, "query": QUERY_A, "id": index}
+                    for index, op in enumerate(("attribute", "rank",
+                                                "attribute", "rank"))]
+        if deadline_ms is not None:
+            for request in requests:
+                request["deadline_ms"] = deadline_ms
+        with ServingFrontend(service, FrontendConfig(workers=2)) as frontend:
+            responses = [frontend.submit(request) for request in requests]
+        assert all(response["ok"] is True for response in responses)
+        assert len(parses) == len(requests)
 
 
 class TestEngineSingleFlight:
@@ -465,12 +381,12 @@ class TestEngineSingleFlight:
 
     def test_batchmate_waits_for_an_inflight_isomorph(self, database,
                                                       monkeypatch):
-        """A micro-batch member isomorphic to another worker's in-flight
+        """A queued request isomorphic to another worker's in-flight
         computation waits for it instead of compiling it again.
 
         Pinned interleaving: worker 1 is held at a rank gate, worker 2
         holds the first compilation (shape A); B and A's isomorph queue
-        behind them, so worker 1 micro-batches them once released.  The
+        behind them, so worker 1 serves them in turn once released.  The
         held compilation resumes when a third one starts (the isomorph
         compiling again) or after 0.5 s.
         """
@@ -487,7 +403,7 @@ class TestEngineSingleFlight:
         monkeypatch.setattr(Engine, "rank", gated_rank)
         service = AttributionService(database)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=2, max_queue=8, batch_max=8))
+            service, FrontendConfig(workers=2, max_queue=8))
         try:
             blocker = frontend.submit_nowait({"op": "rank",
                                               "query": QUERY_EMPTY})
@@ -495,20 +411,19 @@ class TestEngineSingleFlight:
             first = frontend.submit_nowait({"op": "attribute",
                                             "query": QUERY_A, "id": "a"})
             assert held.started.wait(timeout=30)
-            batched = [frontend.submit_nowait(request) for request in (
+            queued = [frontend.submit_nowait(request) for request in (
                 {"op": "attribute", "query": QUERY_B, "id": "b"},
                 {"op": "attribute", "query": QUERY_A_ISO, "id": "a-iso"},
             )]
             rank_release.set()
             assert blocker.result(timeout=30)["ok"] is True
             responses = [ticket.result(timeout=30)
-                         for ticket in [first] + batched]
+                         for ticket in [first] + queued]
         finally:
             rank_release.set()
             held.release.set()
             frontend.close()
         assert all(response["ok"] is True for response in responses)
-        assert frontend.stats()["batches"] == 1
         # Two lineage classes, two compilations.
         assert held.calls == 2
         assert service.stats_counters.compilations == 2
@@ -595,8 +510,9 @@ class TestEngineSingleFlight:
         assert _fractions(box["result"]) == _fractions(response)
 
     def test_stress_compiles_once_per_class(self, database):
-        """Eight threads send isomorphic and distinct requests, singly
-        and in micro-batches, under a tiny thread switch interval."""
+        """Eight threads send isomorphic and distinct requests, to the
+        service directly and through one shared front-end, under a tiny
+        thread switch interval."""
         queries = [QUERY_A, QUERY_A_ISO, QUERY_B,
                    "Q() :- R(X), S(X, Y)",
                    "Q() :- R(X), S(X, Y), T(X, Z)",
@@ -612,24 +528,16 @@ class TestEngineSingleFlight:
         required = serial.stats_counters.compilations
 
         service = AttributionService(database)
+        frontend = ServingFrontend(service, FrontendConfig(workers=4))
         failures = []
 
         def client(seed):
             order = list(range(len(requests)))
             random.Random(seed).shuffle(order)
-            if seed % 2:
-                # Micro-batch path: the default-method attribute requests
-                # go through one submit_batch call.
-                batch = [index for index in order if index < len(queries)]
-                order = [index for index in order if index >= len(queries)]
-                responses = service.submit_batch(
-                    [requests[index] for index in batch])
-                pairs = list(zip(batch, responses))
-            else:
-                pairs = []
-            pairs += [(index, service.submit(requests[index]))
-                      for index in order]
-            for index, response in pairs:
+            # Odd seeds go through the front-end's workers.
+            submit = frontend.submit if seed % 2 else service.submit
+            for index in order:
+                response = submit(requests[index])
                 if (not response["ok"]
                         or response["answers"] != expected[index]["answers"]):
                     failures.append((index, response))
@@ -644,11 +552,58 @@ class TestEngineSingleFlight:
             _join(*threads, timeout=120)
         finally:
             sys.setswitchinterval(previous)
+            frontend.close()
 
         assert failures == []
+        assert frontend.stats()["completed"] == 4 * len(requests)
         counters = service.stats_counters
         assert counters.compilations == required
         assert counters.answers == (counters.cache_hits
                                     + counters.store_hits
                                     + counters.cache_misses)
         assert service.cache._inflight == {}
+
+    def test_crossed_claim_orders_do_not_deadlock(self, monkeypatch):
+        """Two threads on one engine whose answer classes come in
+        opposite orders each own one key and follow the other's; both
+        must finish.
+
+        The engine waits for a followed key only after releasing every
+        key it owns.  Each thread's claims are held at a barrier, so both
+        own their first key before either looks up its second, and both
+        follow before either computes.
+        """
+        db = Database()
+        for value in ("a", "b", "c"):
+            db.add_fact("R", (value,))
+        for row in (("a", 1), ("b", 1), ("c", 2)):
+            db.add_fact("S", row)
+        for row in (("a", 1), ("b", 2), ("c", 2)):
+            db.add_fact("S2", row)
+        queries = [parse_query("Q(Y) :- R(X), S(X, Y)"),
+                   parse_query("Q(Y) :- R(X), S2(X, Y)")]
+        engine = Engine()
+        # Precondition: one two-clause and one one-clause class, in
+        # opposite answer orders.
+        orders = [[canonicalize(answer.lineage).key
+                   for answer in lineage_of_answers(query, db)]
+                  for query in queries]
+        assert len(set(orders[0])) == 2
+        assert orders[1] == orders[0][::-1]
+
+        barrier = threading.Barrier(2, timeout=30)
+        original_claim = engine.cache.claim
+
+        def held_claim(key):
+            flight = original_claim(key)
+            barrier.wait()
+            return flight
+
+        monkeypatch.setattr(engine.cache, "claim", held_claim)
+        runs = [_in_thread(engine.attribute, query, db) for query in queries]
+        _join(*(thread for thread, _ in runs))
+        for query, (_, box) in zip(queries, runs):
+            assert box["result"] == Engine().attribute(query, db)
+        assert engine.stats.compilations == 2
+        assert engine.stats.coalesced_requests == 2
+        assert engine.cache._inflight == {}

@@ -5,14 +5,14 @@ Every failure a production front-end meets must come back as a
 worker loop:
 
 * malformed JSONL lines,
-* an engine raising mid-computation (including mid-batch),
+* an engine raising mid-computation,
 * queue-full / per-client-budget admission rejections,
 * deadlines expiring in the queue and deadlines exhausted mid-compute
   (graceful degradation to best-effort partial bounds).
 
-The injection point is :meth:`Engine.attribute` / ``attribute_many``
-(class-level monkeypatch), which is exactly where the service's own
-worker-side computation happens.
+The injection point is :meth:`Engine.attribute` (class-level
+monkeypatch), which is exactly where the service's own worker-side
+computation happens.
 """
 
 import io
@@ -30,7 +30,7 @@ from repro.engine.frontend import (
     ServingFrontend,
     serve_jsonl_concurrent,
 )
-from repro.engine.serve import AttributionService
+from repro.engine.serve import AttributionService, serve_jsonl
 
 pytestmark = pytest.mark.concurrency
 
@@ -81,8 +81,17 @@ class _Gate:
         monkeypatch.setattr(Engine, "attribute", gated)
 
 
+def _serve_frontend_jsonl(service, lines, output):
+    return serve_jsonl_concurrent(service, lines, output,
+                                  FrontendConfig(workers=3))
+
+
 class TestMalformedInput:
-    def test_bad_jsonl_lines_become_error_responses(self, database):
+    @pytest.mark.parametrize("serve_lines", [serve_jsonl,
+                                             _serve_frontend_jsonl],
+                             ids=["serial", "concurrent"])
+    def test_bad_jsonl_lines_become_error_responses(self, database,
+                                                    serve_lines):
         service = AttributionService(database)
         lines = [
             json.dumps({"op": "attribute", "query": QUERY, "id": 0}),
@@ -92,8 +101,7 @@ class TestMalformedInput:
             json.dumps({"op": "attribute", "query": QUERY, "id": 3}),
         ]
         output = io.StringIO()
-        all_ok = serve_jsonl_concurrent(service, lines, output,
-                                        FrontendConfig(workers=3))
+        all_ok = serve_lines(service, lines, output)
         assert all_ok is False
         rows = [json.loads(line) for line in output.getvalue().splitlines()]
         assert len(rows) == 5  # one response per input line, in order
@@ -132,8 +140,7 @@ class TestEngineFaults:
             return original(engine, query, db, **kwargs)
 
         monkeypatch.setattr(Engine, "attribute", flaky)
-        frontend = ServingFrontend(service,
-                                   FrontendConfig(workers=4, batch_max=1))
+        frontend = ServingFrontend(service, FrontendConfig(workers=4))
         try:
             # A storm of identical requests while the engine is broken:
             # coalescing must not let the leader's failure strand the
@@ -155,48 +162,13 @@ class TestEngineFaults:
         finally:
             frontend.close()
 
-    def test_mid_batch_raise_falls_back_per_request(self, database,
-                                                    monkeypatch):
-        service = AttributionService(database)
-        original_many = Engine.attribute_many
-
-        def broken_many(engine, queries, db, **kwargs):
-            # Engine.attribute delegates here with a single query, so
-            # only the *batched* pass (the one submit_batch issues) dies.
-            queries = list(queries)
-            if len(queries) > 1:
-                raise RuntimeError("injected batch fault")
-            return original_many(engine, queries, db, **kwargs)
-
-        monkeypatch.setattr(Engine, "attribute_many", broken_many)
-        gate = _Gate(monkeypatch)  # holds worker 0 so a batch can form
-        frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=8))
-        try:
-            blocker = frontend.submit_nowait(
-                {"op": "attribute", "query": QUERY2})
-            assert gate.started.wait(timeout=30)
-            tickets = [frontend.submit_nowait(
-                {"op": "attribute", "query": QUERY, "id": i})
-                for i in range(3)]
-            gate.release.set()
-            assert blocker.result(timeout=30)["ok"] is True
-            # attribute_many died, but each batched request was re-run
-            # individually and answered.
-            responses = [ticket.result(timeout=30) for ticket in tickets]
-            assert [r["id"] for r in responses] == [0, 1, 2]
-            assert all(r["ok"] is True for r in responses)
-        finally:
-            frontend.close()
-
 
 class TestAdmissionControl:
     def test_queue_full_rejects_with_structure(self, database, monkeypatch):
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=1,
-                                    batch_max=1))
+            service, FrontendConfig(workers=1, max_queue=1))
         try:
             running = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY, "id": "running"})
@@ -226,7 +198,6 @@ class TestAdmissionControl:
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
             service, FrontendConfig(workers=1, max_queue=4,
-                                    batch_max=1,
                                     max_inflight_per_client=1))
         try:
             first = frontend.submit_nowait(
@@ -258,8 +229,7 @@ class TestAdmissionControl:
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=4,
-                                    batch_max=1))
+            service, FrontendConfig(workers=1, max_queue=4))
         try:
             blocker = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY})
@@ -324,23 +294,26 @@ class TestShutdownRaces:
         assert response["ok"] is False
         assert response["rejected"] == "shutdown"
         assert response["id"] == "late"
+        # Counted as what it is, and as a response the client received.
+        assert frontend.stats()["shed"] == {
+            "queue_full": 0, "client_budget": 0, "deadline": 0,
+            "shutdown": 1}
+        report = service.stats()
+        assert report["requests_served"] == 1
+        assert report["request_errors"] == 1
+        assert report["shed_requests"] == 1
 
     def test_blocking_submitters_racing_close_never_hang(
             self, database, monkeypatch):
         """close() under a single worker and a full queue of blocking
         submitters must terminate, and every submitter must get an
-        answer.
-
-        Regression: the worker's micro-batch drain could consume the
-        in-queue shutdown sentinel and block re-posting it into a queue
-        that blocked submitters kept full -- the sole worker then never
-        exited and close() hung in join().
+        answer: the sole worker must exit although blocked submitters
+        keep its queue full.
         """
         service = AttributionService(database)
         gate = _Gate(monkeypatch)
         frontend = ServingFrontend(
-            service, FrontendConfig(workers=1, max_queue=1,
-                                    batch_max=4))
+            service, FrontendConfig(workers=1, max_queue=1))
         results = []
         lock = threading.Lock()
 
