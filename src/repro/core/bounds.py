@@ -12,9 +12,9 @@ Bounds are cached on the nodes (the paper's optimization (2)): the
 incremental compiler invalidates exactly the path from an expanded leaf to
 the root, so re-evaluating the bounds after an expansion touches only that
 path.  All three evaluations are **iterative** (explicit-stack postorder
-that stops descending at cached subtrees), matching the counting passes in
-:mod:`repro.core.exaban`: deep Shannon chains in a partial tree never hit
-the interpreter recursion limit.
+that stops descending at cached subtrees and visits a shared node once),
+matching the counting passes in :mod:`repro.core.exaban`: deep Shannon
+chains in a partial tree never hit the interpreter recursion limit.
 
 A :class:`WorkMeter` counts an evaluation's work in deterministic units, by
 which the anytime schedule sizes its batches, and stops it at a deadline.
@@ -133,24 +133,68 @@ def _count_bounds_node(node: DTreeNode) -> tuple[int, int]:
     raise TypeError(f"unknown d-tree node type {type(node).__name__}")
 
 
+def _uncached_postorder(node: DTreeNode, key: object,
+                        variable: Optional[int]) -> List[DTreeNode]:
+    """The distinct nodes below ``node`` with no ``key`` entry, children first.
+
+    Descends only into children whose domain holds ``variable`` (into
+    every child when it is ``None``), and never below a node that has an
+    entry.  A tree is listed in reversed preorder.  A child whose
+    ``parent`` is not the node it was reached from has several parents
+    (the compilers share identical complete subtrees), and then the walk
+    restarts as a depth-first postorder that lists each node once, so a
+    shared subtree is walked, evaluated and billed once.
+    """
+    postorder: List[DTreeNode] = []
+    pending: List[DTreeNode] = [node]
+    while pending:
+        current = pending.pop()
+        if current._cache.get(key) is not None:
+            continue
+        postorder.append(current)
+        for child in current.children():
+            if variable is None or variable in child.domain:
+                if child.parent is not current:
+                    return _shared_postorder(node, key, variable)
+                pending.append(child)
+    postorder.reverse()
+    return postorder
+
+
+def _shared_postorder(node: DTreeNode, key: object,
+                      variable: Optional[int]) -> List[DTreeNode]:
+    """:func:`_uncached_postorder` of a DAG: each node once, children first.
+
+    Iterative: a node is pushed back under a ``None`` marker before its
+    children and listed when the marker comes up again.
+    """
+    order: List[DTreeNode] = []
+    seen: set = set()
+    stack: List[Optional[DTreeNode]] = [node]
+    while stack:
+        current = stack.pop()
+        if current is None:
+            order.append(stack.pop())
+            continue
+        if current in seen or current._cache.get(key) is not None:
+            continue
+        seen.add(current)
+        stack.append(current)
+        stack.append(None)
+        stack.extend([child for child in reversed(current.children())
+                      if variable is None or variable in child.domain])
+    return order
+
+
 def count_bounds(node: DTreeNode,
                  meter: Optional[WorkMeter] = None) -> tuple[int, int]:
     """Lower and upper bounds on the model count of ``node`` (cached)."""
     cached = node.cache_get(_COUNT_KEY)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    pending: List[DTreeNode] = [node]
-    postorder: List[DTreeNode] = []
-    while pending:
-        current = pending.pop()
-        if current.cache_get(_COUNT_KEY) is not None:
-            continue
-        postorder.append(current)
-        pending.extend(current.children())
-    for current in reversed(postorder):
-        if current.cache_get(_COUNT_KEY) is None:
-            _charge(meter, current)
-            current.cache_set(_COUNT_KEY, _count_bounds_node(current))
+    for current in _uncached_postorder(node, _COUNT_KEY, None):
+        _charge(meter, current)
+        current.cache_set(_COUNT_KEY, _count_bounds_node(current))
     return node.cache_get(_COUNT_KEY)  # type: ignore[return-value]
 
 
@@ -220,21 +264,10 @@ def cofactor_count_bounds(node: DTreeNode, variable: int,
     cached = node.cache_get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    pending: List[DTreeNode] = [node]
-    postorder: List[DTreeNode] = []
-    while pending:
-        current = pending.pop()
-        if current.cache_get(key) is not None:
-            continue
-        postorder.append(current)
-        for child in current.children():
-            if variable in child.domain:
-                pending.append(child)
-    for current in reversed(postorder):
-        if current.cache_get(key) is None:
-            _charge(meter, current)
-            current.cache_set(key, _cofactor_count_bounds_node(
-                current, variable, key, meter))
+    for current in _uncached_postorder(node, key, variable):
+        _charge(meter, current)
+        current.cache_set(key, _cofactor_count_bounds_node(
+            current, variable, key, meter))
     return node.cache_get(key)  # type: ignore[return-value]
 
 
@@ -310,23 +343,12 @@ def bounds_for_variable(node: DTreeNode, variable: int,
     cached = node.cache_get(key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    pending: List[DTreeNode] = [node]
-    postorder: List[DTreeNode] = []
-    while pending:
-        current = pending.pop()
-        if current.cache_get(key) is not None:
-            continue
-        postorder.append(current)
-        # Only subtrees containing the variable contribute Banzhaf bounds
-        # (a decomposable node scales exactly one child's bounds; exclusive
-        # children all share the parent domain).
-        for child in current.children():
-            if variable in child.domain:
-                pending.append(child)
-    for current in reversed(postorder):
-        if current.cache_get(key) is None:
-            _charge(meter, current)
-            current.cache_set(key, _bounds_node(current, variable, key, meter))
+    # Only subtrees containing the variable contribute Banzhaf bounds (a
+    # decomposable node scales exactly one child's bounds; exclusive
+    # children all share the parent domain).
+    for current in _uncached_postorder(node, key, variable):
+        _charge(meter, current)
+        current.cache_set(key, _bounds_node(current, variable, key, meter))
     return node.cache_get(key)  # type: ignore[return-value]
 
 

@@ -17,9 +17,9 @@ which is how the paper's prototype shares work across variables.
 
 The entry points (:func:`model_count`, :func:`exaban`, :func:`exaban_all`)
 run over the **arena** backend (:mod:`repro.dtree.arena`): the tree is
-flattened once into postorder-contiguous struct-of-arrays columns (cached
-in the root's node cache, invalidated with it on mutation) and the passes
-become tight index loops.  Subtree counts live in the arena's ``"counts"``
+flattened once into postorder struct-of-arrays columns, one row per
+distinct node (cached in the root's node cache, invalidated with it on
+mutation), and the passes become tight index loops.  Subtree counts live in the arena's ``"counts"``
 payload column, so every later pass over the same tree reuses them, and
 arbitrarily deep Shannon chains never hit the recursion limit.
 :mod:`repro.core.reference` keeps the recursive seed passes as the oracle

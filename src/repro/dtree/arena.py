@@ -6,9 +6,9 @@ replacement and per-node cache invalidation.  Every evaluation pass,
 however, only ever walks the finished structure — and walking a linked
 graph of Python objects pays an attribute load, an ``isinstance`` fan-out
 and a method call per node per pass.  This module flattens a compiled
-(or partially compiled) tree into a **postorder-contiguous
-struct-of-arrays arena** so the fused passes become tight loops over
-parallel lists indexed by ``int``:
+(or partially compiled) tree into a **postorder struct-of-arrays arena**
+so the fused passes become tight loops over parallel lists indexed by
+``int``:
 
 * ``kinds[i]`` — small-int node kind (``KIND_*`` below), replacing
   ``isinstance`` dispatch;
@@ -24,12 +24,18 @@ parallel lists indexed by ``int``:
   scratch shared by the passes: the exact subtree-count column and the
   size-indexed model vectors.
 
-**Postorder invariant**: every child row precedes its parent row
-(``children[j] < i`` for all ``j`` in the span of row ``i``), and the
-root is the last row.  Bottom-up passes are therefore a forward ``for``
-loop and top-down passes a backward one — no explicit stack, no
-recursion, no visit ordering logic.  Sibling subtrees are contiguous
-(the rows of one child's subtree form one block).
+The compilers share identical complete sub-functions, so a tree may be a
+DAG: a node with several parents.  Each distinct node gets **one row**,
+in a depth-first postorder (children left to right), so every child row
+precedes its parent row (``children[j] < i`` for all ``j`` in the span of
+row ``i``) and the root is the last row.  Bottom-up passes are therefore a
+forward ``for`` loop and top-down passes a backward one — no explicit
+stack, no recursion, no visit ordering logic.  A shared row's subtree
+sits where its first parent reached it, so sibling subtrees need not be
+contiguous; on an unshared tree the order is the plain postorder.  The
+top-down Banzhaf pass *adds* each parent's contribution into a row's
+multiplier, so a shared row collects the sum over its parents: the
+derivative of the root count by one backward pass over the circuit.
 
 Arenas are **derived data**: built lazily from a root node and cached in
 the root's ``_cache`` (:func:`arena_of`), which
@@ -69,7 +75,8 @@ from repro.dtree.nodes import (
     TrueLeaf,
 )
 
-#: Node kinds (row tags of the ``kinds`` column).
+#: Node kinds (row tags of the ``kinds`` column); the inner kinds
+#: (``KIND_AND`` and up) are the largest.
 KIND_TRUE = 0
 KIND_FALSE = 1
 KIND_LITERAL = 2
@@ -92,59 +99,6 @@ _NODE_KINDS = {
 _ARENA_CACHE_KEY = "dtree_arena"
 
 
-class ArenaBuilder:
-    """Accumulates arena rows bottom-up (children before parents).
-
-    Used by :meth:`DTreeArena.from_tree` over a postorder walk.
-    """
-
-    def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.variables: List[int] = []
-        self.negated: List[bool] = []
-        self.domain_sizes: List[int] = []
-        self.child_first: List[int] = []
-        self.child_last: List[int] = []
-        self.children: List[int] = []
-        self.domains: List[frozenset] = []
-        self.leaf_functions: List[Optional[DNF]] = []
-        self.nodes: List[DTreeNode] = []
-        self.index: Dict[int, int] = {}
-
-    def add(self, node: DTreeNode) -> int:
-        """Append one row; every child of ``node`` must already have a row."""
-        kind = _NODE_KINDS.get(type(node))
-        if kind is None:
-            raise TypeError(
-                f"unknown d-tree node type {type(node).__name__}")
-        row = len(self.kinds)
-        first = len(self.children)
-        for child in node.children():
-            self.children.append(self.index[id(child)])
-        self.kinds.append(kind)
-        if kind == KIND_LITERAL:
-            self.variables.append(node.variable)
-            self.negated.append(node.negated)
-        else:
-            self.variables.append(-1)
-            self.negated.append(False)
-        self.domain_sizes.append(len(node.domain))
-        self.child_first.append(first)
-        self.child_last.append(len(self.children))
-        self.domains.append(node.domain)
-        self.leaf_functions.append(
-            node.function if kind == KIND_DNF else None)
-        self.nodes.append(node)
-        self.index[id(node)] = row
-        return row
-
-    def finish(self, root: DTreeNode) -> "DTreeArena":
-        """Seal the rows into an arena whose last row is ``root``."""
-        if not self.nodes or self.nodes[-1] is not root:
-            raise ValueError("arena root must be the last row added")
-        return DTreeArena(self)
-
-
 class DTreeArena:
     """One flattened d-tree: parallel columns plus named payload slots.
 
@@ -157,16 +111,20 @@ class DTreeArena:
                  "child_first", "child_last", "children", "domains",
                  "leaf_functions", "payloads", "results")
 
-    def __init__(self, builder: ArenaBuilder) -> None:
-        self.kinds = builder.kinds
-        self.variables = builder.variables
-        self.negated = builder.negated
-        self.domain_sizes = builder.domain_sizes
-        self.child_first = builder.child_first
-        self.child_last = builder.child_last
-        self.children = builder.children
-        self.domains = builder.domains
-        self.leaf_functions = builder.leaf_functions
+    def __init__(self, kinds: List[int], variables: List[int],
+                 negated: List[bool], domain_sizes: List[int],
+                 child_first: List[int], child_last: List[int],
+                 children: List[int], domains: List[frozenset],
+                 leaf_functions: List[Optional[DNF]]) -> None:
+        self.kinds = kinds
+        self.variables = variables
+        self.negated = negated
+        self.domain_sizes = domain_sizes
+        self.child_first = child_first
+        self.child_last = child_last
+        self.children = children
+        self.domains = domains
+        self.leaf_functions = leaf_functions
         #: Named per-row payload columns (``counts``, ``models``).
         self.payloads: Dict[str, list] = {}
         #: Whole-arena derived results (the ``banzhaf`` dict).
@@ -176,17 +134,71 @@ class DTreeArena:
 
     @classmethod
     def from_tree(cls, root: DTreeNode) -> "DTreeArena":
-        """Flatten a (complete or partial) tree; iterative postorder."""
-        builder = ArenaBuilder()
-        preorder: List[DTreeNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            preorder.append(node)
-            stack.extend(node.children())
-        for node in reversed(preorder):
-            builder.add(node)
-        return builder.finish(root)
+        """Flatten a (complete or partial) tree or DAG, one row per node.
+
+        An iterative depth-first postorder: an inner node is pushed back
+        under a ``None`` marker before its children, and gets its row
+        when the marker comes up again; a node that already has a row is
+        skipped, so a shared subtree is walked once.
+        """
+        kinds: List[int] = []
+        variables: List[int] = []
+        negated: List[bool] = []
+        domain_sizes: List[int] = []
+        child_first: List[int] = []
+        child_last: List[int] = []
+        children: List[int] = []
+        domains: List[frozenset] = []
+        leaf_functions: List[Optional[DNF]] = []
+        rows: Dict[DTreeNode, int] = {}
+        node_kinds = _NODE_KINDS
+        stack: List[Optional[DTreeNode]] = [root]
+        pop = stack.pop
+        push = stack.append
+        node = root
+        try:
+            while stack:
+                node = pop()
+                if node is None:  # the inner node below: children done
+                    node = pop()
+                    kind = node_kinds[node.__class__]
+                    child_first.append(len(children))
+                    for child in node._children:
+                        children.append(rows[child])
+                    child_last.append(len(children))
+                    variables.append(-1)
+                    negated.append(False)
+                    leaf_functions.append(None)
+                elif node in rows:
+                    continue
+                else:
+                    kind = node_kinds[node.__class__]
+                    if kind >= KIND_AND:
+                        push(node)
+                        push(None)
+                        stack.extend(reversed(node._children))
+                        continue
+                    first = len(children)
+                    child_first.append(first)
+                    child_last.append(first)
+                    if kind == KIND_LITERAL:
+                        variables.append(node.variable)
+                        negated.append(node.negated)
+                    else:
+                        variables.append(-1)
+                        negated.append(False)
+                    leaf_functions.append(
+                        node.function if kind == KIND_DNF else None)
+                rows[node] = len(kinds)
+                kinds.append(kind)
+                domain = node.domain
+                domain_sizes.append(len(domain))
+                domains.append(domain)
+        except KeyError:
+            raise TypeError(f"unknown d-tree node type "
+                            f"{type(node).__name__}") from None
+        return cls(kinds, variables, negated, domain_sizes, child_first,
+                   child_last, children, domains, leaf_functions)
 
     # -- basic accessors ------------------------------------------------ #
 
@@ -304,9 +316,10 @@ def arena_banzhaf(arena: DTreeArena) -> Dict[int, int]:
     """Exact Banzhaf values of all root-domain variables (both passes).
 
     Bottom-up counts (:func:`arena_counts`, shared payload) plus one
-    top-down multiplier loop with prefix/suffix sibling products —
-    identical arithmetic to :func:`repro.core.exaban.exaban_all`, minus
-    the object walk.  Cached as the per-arena ``banzhaf`` result.
+    top-down multiplier loop with prefix/suffix sibling products, which
+    adds each parent's contribution into a row's multiplier: a shared row
+    sums over its parents, in exact integers.  Cached as the per-arena
+    ``banzhaf`` result.
     """
     cached = arena.results.get("banzhaf")
     if cached is not None:
@@ -361,12 +374,12 @@ def arena_banzhaf(arena: DTreeArena) -> Dict[int, int]:
                 running *= values[position]
             suffix = 1
             for position in range(width - 1, -1, -1):
-                multipliers[kids[position]] = (
+                multipliers[kids[position]] += (
                     multiplier * prefixes[position] * suffix)
                 suffix *= values[position]
         elif kind == KIND_XOR:
             for child in children[child_first[row]:child_last[row]]:
-                multipliers[child] = multiplier
+                multipliers[child] += multiplier
     arena.results["banzhaf"] = banzhaf
     return banzhaf
 

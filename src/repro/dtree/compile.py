@@ -9,6 +9,8 @@ independent components, (4) else Shannon-expand on a heuristic variable
 applied two ways: by :func:`compile_exhaustively`, depth-first to
 completion (behind :func:`compile_dnf` and the engine's completions), and
 by :class:`repro.dtree.incremental.IncrementalCompiler`, one leaf per step.
+The exhaustive compiler compiles each distinct sub-function once and
+reuses its subtree wherever it recurs, so its trees are DAGs.
 
 Shannon expansion is the only step that can blow up; a
 :class:`CompilationBudget` caps the number of expansions and the wall-clock
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.boolean.dnf import ConstantTrue, DNF
 from repro.boolean.operations import factor_common_variables, independent_components
@@ -201,8 +203,20 @@ class Compilation(NamedTuple):
     error: Optional[CompilationLimitReached]
 
 
+class _Share(tuple):
+    """A sub-function's kernel ``(order, masks)``, pushed below its frame.
+
+    When it is popped, the frame above it has just combined, so the
+    subtree on top of the results is that sub-function's compilation.
+    """
+
+    __slots__ = ()
+
+
 def compile_exhaustively(function: DNF, heuristic: Heuristic,
-                         budget: CompilationBudget) -> Compilation:
+                         budget: CompilationBudget,
+                         memo: Optional[Dict[tuple, DTreeNode]] = None
+                         ) -> Compilation:
     """Compile an absorbed ``function`` to completion under ``budget``.
 
     The work stack holds open sub-functions and combine frames: it runs
@@ -212,6 +226,18 @@ def compile_exhaustively(function: DNF, heuristic: Heuristic,
     sub-function being compiled and every one still open become
     ``DNFLeaf``s, the pending frames still combine, and the partial tree
     comes back with the error instead of raising it.
+
+    Identical sub-functions are compiled once, so the result is a DAG:
+    ``memo`` maps a sub-function's kernel ``(order, masks)`` to its
+    finished subtree, and a later occurrence reuses that node without
+    decomposing it or charging ``budget``.  Only the two branches of a
+    Shannon expansion can repeat each other (a decomposable node's
+    children have disjoint domains, a descendant a smaller domain), so
+    without a ``memo`` one opens at the first Shannon expansion and a
+    Shannon-free function never pays for it.  A subtree is stored only
+    if it combined before any budget error, so every shared node is
+    complete: the incremental compiler invalidates from open leaves only,
+    and never follows a shared node's single ``parent`` pointer.
     """
     work: list = [function]
     results: List[DTreeNode] = []
@@ -226,6 +252,10 @@ def compile_exhaustively(function: DNF, heuristic: Heuristic,
             del results[split:]
             results.append(node)
             continue
+        if item.__class__ is _Share:
+            if error is None:
+                memo[item] = results[-1]
+            continue
         if error is None:
             try:
                 budget.check_time()
@@ -233,8 +263,19 @@ def compile_exhaustively(function: DNF, heuristic: Heuristic,
                 if settled is not item:
                     results.append(settled)
                     continue
+                if memo is not None:
+                    kernel = item._bitset()
+                    key = (kernel.order, kernel.masks)
+                    shared = memo.get(key)
+                    if shared is not None:
+                        results.append(shared)
+                        continue
                 frame, parts = decompose(item, heuristic, budget)
                 steps += 1
+                if memo is not None:
+                    work.append(_Share(key))
+                elif frame[0] is ExclusiveOr:
+                    memo = {}  # only a Shannon node's branches can repeat
                 shannon_steps += frame[0] is ExclusiveOr
                 work.append(frame)
                 # In place: a reversed() iterator would add one

@@ -144,14 +144,19 @@ class IncrementalCompiler:
     def complete(self, budget: CompilationBudget) -> None:
         """Replace each open leaf by its exhaustive compilation under ``budget``.
 
-        The step counters grow by the decompositions performed.  When the
+        The step counters grow by the decompositions performed.  The
+        leaves share one memo of compiled sub-functions, so a sub-function
+        that recurs under several open leaves is compiled once.  When the
         budget runs out the leaf's partial subtree takes its place, its open
         leaves join the frontier, and the ``CompilationLimitReached``
         propagates.
         """
+        # One leaf opens its own memo at its first Shannon expansion, so
+        # a Shannon-free compilation never pays for one.
+        memo = {} if len(self._open_leaves) > 1 else None
         for leaf in list(self._open_leaves):
             compilation = compile_exhaustively(leaf.function,
-                                               self._heuristic, budget)
+                                               self._heuristic, budget, memo)
             self.expansion_steps += compilation.steps
             self.shannon_steps += compilation.shannon_steps
             self._replace(leaf, compilation.root, compilation.open_leaves)

@@ -3,8 +3,12 @@
 Nodes are lightweight mutable objects: the exhaustive compiler builds a
 subtree once and never changes it, while the incremental compiler replaces
 open leaves in place (by one decomposition step or by such a subtree) and
-therefore needs parent pointers and cache invalidation.  Every node knows
-the variable domain of the function it represents; the invariants are:
+therefore needs parent pointers and cache invalidation.  The exhaustive
+compiler reuses the subtree of a sub-function it has already compiled, so
+a tree may be a DAG: a complete node may have several parents, of which
+``parent`` records the last.  The walks below visit each distinct node
+once.  Every node knows the variable domain of the function it
+represents; the invariants are:
 
 * children of a :class:`DecompAnd` or :class:`DecompOr` have pairwise
   disjoint domains whose union is the parent's domain;
@@ -49,21 +53,28 @@ class DTreeNode:
         return not self.children()
 
     def iter_nodes(self) -> Iterator["DTreeNode"]:
-        """Iterate over the subtree rooted at this node (pre-order)."""
+        """Iterate over the distinct nodes of the subtree (pre-order).
+
+        A shared node is visited once, where it is first reached.
+        """
+        seen: set = set()
         stack: List[DTreeNode] = [self]
         while stack:
             node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
             yield node
             stack.extend(reversed(node.children()))
 
     def iter_leaves(self) -> Iterator["DTreeNode"]:
-        """Iterate over the leaves of the subtree."""
+        """Iterate over the distinct leaves of the subtree."""
         for node in self.iter_nodes():
             if node.is_leaf():
                 yield node
 
     def num_nodes(self) -> int:
-        """Number of nodes in the subtree."""
+        """Number of distinct nodes in the subtree (a shared node counts once)."""
         return sum(1 for _ in self.iter_nodes())
 
     # -- caching ------------------------------------------------------- #

@@ -7,19 +7,27 @@ including a *partial* tree whose :class:`~repro.dtree.nodes.DNFLeaf`
 frontier the anytime compilers can resume — and a warm-started process
 can pick up exactly where a previous one stopped.
 
-**Version 2 (current)** encodes the tree's arena
+**Version 3 (current)** encodes the tree's arena
 (:mod:`repro.dtree.arena`) directly — one dict of parallel columns in
 postorder (children before parents, root last), integers only, so the
 round-trip is exact by construction:
 
-* ``"v"``: literal ``2`` (the dict shape is the version marker);
+* ``"v"``: literal ``3`` (the dict shape is the version marker);
 * ``"kinds"``: per-row node kind (``repro.dtree.arena.KIND_*``);
-* ``"arity"``: per-row child count — spans are contiguous, so the flat
-  ``"children"`` row-index list is recovered cumulatively;
+* ``"arity"``: per-row child count;
+* ``"children"``: the rows' child row indices, concatenated in row order
+  (row ``i`` owns the next ``arity[i]`` entries).  Explicit indices let a
+  row have several parents, so a compiled DAG keeps its sharing: a
+  shared sub-function is stored once;
 * ``"lits"``: ``[variable, negated]`` per literal row, in row order;
 * ``"doms"``: sorted domain per constant/DNF row, in row order;
 * ``"dnfs"``: sorted clause lists per DNF row, in row order (the
   resumable frontier of a partial tree).
+
+**Version 2 (decode only)** has the same columns without ``"children"``:
+every row has one parent and sibling subtrees are contiguous, so the
+child indices are recovered from the arities with a stack, and the rows
+then decode through the same loop as version 3.
 
 **Version 1 (legacy, decode only)** is the nested-list object-tree
 structure that tree shards written before the arena codec hold:
@@ -31,22 +39,24 @@ structure that tree shards written before the arena codec hold:
   ``["^", [children...]]`` — ``DecompAnd`` / ``DecompOr`` /
   ``ExclusiveOr``.
 
-:func:`decode_tree` dispatches on the shape (dict → v2, list → v1), so
-stores holding shards written by both versions decode transparently —
-both forms build the same object trees, and :func:`clone_tree` /
+:func:`decode_tree` dispatches on the shape (dict → v3 or v2, list →
+v1), so stores holding entries written by every version decode
+transparently — all forms build object trees, and :func:`clone_tree` /
 :func:`trees_equal` operate on decoded objects, never on encodings, so
 they are version-oblivious by construction.
 
 Encoding and decoding are **iterative**, so arbitrarily deep Shannon
 chains never depend on the interpreter recursion limit.
 :func:`decode_tree` validates as it builds — unknown tags, malformed
-payloads, or structurally invalid nodes raise ``ValueError``, which the
-store tier treats as corruption (recompute, never crash).
+payloads, child indices that do not point to distinct earlier rows,
+rows that no row references, shared rows over an undecomposed leaf, or
+structurally invalid nodes raise ``ValueError``, which the store tier
+treats as corruption (recompute, never crash).
 
-``TREE_FORMAT_VERSION`` is bumped on any incompatible change; persisted
-artifacts recording an *unknown* version are discarded by their readers
-(known-compatible older versions are listed in
-:data:`repro.engine.artifact.ARTIFACT_COMPAT_VERSIONS`).
+``TREE_FORMAT_VERSION`` is bumped on any incompatible change; a reader
+discards an encoding recording an *unknown* version, so a process that
+predates version 3 recomputes a shared-row encoding instead of
+misreading it by arity.
 """
 
 from __future__ import annotations
@@ -76,28 +86,27 @@ from repro.dtree.nodes import (
 )
 
 #: Wire-format version of the tree encoding below (see module docstring).
-TREE_FORMAT_VERSION = 2
+TREE_FORMAT_VERSION = 3
 
 _TAG_NODES = {"&": DecompAnd, "|": DecompOr, "^": ExclusiveOr}
 
 
 def encode_tree(root: DTreeNode) -> dict:
-    """JSON-serializable (v2, arena-columnar) form of a d-tree.
+    """JSON-serializable (v3, arena-columnar) form of a d-tree.
 
     Deterministic: the arena row order is a pure function of the tree
     structure and domains/clauses are emitted sorted, so equal trees
-    encode to equal dicts (useful as a structural-equality check).
-    Encoding goes through :func:`repro.dtree.arena.arena_of`, so a tree
-    serialized right after evaluation reuses the already-built arena.
+    encode to equal dicts (useful as a structural-equality check).  A
+    node shared by several parents is one row.  Encoding goes through
+    :func:`repro.dtree.arena.arena_of`, so a tree serialized right after
+    evaluation reuses the already-built arena.
     """
     arena = arena_of(root)
     kinds = list(arena.kinds)
-    arity: List[int] = []
     lits: List[list] = []
     doms: List[list] = []
     dnfs: List[list] = []
     for row, kind in enumerate(kinds):
-        arity.append(arena.child_last[row] - arena.child_first[row])
         if kind == KIND_LITERAL:
             lits.append([arena.variables[row], bool(arena.negated[row])])
         elif kind == KIND_TRUE or kind == KIND_FALSE:
@@ -108,9 +117,13 @@ def encode_tree(root: DTreeNode) -> dict:
             dnfs.append([list(clause)
                          for clause in function.sorted_clauses()])
     return {
-        "v": 2,
+        "v": TREE_FORMAT_VERSION,
         "kinds": kinds,
-        "arity": arity,
+        "arity": [last - first for first, last
+                  in zip(arena.child_first, arena.child_last)],
+        # Row i's span is [child_first[i], child_last[i]), and the spans
+        # follow each other in row order: the column is stored as is.
+        "children": list(arena.children),
         "lits": lits,
         "doms": doms,
         "dnfs": dnfs,
@@ -140,8 +153,37 @@ def _decode_leaf(tag: str, payload: list) -> DTreeNode:
 _KIND_INNER = {KIND_AND: DecompAnd, KIND_OR: DecompOr, KIND_XOR: ExclusiveOr}
 
 
-def _decode_tree_v2(encoded: dict) -> DTreeNode:
-    """Rebuild the object tree from v2 arena columns (forward loop)."""
+def _v2_children(arity: list) -> list:
+    """The ``children`` column of a v2 encoding, rebuilt from its arities.
+
+    In v2 every row has one parent and sibling subtrees are contiguous,
+    so a row's children are the last ``arity`` rows not yet adopted.
+    """
+    children: List[int] = []
+    unadopted: List[int] = []
+    for row, count in enumerate(arity):
+        count = int(count)
+        if count:
+            if not 0 < count <= len(unadopted):
+                raise ValueError(
+                    "malformed arena encoding: child span out of range")
+            children += unadopted[-count:]
+            del unadopted[-count:]
+        unadopted.append(row)
+    if len(unadopted) != 1:
+        raise ValueError("malformed arena encoding: disconnected rows")
+    return children
+
+
+def _decode_rows(encoded: dict, children: list) -> DTreeNode:
+    """Build the object DAG from arena columns (forward loop, one node per row).
+
+    Each row's child indices must point to distinct earlier rows; every
+    row but the last (the root) must be some row's child; a row with
+    several parents must hold no undecomposed leaf, because the
+    incremental compiler replaces open leaves in place under their one
+    parent.  Each node is validated as it is built.
+    """
     kinds = encoded["kinds"]
     arity = encoded["arity"]
     if not isinstance(kinds, (list, tuple)) or not kinds:
@@ -152,16 +194,35 @@ def _decode_tree_v2(encoded: dict) -> DTreeNode:
     doms = iter(encoded["doms"])
     dnfs = iter(encoded["dnfs"])
     nodes: List[DTreeNode] = []
+    #: The last row that named each row as a child (-1: none yet).
+    parents = [-1] * len(kinds)
+    #: Whether the row's subtree holds an undecomposed leaf.
+    partial = [False] * len(kinds)
+    position = 0
     for row, kind in enumerate(kinds):
-        children_count = int(arity[row])
-        if children_count:
-            if children_count > len(nodes):
-                raise ValueError(
-                    "malformed arena encoding: child span out of range")
-            children = nodes[len(nodes) - children_count:]
-            del nodes[len(nodes) - children_count:]
-        else:
-            children = []
+        count = int(arity[row])
+        if count < 0 or position + count > len(children):
+            raise ValueError("malformed arena encoding: children column "
+                             "shorter than the arities")
+        kids: List[DTreeNode] = []
+        opened = kind == KIND_DNF
+        for index in children[position:position + count]:
+            if not 0 <= index < row:
+                raise ValueError(f"malformed arena encoding: row {row} "
+                                 f"names child row {index!r}")
+            parent = parents[index]
+            if parent == row:
+                raise ValueError(f"malformed arena encoding: row {row} "
+                                 f"names child row {index} twice")
+            if partial[index]:
+                if parent >= 0:
+                    raise ValueError("malformed arena encoding: a partial "
+                                     "subtree with several parents")
+                opened = True
+            parents[index] = row
+            kids.append(nodes[index])
+        position += count
+        partial[row] = opened
         if kind == KIND_TRUE:
             node = TrueLeaf(int(v) for v in next(doms))
         elif kind == KIND_FALSE:
@@ -177,39 +238,44 @@ def _decode_tree_v2(encoded: dict) -> DTreeNode:
                        for clause in next(dnfs)]
             node = DNFLeaf(DNF(clauses, domain=domain))
         elif kind in _KIND_INNER:
-            if not children:
+            if not kids:
                 raise ValueError("malformed arena encoding: childless "
                                  "inner node")
-            node = _KIND_INNER[kind](children)
+            node = _KIND_INNER[kind](kids)
+            node._validate_node()
         else:
             raise ValueError(f"unknown arena node kind {kind!r}")
-        if children and kind not in _KIND_INNER:
+        if kids and kind not in _KIND_INNER:
             raise ValueError("malformed arena encoding: leaf with children")
         nodes.append(node)
-    if len(nodes) != 1:
-        raise ValueError("malformed arena encoding: disconnected rows")
-    return nodes[0]
+    if position != len(children):
+        raise ValueError("malformed arena encoding: children column longer "
+                         "than the arities")
+    if -1 in parents[:-1]:
+        raise ValueError("malformed arena encoding: a row no row references")
+    return nodes[-1]
 
 
 def decode_tree(encoded: object) -> DTreeNode:
     """Inverse of :func:`encode_tree`; raises ``ValueError`` on bad input.
 
-    Dispatches on the encoded shape: a dict is the v2 arena-columnar
-    form, a list/tuple the legacy v1 nested-list form — so one store can
-    hold shards written by both codec versions.  The decoded tree
-    satisfies the structural d-tree invariants
-    (:meth:`~repro.dtree.nodes.DTreeNode.validate` is run on the result),
-    so downstream evaluators never crash on a tampered or truncated
-    artifact — the error surfaces here, where callers expect it.
+    Dispatches on the encoded shape: a dict is the v3 (or v2)
+    arena-columnar form, a list/tuple the legacy v1 nested-list form —
+    so one store can hold entries written by every codec version.  The
+    decoded tree satisfies the structural d-tree invariants (each node
+    is validated as it is built), so downstream evaluators never crash on
+    a tampered or truncated artifact — the error surfaces here, where
+    callers expect it.  A v3 row with several parents decodes to one
+    shared node.
     """
     if isinstance(encoded, dict):
-        if encoded.get("v") != 2:
-            raise ValueError(
-                f"unknown d-tree encoding version {encoded.get('v')!r}")
+        version = encoded.get("v")
+        if version != TREE_FORMAT_VERSION and version != 2:
+            raise ValueError(f"unknown d-tree encoding version {version!r}")
         try:
-            root = _decode_tree_v2(encoded)
-            root.validate()
-            return root
+            children = (encoded["children"] if version == TREE_FORMAT_VERSION
+                        else _v2_children(encoded["arity"]))
+            return _decode_rows(encoded, children)
         except ValueError:
             raise
         except Exception as error:
@@ -250,7 +316,10 @@ def clone_tree(root: DTreeNode) -> DTreeNode:
 
     Used before resuming a persisted or cached partial compilation: the
     incremental compiler mutates trees in place, and the cached artifact
-    must stay pristine for other readers.  Iterative, like the codec.
+    must stay pristine for other readers.  Each distinct node is copied
+    once, so a node shared inside the original is shared inside the
+    copy, and the copy shares no node with the original.  Iterative,
+    like the codec.
     """
     cloned: Dict[int, DTreeNode] = {}
     stack = [(root, False)]
@@ -259,7 +328,9 @@ def clone_tree(root: DTreeNode) -> DTreeNode:
         children = node.children()
         if expanded:
             cloned[id(node)] = node.clone_shallow(
-                [cloned.pop(id(child)) for child in children])
+                [cloned[id(child)] for child in children])
+            continue
+        if id(node) in cloned:
             continue
         if children:
             stack.append((node, True))
@@ -273,13 +344,21 @@ def clone_tree(root: DTreeNode) -> DTreeNode:
 def trees_equal(left: DTreeNode, right: DTreeNode) -> bool:
     """Structural equality of two d-trees (same shapes, domains, leaves).
 
-    Paired iterative walk: comparing the encoded nested lists instead
-    would recurse inside the C-level list comparison and hit the
-    interpreter recursion limit on deep Shannon chains.
+    Compares the trees as unfolded, so a DAG equals its unshared copy.
+    Paired iterative walk that compares each pair of nodes once: comparing
+    the encoded nested lists instead would recurse inside the C-level list
+    comparison and hit the interpreter recursion limit on deep Shannon
+    chains.
     """
+    compared = set()
     stack = [(left, right)]
     while stack:
-        a, b = stack.pop()
+        pair = stack.pop()
+        key = (id(pair[0]), id(pair[1]))
+        if key in compared:
+            continue
+        compared.add(key)
+        a, b = pair
         if type(a) is not type(b):
             return False
         if isinstance(a, (TrueLeaf, FalseLeaf)):

@@ -48,17 +48,19 @@ from repro.dtree.serialize import (
     encode_tree,
 )
 
-#: Wire-format version of encoded artifacts; readers discard (and
-#: recompute) anything recording a different version.
+#: Wire-format version of the trees in encoded artifacts (the tree
+#: codec's); readers also decode v2 trees, and discard (and recompute)
+#: anything recording another version.
 ARTIFACT_FORMAT_VERSION = TREE_FORMAT_VERSION
 
-#: Tree shard versions the legacy reader
-#: (:class:`repro.engine.store.DiskStore`) decodes.  Version 1 shards
-#: hold the nested-list object-tree codec; version 2 shards hold the
-#: arena (struct-of-arrays) codec.  Both decode to identical trees
-#: (:func:`repro.dtree.serialize.decode_tree` dispatches per entry).
-#: The log store only ever writes :data:`ARTIFACT_FORMAT_VERSION` trees.
-ARTIFACT_COMPAT_VERSIONS = frozenset({1, TREE_FORMAT_VERSION})
+#: Shard versions the legacy reader (:class:`repro.engine.store.DiskStore`)
+#: accepts for tree shards: the versions such shards were ever written
+#: with, fixed apart from the tree codec.  Version 1 shards hold the
+#: nested-list object-tree codec; version 2 shards hold the v2 arena
+#: codec.  :func:`repro.dtree.serialize.decode_tree` dispatches per
+#: entry, so both decode to trees.  The log store writes
+#: :data:`ARTIFACT_FORMAT_VERSION` trees.
+ARTIFACT_COMPAT_VERSIONS = frozenset({1, 2})
 
 
 @dataclass

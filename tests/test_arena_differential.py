@@ -2,13 +2,14 @@
 
 The struct-of-arrays arena (:mod:`repro.dtree.arena`) implements the
 fused counting, Banzhaf and Shapley passes as index loops over
-postorder-contiguous columns.  This module pins their core contract --
+postorder columns.  This module pins their core contract --
 **bit-identical results** -- by fuzzing random DNFs through the arena and
 the recursive seed reference (:mod:`repro.core.reference`), checks the
 ranking tier's enclosures and order against ExaBan on tie-rich instances,
 and covers the shapes the column layout is most likely to get wrong:
-deep trees (built and rebuilt far beyond the recursion limit) and trees
-decoded from legacy v1 shards.
+DAGs whose shared sub-functions are one row, deep trees (built and
+rebuilt far beyond the recursion limit) and trees decoded from legacy v1
+shards.
 """
 
 import random
@@ -16,13 +17,15 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
+from repro.boolean.assignments import count_models
 from repro.boolean.dnf import DNF
 from repro.core import reference as seed
+from repro.core.bounds import bounds_for_variable, count_bounds
 from repro.core.exaban import exaban_all, model_count
 from repro.core.ichiban import ranked_from_bounds
-from repro.core.shapley import shapley_all
+from repro.core.shapley import shapley_all, shapley_brute_force
 from repro.dtree.arena import (
     DTreeArena,
     arena_banzhaf,
@@ -30,14 +33,20 @@ from repro.dtree.arena import (
     arena_of,
 )
 from repro.baselines.brute_force import banzhaf_all_brute_force
-from repro.dtree.compile import compile_dnf
+from repro.dtree.compile import (
+    CompilationBudget,
+    CompilationLimitReached,
+    compile_dnf,
+)
+from repro.dtree.incremental import IncrementalCompiler
 from repro.dtree.nodes import DecompAnd, DTreeNode, LiteralLeaf
 from repro.dtree.serialize import decode_tree, encode_tree, trees_equal
+from repro.engine.artifact import complete_compilation
 from repro.engine.ranking import compute_ranking
 from repro.experiments.metrics import ground_truth_topk
 from repro.workloads.generators import random_positive_dnf, star_join_lineage
 
-from dnf_strategies import small_dnfs
+from dnf_strategies import SHARING_DNF, shannon_dnfs, small_dnfs, unfolded_count
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -75,6 +84,52 @@ def test_arena_shapley_matches_recursive_seed(function: DNF):
     # and cofactor passes; the recursive seed never touches the arena.
     assert shapley_all(function, tree=tree) == seed.shapley_all_recursive(
         function, compile_dnf(function))
+
+
+@_SETTINGS
+@given(function=shannon_dnfs(), steps=st.integers(min_value=0, max_value=4))
+@example(function=SHARING_DNF, steps=3)
+def test_shared_compilations_match_reference_and_brute_force(function: DNF,
+                                                             steps: int):
+    """The compiler shares identical sub-functions, so its trees are DAGs
+    with one arena row per distinct node.  Counts, Banzhaf and Shapley
+    values over them equal the recursive seed (which unfolds the DAG) and
+    brute force, bit for bit -- for a fresh compilation, and for one
+    completed from the partial DAG an exhausted budget left, whose bounds
+    enclose the truth."""
+    truth = banzhaf_all_brute_force(function)
+    models = count_models(function)
+    shapley = {variable: shapley_brute_force(function, variable)
+               for variable in sorted(function.variables)}
+    compiler = IncrementalCompiler(function)
+    try:
+        complete_compilation(compiler,
+                             CompilationBudget(max_shannon_steps=steps))
+    except CompilationLimitReached:
+        partial = compiler.root
+        lower, upper = count_bounds(partial)
+        assert lower <= models <= upper
+        for variable, value in truth.items():
+            bounds = bounds_for_variable(partial, variable)
+            assert bounds.banzhaf_lower <= value <= bounds.banzhaf_upper
+        complete_compilation(compiler, CompilationBudget())
+    for tree in (compiler.root, compile_dnf(function)):
+        assert len(arena_of(tree)) == tree.num_nodes()
+        assert exaban_all(tree) == seed.exaban_all_recursive(tree) == truth
+        assert model_count(tree) == seed.model_count_recursive(tree) \
+            == models
+        assert shapley_all(function, tree=tree) \
+            == seed.shapley_all_recursive(function, tree) == shapley
+
+
+def test_sharing_lineage_compiles_to_a_dag():
+    # Turning sharing off would unfold this lineage's 127 distinct nodes
+    # back into 167 (and its 9 Shannon expansions into 10).
+    tree = compile_dnf(SHARING_DNF)
+    assert tree.num_nodes() < unfolded_count(tree)
+    arena = arena_of(tree)
+    assert len(arena) == tree.num_nodes()
+    assert arena_banzhaf(arena) == banzhaf_all_brute_force(SHARING_DNF)
 
 
 def _tie_rich_instances():

@@ -35,19 +35,59 @@ from repro.engine.artifact import (
     encode_artifact,
 )
 
-from dnf_strategies import small_dnfs
+from dnf_strategies import SHARING_DNF, small_dnfs, unfolded_count
 
 _SETTINGS = settings(max_examples=60, deadline=None)
 
 _CHAIN = DNF([[0, 1], [1, 2], [2, 3], [3, 4]])
 
+_TRIANGLE = DNF([[0, 1], [0, 2], [1, 2]])
+
+#: The triangle's d-tree as the v2 codec wrote it: arities, no children.
+_TRIANGLE_V2 = {
+    "v": 2, "kinds": [2, 2, 2, 5, 4, 2, 2, 2, 4, 4, 6],
+    "arity": [0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2],
+    "lits": [[0, False], [1, False], [2, False], [0, True], [1, False],
+             [2, False]],
+    "doms": [], "dnfs": []}
+
+
+def _columns(kinds, arity, children, lits, doms=(), dnfs=()):
+    return {"v": 3, "kinds": kinds, "arity": arity, "children": children,
+            "lits": lits, "doms": list(doms), "dnfs": list(dnfs)}
+
+
+_TWO_LITERALS = [[0, False], [1, False]]
+
 
 class TestTreeCodec:
     def test_complete_tree_roundtrip_is_structural_identity(self):
         tree = compile_dnf(_CHAIN)
-        decoded = decode_tree(encode_tree(tree))
+        encoded = encode_tree(tree)
+        decoded = decode_tree(encoded)
         assert trees_equal(tree, decoded)
+        assert encode_tree(decoded) == encoded
         assert exaban_all(decoded) == exaban_all(tree)
+
+    def test_shared_subtrees_roundtrip_once_each(self):
+        tree = compile_dnf(SHARING_DNF)
+        encoded = encode_tree(tree)
+        # One row per distinct node, fewer than the unfolded tree has.
+        assert len(encoded["kinds"]) == tree.num_nodes() \
+            < unfolded_count(tree)
+        decoded = decode_tree(encoded)
+        assert encode_tree(decoded) == encoded
+        assert decoded.num_nodes() == tree.num_nodes()
+        assert trees_equal(decoded, tree)
+        assert exaban_all(decoded) == exaban_all(tree)
+
+    def test_v2_encoding_decodes_to_the_same_tree(self):
+        decoded = decode_tree(_TRIANGLE_V2)
+        assert trees_equal(decoded, compile_dnf(_TRIANGLE))
+        reencoded = encode_tree(decoded)
+        assert reencoded["v"] == 3
+        assert reencoded["kinds"] == _TRIANGLE_V2["kinds"]
+        assert reencoded["lits"] == _TRIANGLE_V2["lits"]
 
     def test_partial_tree_roundtrip_keeps_frontier(self):
         compiler = IncrementalCompiler(_CHAIN)
@@ -83,6 +123,25 @@ class TestTreeCodec:
         42, [], ["?"], ["L", 1], ["L", 1, "yes"], ["&", []],
         ["D", [0], [[0], [0, 1, 9]]],       # clause outside the domain
         ["&", [["L", 0, False], ["L", 0, False]]],  # overlapping domains
+        # v3 columns: a child index at or beyond its own row.
+        _columns([2, 2, 5], [0, 0, 2], [0, 2], _TWO_LITERALS),
+        _columns([2, 2, 5], [0, 0, 2], [0, 3], _TWO_LITERALS),
+        _columns([2, 5, 2], [0, 2, 0], [0, 2], _TWO_LITERALS),
+        _columns([2, 2, 5], [0, 0, 2], [-1, 1], _TWO_LITERALS),
+        # A non-root row that no row references.
+        _columns([2, 2, 2, 5], [0, 0, 0, 2], [0, 1],
+                 _TWO_LITERALS + [[2, False]]),
+        # A children column shorter or longer than the arities.
+        _columns([2, 2, 5], [0, 0, 2], [0], _TWO_LITERALS),
+        _columns([2, 2, 5], [0, 0, 2], [0, 1, 1], _TWO_LITERALS),
+        # A row that names one child twice.
+        _columns([2, 2, 4, 6], [0, 0, 2, 2], [0, 1, 2, 2], _TWO_LITERALS),
+        # An undecomposed leaf under two parents.
+        _columns([3, 2, 4, 2, 4, 6], [0, 0, 2, 0, 2, 2],
+                 [1, 0, 3, 0, 2, 4], [[2, False], [2, True]],
+                 doms=[[0, 1]], dnfs=[[[0, 1]]]),
+        dict(_TRIANGLE_V2, arity=[0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 3]),
+        dict(_TRIANGLE_V2, v=4),
     ])
     def test_malformed_encodings_raise_value_error(self, bad):
         with pytest.raises(ValueError):

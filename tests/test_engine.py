@@ -197,6 +197,29 @@ class TestExhaustedFreshCompilation:
         assert attribution.method_used == "approximate"
         assert received == [5]
 
+    def test_auto_fallback_continues_a_partial_dag(self):
+        from repro.core.exaban import exaban_all
+        from repro.dtree.compile import CompilationBudget
+        from repro.dtree.incremental import IncrementalCompiler
+        from repro.engine.artifact import complete_compilation
+
+        from dnf_strategies import SHARING_DNF, unfolded_count
+
+        # Exhausted after 6 of its 9 expansions, this lineage's partial
+        # tree already shares complete subtrees.
+        compiler = IncrementalCompiler(SHARING_DNF)
+        with pytest.raises(CompilationLimitReached):
+            complete_compilation(compiler,
+                                 CompilationBudget(max_shannon_steps=6))
+        assert compiler.root.num_nodes() < unfolded_count(compiler.root)
+        engine = Engine(EngineConfig(method="auto", max_shannon_steps=6))
+        (attribution,) = engine.attribute_lineages([SHARING_DNF])
+        assert attribution.method_used == "approximate"
+        assert engine.stats.fallbacks == 1
+        exact = exaban_all(compile_dnf(SHARING_DNF))
+        for variable, (lower, upper) in attribution.bounds.items():
+            assert lower <= exact[variable] <= upper
+
 
 class TestStats:
     def test_stats_report_all_stages(self):

@@ -510,6 +510,41 @@ class TestMigration:
             assert v2.complete and trees_equal(
                 v2.root, compile_dnf(DNF([(0, 1), (2,), (3,)])))
 
+    def test_a_v2_tree_shard_migrates_into_the_current_codec(self, tmp_path):
+        from repro.baselines.brute_force import banzhaf_all_brute_force
+        from repro.boolean.dnf import DNF
+        from repro.core.exaban import exaban_all
+        from repro.dtree.compile import compile_dnf
+        from repro.dtree.serialize import trees_equal
+
+        # A version-2 tree shard, byte for byte as the sharded-JSON store
+        # wrote it: the triangle's d-tree in the v2 codec (arities only).
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "trees-0000.json").write_text(
+            '{"version": 2, "entries": {"[3,[[0,1],[0,2],[1,2]]]": '
+            '{"stamp": 1, "entry": {"complete": true, "shannon_steps": 1, '
+            '"expansion_steps": 0, "tree": {"v": 2, '
+            '"kinds": [2, 2, 2, 5, 4, 2, 2, 2, 4, 4, 6], '
+            '"arity": [0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2], '
+            '"lits": [[0, false], [1, false], [2, false], [0, true], '
+            '[1, false], [2, false]], "doms": [], "dnfs": []}}}}}',
+            encoding="utf-8")
+        source = DiskStore(str(legacy))
+        assert source.corrupt_shards == 0
+        with LogStore(str(tmp_path / "log")) as destination:
+            assert migrate_store(source, destination) == (0, 1)
+
+        function = DNF([(0, 1), (0, 2), (1, 2)])
+        with LogStore(str(tmp_path / "log")) as migrated:
+            artifact = migrated.get_artifact((3, ((0, 1), (0, 2), (1, 2))))
+        assert artifact.complete and artifact.shannon_steps == 1
+        assert trees_equal(artifact.root, compile_dnf(function))
+        assert exaban_all(artifact.root) == banzhaf_all_brute_force(function)
+        # The log holds it in the current codec, with explicit children.
+        log = (tmp_path / "log" / "store.log").read_bytes()
+        assert b'"children"' in log and b'"arity"' in log
+
 
 class TestRetiredRankingRecords:
     def test_float_tier_records_load_but_are_never_served(self, tmp_path):

@@ -186,6 +186,52 @@ class TestSharedTiers:
                                          "method": "exact"})
         assert warm_response["answers"] == cold_response["answers"]
 
+    def test_dag_artifact_persists_and_serves_a_warm_topk(self, tmp_path):
+        from repro.core.exaban import exaban_all
+        from repro.db.datalog import parse_query
+        from repro.db.lineage import lineage_of_answers
+        from repro.dtree.compile import CompilationBudget, compile_dnf
+        from repro.engine.artifact import CompiledLineage
+        from repro.engine.canonical import canonicalize
+
+        from dnf_strategies import unfolded_count
+
+        # Q()'s lineage over this join compiles to a DAG: the two branches
+        # of a Shannon expansion share a sub-function.
+        join = Database()
+        for name, rows in (("R", [("a0",), ("a1",), ("a2",)]),
+                           ("T", [("b0",), ("b1",), ("b2",)]),
+                           ("S", [("a0", "b1"), ("a1", "b0"), ("a1", "b1"),
+                                  ("a2", "b0"), ("a2", "b2")])):
+            for row in rows:
+                join.add_fact(name, row)
+        query = "Q() :- R(X), S(X, Y), T(Y)"
+        (answer,) = lineage_of_answers(parse_query(query), join)
+        canonical = canonicalize(answer.lineage)
+        budget = CompilationBudget()
+        tree = compile_dnf(canonical.dnf, budget=budget)
+        assert tree.num_nodes() < unfolded_count(tree)
+
+        with LogStore(str(tmp_path)) as store:
+            store.put_artifact(canonical.key, CompiledLineage(
+                root=tree, complete=True,
+                shannon_steps=budget.shannon_steps))
+            store.flush()
+        with LogStore(str(tmp_path)) as store:
+            loaded = store.get_artifact(canonical.key)
+        assert loaded.complete
+        assert loaded.shannon_steps == budget.shannon_steps
+        assert loaded.root.num_nodes() == tree.num_nodes()
+        assert exaban_all(loaded.root) == exaban_all(tree)
+
+        request = {"op": "topk", "query": query, "k": 2}
+        expected = AttributionService(join).submit(dict(request))
+        with LogStore(str(tmp_path)) as store:
+            warm = AttributionService(join, store=store, warm_start=True)
+            assert warm.submit(dict(request)) == expected
+        assert warm.stats_counters.artifact_hits > 0
+        assert warm.stats_counters.tree_compilations == 0
+
     def test_save_and_load_cache(self, database):
         service = AttributionService(database)
         service.submit({"op": "attribute", "query": QUERY})
