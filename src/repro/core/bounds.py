@@ -139,34 +139,10 @@ def _uncached_postorder(node: DTreeNode, key: object,
 
     Descends only into children whose domain holds ``variable`` (into
     every child when it is ``None``), and never below a node that has an
-    entry.  A tree is listed in reversed preorder.  A child whose
-    ``parent`` is not the node it was reached from has several parents
-    (the compilers share identical complete subtrees), and then the walk
-    restarts as a depth-first postorder that lists each node once, so a
-    shared subtree is walked, evaluated and billed once.
-    """
-    postorder: List[DTreeNode] = []
-    pending: List[DTreeNode] = [node]
-    while pending:
-        current = pending.pop()
-        if current._cache.get(key) is not None:
-            continue
-        postorder.append(current)
-        for child in current.children():
-            if variable is None or variable in child.domain:
-                if child.parent is not current:
-                    return _shared_postorder(node, key, variable)
-                pending.append(child)
-    postorder.reverse()
-    return postorder
-
-
-def _shared_postorder(node: DTreeNode, key: object,
-                      variable: Optional[int]) -> List[DTreeNode]:
-    """:func:`_uncached_postorder` of a DAG: each node once, children first.
-
-    Iterative: a node is pushed back under a ``None`` marker before its
-    children and listed when the marker comes up again.
+    entry.  An iterative depth-first postorder: a node is pushed back
+    under a ``None`` marker before its children and listed when the
+    marker comes up again.  A node is expanded once, so a subtree that
+    several parents share is walked, evaluated and billed once.
     """
     order: List[DTreeNode] = []
     seen: set = set()
@@ -181,8 +157,9 @@ def _shared_postorder(node: DTreeNode, key: object,
         seen.add(current)
         stack.append(current)
         stack.append(None)
-        stack.extend([child for child in reversed(current.children())
-                      if variable is None or variable in child.domain])
+        for child in current.children():
+            if variable is None or variable in child.domain:
+                stack.append(child)
     return order
 
 

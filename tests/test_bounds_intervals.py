@@ -9,6 +9,7 @@ from repro.boolean.assignments import count_models
 from repro.boolean.dnf import DNF
 from repro.core.bounds import (
     BanzhafBounds,
+    WorkMeter,
     bounds_for_variable,
     cofactor_count_bounds,
     count_bounds,
@@ -17,6 +18,8 @@ from repro.core.intervals import Interval
 from repro.dtree.compile import compile_dnf
 from repro.dtree.incremental import IncrementalCompiler
 from repro.workloads.generators import random_positive_dnf
+
+from dnf_strategies import SHARING_DNF, unfolded_count
 
 
 class TestBanzhafBounds:
@@ -65,6 +68,16 @@ class TestCountBounds:
             previous_width = width
             compiler.expand_step(lazy=False)
 
+    def test_shared_nodes_are_evaluated_and_billed_once(self):
+        # The compiler shares identical sub-functions, so this lineage's
+        # d-tree is a DAG with fewer distinct nodes than its unfolding.
+        tree = compile_dnf(SHARING_DNF)
+        assert tree.num_nodes() < unfolded_count(tree)
+        meter = WorkMeter()
+        exact = count_models(SHARING_DNF)
+        assert count_bounds(tree, meter) == (exact, exact)
+        assert meter.units == tree.num_nodes()
+
 
 class TestBanzhafBoundsOnTrees:
     def test_contains_exact_value_during_expansion(self, rng):
@@ -83,9 +96,12 @@ class TestBanzhafBoundsOnTrees:
                 compiler.expand_step(lazy=False)
 
     def test_exact_on_complete_trees(self, rng):
-        for _ in range(20):
-            function = random_positive_dnf(rng, rng.randint(1, 6),
-                                           rng.randint(1, 5), (1, 3))
+        functions = [random_positive_dnf(rng, rng.randint(1, 6),
+                                         rng.randint(1, 5), (1, 3))
+                     for _ in range(20)]
+        # A DAG: the passes meet nodes that several parents share.
+        functions.append(SHARING_DNF)
+        for function in functions:
             exact = banzhaf_all_brute_force(function)
             tree = compile_dnf(function)
             for variable in sorted(function.variables):
