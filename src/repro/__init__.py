@@ -63,7 +63,6 @@ from repro.engine import (
     MemoryStore,
     ResilientStore,
     RetryPolicy,
-    ShardedStore,
     migrate_store,
     open_store,
     wrap_store,
@@ -98,7 +97,6 @@ __all__ = [
     "ResilientStore",
     "RetryPolicy",
     "Selection",
-    "ShardedStore",
     "UnionQuery",
     "adaban",
     "adaban_all",

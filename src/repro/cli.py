@@ -42,10 +42,10 @@ bounded admission queue (``--max-queue``), and a default per-request
 deadline (``--deadline-ms``) under which late requests degrade to
 best-effort partials -- while keeping responses in input order;
 concurrent requests that need the same result share one computation in
-the engine.  Every store is the
-append-only record log of :mod:`repro.engine.logstore` (point reads,
-single-writer locking, compaction); every store-taking command accepts
-``--store-shards N`` (consistent-hash sharding across N roots).
+the engine.  Every store is one append-only record log
+(:class:`~repro.engine.logstore.LogStore`: point reads, single-writer
+locking, compaction) per directory, and every command closes the store
+it opened before it exits.
 ``cache save`` computes the given queries and persists the resulting
 cache entries -- results *and* compiled-lineage artifacts, so a later
 process skips recompilation too -- for warm starts; ``cache load``
@@ -54,12 +54,16 @@ times that load (the restart cost a serving process will pay); ``cache
 compact`` reclaims superseded records; ``cache migrate`` copies one
 store into another -- a directory of legacy JSON shards is read through
 :class:`~repro.engine.store.DiskStore`, anything else as a log store,
-so the same command moves old stores over and reshards log stores;
+so the same command moves old stores over and, run once per ``root-NN``
+directory, merges a store that older versions sharded into one;
 ``cache stats`` prints the store's per-kind (results vs compiled trees)
-entry/size summary.
+entry/size summary.  Only ``serve``, ``cache save`` and the migration
+destination create a store; every other action needs an existing store
+directory.
 
 A store that cannot be opened -- another process holds the writer lock
-(:class:`StoreLockedError`) or the directory is unreadable -- makes
+(:class:`StoreLockedError`), or the directory is missing where a store
+must exist, or unreadable -- makes
 ``serve`` and every ``cache`` action print one structured
 ``{"ok": false, "error": ..., "store": ...}`` JSON line instead of a
 traceback and exit with code 2, so supervisors can branch on the
@@ -72,7 +76,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import time
 from typing import Iterable, List, Sequence, Tuple
@@ -310,29 +316,6 @@ def _add_store_argument(parser: argparse.ArgumentParser,
                         metavar="N",
                         help="store capacity in entries; oldest entries "
                              "are evicted past it (default: 65536)")
-    parser.add_argument(f"{flag}-shards", type=int, default=1, metavar="N",
-                        help="consistent-hash shard the store across N "
-                             "roots under DIR (default: 1, a single root)")
-
-
-def _open_store(arguments, prefix: str = "store",
-                shared_reader: bool = False, legacy_reader: bool = False):
-    """Open the store named by one flag group.
-
-    ``shared_reader`` opens it in ``auto`` mode, so read-mostly commands
-    (stats, warm, the migration source) keep working while a serving
-    process holds the writer lock.  ``legacy_reader`` reads a directory
-    that holds legacy shard files through the read-only
-    :class:`~repro.engine.store.DiskStore` instead.
-    """
-    path = getattr(arguments, prefix)
-    if legacy_reader and holds_legacy_shards(path):
-        return DiskStore(path)
-    kwargs = {"mode": "auto"} if shared_reader else {}
-    return open_store(path,
-                      shards=getattr(arguments, f"{prefix}_shards"),
-                      max_entries=getattr(arguments, f"{prefix}_entries"),
-                      **kwargs)
 
 
 # A store that cannot be opened (held writer lock, missing/unreadable
@@ -343,20 +326,33 @@ _STORE_OPEN_ERRORS = (StoreLockedError, OSError)
 
 
 def _open_store_checked(arguments, error_stream, prefix: str = "store",
-                        **options):
+                        shared_reader: bool = False, existing: bool = False,
+                        legacy_reader: bool = False):
     """Open one flag group's store, degrading failures to a status line.
 
-    ``options`` go to :func:`_open_store`.  Returns the opened store, or
-    ``None`` after printing one machine-readable ``{"ok": false, ...}``
-    line to ``error_stream`` (callers translate ``None`` into exit
-    code 2).
+    ``shared_reader`` opens it in ``auto`` mode, so read-mostly commands
+    (stats, warm, the migration source) keep working while a serving
+    process holds the writer lock.  ``existing`` refuses a missing
+    directory instead of creating an empty store at a mistyped path.
+    ``legacy_reader`` reads a directory that holds legacy shard files
+    through the read-only :class:`~repro.engine.store.DiskStore`.
+    Returns the opened store, or ``None`` after printing one
+    machine-readable ``{"ok": false, ...}`` line to ``error_stream``
+    (callers translate ``None`` into exit code 2).
     """
+    path = getattr(arguments, prefix)
     try:
-        return _open_store(arguments, prefix=prefix, **options)
+        if existing and not os.path.isdir(path):
+            raise FileNotFoundError(errno.ENOENT, "no store directory", path)
+        if legacy_reader and holds_legacy_shards(path):
+            return DiskStore(path)
+        return open_store(path,
+                          max_entries=getattr(arguments, f"{prefix}_entries"),
+                          mode="auto" if shared_reader else "rw")
     except _STORE_OPEN_ERRORS as error:
         print(json.dumps({"ok": False,
                           "error": f"{type(error).__name__}: {error}",
-                          "store": getattr(arguments, prefix)}),
+                          "store": path}),
               file=error_stream)
         return None
 
@@ -435,12 +431,19 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
         parser.error("--breaker-threshold must be non-negative")
 
     database = _build_database(arguments.facts, arguments.exogenous, log)
-    if arguments.store is not None:
-        store = _open_store_checked(arguments, log)
-        if store is None:
-            return 2
-    else:
-        store = None
+    if arguments.store is None:
+        return _serve_stream(arguments, database, None, stream, log)
+    store = _open_store_checked(arguments, log)
+    if store is None:
+        return 2
+    try:
+        return _serve_stream(arguments, database, store, stream, log)
+    finally:
+        store.close()  # flush, stop the compactor, release the writer lock
+
+
+def _serve_stream(arguments, database, store, stream, log) -> int:
+    """Serve ``--requests`` through one service over ``store``."""
     service = AttributionService(
         database,
         EngineConfig(method=arguments.method, epsilon=arguments.epsilon,
@@ -476,8 +479,6 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
     if arguments.stats:
         print("\nservice stats:", file=log)
         print(json.dumps(service.stats(), indent=2), file=log)
-    if store is not None and hasattr(store, "close"):
-        store.close()  # flush, stop the compactor, release the writer lock
     return 0 if all_ok else 1
 
 
@@ -528,8 +529,9 @@ def _cache_command(argv: Sequence[str], stream) -> int:
     migrate = actions.add_parser(
         "migrate", help="copy every result and artifact from one store "
                         "into another: a directory of legacy JSON shards "
-                        "moves to the log store, a log store reshards "
-                        "(--dest-shards); the source is left untouched")
+                        "moves to the log store, and a log store merges "
+                        "into the destination; the source is left "
+                        "untouched")
     _add_store_argument(migrate, required=True)
     _add_store_argument(migrate, required=True, prefix="dest")
 
@@ -551,7 +553,8 @@ def _cache_command(argv: Sequence[str], stream) -> int:
         return _migrate(arguments, stream)
     store = _open_store_checked(
         arguments, stream,
-        shared_reader=arguments.action in ("stats", "warm"))
+        shared_reader=arguments.action in ("stats", "warm"),
+        existing=arguments.action != "save")
     if store is None:
         return 2
     try:
@@ -588,7 +591,7 @@ def _cache_command(argv: Sequence[str], stream) -> int:
 def _migrate(arguments, stream) -> int:
     """``repro cache migrate``: copy SRC into DST, closing both."""
     source = _open_store_checked(arguments, stream, shared_reader=True,
-                                 legacy_reader=True)
+                                 existing=True, legacy_reader=True)
     if source is None:
         return 2
     destination = None

@@ -61,7 +61,7 @@ misreading it by arity.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.boolean.dnf import DNF
 from repro.dtree.arena import (
@@ -175,14 +175,15 @@ def _v2_children(arity: list) -> list:
     return children
 
 
-def _decode_rows(encoded: dict, children: list) -> DTreeNode:
+def _decode_rows(encoded: dict, children: list) -> Tuple[DTreeNode, bool]:
     """Build the object DAG from arena columns (forward loop, one node per row).
 
     Each row's child indices must point to distinct earlier rows; every
     row but the last (the root) must be some row's child; a row with
     several parents must hold no undecomposed leaf, because the
     incremental compiler replaces open leaves in place under their one
-    parent.  Each node is validated as it is built.
+    parent.  Each node is validated as it is built.  Returns the root
+    and whether the tree is complete (no row's subtree holds a leaf).
     """
     kinds = encoded["kinds"]
     arity = encoded["arity"]
@@ -253,7 +254,7 @@ def _decode_rows(encoded: dict, children: list) -> DTreeNode:
                          "than the arities")
     if -1 in parents[:-1]:
         raise ValueError("malformed arena encoding: a row no row references")
-    return nodes[-1]
+    return nodes[-1], not partial[-1]
 
 
 def decode_tree(encoded: object) -> DTreeNode:
@@ -267,6 +268,17 @@ def decode_tree(encoded: object) -> DTreeNode:
     a tampered or truncated artifact — the error surfaces here, where
     callers expect it.  A v3 row with several parents decodes to one
     shared node.
+    """
+    return decode_tree_state(encoded)[0]
+
+
+def decode_tree_state(encoded: object) -> Tuple[DTreeNode, bool]:
+    """:func:`decode_tree`, plus whether the tree is complete.
+
+    Returns ``(root, complete)``; a tree is complete when it holds no
+    undecomposed :class:`~repro.dtree.nodes.DNFLeaf`.  The v3/v2 decoder
+    knows that from the rows it builds, so only a legacy v1 tree is
+    walked a second time for it.
     """
     if isinstance(encoded, dict):
         version = encoded.get("v")
@@ -304,7 +316,7 @@ def decode_tree(encoded: object) -> DTreeNode:
                 built[id(obj)] = _decode_leaf(tag, list(obj[1:]))
         root = built[id(encoded)]
         root.validate()
-        return root
+        return root, root.is_complete()
     except ValueError:
         raise
     except Exception as error:  # malformed payloads of any other shape
@@ -383,6 +395,7 @@ __all__ = [
     "TREE_FORMAT_VERSION",
     "clone_tree",
     "decode_tree",
+    "decode_tree_state",
     "encode_tree",
     "trees_equal",
 ]

@@ -5,10 +5,10 @@ independent keys, memoizes d-tree compilations and Banzhaf results across
 answers and queries, and auto-selects ExaBan or the AdaBan fallback per
 lineage.  Results are served
 through two cache tiers -- the in-memory :class:`LineageCache` and an
-optional persistent :class:`CacheStore` (a :class:`LogStore`, or a
-:class:`ShardedStore` of them, which survives process restarts; or a
-:class:`MemoryStore`; :class:`DiskStore` reads legacy stores for
-``repro cache migrate``) -- and the
+optional persistent :class:`CacheStore` (a :class:`LogStore`, which
+survives process restarts; or a :class:`MemoryStore`;
+:class:`DiskStore` reads legacy stores for ``repro cache migrate``) --
+and the
 long-lived serving loop (:class:`AttributionService`) keeps one warm set
 of tiers behind a stream of attribute/rank/topk requests.  The
 reliability layer (:mod:`repro.reliability`, re-exported here)
@@ -56,7 +56,6 @@ from repro.engine.serve import (
 )
 from repro.engine.logstore import (
     LogStore,
-    ShardedStore,
     StoreLockedError,
     migrate_store,
     open_store,
@@ -118,7 +117,6 @@ __all__ = [
     "RetryPolicy",
     "STORE_FORMAT_VERSION",
     "ServingFrontend",
-    "ShardedStore",
     "StoreLockedError",
     "Ticket",
     "TransientStoreError",

@@ -44,7 +44,7 @@ from repro.dtree.nodes import DTreeNode
 from repro.dtree.serialize import (
     TREE_FORMAT_VERSION,
     clone_tree,
-    decode_tree,
+    decode_tree_state,
     encode_tree,
 )
 
@@ -155,9 +155,9 @@ def decode_artifact(encoded: Dict[str, object]) -> CompiledLineage:
     additionally rejects encodings whose ``complete`` flag contradicts
     the decoded tree (a tampered artifact must not masquerade as exact).
     """
-    root = decode_tree(encoded["tree"])
+    root, tree_complete = decode_tree_state(encoded["tree"])
     complete = bool(encoded["complete"])
-    if complete != root.is_complete():
+    if complete != tree_complete:
         raise ValueError("artifact completeness flag contradicts the tree")
     return CompiledLineage(
         root=root,

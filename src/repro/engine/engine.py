@@ -67,6 +67,7 @@ Typical use::
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import weakref
@@ -102,7 +103,6 @@ from repro.dtree.incremental import IncrementalCompiler
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.engine.cache import CachedAttribution, LineageCache, ResultKey
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
-from repro.engine.logstore import resolve_store
 from repro.engine.ranking import compute_ranking, exact_attribution
 from repro.engine.stats import EngineStats
 from repro.engine.store import (
@@ -173,15 +173,15 @@ class EngineConfig:
         Lineage domain policy, forwarded to
         :func:`repro.db.lineage.lineage_of_answers`.
     store:
-        Optional persistent result tier: a
-        :class:`repro.engine.store.CacheStore` instance (e.g. a
-        :class:`~repro.engine.logstore.LogStore`), or a *path string*
-        naming a store root, which the engine opens as a log store via
-        :func:`~repro.engine.logstore.open_store`.  Memory misses fall
+        Optional persistent result tier: an opened
+        :class:`repro.engine.store.CacheStore` (e.g. a
+        :class:`~repro.engine.logstore.LogStore`).  Memory misses fall
         through to the store before computing, and freshly computed
         converged results are written back, so canonical-space results
         survive process restarts.  ``None`` (the default) keeps the
-        engine memory-only.
+        engine memory-only.  A path raises ``TypeError``: whoever opens
+        a store (:func:`~repro.engine.logstore.open_store`) closes it,
+        and the engine never does.
     store_retries:
         Extra attempts (with exponential backoff) granted to a transient
         store-I/O failure before it counts against the circuit breaker
@@ -240,6 +240,11 @@ class EngineConfig:
             raise ValueError("store_retries must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
+        if isinstance(self.store, (str, bytes, os.PathLike)):
+            raise TypeError(
+                f"store must be an opened CacheStore, not the path "
+                f"{self.store!r}: open it with open_store(path) (or "
+                "LogStore(path)) and close it when done")
         # Resolve once, at configuration time: copies share one schedule.
         object.__setattr__(self, "fault_plan",
                            resolve_fault_plan(self.fault_plan))
@@ -429,13 +434,11 @@ class Engine:
         faults.install(self.config.fault_plan)
         #: The persistent result tier (or ``None``).  Mutable on purpose:
         #: a service can attach one store to several engines after
-        #: construction.  A path-valued config opens its backend here,
-        #: exactly once per engine (LogStore's writer lock makes
-        #: accidental double-opening loud).  Wrapped in a
+        #: construction.  Wrapped in a
         #: :class:`~repro.reliability.resilient.ResilientStore` (retry +
         #: circuit breaker) unless both reliability knobs are 0.
         self.store: Optional[CacheStore] = wrap_store(
-            resolve_store(self.config.store),
+            self.config.store,
             retries=self.config.store_retries,
             breaker_threshold=self.config.breaker_threshold,
             on_counter=lambda **deltas: self.stats.bump(**deltas))
@@ -783,7 +786,7 @@ class Engine:
             self.stats.bump(artifact_hits=1)
             return artifact
         store = self.store
-        if store is not None and hasattr(store, "get_artifact"):
+        if store is not None:
             artifact = store.get_artifact(key)
             if artifact is not None:
                 self.stats.bump(artifact_store_hits=1)
@@ -810,7 +813,7 @@ class Engine:
         if not artifact.complete and artifact.expansion_steps == 0:
             return
         store = self.store
-        if store is not None and hasattr(store, "put_artifact"):
+        if store is not None:
             store.put_artifact(key, artifact)
 
     def _compute_serial(self, canonical: CanonicalLineage,

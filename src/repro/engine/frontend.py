@@ -43,10 +43,10 @@ of other requests' computations: its partial results are never cached.
 
 Typical use::
 
-    service = AttributionService(db, store=LogStore(path))
-    with ServingFrontend(service, FrontendConfig(workers=8)) as frontend:
-        response = frontend.submit({"op": "attribute", "query": "..."})
-    service.store.close()
+    with LogStore(path) as store:
+        service = AttributionService(db, store=store)
+        with ServingFrontend(service, FrontendConfig(workers=8)) as frontend:
+            response = frontend.submit({"op": "attribute", "query": "..."})
 
 ``repro serve --workers N`` drives :func:`serve_jsonl_concurrent`, the
 JSON-Lines loop over this front-end (responses streamed in input order

@@ -1,9 +1,9 @@
 """Append-only log store: the persistent tier's one writable store.
 
-Every persistent store the engine, the service and the ``repro``
-commands open is a :class:`LogStore` (or a :class:`ShardedStore` of
-them).  A flush appends records instead of rewriting files, and a point
-read seeks to one record instead of decoding a whole shard:
+Every persistent store the ``repro`` commands open is one
+:class:`LogStore` per directory.  A flush appends records instead of
+rewriting files, and a point read seeks to one record instead of
+decoding a whole shard:
 
 * :class:`LogStore` -- a single append-only **record log** per store
   root.  Records are length-prefixed, CRC32-checksummed JSON frames
@@ -27,19 +27,16 @@ read seeks to one record instead of decoding a whole shard:
   :meth:`LogStore.refresh` picks up newly acked records incrementally.
   ``mode="auto"`` tries to become the writer and degrades to a reader,
   which is how several serving processes share one store directory.
+  A reader creates nothing: on a missing directory it reads as empty
+  until a writer creates the log.
 
-* :class:`ShardedStore` -- consistent-hash sharding across N store
-  roots, composing *any* :class:`~repro.engine.store.CacheStore` per
-  shard.  The hash ring (virtual nodes) guarantees that growing the
-  ring only *moves keys to the new root* -- existing roots never
-  exchange entries -- so a deployment can add capacity without
-  invalidating its caches.
+* :func:`open_store` -- the factory behind the CLI's ``--store DIR``;
+  :func:`migrate_store` is the one-shot ``repro cache migrate`` copy,
+  from a legacy shard directory (read through
+  :class:`~repro.engine.store.DiskStore`) or another log store.
 
-* :func:`open_store` / :func:`resolve_store` -- the factory behind
-  ``EngineConfig(store=<path>)`` and the CLI's ``--store DIR`` /
-  ``--store-shards N`` flags; :func:`migrate_store` is the one-shot
-  ``repro cache migrate`` copy, from a legacy shard directory (read
-  through :class:`~repro.engine.store.DiskStore`) or another log store.
+Whoever opens a store closes it (:meth:`LogStore.close`, or a ``with``
+block): an engine or service handed a store never closes it.
 
 On-disk format of one log (``store.log``)::
 
@@ -60,14 +57,13 @@ re-establishes a clean log.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import queue
 import struct
 import threading
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.artifact import CompiledLineage, decode_artifact, \
     encode_artifact
@@ -104,7 +100,7 @@ _COMPACT_PREFIX = ".compact-"
 
 
 class StoreLockedError(RuntimeError):
-    """Another process already holds the store's writer lock."""
+    """Another open writer already holds the store's writer lock."""
 
 
 class _Record:
@@ -177,7 +173,8 @@ class LogStore:
     Parameters
     ----------
     path:
-        Store root directory (created if missing).
+        Store root directory.  A writer creates it if missing; a
+        ``"ro"`` store creates no directory and no file.
     max_entries / max_artifacts:
         Per-kind live-entry bounds; flushing past them appends
         tombstones for the oldest stamps (the physical bytes are
@@ -217,7 +214,8 @@ class LogStore:
         self.fsync = fsync
         self.auto_compact = auto_compact
         self.compact_ratio = compact_ratio
-        os.makedirs(path, exist_ok=True)
+        if mode != "ro":
+            os.makedirs(path, exist_ok=True)
 
         self._lock = threading.RLock()
         self._index: Dict[str, _Record] = {}        # results
@@ -283,9 +281,10 @@ class LogStore:
             if mode == "auto":
                 return "ro"
             raise StoreLockedError(
-                f"another process holds the writer lock on {self.path!r}; "
-                "open with mode='ro' (or mode='auto') to read alongside "
-                "the single writer") from None
+                f"the writer lock on {self.path!r} is held by another "
+                "process or by a LogStore still open in this one (close "
+                "it first); open with mode='ro' (or mode='auto') to read "
+                "alongside the single writer") from None
         self._lock_fd = fd
         return "rw"
 
@@ -786,37 +785,29 @@ class LogStore:
         The key snapshot is taken under the lock; records are then read
         one by one, so consumers may interleave ``get``/``put`` calls.
         """
-        with self._lock:
-            if self.mode == "ro":
-                self._refresh_locked()
-            encoded_keys = list(self._index.keys()) \
-                + [key for key in self._pending if key not in self._index]
-        for encoded in encoded_keys:
-            try:
-                key = decode_key(encoded)
-            except ValueError:
-                continue
-            value = self.get(key)
-            if value is not None:
-                yield key, value
+        yield from self._live(self._index, self._pending, decode_key,
+                              self.get)
 
     def artifact_items(self) -> Iterator[Tuple[CanonicalKey,
                                                CompiledLineage]]:
-        """Iterate every live compiled-lineage artifact."""
+        """Iterate every live compiled-lineage artifact, like :meth:`items`."""
+        yield from self._live(self._tree_index, self._tree_pending,
+                              decode_canonical_key, self.get_artifact)
+
+    def _live(self, index, pending, decode, read) -> Iterator[tuple]:
         with self._lock:
             if self.mode == "ro":
                 self._refresh_locked()
-            encoded_keys = list(self._tree_index.keys()) \
-                + [key for key in self._tree_pending
-                   if key not in self._tree_index]
+            encoded_keys = list(index) + [key for key in pending
+                                          if key not in index]
         for encoded in encoded_keys:
             try:
-                key = decode_canonical_key(encoded)
+                key = decode(encoded)
             except ValueError:
                 continue
-            artifact = self.get_artifact(key)
-            if artifact is not None:
-                yield key, artifact
+            value = read(key)
+            if value is not None:
+                yield key, value
 
     def __len__(self) -> int:
         with self._lock:
@@ -863,192 +854,18 @@ class LogStore:
 
 
 # --------------------------------------------------------------------- #
-# Consistent-hash sharding across store roots
-# --------------------------------------------------------------------- #
-
-
-def _ring_hash(text: str) -> int:
-    return int.from_bytes(hashlib.sha1(text.encode("utf-8")).digest()[:8],
-                          "big")
-
-
-class ShardedStore:
-    """Consistent-hash composition of N :class:`CacheStore` shards.
-
-    Keys are routed by their position on a hash ring built from
-    ``replicas`` virtual nodes per shard, so the mapping is stable
-    across processes (it depends only on the shard count and replica
-    constant) and *monotone* under growth: adding shard N+1 moves some
-    keys **to the new shard** and never shuffles keys between existing
-    shards -- the property that lets a deployment add store roots
-    without invalidating the caches it already has.
-
-    Any :class:`CacheStore` works as a shard (a ``ShardedStore`` of
-    ``LogStore`` roots is the scale deployment; ``MemoryStore`` shards
-    make tests hermetic).  Operations without a key (``flush``,
-    ``items``, ``compact``, ``close``, ``stats``) fan out to every
-    shard.
-    """
-
-    def __init__(self, stores: Sequence[CacheStore],
-                 replicas: int = 64) -> None:
-        if not stores:
-            raise ValueError("ShardedStore needs at least one shard")
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.stores: List[CacheStore] = list(stores)
-        self.replicas = replicas
-        ring: List[Tuple[int, int]] = []
-        for shard, _store in enumerate(self.stores):
-            for replica in range(replicas):
-                ring.append((_ring_hash(f"shard-{shard}:{replica}"), shard))
-        ring.sort()
-        self._ring = ring
-
-    @classmethod
-    def open(cls, roots: Sequence[str], replicas: int = 64,
-             **kwargs) -> "ShardedStore":
-        """Open one :class:`LogStore` per root (``kwargs`` go to each)."""
-        return cls([LogStore(root, **kwargs) for root in roots],
-                   replicas=replicas)
-
-    def shard_of(self, encoded_key: str) -> int:
-        """Ring position of an encoded key (stable across processes)."""
-        target = _ring_hash(encoded_key)
-        ring = self._ring
-        low, high = 0, len(ring)
-        while low < high:
-            mid = (low + high) // 2
-            if ring[mid][0] < target:
-                low = mid + 1
-            else:
-                high = mid
-        return ring[low % len(ring)][1]
-
-    def _store_for(self, encoded_key: str) -> CacheStore:
-        return self.stores[self.shard_of(encoded_key)]
-
-    # -- keyed operations: route ---------------------------------------- #
-
-    def get(self, key: ResultKey) -> Optional[CachedAttribution]:
-        return self._store_for(encode_key(key)).get(key)
-
-    def put(self, key: ResultKey, value: CachedAttribution) -> None:
-        self._store_for(encode_key(key)).put(key, value)
-
-    def get_artifact(self, key: CanonicalKey) -> Optional[CompiledLineage]:
-        store = self._store_for(encode_canonical_key(key))
-        if hasattr(store, "get_artifact"):
-            return store.get_artifact(key)
-        return None
-
-    def put_artifact(self, key: CanonicalKey,
-                     value: CompiledLineage) -> None:
-        store = self._store_for(encode_canonical_key(key))
-        if hasattr(store, "put_artifact"):
-            store.put_artifact(key, value)
-
-    # -- keyless operations: fan out ------------------------------------ #
-
-    def flush(self) -> None:
-        for store in self.stores:
-            store.flush()
-
-    def refresh(self) -> None:
-        for store in self.stores:
-            if hasattr(store, "refresh"):
-                store.refresh()
-
-    def compact(self) -> int:
-        """Compact every shard that supports it; returns bytes reclaimed."""
-        return sum(store.compact() for store in self.stores
-                   if hasattr(store, "compact"))
-
-    def close(self) -> None:
-        for store in self.stores:
-            if hasattr(store, "close"):
-                store.close()
-
-    def items(self) -> Iterator[Tuple[ResultKey, CachedAttribution]]:
-        for store in self.stores:
-            for pair in store.items():
-                yield pair
-
-    def artifact_items(self) -> Iterator[Tuple[CanonicalKey,
-                                               CompiledLineage]]:
-        for store in self.stores:
-            if hasattr(store, "artifact_items"):
-                for pair in store.artifact_items():
-                    yield pair
-
-    def __len__(self) -> int:
-        return sum(len(store) for store in self.stores)
-
-    def artifact_count(self) -> int:
-        total = 0
-        for store in self.stores:
-            if hasattr(store, "artifact_count"):
-                total += store.artifact_count()
-            elif hasattr(store, "artifact_items"):
-                total += sum(1 for _ in store.artifact_items())
-        return total
-
-    def stats(self) -> Dict[str, object]:
-        shard_stats = [store.stats() for store in self.stores]
-        entries = sum(int(stats.get("entries", 0)) for stats in shard_stats)
-        artifacts = self.artifact_count()
-        return {
-            "backend": "sharded",
-            "shard_count": len(self.stores),
-            "replicas": self.replicas,
-            "entries": entries,
-            "disk_bytes": sum(int(stats.get("disk_bytes", 0))
-                              for stats in shard_stats),
-            "bytes_flushed": sum(int(stats.get("bytes_flushed", 0))
-                                 for stats in shard_stats),
-            "kinds": {
-                "results": {"entries": entries},
-                "compiled_trees": {"entries": artifacts},
-            },
-            "shards": shard_stats,
-        }
-
-
-# --------------------------------------------------------------------- #
 # Opening and migration
 # --------------------------------------------------------------------- #
 
 
-def open_store(path: str, shards: int = 1, max_entries: int = 65_536,
-               **kwargs) -> CacheStore:
-    """Open the persistent store rooted at ``path`` (the CLI/config factory).
+def open_store(path: str, max_entries: int = 65_536,
+               **options) -> LogStore:
+    """Open the :class:`LogStore` rooted at ``path`` (the CLI's factory).
 
-    One root opens a :class:`LogStore`; ``shards > 1`` composes a
-    :class:`ShardedStore` over ``<path>/root-<i>`` subdirectories, each
-    holding one log store with its share of ``max_entries``.  Extra
-    keyword arguments go to :class:`LogStore` (e.g. ``mode="auto"`` for
-    a store that elects a single writer).
+    ``options`` go to :class:`LogStore` (e.g. ``mode="auto"`` for a
+    store that elects a single writer).  The caller closes the store.
     """
-    if shards < 1:
-        raise ValueError("store shards must be positive")
-    if shards > 1:
-        per_shard = max(1, max_entries // shards)
-        roots = [os.path.join(path, f"root-{index:02d}")
-                 for index in range(shards)]
-        return ShardedStore.open(roots, max_entries=per_shard, **kwargs)
-    return LogStore(path, max_entries=max_entries, **kwargs)
-
-
-def resolve_store(store) -> Optional[CacheStore]:
-    """Resolve ``EngineConfig.store``: a path string opens its store.
-
-    An already-constructed :class:`CacheStore` (or ``None``) passes
-    through untouched; a string is a store root opened via
-    :func:`open_store`.
-    """
-    if store is None or not isinstance(store, str):
-        return store
-    return open_store(store)
+    return LogStore(path, max_entries=max_entries, **options)
 
 
 def migrate_store(source: CacheStore, destination: CacheStore
@@ -1057,22 +874,20 @@ def migrate_store(source: CacheStore, destination: CacheStore
 
     The one-shot ``repro cache migrate`` path: a legacy shard directory
     (read through :class:`~repro.engine.store.DiskStore`, which never
-    writes) or another log store is drained into a
-    :class:`LogStore`/:class:`ShardedStore` without recomputing
-    anything.  Entries stream one at a time -- the migration never holds
-    more than one decoded record beyond the destination's write buffer.
-    Returns ``(results, artifacts)`` copied; the destination is flushed.
+    writes) or another log store is drained into a :class:`LogStore`
+    without recomputing anything.  Entries stream one at a time -- the
+    migration never holds more than one decoded record beyond the
+    destination's write buffer.  Returns ``(results, artifacts)``
+    copied; the destination is flushed.
     """
     results = 0
     for key, value in source.items():
         destination.put(key, value)
         results += 1
     artifacts = 0
-    if hasattr(source, "artifact_items") \
-            and hasattr(destination, "put_artifact"):
-        for key, artifact in source.artifact_items():
-            destination.put_artifact(key, artifact)
-            artifacts += 1
+    for key, artifact in source.artifact_items():
+        destination.put_artifact(key, artifact)
+        artifacts += 1
     destination.flush()
     return results, artifacts
 
@@ -1080,9 +895,7 @@ def migrate_store(source: CacheStore, destination: CacheStore
 __all__ = [
     "LOG_FORMAT_VERSION",
     "LogStore",
-    "ShardedStore",
     "StoreLockedError",
     "migrate_store",
     "open_store",
-    "resolve_store",
 ]

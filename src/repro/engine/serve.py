@@ -70,7 +70,7 @@ from repro.db.query import Query
 from repro.dtree.compile import CompilationLimitReached
 from repro.engine.cache import LineageCache
 from repro.engine.engine import Engine, EngineConfig
-from repro.engine.logstore import StoreLockedError, resolve_store
+from repro.engine.logstore import StoreLockedError
 from repro.engine.stats import EngineStats
 from repro.engine.store import CacheStore
 from repro.reliability import faults
@@ -154,7 +154,10 @@ class AttributionService:
         budgets, and cache sizes apply to every request.  The config's
         ``store`` is honored if ``store`` is not passed explicitly.
     store:
-        Optional persistent tier shared by every method engine.
+        Optional opened persistent tier shared by every method engine.
+        A path raises ``TypeError``, as in :class:`EngineConfig`: the
+        caller opens the store, and closes it after the service is done
+        with it.
     warm_start:
         When true (and a store is present), preload the store's entries
         -- results and compilation artifacts -- into the shared
@@ -189,6 +192,8 @@ class AttributionService:
                 "'attribute' requests and cannot be a ranking method; "
                 "rank/topk engines are created per request op"
             )
+        if store is not None:
+            base = replace(base, store=store)  # rejects a path
         self.database = database
         self._base = replace(base, store=None, k=None)
         self.cache = LineageCache(base.cache_size, base.dtree_cache_size)
@@ -196,14 +201,12 @@ class AttributionService:
         # One plan for every engine this service creates, installed before
         # the first request (engines are created lazily, on first use).
         faults.install(base.fault_plan)
-        # A path-valued config store opens its backend exactly once,
-        # here, and is then shared by every method engine (per-engine
-        # resolution would trip LogStore's single-writer lock).  The
-        # shared handle is wrapped with the service's retry + breaker
-        # policy (a no-op when both knobs are 0 or the caller passed an
-        # already-wrapped store), counting into the shared stats.
+        # One store handle, shared by every method engine, wrapped with
+        # the service's retry + breaker policy (a no-op when both knobs
+        # are 0 or the caller passed an already-wrapped store), counting
+        # into the shared stats.
         self.store = wrap_store(
-            store if store is not None else resolve_store(base.store),
+            base.store,
             retries=base.store_retries,
             breaker_threshold=base.breaker_threshold,
             on_counter=self.stats_counters.bump)

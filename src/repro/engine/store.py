@@ -70,9 +70,8 @@ class CacheStore(Protocol):
     Implementations must be safe to call from several threads of one
     process; :class:`~repro.engine.logstore.LogStore` additionally
     shares one directory between a single writer process and any number
-    of reader processes.  The artifact methods are optional -- the
-    engine probes for them with ``hasattr`` -- so a minimal result-only
-    store still plugs in.
+    of reader processes.  Whoever opens a store closes it: an engine or
+    service that is handed one never does.
 
     Methods
     -------
@@ -102,6 +101,15 @@ class CacheStore(Protocol):
     def flush(self) -> None: ...
 
     def items(self) -> Iterator[Tuple[ResultKey, CachedAttribution]]: ...
+
+    def get_artifact(self, key: CanonicalKey
+                     ) -> Optional[CompiledLineage]: ...
+
+    def put_artifact(self, key: CanonicalKey,
+                     value: CompiledLineage) -> None: ...
+
+    def artifact_items(self) -> Iterator[Tuple[CanonicalKey,
+                                               CompiledLineage]]: ...
 
     def stats(self) -> Dict[str, object]: ...
 
@@ -396,10 +404,6 @@ class DiskStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def artifact_count(self) -> int:
-        """Number of readable compiled-lineage artifacts."""
-        return len(self._artifacts)
-
     def stats(self) -> Dict[str, object]:
         """Per-kind entry counts, shard files and bytes on disk."""
         (shard_files, result_bytes), (tree_files, tree_bytes) = (
@@ -480,12 +484,9 @@ def load_results(store: CacheStore, cache) -> int:
 def save_artifacts(artifact_entries, store: CacheStore) -> int:
     """Write ``(canonical key, CompiledLineage)`` pairs into ``store``.
 
-    Tolerates result-only stores (returns 0); skips trivial partials (an
-    undecomposed frontier with zero expansions carries nothing worth
-    resuming).  Flushes on completion.
+    Skips trivial partials (an undecomposed frontier with zero
+    expansions carries nothing worth resuming).  Flushes on completion.
     """
-    if not hasattr(store, "put_artifact"):
-        return 0
     written = 0
     for key, artifact in artifact_entries:
         if artifact.complete or artifact.expansion_steps > 0:
@@ -498,11 +499,9 @@ def save_artifacts(artifact_entries, store: CacheStore) -> int:
 def load_artifacts(store: CacheStore, cache) -> int:
     """Load every persisted artifact into an in-memory artifact cache.
 
-    ``cache`` is the engine's ``cache.artifacts`` LRU; result-only
-    stores load nothing.  Returns the number of artifacts loaded.
+    ``cache`` is the engine's ``cache.artifacts`` LRU.  Returns the
+    number of artifacts loaded.
     """
-    if not hasattr(store, "artifact_items"):
-        return 0
     loaded = 0
     for key, artifact in store.artifact_items():
         cache.put(key, artifact)

@@ -85,11 +85,13 @@ class ResilientStore:
         return self._guarded(lambda: self.inner.get(key))
 
     def put(self, key: Any, value: Any) -> None:
-        try:
-            self.inner.put(key, value)
-        except self.retry.retry_on:
-            if self.breaker.record_failure():
-                self._bump(store_degraded=1)
+        self._put_quiet(self.inner.put, key, value)
+
+    def get_artifact(self, key: Any) -> Any:
+        return self._guarded(lambda: self.inner.get_artifact(key))
+
+    def put_artifact(self, key: Any, value: Any) -> None:
+        self._put_quiet(self.inner.put_artifact, key, value)
 
     def flush(self) -> None:
         self._guarded(self.inner.flush)
@@ -99,24 +101,18 @@ class ResilientStore:
         stats["reliability"] = self.breaker.snapshot()
         return stats
 
-    # ------------------------------------------------------------------
-    # everything else (artifact tier, maintenance verbs) delegates;
-    # artifact get/put pick up the same degradation policy.
-
-    def __getattr__(self, name: str) -> Any:
-        attribute = getattr(self.inner, name)
-        if name == "get_artifact":
-            return lambda key: self._guarded(lambda: attribute(key))
-        if name == "put_artifact":
-            return lambda key, value: self._put_quiet(attribute, key, value)
-        return attribute
-
     def _put_quiet(self, put: Callable[[Any, Any], None], key: Any, value: Any) -> None:
         try:
             put(key, value)
         except self.retry.retry_on:
             if self.breaker.record_failure():
                 self._bump(store_degraded=1)
+
+    # ------------------------------------------------------------------
+    # everything else (maintenance verbs, iteration) delegates
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
 
     def __len__(self) -> int:
         return len(self.inner)

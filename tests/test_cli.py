@@ -2,10 +2,12 @@
 
 import io
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, run
+from repro.engine.logstore import LogStore
 
 
 @pytest.fixture
@@ -282,6 +284,16 @@ class TestServeCommand:
                  "--workers", "2", "--batch-max", "4"], output=io.StringIO())
         assert excinfo.value.code == 2
 
+    def test_serve_releases_its_store_when_serving_fails(self, csv_relations,
+                                                        tmp_path):
+        r_path, _ = csv_relations
+        store_dir = str(tmp_path / "store")
+        with pytest.raises(FileNotFoundError):
+            run(["serve", "--facts", f"R={r_path}", "--store", store_dir,
+                 "--requests", str(tmp_path / "missing.jsonl")],
+                output=io.StringIO())
+        LogStore(store_dir).close()  # serve released the writer lock
+
     def test_serve_deadline_ms_flag(self, csv_relations, tmp_path):
         r_path, s_path = csv_relations
         requests = self._requests_file(tmp_path, [
@@ -374,6 +386,19 @@ class TestCacheCommand:
                     "--method", "topk", "--k", "1"], output=output)
         assert code == 0
         assert "saved" in output.getvalue()
+
+    def test_shard_flags_are_usage_errors(self, tmp_path):
+        """One store is one log directory: the shard flags are gone."""
+        for argv in (["serve", "--facts", "R=r.csv", "--requests", "-",
+                      "--store", str(tmp_path / "a"), "--store-shards", "2"],
+                     ["cache", "migrate", "--store", str(tmp_path / "a"),
+                      "--dest", str(tmp_path / "b"), "--dest-shards", "2"],
+                     ["cache", "stats", "--store", str(tmp_path / "a"),
+                      "--store-shards", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv, output=io.StringIO())
+            assert excinfo.value.code == 2
+        assert os.listdir(str(tmp_path)) == []
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):

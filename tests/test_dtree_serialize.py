@@ -184,6 +184,17 @@ class TestArtifactCodec:
         encoded["complete"] = False
         with pytest.raises(ValueError):
             decode_artifact(encoded)
+        # A partial tree must not masquerade as exact either.
+        compiler = IncrementalCompiler(DNF([[i, (i + 1) % 8]
+                                            for i in range(8)]))
+        compiler.expand_step()
+        partial = CompiledLineage.from_compiler(compiler)
+        assert not partial.complete
+        encoded = encode_artifact(partial)
+        assert not decode_artifact(encoded).complete
+        encoded["complete"] = True
+        with pytest.raises(ValueError):
+            decode_artifact(encoded)
 
     def test_resume_completion_respects_budget(self):
         # An 8-cycle needs 4 more Shannon expansions after the first, so

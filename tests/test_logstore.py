@@ -4,28 +4,27 @@ Crash-injection, multi-process concurrency, and model-based property
 coverage live in ``test_store_crash.py`` / ``test_store_multiproc.py`` /
 ``test_store_properties.py``; this file pins the single-process
 contract: exact round-trips, torn-tail and corrupt-record recovery,
-tombstoned eviction, compaction, locking modes, consistent-hash
-sharding, backend selection, and the one-shot migration path.
+tombstoned eviction, compaction, locking modes, store ownership, and
+the one-shot migration path.
 """
 
+import gc
 import os
 from fractions import Fraction
 
 import pytest
 
+from repro.db.database import Database
 from repro.engine import Engine, EngineConfig
 from repro.engine.logstore import (
     LogStore,
     _CompactionWorker,
-    ShardedStore,
     StoreLockedError,
     migrate_store,
     open_store,
-    resolve_store,
 )
 from repro.engine.store import (
     DiskStore,
-    MemoryStore,
     encode_entry,
     encode_key,
 )
@@ -44,6 +43,13 @@ from tests.test_store import (
 def _keys(count, method="approximate"):
     return [_key(method=method, epsilon=Fraction(i + 1, 999_983))
             for i in range(count)]
+
+
+def _database():
+    database = Database()
+    for value in ("a", "b"):
+        database.add_fact("R", (value,))
+    return database
 
 
 class TestLogStoreRoundTrip:
@@ -208,13 +214,6 @@ class TestLogStoreEviction:
                 assert grown > 0
                 assert store.stats()["bytes_flushed"] - before[0] == grown
             assert len(store) == 2
-        sharded = open_store(str(tmp_path / "sharded"), shards=2)
-        for key in _keys(4):
-            sharded.put(key, _entry())
-        sharded.flush()
-        assert sharded.stats()["bytes_flushed"] == sum(
-            shard.bytes_flushed for shard in sharded.stores) > 0
-        sharded.close()
 
 
 class TestLogStoreCompaction:
@@ -275,14 +274,37 @@ class TestLogStoreLocking:
     def test_second_writer_is_excluded_with_clear_error(self, tmp_path):
         with LogStore(str(tmp_path)) as writer:
             writer.put(_key(), _entry())
+            # flock is per open file: a store this process left open
+            # excludes a second writer exactly like another process.
             with pytest.raises(StoreLockedError) as excinfo:
                 LogStore(str(tmp_path))
-            assert "writer lock" in str(excinfo.value)
-            assert str(tmp_path) in str(excinfo.value)
+            message = str(excinfo.value)
+            assert "writer lock" in message and str(tmp_path) in message
+            assert "another process" in message
+            assert "still open in this one" in message
         # The lock dies with the handle: a new writer succeeds.
         with LogStore(str(tmp_path)) as successor:
             successor.put(_key(), _entry())
             successor.flush()
+
+    def test_a_reader_creates_nothing(self, tmp_path):
+        missing = tmp_path / "missing"
+        reader = LogStore(str(missing), mode="ro")
+        assert not missing.exists()
+        assert reader.get(_key()) is None
+        assert len(reader) == 0 and list(reader.items()) == []
+        assert reader.stats()["disk_bytes"] == 0
+        reader.put(_key(), _entry())  # dropped, not written
+        reader.flush()
+        assert not missing.exists()
+        # Once a writer creates the log, the reader sees its records.
+        with LogStore(str(missing)) as writer:
+            writer.put(_key(), _entry())
+            writer.flush()
+            assert reader.get(_key()) == _entry()
+        reader.close()
+        assert sorted(os.listdir(str(missing))) == ["store.log",
+                                                    "writer.lock"]
 
     def test_auto_mode_degrades_to_reader(self, tmp_path):
         with LogStore(str(tmp_path)) as writer:
@@ -315,97 +337,45 @@ class TestLogStoreLocking:
             reader.close()
 
 
-class TestShardedStore:
-    def test_routes_and_aggregates(self, tmp_path):
-        store = ShardedStore([MemoryStore() for _ in range(4)])
-        keys = _keys(32)
-        for key in keys:
-            store.put(key, _entry())
-        store.put_artifact(_canonical_key(), _artifact())
-        store.flush()
-        assert len(store) == 32
-        assert store.artifact_count() == 1
-        assert all(store.get(key) == _entry() for key in keys)
-        assert set(dict(store.items())) == set(keys)
-        # Keys actually spread (overwhelmingly likely over 32 keys).
-        assert sum(1 for shard in store.stores if len(shard) > 0) >= 2
-        stats = store.stats()
-        assert stats["backend"] == "sharded"
-        assert stats["entries"] == 32
-        assert stats["kinds"]["results"]["entries"] == 32
-
-    def test_routing_is_stable_across_instances(self, tmp_path):
-        first = ShardedStore([MemoryStore() for _ in range(5)])
-        second = ShardedStore([MemoryStore() for _ in range(5)])
-        for key in _keys(64):
-            encoded = encode_key(key)
-            assert first.shard_of(encoded) == second.shard_of(encoded)
-
-    def test_growth_only_moves_keys_to_the_new_shard(self, tmp_path):
-        # The consistent-hash property: adding a shard never shuffles
-        # keys between existing shards.
-        small = ShardedStore([MemoryStore() for _ in range(4)])
-        grown = ShardedStore([MemoryStore() for _ in range(5)])
-        moved = 0
-        for key in _keys(256):
-            encoded = encode_key(key)
-            before, after = small.shard_of(encoded), grown.shard_of(encoded)
-            if before != after:
-                assert after == 4  # only ever to the new shard
-                moved += 1
-        assert 0 < moved < 256  # some keys move, not all
-
-    def test_sharded_log_roundtrip_across_handles(self, tmp_path):
-        keys = _keys(16)
-        store = ShardedStore.open(
-            [str(tmp_path / f"root-{i}") for i in range(3)])
-        for key in keys:
-            store.put(key, _entry())
-        store.flush()
-        store.close()
-        reopened = ShardedStore.open(
-            [str(tmp_path / f"root-{i}") for i in range(3)])
-        assert all(reopened.get(key) == _entry() for key in keys)
-        assert reopened.compact() >= 0  # fans out, all shards support it
-        reopened.close()
-
-
 class TestBackendSelection:
     def test_open_store_backends(self, tmp_path):
         log = open_store(str(tmp_path / "l"))
         assert isinstance(log, LogStore)
         log.close()
-        sharded = open_store(str(tmp_path / "s"), shards=3)
-        assert isinstance(sharded, ShardedStore)
-        assert len(sharded.stores) == 3
-        assert all(isinstance(shard, LogStore) for shard in sharded.stores)
-        sharded.close()
-        with pytest.raises(ValueError):
-            open_store(str(tmp_path / "x"), shards=0)
+        with pytest.raises(TypeError):
+            open_store(str(tmp_path / "s"), shards=2)
+        assert not (tmp_path / "s").exists()
 
-    def test_resolve_store_passthrough_and_paths(self, tmp_path):
-        memory = MemoryStore()
-        assert resolve_store(memory) is memory
-        assert resolve_store(None) is None
-        opened = resolve_store(str(tmp_path / "l"))
-        assert isinstance(opened, LogStore)
-        opened.close()
+    def test_engine_config_rejects_a_path(self, tmp_path):
+        from repro.engine.serve import AttributionService
 
-    def test_engine_config_opens_and_serves_the_backend(self, tmp_path):
+        for path in (str(tmp_path), tmp_path):
+            with pytest.raises(TypeError, match="open_store"):
+                EngineConfig(store=path)
+            with pytest.raises(TypeError, match="open_store"):
+                AttributionService(_database(), store=path)
+        assert os.listdir(str(tmp_path)) == []  # nothing was opened
+
+    def test_engine_and_service_leave_the_store_to_its_opener(
+            self, tmp_path):
         from repro.boolean.dnf import DNF
+        from repro.engine.serve import AttributionService
 
         lineage = DNF([(0, 1), (1, 2)], domain=range(3))
-        engine = Engine(EngineConfig(store=str(tmp_path)))
-        # The engine wraps the opened store in its resilience proxy.
-        assert isinstance(engine.store.inner, LogStore)
+        store = LogStore(str(tmp_path))
+        engine = Engine(EngineConfig(store=store))
         (first,) = engine.attribute_lineages([lineage])
-        engine.store.close()
-
-        warm = Engine(EngineConfig(store=str(tmp_path)))
-        (second,) = warm.attribute_lineages([lineage])
+        service = AttributionService(_database(), store=store)
+        assert service.submit({"op": "attribute",
+                               "query": "Q(X) :- R(X)"})["ok"]
+        store.close()
+        del engine, service
+        gc.collect()
+        with LogStore(str(tmp_path)) as reopened:
+            warm = Engine(EngineConfig(store=reopened))
+            (second,) = warm.attribute_lineages([lineage])
         assert warm.stats.store_hits == 1
         assert second.values == first.values
-        warm.store.close()
 
 
 class TestMigration:
@@ -422,7 +392,7 @@ class TestMigration:
                           {_canonical_key(): encode_artifact(_artifact())})
         source = DiskStore(str(legacy))
 
-        destination = open_store(str(tmp_path / "log"), shards=2)
+        destination = open_store(str(tmp_path / "log"))
         results, artifacts = migrate_store(source, destination)
         assert (results, artifacts) == (8, 1)
         destination.close()
@@ -430,7 +400,7 @@ class TestMigration:
         # The source stays fully readable, and the migrated entries
         # round-trip bit-identically.
         assert all(source.get(key) == _entry() for key in keys)
-        reopened = open_store(str(tmp_path / "log"), shards=2)
+        reopened = open_store(str(tmp_path / "log"))
         for key in keys:
             loaded = reopened.get(key)
             assert loaded == _entry()
@@ -438,6 +408,47 @@ class TestMigration:
                        for v in loaded.values.values())
         assert reopened.artifact_count() == 1
         reopened.close()
+
+    def test_cli_merges_an_old_sharded_layout_into_one_store(self, tmp_path):
+        import io
+
+        from repro.cli import run
+        from repro.engine.artifact import encode_artifact
+
+        # Older versions sharded a store into log stores at DIR/root-NN.
+        keys = _keys(12)
+        roots = [tmp_path / "sharded" / f"root-{index:02d}"
+                 for index in range(2)]
+        artifact_keys = [_canonical_key(), (4, ((0, 1), (2,), (3,)))]
+        for index, root in enumerate(roots):
+            with LogStore(str(root)) as shard:
+                for key in keys[index::2]:
+                    shard.put(key, _entry(converged=bool(index)))
+                shard.put_artifact(artifact_keys[index], _artifact())
+        before = [_snapshot(root) for root in roots]
+
+        merged = str(tmp_path / "merged")
+        for root in roots:
+            output = io.StringIO()
+            assert run(["cache", "migrate", "--store", str(root),
+                        "--dest", merged], output=output) == 0
+            assert "migrated 6 cache entries and 1 compiled artifacts" \
+                in output.getvalue()
+        assert [_snapshot(root) for root in roots] == before
+
+        with LogStore(merged, mode="ro") as store:
+            assert len(store) == 12 and store.artifact_count() == 2
+            for index, key in enumerate(keys):
+                loaded = store.get(key)
+                expected = _entry(converged=bool(index % 2))
+                assert loaded == expected
+                assert [(type(value), value.numerator, value.denominator)
+                        for value in loaded.values.values()] \
+                    == [(Fraction, value.numerator, value.denominator)
+                        for value in expected.values.values()]
+            for key in artifact_keys:
+                assert encode_artifact(store.get_artifact(key)) \
+                    == encode_artifact(_artifact())
 
     def test_cli_migrates_a_legacy_directory_losslessly(self, tmp_path):
         import io

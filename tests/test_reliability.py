@@ -400,6 +400,14 @@ class _FlakyStore:
         self._maybe_fail()
         self.inner.flush()
 
+    def get_artifact(self, key):
+        self._maybe_fail()
+        return self.inner.get_artifact(key)
+
+    def put_artifact(self, key, value):
+        self._maybe_fail()
+        self.inner.put_artifact(key, value)
+
     def stats(self):
         return self.inner.stats()
 
@@ -472,6 +480,26 @@ class TestResilientStore:
         assert store.get("k") == "v"
         store.flush()  # the fault cleared: persists normally
         assert flaky.inner.get("k") == "v"
+
+    def test_artifact_reads_and_writes_degrade_like_results(self):
+        counters = []
+        flaky = _FlakyStore()
+        store = ResilientStore(
+            flaky, retry=_fast_retry(2),
+            breaker=CircuitBreaker(failure_threshold=2),
+            on_counter=lambda **d: counters.append(d))
+        store.put_artifact("k", "tree")
+        flaky.fail_next = 1
+        assert store.get_artifact("k") == "tree"  # retried, then served
+        assert counters == [{"store_retries": 1}]
+        flaky.fail_next = 10
+        store.put_artifact("j", "tree")  # swallowed; counts one failure
+        assert flaky.inner.get_artifact("j") is None
+        assert store.get_artifact("k") is None  # terminal: a miss
+        assert counters[-1] == {"store_degraded": 1}  # second failure trips
+        touched = flaky.calls
+        assert store.get_artifact("k") is None
+        assert flaky.calls == touched  # open breaker: no backend I/O
 
     def test_non_store_verbs_delegate(self):
         flaky = _FlakyStore()

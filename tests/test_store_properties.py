@@ -6,8 +6,7 @@ interleavings of ``put`` / ``flush`` / ``evict`` (via a tiny capacity) /
 :class:`LogStore`, checking after every step that it agrees with a
 trivial in-memory model (the dict a :class:`MemoryStore` is) about
 every key's value -- with the exact-``Fraction`` round-trip preserved
-bit for bit.  A second machine drives a :class:`ShardedStore` against
-the same model, so routing can never lose or duplicate a key.
+bit for bit.
 
 Runs in the ``concurrency`` CI lane alongside the crash/multiproc
 harnesses (shared pytest-timeout guard; Hypothesis is slow-ish).
@@ -28,15 +27,14 @@ from hypothesis.stateful import (
 )
 
 from repro.engine.cache import CachedAttribution
-from repro.engine.logstore import LogStore, ShardedStore
-from repro.engine.store import MemoryStore, decode_entry, decode_key, \
-    encode_entry, encode_key
+from repro.engine.logstore import LogStore
+from repro.engine.store import decode_entry, decode_key, encode_entry, \
+    encode_key
 
 pytestmark = pytest.mark.concurrency
 
 #: A small fixed key pool: few enough that overwrites, evictions and
-#: collisions happen constantly, keyed apart by clauses *and* epsilon
-#: so they spread across shards.
+#: collisions happen constantly, keyed apart by clauses *and* epsilon.
 KEY_POOL = [
     ((3, ((0, 1), (1, 2))), "exact", None, None),
     ((3, ((0, 1), (1, 2))), "approximate", Fraction(1, 10), None),
@@ -167,39 +165,8 @@ class LogStoreMachine(RuleBasedStateMachine):
         shutil.rmtree(self.path, ignore_errors=True)
 
 
-class ShardedStoreMachine(RuleBasedStateMachine):
-    """ShardedStore routing vs the flat dict it must be equivalent to."""
-
-    def __init__(self):
-        super().__init__()
-        self.store = ShardedStore([MemoryStore() for _ in range(3)])
-        self.model = {}
-
-    @rule(key=_keys, value=_entries)
-    def put(self, key, value):
-        self.store.put(key, value)
-        self.model[key] = value
-
-    @rule()
-    def flush(self):
-        self.store.flush()
-
-    @invariant()
-    def routing_never_loses_or_duplicates(self):
-        for key in KEY_POOL:
-            assert self.store.get(key) == self.model.get(key)
-        assert len(self.store) == len(self.model)
-        snapshot = dict(self.store.items())
-        assert snapshot == self.model
-
-
 def test_logstore_against_model():
     run_state_machine_as_test(LogStoreMachine, settings=_MACHINE_SETTINGS)
-
-
-def test_sharded_store_against_model():
-    run_state_machine_as_test(ShardedStoreMachine,
-                              settings=_MACHINE_SETTINGS)
 
 
 @settings(max_examples=50, deadline=None)
@@ -228,20 +195,3 @@ def test_key_roundtrip_through_log_encoding(num_variables, clauses, epsilon):
            "approximate" if epsilon is not None else "rank",
            epsilon, None)
     assert decode_key(encode_key(key)) == key
-
-
-@settings(max_examples=25, deadline=None)
-@given(shards=st.integers(1, 8), extra=st.integers(1, 3),
-       seeds=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=50,
-                      unique=True))
-def test_consistent_hash_growth_is_monotone(shards, extra, seeds):
-    """Adding shards only ever moves keys onto the *new* shards."""
-    small = ShardedStore([MemoryStore() for _ in range(shards)])
-    grown = ShardedStore([MemoryStore() for _ in range(shards + extra)])
-    for seed in seeds:
-        encoded = encode_key(
-            ((3, ((0, 1), (1, 2))), "approximate",
-             Fraction(seed + 1, 999_983), None))
-        before = small.shard_of(encoded)
-        after = grown.shard_of(encoded)
-        assert before == after or after >= shards

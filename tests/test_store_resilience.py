@@ -15,11 +15,13 @@ recovery contract at each layer:
   open, and surfaces a *locked* store as a structured
   ``{"ok": false, "degraded": true}`` response;
 * ``repro serve`` / ``repro cache`` exit with code 2 and one structured
-  JSON line -- not a traceback -- when the store cannot be opened.
+  JSON line -- not a traceback -- when the store cannot be opened, and
+  a reading action on a missing store directory creates nothing.
 """
 
 import io
 import json
+import os
 
 import pytest
 
@@ -214,6 +216,24 @@ class TestCliStoreFailures:
                 assert row["store"] == store_dir
         finally:
             holder.close()
+
+    def test_reading_a_missing_store_exits_2_and_creates_nothing(
+            self, tmp_path):
+        missing = str(tmp_path / "missing")
+        for argv in (["cache", "stats", "--store", missing],
+                     ["cache", "load", "--store", missing],
+                     ["cache", "warm", "--store", missing],
+                     ["cache", "compact", "--store", missing],
+                     ["cache", "migrate", "--store", missing,
+                      "--dest", str(tmp_path / "dest")]):
+            output = io.StringIO()
+            assert cli_run(argv, output=output) == 2, argv
+            (line,) = output.getvalue().splitlines()
+            row = json.loads(line)
+            assert row["ok"] is False
+            assert "FileNotFoundError" in row["error"]
+            assert row["store"] == missing
+        assert os.listdir(str(tmp_path)) == []
 
     def test_serve_on_a_locked_store_exits_2(self, tmp_path, serve_inputs,
                                              capsys):
