@@ -326,14 +326,15 @@ _STORE_OPEN_ERRORS = (StoreLockedError, OSError)
 
 
 def _open_store_checked(arguments, error_stream, prefix: str = "store",
-                        shared_reader: bool = False, existing: bool = False,
+                        read_only: bool = False, existing: bool = False,
                         legacy_reader: bool = False):
     """Open one flag group's store, degrading failures to a status line.
 
-    ``shared_reader`` opens it in ``auto`` mode, so read-mostly commands
-    (stats, warm, the migration source) keep working while a serving
-    process holds the writer lock.  ``existing`` refuses a missing
-    directory instead of creating an empty store at a mistyped path.
+    ``read_only`` opens it in ``ro`` mode: read-only commands (stats,
+    warm, the migration source) work beside a running ``serve`` and
+    never write, not even to cut a torn tail.  ``existing`` refuses a
+    missing directory instead of creating an empty store at a mistyped
+    path.
     ``legacy_reader`` reads a directory that holds legacy shard files
     through the read-only :class:`~repro.engine.store.DiskStore`.
     Returns the opened store, or ``None`` after printing one
@@ -348,7 +349,7 @@ def _open_store_checked(arguments, error_stream, prefix: str = "store",
             return DiskStore(path)
         return open_store(path,
                           max_entries=getattr(arguments, f"{prefix}_entries"),
-                          mode="auto" if shared_reader else "rw")
+                          mode="ro" if read_only else "rw")
     except _STORE_OPEN_ERRORS as error:
         print(json.dumps({"ok": False,
                           "error": f"{type(error).__name__}: {error}",
@@ -550,10 +551,13 @@ def _cache_command(argv: Sequence[str], stream) -> int:
     engine = (_save_engine(parser, arguments, stream)
               if arguments.action == "save" else None)
     if arguments.action == "migrate":
+        if (os.path.realpath(arguments.store)
+                == os.path.realpath(arguments.dest)):
+            parser.error("--store and --dest must name different directories")
         return _migrate(arguments, stream)
     store = _open_store_checked(
         arguments, stream,
-        shared_reader=arguments.action in ("stats", "warm"),
+        read_only=arguments.action in ("stats", "warm"),
         existing=arguments.action != "save")
     if store is None:
         return 2
@@ -590,7 +594,7 @@ def _cache_command(argv: Sequence[str], stream) -> int:
 
 def _migrate(arguments, stream) -> int:
     """``repro cache migrate``: copy SRC into DST, closing both."""
-    source = _open_store_checked(arguments, stream, shared_reader=True,
+    source = _open_store_checked(arguments, stream, read_only=True,
                                  existing=True, legacy_reader=True)
     if source is None:
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, NamedTuple, Optional, Tuple
 
 from repro.core.ichiban import RankedVariable
 from repro.db.database import Database, Fact
@@ -24,8 +24,7 @@ from repro.dtree.compile import CompilationBudget
 Method = Literal["auto", "exact", "approximate", "shapley"]
 
 
-@dataclass(frozen=True)
-class FactAttribution:
+class FactAttribution(NamedTuple):
     """The attribution score of one fact for one answer tuple."""
 
     fact: Fact

@@ -37,10 +37,9 @@ the best-so-far intervals so callers can degrade instead of losing the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.boolean.dnf import DNF
 from repro.core.adaban import ApproximationTimeout, _AnytimeState, _deadline
@@ -72,8 +71,7 @@ class IchiBanTimeout(ApproximationTimeout):
         self.rounds = rounds
 
 
-@dataclass(frozen=True)
-class RankedVariable:
+class RankedVariable(NamedTuple):
     """One entry of an IchiBan ranking."""
 
     variable: int

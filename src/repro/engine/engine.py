@@ -478,19 +478,22 @@ class Engine:
         queries are still being computed.  The cache persists across the
         whole stream: queries sharing lineage structure pay for compilation
         once, and a repeat query over an unchanged database skips its
-        evaluation.  Inputs and outputs are fact-space; canonical variable
-        space is an internal detail of the cache tiers.
+        evaluation and, while its results stay cached, its assembly.
+        Inputs and outputs are fact-space; canonical space is internal.
         """
+        config = self.config
+        suffix = self.cache.result_suffix(config.method, config.epsilon,
+                                          config.k)
         for query in queries:
             self.stats.bump(queries=1)
-            answers, canonicals = self._prepare(query, database)
+            answers, canonicals, assembled = self._prepare(query, database)
             outcomes = self._attribute_batch(canonicals)
             with self.stats.timed("assemble"):
-                results = [
-                    self._assemble(answer, outcome, database)
-                    for answer, outcome in zip(answers, outcomes)
-                ]
-            yield query, results
+                results = self._assembled(
+                    assembled, "values", suffix, answers, outcomes,
+                    lambda answer, outcome: self._assemble(answer, outcome,
+                                                           database))
+            yield query, list(results)
 
     def rank_many(self, queries: Iterable[Query], database: Database,
                   k: Optional[int] = None
@@ -510,14 +513,22 @@ class Engine:
                 "rank()/rank_many() need an engine configured with "
                 f"method='rank' or 'topk', not {self.config.method!r}"
             )
+        config = self.config
+        effective_k = ((config.k if k is None else k)
+                       if config.method == "topk" else None)
+        suffix = self.cache.result_suffix(config.method, config.epsilon,
+                                          effective_k)
         for query in queries:
             self.stats.bump(queries=1)
-            answers, canonicals = self._prepare(query, database)
+            answers, canonicals, assembled = self._prepare(query, database)
             outcomes = self._attribute_batch(canonicals, k=k)
             with self.stats.timed("assemble"):
-                rankings = [(answer, self._ranked_facts(outcome, database, k))
-                            for answer, outcome in zip(answers, outcomes)]
-            yield query, rankings
+                rankings = self._assembled(
+                    assembled, "ranked", suffix, answers, outcomes,
+                    lambda answer, outcome: (answer, self._ranked_facts(
+                        outcome, database, effective_k)))
+            yield query, [(answer, list(entries))
+                          for answer, entries in rankings]
 
     def rank(self, query: Query, database: Database,
              k: Optional[int] = None) -> List[RankedAnswer]:
@@ -614,11 +625,12 @@ class Engine:
     # ----------------------------------------------------------------- #
 
     def _prepare(self, query: Query, database: Database) -> tuple:
-        """``(answer tuples, canonical lineages)``, memoized per database
-        version in :attr:`LineageCache.prepared`; the version is read first
-        and an entry kept only if it is unchanged after the evaluation.
-        Concurrent first misses may both evaluate (identical results); an
-        unhashable query skips the memo."""
+        """``(answer tuples, canonical lineages, assembled answers)``,
+        memoized per database version in :attr:`LineageCache.prepared`;
+        the version is read first and an entry kept only if it is
+        unchanged after the evaluation.  Concurrent first misses may both
+        evaluate (identical results); an unhashable query skips the memo.
+        The assembled answers start empty (see :meth:`_assembled`)."""
         version = database.version
         key = (query, self.config.domain, id(database), version)
         try:
@@ -632,7 +644,7 @@ class Engine:
             answers = lineage_of_answers(query, database,
                                          domain=self.config.domain)
         entry = (weakref.ref(database), [answer.values for answer in answers],
-                 self._canonicalize(answer.lineage for answer in answers))
+                 self._canonicalize(answer.lineage for answer in answers), {})
         if key is not None and database.version == version:
             self.cache.prepared.put(key, entry)
         return entry[1:]
@@ -852,13 +864,33 @@ class Engine:
     # Assembly helpers
     # ----------------------------------------------------------------- #
 
+    def _assembled(self, assembled: dict, kind: str, suffix: tuple,
+                   answers: list, outcomes: list, assemble) -> tuple:
+        """One query's assembled answers, kept on its prepared entry.
+
+        ``assembled[kind]`` holds ``(suffix, outcomes, answers)`` from an
+        earlier call; it is reused when the suffix matches and every
+        answer's result is the very cache entry it was built from.
+        Otherwise each answer is assembled afresh and, if every result
+        converged (only those are ever cached), replaces the slot.
+        """
+        slot = assembled.get(kind)
+        if (slot is not None and slot[0] == suffix
+                and all(cached is kept for (_, cached), (_, kept)
+                        in zip(outcomes, slot[1]))):
+            self.stats.bump(assembly_hits=1)
+            return slot[2]
+        results = tuple(assemble(answer, outcome)
+                        for answer, outcome in zip(answers, outcomes))
+        if all(cached.converged for _, cached in outcomes):
+            assembled[kind] = (suffix, outcomes, results)
+        return results
+
     def _ranked_facts(self, outcome: Tuple[CanonicalLineage, CachedAttribution],
-                      database: Database, k: Optional[int]
+                      database: Database, effective_k: Optional[int]
                       ) -> List[Tuple[Fact, RankedVariable]]:
         """Order one answer's facts by the cached interval evidence."""
         canonical, cached = outcome
-        effective_k = ((self.config.k if k is None else k)
-                       if self.config.method == "topk" else None)
         slot = ("ranked", effective_k)
         groups = cached.templates.get(slot)
         if groups is None:

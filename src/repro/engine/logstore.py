@@ -225,6 +225,7 @@ class LogStore:
         self._tree_pending: Dict[str, Tuple[bytes, int, CompiledLineage]] = {}
         self._stamp = 0
         self._valid_end = len(_MAGIC)
+        self._alien = False
         self._inode: Optional[int] = None
         self.live_bytes = 0
         self.garbage_bytes = 0
@@ -417,13 +418,16 @@ class LogStore:
             self.garbage_bytes = 0
             handle.seek(0)
             magic = handle.read(len(_MAGIC))
+            # Alien, wrong-version or empty file: nothing readable.  An
+            # alien one stays unread until a writer replaces it.
+            self._alien = magic not in (_MAGIC, b"")
             if magic != _MAGIC:
-                # Alien, wrong-version or empty file: nothing readable.
-                if magic != b"":
-                    self.corrupt_records += 1
+                self.corrupt_records += self._alien
                 self._valid_end = len(_MAGIC)
                 return
             position = len(_MAGIC)
+        elif self._alien:
+            return
         else:
             position = self._valid_end
             handle.seek(position)

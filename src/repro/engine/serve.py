@@ -506,40 +506,36 @@ class AttributionService:
 
     def _attribute_response(self, parsed: ParsedRequest,
                             results) -> Dict[str, object]:
+        # The facts of one value class share one ``Fraction`` object, so
+        # a value is converted once per run of equal rows, not per fact.
         answers: List[Dict[str, object]] = []
+        last = None
         for result in results:
-            answers.append({
-                "answer": list(result.answer),
-                "attributions": [
-                    {
-                        "fact": str(attribution.fact),
-                        "value": str(attribution.value),
-                        "float": float(attribution.value),
-                        "lower": attribution.lower,
-                        "upper": attribution.upper,
-                    }
-                    for attribution in result.attributions
-                ],
-            })
+            rows = []
+            for fact, _, value, lower, upper in result.attributions:
+                if value is not last:
+                    last, text, number = value, str(value), float(value)
+                rows.append({"fact": str(fact), "value": text,
+                             "float": number, "lower": lower,
+                             "upper": upper})
+            answers.append({"answer": list(result.answer),
+                            "attributions": rows})
         return {"ok": True, "op": parsed.op, "query": parsed.query_text,
                 "method": parsed.method, "answers": answers}
 
     def _rank_response(self, parsed: ParsedRequest,
                        rankings) -> Dict[str, object]:
         answers: List[Dict[str, object]] = []
+        last = None
         for answer_values, entries in rankings:
-            answers.append({
-                "answer": list(answer_values),
-                "ranking": [
-                    {
-                        "fact": str(fact),
-                        "estimate": float(entry.estimate),
-                        "lower": entry.lower,
-                        "upper": entry.upper,
-                    }
-                    for fact, entry in entries
-                ],
-            })
+            rows = []
+            for fact, (_, interval, estimate) in entries:
+                if estimate is not last:
+                    last, number = estimate, float(estimate)
+                rows.append({"fact": str(fact), "estimate": number,
+                             "lower": interval.lower,
+                             "upper": interval.upper})
+            answers.append({"answer": list(answer_values), "ranking": rows})
         response: Dict[str, object] = {"ok": True, "op": parsed.op,
                                        "query": parsed.query_text,
                                        "answers": answers}

@@ -49,6 +49,7 @@ COUNTER_FIELDS = (
     "store_retries",
     "store_degraded",
     "prepared_hits",
+    "assembly_hits",
 )
 
 
@@ -135,6 +136,9 @@ class EngineStats:
         half-open probe re-attached it.
     prepared_hits:
         Queries whose evaluation and canonicalization the prepared tier saved.
+    assembly_hits:
+        Queries whose assembled answers the prepared entry supplied: every
+        answer's result was the cache entry an earlier call assembled from.
     stage_seconds:
         Wall-clock seconds per pipeline stage (``evaluate``,
         ``canonicalize``, ``compute``, ``assemble``).
@@ -163,6 +167,7 @@ class EngineStats:
     store_retries: int = 0
     store_degraded: int = 0
     prepared_hits: int = 0
+    assembly_hits: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock,
@@ -285,6 +290,7 @@ class EngineStats:
             "queries": self.queries,
             "answers": self.answers,
             "prepared_hits": self.prepared_hits,
+            "assembly_hits": self.assembly_hits,
             "cache_hits": self.cache_hits,
             "store_hits": self.store_hits,
             "cache_misses": self.cache_misses,

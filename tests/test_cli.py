@@ -3,10 +3,12 @@
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from repro.cli import build_parser, run
+from repro.engine.cache import CachedAttribution
 from repro.engine.logstore import LogStore
 
 
@@ -354,7 +356,7 @@ class TestCacheCommand:
 
     def test_every_action_releases_the_store(self, csv_relations, tmp_path):
         # One process, one directory: an action that kept the writer lock
-        # would make the next one exit 2 with StoreLockedError.
+        # would make the next writing one exit 2 with StoreLockedError.
         r_path, s_path = csv_relations
         store_dir = str(tmp_path / "store")
         save = ["cache", "save", "--store", store_dir,
@@ -367,7 +369,10 @@ class TestCacheCommand:
                      ["cache", "stats", "--store", store_dir]):
             output = io.StringIO()
             assert run(argv, output=output) == 0, (argv, output.getvalue())
-        assert json.loads(output.getvalue())["mode"] == "rw"
+        # ``stats`` only reads; the last action left the lock free.
+        assert json.loads(output.getvalue())["mode"] == "ro"
+        with LogStore(store_dir) as store:
+            assert store.mode == "rw"
 
     def test_save_topk_requires_k(self, csv_relations, tmp_path):
         r_path, _ = csv_relations
@@ -399,6 +404,21 @@ class TestCacheCommand:
                 run(argv, output=io.StringIO())
             assert excinfo.value.code == 2
         assert os.listdir(str(tmp_path)) == []
+
+    def test_migrating_a_store_into_itself_is_a_usage_error(self, tmp_path):
+        """The source opens read-only, so no lock stops the destination
+        from opening the same directory; the guard does."""
+        store_dir = tmp_path / "store"
+        with LogStore(str(store_dir)) as store:
+            store.put(((1, ((0,),)), "exact", None, None),
+                      CachedAttribution("exact", {0: Fraction(1)}))
+        before = (store_dir / "store.log").read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            run(["cache", "migrate", "--store", str(store_dir),
+                 "--dest", str(tmp_path / "." / "store")],
+                output=io.StringIO())
+        assert excinfo.value.code == 2
+        assert (store_dir / "store.log").read_bytes() == before
 
     def test_cache_requires_action(self):
         with pytest.raises(SystemExit):

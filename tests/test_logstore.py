@@ -17,6 +17,7 @@ import pytest
 from repro.db.database import Database
 from repro.engine import Engine, EngineConfig
 from repro.engine.logstore import (
+    LOG_FORMAT_VERSION,
     LogStore,
     _CompactionWorker,
     StoreLockedError,
@@ -170,6 +171,23 @@ class TestLogStoreDamage:
         with LogStore(str(tmp_path)) as reopened:
             assert reopened.get(_key()) == _entry()
         assert os.path.exists(log_path + ".alien")
+
+    def test_a_reader_never_parses_a_log_of_another_version(self, tmp_path):
+        """A wrong-version log reads as empty, also after the misses and
+        iterations that make a reader refresh; a writer that moves it
+        aside makes the reader rescan the new log."""
+        with LogStore(str(tmp_path)) as store:
+            store.put(_key(), _entry())
+        log_path = os.path.join(str(tmp_path), "store.log")
+        with open(log_path, "r+b") as handle:
+            handle.seek(4)
+            handle.write((LOG_FORMAT_VERSION + 1).to_bytes(4, "big"))
+        with LogStore(str(tmp_path), mode="ro") as reader:
+            assert reader.get(_key()) is None
+            assert list(reader.items()) == [] and len(reader) == 0
+            with LogStore(str(tmp_path)) as writer:
+                writer.put(_key(), _entry(converged=False))
+            assert reader.get(_key()) == _entry(converged=False)
 
 
 class TestLogStoreEviction:

@@ -5,12 +5,17 @@ domain policy and the database alone, so the engine memoizes them per
 ``(query, domain, id(database), database.version)``.  A repeat query over
 an unchanged database skips query evaluation and canonicalization; every
 effective insert bumps ``Database.version``, so the next request evaluates
-again.  The oracle for every response is a fresh engine over the same
-database.  Evaluations and canonicalizations are counted through the
-engine module's bindings, the ones the benchmark tracer wraps.
+again.  Each entry also keeps its query's assembled answers, one slot per
+kind (``"values"``, ``"ranked"``), reused while every answer's result is
+the very cache entry they were built from.  The oracle for every
+response is a fresh engine over the same database.  Evaluations and
+canonicalizations are counted through the engine module's bindings, the
+ones the benchmark tracer wraps.
 """
 
 import gc
+import random
+import sys
 import threading
 import time
 import weakref
@@ -21,7 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.engine as engine_module
-from repro import Database, Engine, EngineConfig, parse_query
+from repro import (Database, Engine, EngineConfig, FactAttribution,
+                   RankedVariable, parse_query)
+from repro.boolean.dnf import DNF
+from repro.core.intervals import Interval
 from repro.db.lineage import lineage_of_answers
 from repro.engine.canonical import canonicalize
 from repro.engine.serve import AttributionService
@@ -287,6 +295,114 @@ class TestBound:
         assert len(engine.cache.prepared) == 0
 
 
+def _slots(engine):
+    """The assembled-answer slots of each prepared entry."""
+    return [entry[3] for _, entry in engine.cache.prepared.snapshot()]
+
+
+class TestAssembledAnswers:
+    def test_a_repeat_call_shares_the_records_in_new_lists(self):
+        query, database = parse_query(QUERY), _database()
+        engine = Engine(EngineConfig(method="exact"))
+        first = engine.attribute(query, database)
+        assert engine.stats.assembly_hits == 0
+        second = engine.attribute(query, database)
+        assert engine.stats.assembly_hits == 1
+        assert second == first and second is not first
+        assert all(a is b for a, b in zip(first, second))
+
+        ranker = Engine(EngineConfig(method="topk", k=2))
+        first = ranker.rank(query, database)
+        second = ranker.rank(query, database)
+        assert ranker.stats.assembly_hits == 1
+        assert second == first and second is not first
+        for (answer, entries), (again, repeated) in zip(first, second):
+            assert again is answer and repeated is not entries
+            assert all(a is b for a, b in zip(entries, repeated))
+
+    def test_a_new_cache_entry_reassembles(self):
+        query, database = parse_query(QUERY), _database()
+        engine = Engine(EngineConfig(method="exact"))
+        expected = _attributions(engine.attribute(query, database))
+        engine.cache.results.clear()
+        assert _attributions(engine.attribute(query, database)) == expected
+        assert engine.stats.assembly_hits == 0
+        assert engine.stats.prepared_hits == 1
+
+    def test_an_evicted_cache_entry_reassembles(self):
+        """Raw lineages fill the result tier but leave the prepared tier
+        alone, so the entry stays while its results are recomputed."""
+        query, database = parse_query(QUERY), _database()
+        engine = Engine(EngineConfig(method="exact", cache_size=4))
+        expected = _attributions(engine.attribute(query, database))
+        engine.attribute_lineages([DNF([[0]]), DNF([[0], [1]]),
+                                   DNF([[0], [1], [2]]), DNF([[0, 1, 2]])])
+        assert _attributions(engine.attribute(query, database)) == expected
+        assert engine.stats.assembly_hits == 0
+        assert engine.stats.prepared_hits == 1
+        assert engine.stats.cache_misses == 3 + 4 + 3
+
+    def test_mutating_what_a_call_returns_changes_no_later_call(self):
+        query, database = parse_query(QUERY), _database()
+        engine = Engine(EngineConfig(method="exact"))
+        results = engine.attribute(query, database)
+        expected = _attributions(results)
+        results.clear()
+        assert _attributions(engine.attribute(query, database)) == expected
+
+        ranker = Engine(EngineConfig(method="rank"))
+        rankings = ranker.rank(query, database)
+        expected = _rankings(rankings)
+        rankings[0][1].clear()
+        rankings.clear()
+        assert _rankings(ranker.rank(query, database)) == expected
+        assert engine.stats.assembly_hits == ranker.stats.assembly_hits == 1
+
+    def test_alternating_k_keeps_one_ranked_slot(self):
+        """The oracle is a twin engine with the same history whose prepared
+        tier is cleared before every call, so it always assembles afresh.
+        (A fresh engine is no oracle here: the trees that earlier k runs
+        expanded make a later k's intervals tighter than a fresh run's.)"""
+        query, database = parse_query(QUERY), _database()
+        engine = Engine(EngineConfig(method="topk", k=2))
+        twin = Engine(EngineConfig(method="topk", k=2))
+        for k in (1, 2, 3, 1):
+            got = engine.rank(query, database, k=k)
+            twin.cache.prepared.clear()
+            assert _rankings(got) == _rankings(twin.rank(query, database, k=k))
+            (slots,) = _slots(engine)
+            assert list(slots) == ["ranked"]
+            assert slots["ranked"][0] == engine.cache.result_suffix(
+                "topk", engine.config.epsilon, k)
+        assert engine.stats.assembly_hits == 0
+
+    def test_an_unconverged_ranking_keeps_no_slot(self):
+        database = Database()
+        for x in range(3):
+            database.add_fact("R", (x,))
+            database.add_fact("T", (x,))
+            for y in range(3):
+                database.add_fact("S", (x, y))
+        query = parse_query("Q() :- R(X), S(X, Y), T(Y)")
+        engine = Engine(EngineConfig(method="rank", max_shannon_steps=0))
+        first = engine.rank(query, database)
+        assert engine.stats.partial_results == 1
+        assert _slots(engine) == [{}]
+        assert _rankings(engine.rank(query, database)) == _rankings(first)
+        assert engine.stats.assembly_hits == 0
+
+    def test_records_are_immutable_tuples(self):
+        attribution = FactAttribution("R(1)", 3, Fraction(1, 2))
+        entry = RankedVariable(3, Interval(1, 2), Fraction(3, 2))
+        for record, field in ((attribution, "value"), (entry, "estimate")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, Fraction(0))
+        assert attribution._replace(lower=1, upper=1) == \
+            ("R(1)", 3, Fraction(1, 2), 1, 1)
+        assert entry._replace(interval=Interval(2, 2)).lower == 2
+        assert (entry.lower, entry.upper) == (1, 2)
+
+
 @st.composite
 def facts(draw):
     relation = draw(st.sampled_from("RST"))
@@ -379,3 +495,42 @@ def test_concurrent_inserts_leave_no_stale_entry():
     final = service.submit(dict(request))
     assert final == AttributionService(database, config).submit(dict(request))
     assert len(final["answers"]) == 4 + 30
+
+
+@pytest.mark.concurrency
+def test_threads_share_assembled_answers():
+    """Eight threads send a shuffled mix of attribute and top-k requests
+    over three queries to one service; every response equals the serial
+    service's response to the same request."""
+    database = _database()
+    for y in range(3):
+        database.add_fact("T", (y,))
+    requests = [{"op": "attribute", "query": query} for query in SHAPES[:3]]
+    requests += [{"op": "topk", "query": query, "k": k}
+                 for query in SHAPES[:3] for k in (2, 3)]
+    serial = AttributionService(database)
+    expected = [serial.submit(dict(request)) for request in requests]
+    work = [index for index in range(len(requests)) for _ in range(12)]
+    random.Random(7).shuffle(work)
+    service = AttributionService(database)
+    mismatches = []
+
+    def client(share):
+        for index in share:
+            if service.submit(dict(requests[index])) != expected[index]:
+                mismatches.append(requests[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(work[i::8],))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert service.stats()["assembly_hits"] > 0

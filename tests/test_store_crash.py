@@ -119,6 +119,7 @@ def _read_until(process, prefix, limit=50):
 def _kill(process):
     process.kill()  # SIGKILL: no Python cleanup runs in the child
     process.wait(timeout=30)
+    process.stdout.close()
 
 
 class TestCrashRecovery:

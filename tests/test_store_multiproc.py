@@ -148,6 +148,7 @@ class TestWriterReaderConcurrency:
         finally:
             writer.kill()
             writer.wait(timeout=30)
+            writer.stdout.close()
 
     def test_second_writer_is_excluded_cross_process(self, tmp_path):
         with LogStore(str(tmp_path)) as _holder:

@@ -28,7 +28,8 @@ import pytest
 from repro import Database
 from repro.cli import run as cli_run
 from repro.engine import EngineConfig
-from repro.engine.logstore import LogStore, StoreLockedError
+from repro.engine.logstore import (LOG_FORMAT_VERSION, LogStore,
+                                   StoreLockedError)
 from repro.engine.serve import AttributionService
 from repro.engine.store import DiskStore, encode_entry, encode_key
 from repro.reliability import (
@@ -147,46 +148,48 @@ def database():
 
 class TestServingDegradation:
     def test_breaker_trips_to_memory_only_serving(self, database, tmp_path):
-        service = AttributionService(
-            database,
-            EngineConfig(store_retries=0, breaker_threshold=2),
-            store=LogStore(str(tmp_path)))
-        # A dead disk fails everything: reads and flushes alike.  (Reads
-        # alone never trip the breaker here, because each request's
-        # successful flush resets the *consecutive* failure count.)
-        with faults.installed({"rules": [{"site": "store.read",
-                                          "errno": "EIO"},
-                                         {"site": "store.flush",
-                                          "errno": "EIO"}]}):
-            responses = [service.submit({"op": "attribute", "query": query,
-                                         "id": index})
-                         for index, query in enumerate(
-                             (QUERY, QUERY2, QUERY3))]
-        # Every request computed fine without the persistent tier...
-        assert all(response["ok"] is True for response in responses)
-        # ...and the outage was accounted: breaker open, degradation
-        # counted, store I/O now skipped outright.
-        assert service.store.breaker.state == OPEN
-        report = service.stats()
-        assert report["reliability"]["store_degraded"] == 1
+        with LogStore(str(tmp_path)) as store:
+            service = AttributionService(
+                database,
+                EngineConfig(store_retries=0, breaker_threshold=2),
+                store=store)
+            # A dead disk fails everything: reads and flushes alike.
+            # (Reads alone never trip the breaker here, because each
+            # request's successful flush resets the *consecutive*
+            # failure count.)
+            with faults.installed({"rules": [{"site": "store.read",
+                                              "errno": "EIO"},
+                                             {"site": "store.flush",
+                                              "errno": "EIO"}]}):
+                responses = [service.submit({"op": "attribute",
+                                             "query": query, "id": index})
+                             for index, query in enumerate(
+                                 (QUERY, QUERY2, QUERY3))]
+            # Every request computed fine without the persistent tier...
+            assert all(response["ok"] is True for response in responses)
+            # ...and the outage was accounted: breaker open, degradation
+            # counted, store I/O now skipped outright.
+            assert service.store.breaker.state == OPEN
+            report = service.stats()
+            assert report["reliability"]["store_degraded"] == 1
 
     def test_locked_store_read_is_a_structured_degraded_response(
             self, database, tmp_path):
-        service = AttributionService(database,
-                                     store=LogStore(str(tmp_path)))
-        with faults.installed({"rules": [{"site": "store.read",
-                                          "error": "StoreLockedError",
-                                          "times": 1}]}):
-            response = service.submit({"op": "attribute", "query": QUERY,
-                                       "id": 3})
-        assert response["ok"] is False
-        assert response["degraded"] is True
-        assert "StoreLockedError" in response["error"]
-        assert response["id"] == 3
-        assert service.stats()["requests_degraded"] == 1
-        # The fault was one-shot: the next request serves normally.
-        healed = service.submit({"op": "attribute", "query": QUERY})
-        assert healed["ok"] is True
+        with LogStore(str(tmp_path)) as store:
+            service = AttributionService(database, store=store)
+            with faults.installed({"rules": [{"site": "store.read",
+                                              "error": "StoreLockedError",
+                                              "times": 1}]}):
+                response = service.submit({"op": "attribute",
+                                           "query": QUERY, "id": 3})
+            assert response["ok"] is False
+            assert response["degraded"] is True
+            assert "StoreLockedError" in response["error"]
+            assert response["id"] == 3
+            assert service.stats()["requests_degraded"] == 1
+            # The fault was one-shot: the next request serves normally.
+            healed = service.submit({"op": "attribute", "query": QUERY})
+            assert healed["ok"] is True
 
 
 class TestCliStoreFailures:
@@ -234,6 +237,34 @@ class TestCliStoreFailures:
             assert "FileNotFoundError" in row["error"]
             assert row["store"] == missing
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("damage", ["torn-tail", "alien-version"])
+    def test_read_only_actions_leave_a_damaged_store_as_it_is(
+            self, tmp_path, damage):
+        """``stats``, ``warm`` and ``migrate``'s source open the store
+        read-only: a writer would cut a torn tail, or move a log of
+        another format version aside to ``store.log.alien``."""
+        store_dir = tmp_path / "store"
+        with LogStore(str(store_dir)) as store:
+            store.put(_key(), _entry())
+        log = store_dir / "store.log"
+        if damage == "torn-tail":
+            log.write_bytes(log.read_bytes() + b"\x00\x00\x01\x00\x07")
+        else:
+            version = (LOG_FORMAT_VERSION + 1).to_bytes(4, "big")
+            log.write_bytes(b"RLOG" + version + log.read_bytes()[8:])
+        before = {path.name: path.read_bytes()
+                  for path in store_dir.iterdir()}
+        for action in (["stats"], ["warm"],
+                       ["migrate", "--dest", str(tmp_path / "dest")]):
+            output = io.StringIO()
+            argv = ["cache", action[0], "--store", str(store_dir)] + action[1:]
+            assert cli_run(argv, output=output) == 0, output.getvalue()
+            assert {path.name: path.read_bytes()
+                    for path in store_dir.iterdir()} == before, action
+        assert "store.log.alien" not in before
+        with LogStore(str(tmp_path / "dest")) as dest:
+            assert len(dest) == (1 if damage == "torn-tail" else 0)
 
     def test_serve_on_a_locked_store_exits_2(self, tmp_path, serve_inputs,
                                              capsys):
