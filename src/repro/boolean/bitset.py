@@ -173,27 +173,6 @@ def component_groups(masks: Sequence[int]) -> List[List[int]]:
     return [group for group in groups if group]
 
 
-def count_components(masks: Sequence[int]) -> int:
-    """Number of variable-connected components (heuristics fast path)."""
-    if len(masks) <= 1:
-        return len(masks)
-    supports: List[int] = []
-    for mask in masks:
-        hit = -1
-        for index in range(len(supports)):
-            support = supports[index]
-            if support & mask:
-                if hit < 0:
-                    supports[index] = support | mask
-                    hit = index
-                else:
-                    supports[hit] |= support
-                    supports[index] = 0
-        if hit < 0:
-            supports.append(mask)
-    return sum(1 for support in supports if support)
-
-
 class BitsetKernel:
     """Dense bitmask form of one positive DNF (see the module docstring)."""
 
@@ -334,7 +313,6 @@ __all__ = [
     "BitsetKernel",
     "absorb_masks",
     "component_groups",
-    "count_components",
     "iter_bits",
     "popcount",
     "project_mask",

@@ -440,7 +440,7 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
     try:
         return _serve_stream(arguments, database, store, stream, log)
     finally:
-        store.close()  # flush, stop the compactor, release the writer lock
+        store.close()  # flush, join a compaction, release the writer lock
 
 
 def _serve_stream(arguments, database, store, stream, log) -> int:
@@ -588,7 +588,7 @@ def _cache_command(argv: Sequence[str], stream) -> int:
                       f"compiled artifacts from {arguments.store} in "
                       f"{elapsed:.3f}s", file=stream)
     finally:
-        store.close()  # flush, stop the compactor, release the writer lock
+        store.close()  # flush, join a compaction, release the writer lock
     return 0
 
 

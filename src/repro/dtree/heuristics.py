@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.boolean.bitset import count_components
+from repro.boolean.bitset import component_groups
 from repro.boolean.dnf import DNF
 
 #: A heuristic maps a DNF to the variable to expand on.
@@ -63,8 +63,7 @@ def select_max_depth_reduction(function: DNF, candidates: int = 8) -> int:
         bit = 1 << kernel.index()[variable]
         reduced_masks = [mask & ~bit for mask in kernel.masks
                          if mask & ~bit]
-        components = (count_components(reduced_masks)
-                      if reduced_masks else 0)
+        components = len(component_groups(reduced_masks))
         key = (components, frequencies[variable], -variable)
         if key > best_key:
             best_key = key

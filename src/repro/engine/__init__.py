@@ -44,7 +44,6 @@ from repro.engine.engine import (
 from repro.engine.frontend import (
     FrontendConfig,
     ServingFrontend,
-    Ticket,
     serve_jsonl_concurrent,
 )
 from repro.engine.ranking import RankingComputation, compute_ranking
@@ -118,7 +117,6 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "ServingFrontend",
     "StoreLockedError",
-    "Ticket",
     "TransientStoreError",
     "canonical_epsilon",
     "canonicalize",

@@ -25,14 +25,16 @@ non-positive ``deadline_ms`` included, are answered immediately; they
 must not occupy capacity), and a full queue or an exhausted per-client
 budget yields a structured rejection (``{"ok": false, "rejected":
 "<reason>", ...}``) -- counted as ``shed_requests`` in the shared engine
-stats, never silently dropped.
+stats, never silently dropped.  The queue is a semaphore of ``workers +
+max_queue`` slots: one per request admitted but not yet answered.
 
-**Execution.**  A worker takes one ticket at a time and runs the request
-that admission parsed through :meth:`AttributionService.execute`.
-Concurrent requests needing the same result (isomorphic lineages
-included, in any worker) compute it once: the service's engines compute
-single-flight over one cache.  Each request still gets its own
-fact-space response.
+**Execution.**  The workers are a
+:class:`~concurrent.futures.ThreadPoolExecutor`'s threads; each runs one
+admitted request at a time, handing the request admission parsed to
+:meth:`AttributionService.execute`.  Concurrent requests needing the
+same result (isomorphic lineages included, in any worker) compute it
+once: the service's engines compute single-flight over one cache.  Each
+request still gets its own fact-space response.
 
 **Deadlines.**  A request's ``deadline_ms`` (or the configured default)
 is measured from admission.  Expiry while queued sheds the request; a
@@ -62,7 +64,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, TextIO, Union
 
 from repro.engine.serve import (
     AttributionService,
@@ -72,7 +74,8 @@ from repro.engine.serve import (
     jsonl_outcomes,
 )
 
-_SHUTDOWN_DETAIL = "the front-end closed before serving this request"
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 @dataclass(frozen=True)
@@ -114,54 +117,6 @@ class FrontendConfig:
             raise ValueError("max_inflight_per_client must be at least 1")
 
 
-class Ticket:
-    """One admitted request's future response.
-
-    Returned by :meth:`ServingFrontend.submit_nowait`; :meth:`result`
-    blocks until a worker finished the request.  Every admitted ticket is
-    finished exactly once -- workers wrap serving in a catch-all, so even
-    a request that makes the engine raise produces a structured error
-    response here.
-    """
-
-    __slots__ = ("request", "parsed", "deadline_at", "enqueued_at",
-                 "_done", "_response", "_claim_lock")
-
-    def __init__(self, request: Dict[str, object], parsed: ParsedRequest,
-                 deadline_at: Optional[float]) -> None:
-        self.request = request
-        self.parsed = parsed
-        self.deadline_at = deadline_at
-        self.enqueued_at = time.monotonic()
-        self._done = threading.Event()
-        self._response: Optional[Dict[str, object]] = None
-        self._claim_lock = threading.Lock()
-
-    def result(self, timeout: Optional[float] = None) -> Dict[str, object]:
-        """Block until the response is ready and return it."""
-        if not self._done.wait(timeout):
-            raise TimeoutError("ticket not finished within timeout")
-        assert self._response is not None
-        return self._response
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def _claim(self) -> bool:
-        """Atomically claim the right to finish this ticket.
-
-        Returns ``True`` exactly once.  Several actors may legitimately
-        race to answer one ticket (a worker, the ``close()`` drain, and a
-        submitter that detects it raced ``close()``); whoever claims
-        produces the single response, everyone else backs off.
-        """
-        return self._claim_lock.acquire(blocking=False)
-
-    def _finish(self, response: Dict[str, object]) -> None:
-        self._response = response
-        self._done.set()
-
-
 class ServingFrontend:
     """Concurrent request front-end over one :class:`AttributionService`.
 
@@ -169,15 +124,23 @@ class ServingFrontend:
     underlying tiers is the service's contract (shared LRU caches, the
     store, and :class:`~repro.engine.stats.EngineStats` all lock
     internally).  Close the front-end (or use it as a context manager) to
-    drain the queue, stop the workers, and flush the store.
+    serve every admitted request, stop the workers, and flush the store.
     """
 
     def __init__(self, service: AttributionService,
                  config: Optional[FrontendConfig] = None) -> None:
+        # Imported here so that ``import repro`` stays free of
+        # concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
         self.service = service
         self.config = config or FrontendConfig()
-        self._queue: "queue.Queue[object]" = queue.Queue(
-            maxsize=self.config.max_queue)
+        self._executor = ThreadPoolExecutor(
+            self.config.workers, thread_name_prefix="repro-serve")
+        # One slot per request admitted but not yet answered: a request
+        # running on each worker plus ``max_queue`` waiting for one.
+        self._slots = threading.Semaphore(
+            self.config.workers + self.config.max_queue)
         self._client_inflight: Dict[str, int] = {}
         self._client_lock = threading.Lock()
         self._counters = {
@@ -186,17 +149,9 @@ class ServingFrontend:
             "shed_client_budget": 0, "shed_deadline": 0,
             "shed_shutdown": 0, "degraded": 0,
         }
+        self._queued = 0  # admitted, not yet started
         self._counters_lock = threading.Lock()
         self._closed = False
-        self._close_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._workers = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"repro-serve-{index}", daemon=True)
-            for index in range(self.config.workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # ----------------------------------------------------------------- #
     # Client side: admission
@@ -217,13 +172,14 @@ class ServingFrontend:
         return outcome.result()
 
     def submit_nowait(self, request: Dict[str, object], block: bool = False
-                      ) -> Union[Ticket, Dict[str, object]]:
+                      ) -> Union["Future[Dict[str, object]]",
+                                 Dict[str, object]]:
         """Admit one request without waiting for its computation.
 
-        Returns a :class:`Ticket` on admission, or the immediate response
-        dict when admission already settled the request (validation
-        error, shed).  Either way the caller ends up with exactly one
-        response per request.
+        Returns a :class:`concurrent.futures.Future` of the response on
+        admission, or the immediate response dict when admission already
+        settled the request (validation error, shed).  Either way the
+        caller ends up with exactly one response per request.
         """
         if self._closed:
             raise RuntimeError("the front-end is closed")
@@ -244,21 +200,24 @@ class ServingFrontend:
             return self._shed(request, "client_budget",
                               f"client {parsed.client!r} has too many "
                               "requests in flight")
-        ticket = Ticket(request, parsed, deadline_at)
-        try:
-            self._queue.put(ticket, block=block)
-        except queue.Full:
+        if not self._slots.acquire(blocking=block):
             self._release_client(parsed.client)
             return self._shed(request, "queue_full",
                               "the admission queue is full")
-        self._count("submitted")
-        if self._closed:
-            # We raced close(): its final drain may already have run, in
-            # which case nobody would ever serve this ticket.  Settle it
-            # with the shutdown rejection ourselves -- the ticket's claim
-            # makes this a no-op if a worker or the drain got there first.
-            self._shed_ticket(ticket, "shutdown", _SHUTDOWN_DETAIL)
-        return ticket
+        with self._counters_lock:
+            self._counters["submitted"] += 1
+            self._queued += 1
+        try:
+            return self._executor.submit(self._serve, request, parsed,
+                                         deadline_at)
+        except RuntimeError:
+            # close() shut the executor down while this request was
+            # being admitted; it is answered here, not stranded.
+            with self._counters_lock:
+                self._queued -= 1
+            return self._answered(parsed, self._shed(
+                request, "shutdown",
+                "the front-end closed before serving this request"))
 
     def _admit_client(self, client: Optional[str]) -> bool:
         budget = self.config.max_inflight_per_client
@@ -299,87 +258,51 @@ class ServingFrontend:
     # Worker side
     # ----------------------------------------------------------------- #
 
-    def _worker_loop(self) -> None:
-        # The poll timeout is the shutdown latency bound: workers exit as
-        # soon as the queue stays empty with the stop flag set.  There is
-        # deliberately no in-queue shutdown sentinel -- close() would have
-        # to post one per worker into a queue that blocked submitters may
-        # keep full.
-        while True:
-            try:
-                ticket = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            try:
-                self._serve_ticket(ticket)
-            except Exception as error:
-                # The loop must survive anything a request does.
-                self._finish(ticket, attach_id(
-                    {"ok": False,
-                     "error": f"{type(error).__name__}: {error}"},
-                    ticket.request))
-
-    def _serve_ticket(self, ticket: Ticket) -> None:
-        remaining = None
-        if ticket.deadline_at is not None:
-            remaining = ticket.deadline_at - time.monotonic()
-            if remaining <= 0:
-                # Expired while queued: shedding now is cheaper for
-                # everyone than computing an answer nobody awaits.
-                self._shed_ticket(ticket, "deadline",
+    def _serve(self, request: Dict[str, object], parsed: ParsedRequest,
+               deadline_at: Optional[float]) -> Dict[str, object]:
+        with self._counters_lock:
+            self._queued -= 1
+        remaining = (None if deadline_at is None
+                     else deadline_at - time.monotonic())
+        if remaining is not None and remaining <= 0:
+            # Expired while queued: shedding now is cheaper for everyone
+            # than computing an answer nobody awaits.
+            response = self._shed(request, "deadline",
                                   "deadline expired while queued")
-                return
-        self._finish(ticket, self.service.execute(ticket.parsed, remaining))
+        else:
+            try:
+                response = self.service.execute(parsed, remaining)
+            except Exception as error:  # a response, never an exception
+                response = attach_id(
+                    {"ok": False,
+                     "error": f"{type(error).__name__}: {error}"}, request)
+        return self._answered(parsed, response)
 
-    def _finish(self, ticket: Ticket, response: Dict[str, object]) -> None:
-        """Answer a ticket; exactly one racing call wins, the rest no-op."""
-        if ticket._claim():
-            self._deliver(ticket, response)
-
-    def _shed_ticket(self, ticket: Ticket, reason: str, detail: str) -> None:
-        """Shed an admitted ticket; only the call that answers it counts
-        the shed."""
-        if ticket._claim():
-            self._deliver(ticket, self._shed(ticket.request, reason, detail))
-
-    def _deliver(self, ticket: Ticket, response: Dict[str, object]) -> None:
-        self._release_client(ticket.parsed.client)
-        if response.get("degraded"):
-            self._count("degraded")
-        self._count("completed")
-        ticket._finish(response)
+    def _answered(self, parsed: ParsedRequest,
+                  response: Dict[str, object]) -> Dict[str, object]:
+        """Free an admitted request's slot and budget before its caller
+        sees the response, and count the response."""
+        self._slots.release()
+        self._release_client(parsed.client)
+        with self._counters_lock:
+            self._counters["completed"] += 1
+            if response.get("degraded"):
+                self._counters["degraded"] += 1
+        return response
 
     # ----------------------------------------------------------------- #
     # Lifecycle and reporting
     # ----------------------------------------------------------------- #
 
     def close(self) -> None:
-        """Drain the queue, stop the workers, flush the store.
+        """Serve every admitted request, stop the workers, flush the store.
 
-        Every request in the queue when ``close`` starts is still served
-        (workers keep draining until the queue is empty before honoring
-        the stop flag); new submissions raise, and a submission that
-        raced past the closed-check is settled with a ``"shutdown"``
-        rejection rather than stranding its caller.  Idempotent.
+        New submissions raise; one that raced past the closed-check is
+        answered with a ``"shutdown"`` rejection rather than stranding
+        its caller.  Idempotent.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._stop.set()
-        for worker in self._workers:
-            worker.join()
-        # A submission racing close() may have landed after the workers
-        # exited; reject it rather than strand its caller (its submitter
-        # may settle it concurrently -- the ticket claim arbitrates).
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            self._shed_ticket(item, "shutdown", _SHUTDOWN_DETAIL)
+        self._closed = True
+        self._executor.shutdown(wait=True)
         self.service.flush()
 
     def __enter__(self) -> "ServingFrontend":
@@ -390,17 +313,19 @@ class ServingFrontend:
 
     def stats(self) -> Dict[str, object]:
         """Front-end counters (admission, sheds, degradation) plus the live
-        queue depth; the engine-side counters, shared computations
-        included, live in :meth:`AttributionService.stats`."""
+        queue depth (requests admitted but not yet started); the
+        engine-side counters, shared computations included, live in
+        :meth:`AttributionService.stats`."""
         with self._counters_lock:
             counters = dict(self._counters)
+            queue_depth = self._queued
         shed = {reason: counters.pop(f"shed_{reason}")
                 for reason in ("queue_full", "client_budget", "deadline",
                                "shutdown")}
         report: Dict[str, object] = dict(counters)
         report["shed"] = shed
         report["workers"] = self.config.workers
-        report["queue_depth"] = self._queue.qsize()
+        report["queue_depth"] = queue_depth
         report["max_queue"] = self.config.max_queue
         return report
 
@@ -458,7 +383,7 @@ def serve_jsonl_concurrent(service: AttributionService,
             if state["error"] is not None:
                 break  # a dead writer cannot deliver; stop reading
     finally:
-        # Closing first guarantees every admitted ticket is finished, so
+        # Closing first guarantees every admitted request is answered, so
         # the writer's result() calls can never block indefinitely.
         frontend.close()
         pending.put(None)
@@ -471,6 +396,5 @@ def serve_jsonl_concurrent(service: AttributionService,
 __all__ = [
     "FrontendConfig",
     "ServingFrontend",
-    "Ticket",
     "serve_jsonl_concurrent",
 ]

@@ -14,9 +14,10 @@ decoding a whole shard:
   anything but the requested entry.  A ``flush`` appends the buffered
   records in one write (the *ack point*: everything acked survives a
   crash), eviction appends **tombstones** instead of rewriting, and a
-  queue-then-drain background worker **compacts** the log (rewrite live
-  records into a fresh log, drop tombstoned/evicted/superseded ones)
-  when the garbage ratio crosses a threshold.
+  flush that crosses the garbage-ratio threshold starts a one-shot
+  background thread (unless one is still running) that **compacts** the
+  log: rewrite live records into a fresh log, drop tombstoned, evicted
+  and superseded ones.
 
 * **single-writer / multi-reader locking** -- the writer holds an
   advisory ``flock`` on ``writer.lock``; a second writer fails fast
@@ -36,7 +37,10 @@ decoding a whole shard:
   :class:`~repro.engine.store.DiskStore`) or another log store.
 
 Whoever opens a store closes it (:meth:`LogStore.close`, or a ``with``
-block): an engine or service handed a store never closes it.
+block): an engine or service handed a store never closes it.  ``close``
+waits for a running compaction.  A store collected without ``close``
+releases its writer lock as its unclosed files are finalized (``python
+-X dev`` reports them as a ``ResourceWarning``).
 
 On-disk format of one log (``store.log``)::
 
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import struct
 import threading
 import zlib
@@ -128,43 +131,6 @@ def _encode_payload(kind: str, key: str, stamp: int,
     if value is not None:
         document["v"] = value
     return json.dumps(document, separators=(",", ":")).encode("utf-8")
-
-
-class _CompactionWorker(threading.Thread):
-    """Queue-then-drain background compactor (one per writing LogStore).
-
-    ``flush`` enqueues a token when the garbage threshold is crossed;
-    the worker drains the queue and runs one compaction per token batch.
-    The queue-then-drain shape keeps the policy trivial: triggers
-    arriving while a compaction runs coalesce into at most one more run.
-    """
-
-    def __init__(self, store: "LogStore") -> None:
-        super().__init__(name=f"logstore-compact:{store.path}", daemon=True)
-        self._store = store
-        self.requests: "queue.Queue[Optional[object]]" = queue.Queue()
-
-    def run(self) -> None:
-        stopping = False
-        while not stopping:
-            token = self.requests.get()
-            if token is None:
-                return
-            # Drain bursts: N triggers while busy collapse to one run.  A
-            # sentinel queued behind them stops the worker only after the
-            # compaction they already asked for.
-            try:
-                while not stopping:
-                    stopping = self.requests.get_nowait() is None
-            except queue.Empty:
-                pass
-            try:
-                self._store.compact()
-            except Exception:
-                # A failed background compaction must never kill the
-                # worker (or the process); the log stays valid as-is and
-                # the next threshold crossing retries.
-                pass
 
 
 class LogStore:
@@ -239,10 +205,10 @@ class LogStore:
         self.gets = 0
         self.puts = 0
 
-        self._lock_fd: Optional[int] = None
+        self._lock_file = None
         self._read_fd = None
         self._append_fd = None
-        self._worker: Optional[_CompactionWorker] = None
+        self._compactor: Optional[threading.Thread] = None
 
         self.mode = self._acquire_role(mode)
         if self.mode == "rw":
@@ -273,12 +239,13 @@ class LogStore:
             return "ro"
         import fcntl
 
-        fd = os.open(os.path.join(self.path, _LOCK_NAME),
-                     os.O_CREAT | os.O_RDWR, 0o644)
+        # A file object, not a raw descriptor: a store dropped without
+        # close() releases the lock when it is collected.
+        lock_file = open(os.path.join(self.path, _LOCK_NAME), "ab")
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            os.close(fd)
+            lock_file.close()
             if mode == "auto":
                 return "ro"
             raise StoreLockedError(
@@ -286,7 +253,7 @@ class LogStore:
                 "process or by a LogStore still open in this one (close "
                 "it first); open with mode='ro' (or mode='auto') to read "
                 "alongside the single writer") from None
-        self._lock_fd = fd
+        self._lock_file = lock_file
         return "rw"
 
     def _writer_open(self) -> None:
@@ -336,29 +303,20 @@ class LogStore:
         self._open_reader()
 
     def close(self) -> None:
-        """Flush, stop the compaction worker, release the writer lock."""
+        """Flush, wait for a running compaction, release the writer lock."""
+        if self.mode == "rw":
+            self.flush()
+        if self._compactor is not None:
+            self._compactor.join()
         with self._lock:
-            if self.mode == "rw":
-                self.flush()
-            worker = self._worker
-            self._worker = None
-        if worker is not None:
-            worker.requests.put(None)
-            worker.join(timeout=30)
-        with self._lock:
-            for handle in (self._read_fd, self._append_fd):
+            # Closing the lock file releases the flock.
+            for handle in (self._read_fd, self._append_fd, self._lock_file):
                 if handle is not None:
                     try:
                         handle.close()
                     except OSError:
                         pass
-            self._read_fd = self._append_fd = None
-            if self._lock_fd is not None:
-                try:
-                    os.close(self._lock_fd)  # releases the flock
-                except OSError:
-                    pass
-                self._lock_fd = None
+            self._read_fd = self._append_fd = self._lock_file = None
 
     def __enter__(self) -> "LogStore":
         return self
@@ -595,8 +553,8 @@ class LogStore:
         system's page cache (surviving a process crash) and, with
         ``fsync=True``, on stable storage.  Eviction past the per-kind
         bounds appends tombstones for the oldest stamps; physical bytes
-        are reclaimed by compaction, which this flush schedules on the
-        background worker when the garbage ratio crosses the threshold.
+        are reclaimed by compaction, which this flush starts on a
+        background thread when the garbage ratio crosses the threshold.
 
         A *failed* append (ENOSPC, EIO, an injected fault) raises
         :class:`~repro.reliability.errors.TransientStoreError` after
@@ -706,11 +664,20 @@ class LogStore:
                 or self.garbage_bytes
                 <= self.compact_ratio * max(1, self.live_bytes)):
             return
-        if self._worker is None:
-            self._worker = _CompactionWorker(self)
-            self._worker.start()
-        if self._worker.requests.empty():
-            self._worker.requests.put(object())
+        if self._compactor is None or not self._compactor.is_alive():
+            self._compactor = threading.Thread(
+                target=self._compact_in_background,
+                name=f"logstore-compact:{self.path}", daemon=True)
+            self._compactor.start()
+
+    def _compact_in_background(self) -> None:
+        try:
+            self.compact()
+        except Exception:
+            # A failed background compaction must never kill the process;
+            # the log stays valid as-is and the next threshold crossing
+            # retries.
+            pass
 
     def compact(self) -> int:
         """Rewrite live records into a fresh log; returns bytes reclaimed.
@@ -722,7 +689,7 @@ class LogStore:
         open).  Readers with an open handle keep reading the replaced
         inode; their next :meth:`refresh` notices the new file and
         rescans.  Thread-safe against concurrent puts/gets on this
-        handle (the background worker calls this under load).
+        handle (the background compaction calls this under load).
         """
         if self.mode == "ro":
             raise StoreLockedError(

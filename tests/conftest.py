@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import random
 import sys
+import threading
+import time
 
 # Allow running the tests from a source checkout without installation.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -29,6 +31,27 @@ def _no_ambient_fault_plan():
     faults.clear()
     yield
     faults.clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads():
+    """Fail a test that leaves a thread it started running.
+
+    Whatever starts a thread stops it: a front-end's workers exit on
+    ``close()`` or when the front-end is collected, and
+    ``LogStore.close()`` joins a running compaction.  Threads get a
+    short grace period to finish.
+    """
+    before = set(threading.enumerate())
+    yield
+    started = [thread for thread in threading.enumerate()
+               if thread not in before]
+    deadline = time.monotonic() + 2.0
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = [thread.name for thread in started if thread.is_alive()]
+    if leaked:
+        pytest.fail(f"the test left threads running: {leaked}")
 
 
 @pytest.fixture

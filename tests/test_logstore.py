@@ -10,6 +10,8 @@ the one-shot migration path.
 
 import gc
 import os
+import threading
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from repro.engine import Engine, EngineConfig
 from repro.engine.logstore import (
     LOG_FORMAT_VERSION,
     LogStore,
-    _CompactionWorker,
     StoreLockedError,
     migrate_store,
     open_store,
@@ -270,13 +271,15 @@ class TestLogStoreCompaction:
         with LogStore(str(tmp_path)) as reopened:
             assert reopened.get(key) == _entry()
 
-    def test_close_queued_behind_a_trigger_still_compacts(self, tmp_path):
-        with LogStore(str(tmp_path), auto_compact=False) as store:
-            worker = _CompactionWorker(store)
-            worker.requests.put(object())  # a flush's trigger...
-            worker.requests.put(None)  # ...with close()'s sentinel behind it
-            worker.run()
-            assert store.compactions == 1
+    def test_close_right_after_a_trigger_still_compacts(self, tmp_path):
+        store = LogStore(str(tmp_path), compact_ratio=0.5)
+        store.put(_key(), _entry())
+        store.flush()
+        store.put(_key(), _entry())
+        store.flush()  # one superseded record: garbage crosses the ratio
+        store.close()  # waits for the compaction that flush started
+        assert store.compactions == 1
+        assert store.garbage_bytes == 0
 
     def test_readonly_handle_refuses_to_compact(self, tmp_path):
         with LogStore(str(tmp_path)) as writer:
@@ -304,6 +307,30 @@ class TestLogStoreLocking:
         with LogStore(str(tmp_path)) as successor:
             successor.put(_key(), _entry())
             successor.flush()
+
+    def test_a_dropped_store_releases_its_writer_lock(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResourceWarning)  # deliberate
+            store = LogStore(str(tmp_path))
+            del store
+            gc.collect()
+        LogStore(str(tmp_path)).close()
+
+    def test_a_dropped_compacted_store_releases_its_writer_lock(
+            self, tmp_path):
+        before = set(threading.enumerate())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResourceWarning)  # deliberate
+            store = LogStore(str(tmp_path), compact_ratio=0.5)
+            for _ in range(2):
+                store.put(_key(), _entry())
+                store.flush()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=10)
+            assert store.compactions == 1
+            del store
+            gc.collect()
+        LogStore(str(tmp_path)).close()
 
     def test_a_reader_creates_nothing(self, tmp_path):
         missing = tmp_path / "missing"

@@ -497,14 +497,59 @@ def test_concurrent_inserts_leave_no_stale_entry():
     assert len(final["answers"]) == 4 + 30
 
 
+def _shapes_database():
+    """:func:`_database` plus T(0), T(1), T(2), so every shape has
+    answers."""
+    database = _database()
+    for y in range(3):
+        database.add_fact("T", (y,))
+    return database
+
+
+def test_topk_intervals_depend_on_request_order():
+    """A top-k request served before its query's d-trees exist runs
+    IchiBan from scratch and caches sound, possibly wider intervals; one
+    served after the query's attribute request ranks off the exact trees
+    and reads points.  Both choose the exact top-k facts."""
+    database = _shapes_database()
+    widened = 0
+    for query in SHAPES[:3]:
+        attribution = AttributionService(database).submit(
+            {"op": "attribute", "query": query})
+        exact = {tuple(answer["answer"]): {entry["fact"]:
+                                           Fraction(entry["value"])
+                                           for entry in
+                                           answer["attributions"]}
+                 for answer in attribution["answers"]}
+        for k in (2, 3):
+            request = {"op": "topk", "query": query, "k": k}
+            ranked_first = AttributionService(database).submit(
+                dict(request))
+            primed = AttributionService(database)
+            primed.submit({"op": "attribute", "query": query})
+            ranked_after = primed.submit(dict(request))
+            for first, after in zip(ranked_first["answers"],
+                                    ranked_after["answers"]):
+                values = exact[tuple(first["answer"])]
+                assert all(entry["lower"] <= values[entry["fact"]]
+                           <= entry["upper"] for entry in first["ranking"])
+                assert ({entry["fact"] for entry in first["ranking"]}
+                        == {entry["fact"] for entry in after["ranking"]})
+                assert all(entry["lower"] == entry["upper"]
+                           for entry in after["ranking"])
+                widened += sum(entry["lower"] != entry["upper"]
+                               for entry in first["ranking"])
+    assert widened > 0
+
+
 @pytest.mark.concurrency
 def test_threads_share_assembled_answers():
     """Eight threads send a shuffled mix of attribute and top-k requests
     over three queries to one service; every response equals the serial
-    service's response to the same request."""
-    database = _database()
-    for y in range(3):
-        database.add_fact("T", (y,))
+    service's response to the same request.  Both services serve the
+    attribute requests first: a top-k request's intervals depend on
+    whether its query's d-trees exist yet (see the test above)."""
+    database = _shapes_database()
     requests = [{"op": "attribute", "query": query} for query in SHAPES[:3]]
     requests += [{"op": "topk", "query": query, "k": k}
                  for query in SHAPES[:3] for k in (2, 3)]
@@ -513,6 +558,8 @@ def test_threads_share_assembled_answers():
     work = [index for index in range(len(requests)) for _ in range(12)]
     random.Random(7).shuffle(work)
     service = AttributionService(database)
+    for request in requests[:3]:
+        service.submit(dict(request))
     mismatches = []
 
     def client(share):

@@ -15,10 +15,12 @@ monkeypatch), which is exactly where the service's own worker-side
 computation happens.
 """
 
+import gc
 import io
 import json
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -235,12 +237,11 @@ class TestAdmissionControl:
                 {"op": "attribute", "query": QUERY})
             assert gate.started.wait(timeout=30)
             # 1ms budget, and the only worker is held until the deadline
-            # has passed: by the time the ticket is dequeued it is gone.
+            # has passed: by the time the request is dequeued it is gone.
             doomed = frontend.submit_nowait(
                 {"op": "attribute", "query": QUERY2, "deadline_ms": 1,
                  "id": "late"})
-            while time.monotonic() <= doomed.deadline_at:
-                time.sleep(0.001)
+            time.sleep(0.05)
             gate.release.set()
             assert blocker.result(timeout=30)["ok"] is True
             response = doomed.result(timeout=30)
@@ -258,8 +259,8 @@ class TestShutdownRaces:
         """A submission that passes the closed-check but enqueues after
         close() drained the queue must still get a response.
 
-        Regression: the ticket used to sit in the dead queue forever
-        while its caller blocked in ``Ticket.result()``.  The window is
+        Regression: the request used to sit in the dead queue forever
+        while its caller blocked waiting for its result.  The window is
         validation (query parsing) between the closed-check and the
         enqueue; holding the submission there while close() runs to
         completion makes the race deterministic.
@@ -344,6 +345,34 @@ class TestShutdownRaces:
             assert not thread.is_alive(), "a blocking submitter hung"
         assert first.result(timeout=30)["ok"] is True
         assert len(results) == 4  # every submitter got exactly one answer
+
+
+class TestOwnership:
+    def test_a_dropped_frontend_is_collected_with_its_workers(self,
+                                                              database):
+        """A front-end its caller never closed is collected, and its
+        worker threads exit with it."""
+        before = set(threading.enumerate())
+        frontend = ServingFrontend(AttributionService(database),
+                                   FrontendConfig(workers=3))
+        futures = [frontend.submit_nowait({"op": "attribute",
+                                           "query": query})
+                   for query in (QUERY, QUERY2, QUERY)]
+        assert all(future.result(timeout=30)["ok"] for future in futures)
+        workers = set(threading.enumerate()) - before
+        assert workers
+        collected = weakref.ref(frontend)
+        del frontend
+        # A worker drops its reference to the request it ran just after
+        # the response is delivered.
+        deadline = time.monotonic() + 10
+        while collected() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert collected() is None
+        for thread in workers:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in workers)
 
 
 class TestDeadlineDegradation:
