@@ -20,19 +20,19 @@ procedures:
 Both are computable in time linear in ``|phi|`` and both produce iDNFs over
 the *same domain* as ``phi`` (crucial for comparable model counts).
 
-These syntheses run once per bound evaluation per undecomposed d-tree leaf,
-which makes them an AdaBan hot path: like the structural operations they
-run on the bitset kernel (disjointness is one AND, the greedy scans work
-on masks).  The deterministic shortest-first clause order is the order of
-the sorted variable tuples: clause masks over the sorted domain order
-compare exactly like the tuples they encode.
+The bounds of every undecomposed d-tree leaf come from these syntheses,
+an AdaBan hot path.  One scan (:func:`synthesis_masks`) applies both
+greedy rules to the clause masks in the shortest-first order that
+:func:`clause_order` encodes as sortable integers, and one product
+(:func:`disjoint_count`) counts either result; :func:`cofactor_counts`
+counts a leaf's two cofactors off its order.  No DNF is built.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Tuple
 
-from repro.boolean.bitset import popcount
+from repro.boolean.bitset import BitsetKernel, popcount
 from repro.boolean.dnf import DNF
 
 
@@ -81,40 +81,110 @@ def idnf_model_count(function: DNF) -> int:
 
     Raises ``ValueError`` if the function is not an iDNF.
     """
-    total_vars = function.num_variables()
+    if not is_idnf(function):
+        raise ValueError("idnf_model_count requires an iDNF")
+    return disjoint_count(function._bitset().masks, function.num_variables())
+
+
+def disjoint_count(masks: Iterable[int], total_vars: int) -> int:
+    """Models over ``total_vars`` variables of pairwise-disjoint clause masks.
+
+    Non-models fail every clause: ``2^|c| - 1`` ways per clause, times 2
+    per variable in no clause.
+    """
     occurring = 0
-    non_models_occurring = 1
-    seen_mask = 0
-    for mask in function._bitset().masks:
-        if mask & seen_mask:
-            raise ValueError("idnf_model_count requires an iDNF")
-        seen_mask |= mask
+    non_models = 1
+    for mask in masks:
         width = popcount(mask)
         occurring += width
-        non_models_occurring *= (1 << width) - 1
-    silent = total_vars - occurring
-    # Non-models over the full domain: every clause unsatisfied, silent vars free.
-    non_models = non_models_occurring << silent
-    return (1 << total_vars) - non_models
+        non_models *= (1 << width) - 1
+    return (1 << total_vars) - (non_models << (total_vars - occurring))
 
 
-def _masks_shortest_first(function: DNF) -> List[int]:
-    """Clause masks in the syntheses' deterministic shortest-first order.
+def clause_order(kernel: BitsetKernel) -> List[int]:
+    """The kernel's clauses as sorted entries, in shortest-first order.
 
-    Bit positions follow the sorted domain order, so comparing position
-    tuples is exactly comparing the sorted variable tuples.
+    Clauses sort by width, then by their sorted variable tuples, that is
+    by their lowest differing bit: the highest differing bit of the masks
+    reversed.  So over ``n`` domain bits, ``width << 2n | (full ^ reversed
+    mask) << n | mask`` sorts as its clause does, and ``entry & full`` is
+    its mask.  Clearing a bit a clause holds changes each field without a
+    carry: one subtraction, the same for every clause holding the bit.
     """
-    keyed = []
-    for mask in function._bitset().masks:
-        positions = []
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            positions.append(low.bit_length() - 1)
-        keyed.append((len(positions), tuple(positions), mask))
-    keyed.sort()
-    return [mask for _, _, mask in keyed]
+    n = len(kernel.order)
+    full = (1 << n) - 1
+    entries = []
+    for mask in kernel.masks:
+        reversed_mask = int(format(mask, f"0{n}b")[::-1], 2)
+        key = (popcount(mask) << n) | (full ^ reversed_mask)
+        entries.append((key << n) | mask)
+    entries.sort()
+    return entries
+
+
+def synthesis_masks(entries: Iterable[int], full: int
+                    ) -> Tuple[List[int], List[int]]:
+    """The kept masks of ``L`` and ``U`` (each pairwise disjoint), in one
+    scan of the sorted :func:`clause_order` entries of distinct clauses."""
+    lower: List[int] = []
+    upper: List[int] = []
+    used = seen = 0
+    for entry in entries:
+        mask = entry & full
+        if not mask & used:
+            lower.append(mask)
+            used |= mask
+        fresh = mask & ~seen
+        if fresh:
+            upper.append(fresh)
+            seen |= fresh
+        else:
+            shared_bit = mask & -mask
+            for index, existing in enumerate(upper):
+                if existing & shared_bit:
+                    upper[index] = shared_bit
+                    break
+            else:
+                # An earlier weakening dropped this variable from every
+                # kept clause, so it can be kept on its own.
+                upper.append(shared_bit)
+    return lower, upper
+
+
+def synthesis_counts(entries: Iterable[int], full: int,
+                     total_vars: int) -> Tuple[int, int]:
+    """``(#L, #U)`` over ``total_vars`` variables of sorted entries."""
+    lower, upper = synthesis_masks(entries, full)
+    return disjoint_count(lower, total_vars), disjoint_count(upper, total_vars)
+
+
+def cofactor_counts(entries: List[int], n: int, position: int
+                    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """``(#L, #U)`` of ``phi[x := 0]`` and ``phi[x := 1]`` over the other
+    ``n - 1`` variables, ``x`` at bit ``position`` of ``phi``'s entries.
+
+    ``phi[x := 0]`` keeps the clauses without ``x``; ``phi[x := 1]`` adds
+    those with ``x`` cleared, and sorting their set restores the order
+    without repeats.  A cleared ``{x}`` is the empty clause: its factor
+    ``2^0 - 1 = 0`` makes both counts the constant ``2^(n-1)``.
+    """
+    full = (1 << n) - 1
+    bit = 1 << position
+    without = [entry for entry in entries if not entry & bit]
+    negative = synthesis_counts(without, full, n - 1)
+    if len(without) == len(entries):
+        return negative, negative
+    # Width -1, reversed-mask bit set, mask bit cleared.
+    shift = (1 << 2 * n) - (1 << (2 * n - 1 - position)) + bit
+    cleared = [entry - shift for entry in entries if entry & bit]
+    return negative, synthesis_counts(sorted(set(without + cleared)),
+                                      full, n - 1)
+
+
+def _syntheses(function: DNF) -> Tuple[List[int], List[int]]:
+    """The kept masks of ``L(function)`` and ``U(function)``."""
+    kernel = function._bitset()
+    return synthesis_masks(clause_order(kernel), (1 << len(kernel.order)) - 1)
 
 
 def lower_idnf(function: DNF) -> DNF:
@@ -126,13 +196,7 @@ def lower_idnf(function: DNF) -> DNF:
     yields larger (tighter) lower bounds.  The result is over the same domain
     as ``function``.
     """
-    kept_masks: List[int] = []
-    used_mask = 0
-    for mask in _masks_shortest_first(function):
-        if not mask & used_mask:
-            kept_masks.append(mask)
-            used_mask |= mask
-    return DNF._from_kernel(kept_masks, function._bitset().order)
+    return DNF._from_kernel(_syntheses(function)[0], function._bitset().order)
 
 
 def upper_idnf(function: DNF) -> DNF:
@@ -146,23 +210,11 @@ def upper_idnf(function: DNF) -> DNF:
     already-kept clause sharing a variable with it is weakened to that single
     shared variable, which is a subset of both clauses and keeps the result
     an iDNF.  The result is over the same domain as ``function``.
+
+    The kept clauses are non-empty and pairwise disjoint: a fresh part
+    avoids every variable seen so far, a weakening replaces a kept clause
+    by one of its own variables, and a variable kept on its own lies in no
+    kept clause.  So none absorbs another, and the result needs no
+    absorption pass.
     """
-    kept_masks: List[int] = []
-    seen_mask = 0
-    for mask in _masks_shortest_first(function):
-        fresh = mask & ~seen_mask
-        if fresh:
-            kept_masks.append(fresh)
-            seen_mask |= fresh
-        else:
-            shared_bit = mask & -mask
-            for index, existing in enumerate(kept_masks):
-                if existing & shared_bit:
-                    kept_masks[index] = shared_bit
-                    break
-            else:
-                # An earlier weakening dropped this variable from every
-                # kept clause, so it can be kept on its own.
-                kept_masks.append(shared_bit)
-    return DNF._from_kernel(
-        kept_masks, function._bitset().order).absorb()
+    return DNF._from_kernel(_syntheses(function)[1], function._bitset().order)

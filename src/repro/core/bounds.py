@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.boolean.dnf import ConstantTrue, DNF
-from repro.boolean.idnf import idnf_model_count, lower_idnf, upper_idnf
+from repro.boolean.idnf import clause_order, cofactor_counts, synthesis_counts
 from repro.dtree.nodes import (
     DecompAnd,
     DecompOr,
@@ -40,6 +39,7 @@ from repro.dtree.nodes import (
 )
 
 _COUNT_KEY = "count_bounds"
+_ORDER_KEY = "clause_order"
 
 
 class DeadlineExpired(Exception):
@@ -105,9 +105,8 @@ def _count_bounds_node(node: DTreeNode) -> tuple[int, int]:
     if isinstance(node, LiteralLeaf):
         return (1, 1)
     if isinstance(node, DNFLeaf):
-        lower = idnf_model_count(lower_idnf(node.function))
-        upper = idnf_model_count(upper_idnf(node.function))
-        return (lower, upper)
+        n = node.function.num_variables()
+        return synthesis_counts(_leaf_order(node), (1 << n) - 1, n)
     if isinstance(node, DecompAnd):
         lower, upper = 1, 1
         for child in node.children():
@@ -190,12 +189,7 @@ def _cofactor_count_bounds_node(node: DTreeNode, variable: int, key: object,
             value = 1
         return (value, value)
     if isinstance(node, DNFLeaf):
-        # cofactor(x, False) drops the clauses containing x (none, when x
-        # is silent) and removes x from the domain either way -- one code
-        # path for both cases, served by the bitset kernel's mask surgery.
-        cofactor = node.function.cofactor(variable, False)
-        return (idnf_model_count(lower_idnf(cofactor)),
-                idnf_model_count(upper_idnf(cofactor)))
+        return _leaf_cofactor_counts(node, variable)[0]
     if isinstance(node, DecompAnd):
         lower, upper = 1, 1
         for child in node.children():
@@ -248,21 +242,34 @@ def cofactor_count_bounds(node: DTreeNode, variable: int,
     return node.cache_get(key)  # type: ignore[return-value]
 
 
-def _leaf_banzhaf_bounds(function: DNF, variable: int) -> tuple[int, int]:
+def _leaf_order(leaf: DNFLeaf) -> List[int]:
+    """The leaf's :func:`clause_order` entries, kept in its node cache."""
+    entries = leaf.cache_get(_ORDER_KEY)
+    if entries is None:
+        entries = clause_order(leaf.function._bitset())
+        leaf.cache_set(_ORDER_KEY, entries)
+    return entries  # type: ignore[return-value]
+
+
+def _leaf_cofactor_counts(leaf: DNFLeaf, variable: int
+                          ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The leaf's :func:`cofactor_counts` for ``variable``, memoized."""
+    key = (_ORDER_KEY, variable)
+    cached = leaf.cache_get(key)
+    if cached is None:
+        kernel = leaf.function._bitset()
+        cached = cofactor_counts(_leaf_order(leaf), len(kernel.order),
+                                 kernel.position_of(variable))
+        leaf.cache_set(key, cached)
+    return cached  # type: ignore[return-value]
+
+
+def _leaf_banzhaf_bounds(leaf: DNFLeaf, variable: int) -> tuple[int, int]:
     """Proposition 12 bounds for a variable in an undecomposed DNF leaf."""
-    if not function.contains_variable(variable):
+    if not leaf.function.contains_variable(variable):
         return 0, 0
-    negative = function.cofactor(variable, False)
-    lower_negative = idnf_model_count(lower_idnf(negative))
-    upper_negative = idnf_model_count(upper_idnf(negative))
-    try:
-        positive = function.cofactor(variable, True)
-    except ConstantTrue as constant:
-        exact_positive = 1 << len(constant.domain)
-        lower_positive = upper_positive = exact_positive
-    else:
-        lower_positive = idnf_model_count(lower_idnf(positive))
-        upper_positive = idnf_model_count(upper_idnf(positive))
+    (lower_negative, upper_negative), (lower_positive, upper_positive) = \
+        _leaf_cofactor_counts(leaf, variable)
     # The function is positive, so the Banzhaf value is non-negative; clamping
     # the lower bound at zero keeps it valid and can only tighten it.
     lower = max(0, lower_positive - upper_negative)
@@ -284,7 +291,7 @@ def _bounds_node(node: DTreeNode, variable: int, key: object,
             value = 0
         result = BanzhafBounds(value, 1, value, 1)
     elif isinstance(node, DNFLeaf):
-        lower, upper = _leaf_banzhaf_bounds(node.function, variable)
+        lower, upper = _leaf_banzhaf_bounds(node, variable)
         result = BanzhafBounds(lower, count_lower, upper, count_upper)
     elif isinstance(node, (DecompAnd, DecompOr)):
         result = _decomposable_bounds(node, variable, key,

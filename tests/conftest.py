@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import glob
 import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -52,6 +54,72 @@ def _no_leaked_threads():
     leaked = [thread.name for thread in started if thread.is_alive()]
     if leaked:
         pytest.fail(f"the test left threads running: {leaked}")
+
+
+def _running_children():
+    """PIDs of this process's running children, or ``None`` if unlisted.
+
+    Each thread's ``/proc/self/task/TID/children`` lists the children it
+    started, exited ones (state ``Z``, not yet reaped) included; those
+    are dropped.  Where the kernel keeps no such file the answer is
+    ``None``.
+    """
+    listings = glob.glob("/proc/self/task/*/children")
+    if not listings:
+        return None
+    children = set()
+    for listing in listings:
+        try:
+            with open(listing) as handle:
+                children.update(int(pid) for pid in handle.read().split())
+        except OSError:
+            continue  # the thread has exited
+    running = set()
+    for pid in children:
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # reaped since it was listed
+        # The state follows the parenthesized command name.
+        if stat[stat.rindex(")") + 2] != "Z":
+            running.add(pid)
+    return running
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_children():
+    """Fail a test that leaves a child process it started running.
+
+    Whoever starts a child process waits for it, or kills and reaps it on
+    every path out.  Children get a short grace period to exit; a leaked
+    one is killed, so it does not outlive the test run.  Skipped where the
+    kernel does not list children.
+    """
+    before = _running_children()
+    yield
+    if before is None:
+        return
+    deadline = time.monotonic() + 2.0
+    leaked = _running_children() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = _running_children() - before
+    for pid in leaked:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except OSError:
+            pass  # it exited, or its owner reaped it, meanwhile
+    if leaked:
+        pytest.fail(f"the test left child processes running: "
+                    f"{sorted(leaked)}")
+
+
+@pytest.fixture
+def running_children():
+    """The child listing :func:`_no_leaked_children` checks, as a callable."""
+    return _running_children
 
 
 @pytest.fixture

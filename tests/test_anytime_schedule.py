@@ -32,7 +32,12 @@ from repro.core.intervals import Interval
 from repro.dtree.heuristics import select_most_frequent
 from repro.dtree.incremental import IncrementalCompiler
 from repro.engine.ranking import compute_ranking
-from repro.workloads.generators import mixed_hard_instances, random_positive_dnf
+from repro.workloads.generators import (
+    bipartite_lineage,
+    chain_lineage,
+    mixed_hard_instances,
+    random_positive_dnf,
+)
 
 #: Symmetric, so top-k stays contended until the intervals are points; the
 #: first batch leaves its tree partial.
@@ -212,3 +217,99 @@ class TestDeterminism:
             ))
         assert outcomes[0][1] == 3
         assert outcomes[0] == outcomes[1]
+
+
+#: One fixed-seed lineage per ``lineages-hard`` generator, at the benchmark's
+#: sizes, with its recorded schedule: IchiBan top-3 (certain) as ``(steps,
+#: rounds, work)`` and the best intervals after each refinement round, in
+#: sorted variable order; then the exact values both algorithms end on (the
+#: tree completes) and AdaBan's per-variable refinement steps at epsilon 0.1.
+PINNED = {
+    "bipartite": (
+        lambda: bipartite_lineage(random.Random(1), left=8, right=10,
+                                  density=0.35),
+        (36, 2, 3001),
+        [((0, 23327), (0, 23326), (0, 23327), (0, 23327), (0, 23326),
+          (0, 23327), (0, 17495), (0, 23325), (0, 23327), (0, 23325),
+          (0, 23325), (0, 23327), (0, 23325), (0, 17493), (0, 23325),
+          (0, 23325), (0, 17495), (0, 17495)),
+         ((0, 8748), (0, 7940), (0, 8372), (360, 9384), (12, 6104),
+          (0, 4364), (0, 3744), (160, 6360), (624, 5904), (48, 5064),
+          (112, 5480), (444, 5836), (336, 1512), (48, 504), (612, 5936),
+          (340, 5480), (240, 1068), (432, 2528))],
+        (3172, 2644, 2956, 3924, 2064, 2284, 848, 2860, 2828, 1004, 1836,
+         2060, 972, 300, 1996, 1940, 676, 1484),
+        (4,) + (0,) * 17,
+    ),
+    "random": (
+        lambda: random_positive_dnf(random.Random(2), 17, 25, (2, 3)),
+        (34, 2, 2507),
+        [((0, 15870), (0, 15873), (0, 13604), (0, 15870), (0, 13604),
+          (0, 13606), (0, 13600), (0, 15868), (0, 15868), (0, 13600),
+          (0, 13596), (0, 15870), (0, 13596), (0, 13596), (0, 11903),
+          (0, 15872), (0, 15870)),
+         ((300, 8334), (552, 5688), (27, 5881), (360, 2808), (280, 5888),
+          (0, 8232), (0, 5356), (0, 8109), (276, 7389), (27, 5400),
+          (0, 6441), (0, 8688), (162, 5649), (0, 4515), (0, 5854),
+          (132, 7242), (1572, 7001))],
+        (3793, 3387, 1681, 1991, 2679, 4577, 1039, 3625, 3945, 1165, 2449,
+         4647, 1363, 921, 2003, 3021, 4427),
+        (3,) + (0,) * 16,
+    ),
+    "chain": (
+        lambda: chain_lineage(random.Random(3), length=8, width=3),
+        (51, 3, 2060),
+        [((0, 31855), (0, 31855), (0, 37343), (0, 31855), (0, 31855),
+          (0, 33313), (0, 38801), (0, 33313), (0, 33313), (0, 33313),
+          (0, 38801), (0, 33313), (0, 33313), (0, 33313), (0, 38801),
+          (0, 33313), (0, 33313)),
+         ((0, 14277), (0, 14277), (0, 37343), (0, 14277), (0, 30397),
+          (0, 26281), (0, 31181), (0, 28045), (0, 28045), (0, 27577),
+          (0, 32477), (0, 29341), (0, 29341), (0, 27577), (0, 32477),
+          (0, 29341), (0, 29341)),
+         ((3987, 7308), (3987, 7308), (0, 27239), (2997, 6468),
+          (4440, 17163), (2673, 6468), (0, 26291), (0, 11457),
+          (2268, 23629), (252, 17047), (4704, 23597), (0, 20461),
+          (7276, 20461), (96, 20023), (5760, 24389), (0, 22405),
+          (0, 22405))],
+        (6279, 6279, 13331, 5289, 12219, 5445, 12395, 5421, 12363, 5421,
+         12395, 5445, 12219, 5289, 13331, 6279, 6279),
+        (4,) + (0,) * 16,
+    ),
+}
+
+
+class TestPinnedSchedule:
+    """The anytime schedule, pinned to recorded values.
+
+    Batches are sized by :class:`~repro.core.bounds.WorkMeter` units and
+    the controllers read the bounds, so a bounds change that bills
+    differently or moves one bound changes these numbers, even where two
+    runs of the new code agree with each other.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_schedule_matches_the_record(self, name):
+        make, counts, rounds, exact, adaban_steps = PINNED[name]
+        function = make()
+        run = _IchiBanRun(function, select_most_frequent)
+        seen = []
+        refine = run.refine
+
+        def recording(targets, deadline=None):
+            intervals = refine(targets, deadline)
+            seen.append(tuple((intervals[v].lower, intervals[v].upper)
+                              for v in run.variables))
+            return intervals
+
+        run.refine = recording
+        final = run.run(_topk_controller(3, None), None, None)
+        assert (run.steps, run.rounds, run.state.work) == counts
+        assert seen == rounds
+        assert [final[v] for v in run.variables] == \
+            [Interval.point(value) for value in exact]
+        results = adaban_all(function, epsilon=0.1)
+        assert [(results[v].interval, results[v].refinement_steps)
+                for v in run.variables] == \
+            [(Interval.point(value), steps)
+             for value, steps in zip(exact, adaban_steps)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 
 from dnf_strategies import small_dnfs
@@ -24,9 +25,11 @@ from repro.boolean.operations import (
     independent_components,
     shannon_expansion,
 )
+from repro.core.bounds import _leaf_cofactor_counts, count_bounds
 from repro.core.exaban import exaban_all
 from repro.dtree.compile import compile_dnf
 from repro.dtree.heuristics import select_max_depth_reduction, select_most_frequent
+from repro.dtree.nodes import DNFLeaf
 from repro.engine.canonical import canonicalize
 
 
@@ -263,6 +266,15 @@ class TestOperationDifferential:
 
     @settings(max_examples=120, deadline=None)
     @given(small_dnfs())
+    def test_upper_idnf_needs_no_absorption(self, function):
+        # U's kept clauses are non-empty and pairwise disjoint, so none
+        # absorbs another.
+        upper = upper_idnf(function)
+        assert is_idnf(upper)
+        assert upper.absorb() is upper
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_dnfs())
     # Splitting beats frequency here: x2 occurs most, x3 disconnects more.
     @example(DNF([[0, 2, 4], [1, 3], [2, 3, 4], [2, 4]], domain=range(5)))
     def test_heuristics(self, function):
@@ -318,6 +330,56 @@ class TestOperationDifferential:
         assert lineage.dnf == renamed and renamed == lineage.dnf
         assert hash(lineage.dnf) == hash(renamed)
         assert lineage.key == (n, renamed.sorted_clauses())
+
+
+def _synthesized_counts(function: DNF):
+    """``(#L, #U)`` off the synthesized DNFs, over the function's domain."""
+    return (idnf_model_count(lower_idnf(function)),
+            idnf_model_count(upper_idnf(function)))
+
+
+def _assert_leaf_counts(function: DNF) -> None:
+    """A leaf's counts on masks equal the synthesized cofactors' counts."""
+    if function.is_false() or function.is_single_literal():
+        return  # such functions become a FalseLeaf or a LiteralLeaf
+    leaf = DNFLeaf(function)
+    assert count_bounds(leaf) == _synthesized_counts(function)
+    for variable in sorted(function.domain):
+        negative, positive = _leaf_cofactor_counts(leaf, variable)
+        assert negative == _synthesized_counts(
+            function.cofactor(variable, False)), variable
+        result, true_domain = _run(lambda: function.cofactor(variable, True))
+        if result is None:
+            assert positive == (1 << len(true_domain),) * 2, variable
+        else:
+            assert positive == _synthesized_counts(result), variable
+
+
+class TestLeafCountDifferential:
+    """The bounds' leaf counts against ``L``/``U`` of :meth:`DNF.cofactor`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_dnfs())
+    def test_leaf_counts_match_the_syntheses(self, function):
+        _assert_leaf_counts(function)
+
+    @pytest.mark.parametrize("function", [
+        # x0 := 1 makes the function the constant 1.
+        pytest.param(DNF([[0], [1, 2], [2, 3]]), id="unit-clause"),
+        # x4 is in the domain but in no clause.
+        pytest.param(DNF([[0, 1], [1, 2], [2, 3]], domain=range(5)),
+                     id="silent-variable"),
+        # x0 := 1 turns {0, 1, 2} into a second {1, 2}; kept twice, U would
+        # weaken the first copy to {1}.
+        pytest.param(DNF([[0, 1, 2], [1, 2], [3]]),
+                     id="clauses-coincide-once-cleared"),
+        # {0, 1, 6} sorts after {2, 3} and {3, 6}, but x0 := 1 leaves
+        # {1, 6}, which sorts before both.
+        pytest.param(DNF([[0, 1, 6], [2, 3], [3, 6]]),
+                     id="clearing-reorders-clauses"),
+    ])
+    def test_named_cases(self, function):
+        _assert_leaf_counts(function)
 
 
 class TestLazyViews:

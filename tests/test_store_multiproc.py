@@ -130,15 +130,14 @@ def _read_until(process, prefix, limit=1000):
 class TestWriterReaderConcurrency:
     def test_readers_see_consistent_prefix_under_live_writes(self, tmp_path):
         batches, per, readers = 30, 10, 3
-        writer = _spawn(_WRITER, tmp_path, batches, per)
+        processes = [_spawn(_WRITER, tmp_path, batches, per)]
+        writer = processes[0]
         try:
             _read_until(writer, "ACK 0")
-            reader_processes = [
-                _spawn(_READER, tmp_path, batches * per)
-                for _ in range(readers)
-            ]
+            for _ in range(readers):
+                processes.append(_spawn(_READER, tmp_path, batches * per))
             _read_until(writer, "DONE")
-            for reader in reader_processes:
+            for reader in processes[1:]:
                 output, _ = reader.communicate(timeout=90)
                 assert reader.returncode == 0, output
                 assert "READER_OK" in output, output
@@ -146,9 +145,12 @@ class TestWriterReaderConcurrency:
                 # however many mid-stream compactions it raced.
                 assert f"READER_OK {batches * per - 1}" in output, output
         finally:
-            writer.kill()
-            writer.wait(timeout=30)
-            writer.stdout.close()
+            # The writer sleeps once done; a reader still polls when a
+            # wait above failed.  Neither outlives the test.
+            for process in processes:
+                process.kill()
+                process.wait(timeout=30)
+                process.stdout.close()
 
     def test_second_writer_is_excluded_cross_process(self, tmp_path):
         with LogStore(str(tmp_path)) as _holder:
