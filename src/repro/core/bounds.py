@@ -11,10 +11,13 @@ negatively-occurring terms give a lower bound, and vice versa.
 Bounds are cached on the nodes (the paper's optimization (2)): the
 incremental compiler invalidates exactly the path from an expanded leaf to
 the root, so re-evaluating the bounds after an expansion touches only that
-path.  All three evaluations are **iterative** (explicit-stack postorder
-that stops descending at cached subtrees and visits a shared node once),
-matching the counting passes in :mod:`repro.core.exaban`: deep Shannon
-chains in a partial tree never hit the interpreter recursion limit.
+path.  There are two walks: the count bounds, and per variable the Banzhaf
+bounds, which at each node whose domain holds the variable also take the
+bounds on ``#phi[x := 0]`` for optimization (4), kept in the same cache
+entry.  Both are **iterative** (explicit-stack postorder that stops
+descending at cached subtrees and visits a shared node once), matching the
+counting passes in :mod:`repro.core.exaban`: deep Shannon chains in a
+partial tree never hit the interpreter recursion limit.
 
 A :class:`WorkMeter` counts an evaluation's work in deterministic units, by
 which the anytime schedule sizes its batches, and stops it at a deadline.
@@ -40,6 +43,7 @@ from repro.dtree.nodes import (
 
 _COUNT_KEY = "count_bounds"
 _ORDER_KEY = "clause_order"
+_BOUNDS_KEY = "banzhaf_bounds"
 
 
 class DeadlineExpired(Exception):
@@ -55,7 +59,8 @@ def check_deadline(deadline: Optional[float]) -> None:
 class WorkMeter:
     """One evaluation's work, and the deadline no node bound is computed past.
 
-    A computed node bound costs 1 unit, a ``DNFLeaf``'s its clause count.
+    A computed node bound (a count, Banzhaf or cofactor count bound) costs
+    1 unit, a ``DNFLeaf``'s its clause count.
     """
 
     __slots__ = ("units", "deadline")
@@ -174,52 +179,6 @@ def count_bounds(node: DTreeNode,
     return node.cache_get(_COUNT_KEY)  # type: ignore[return-value]
 
 
-def _cofactor_count_bounds_node(node: DTreeNode, variable: int, key: object,
-                                meter: Optional[WorkMeter]
-                                ) -> tuple[int, int]:
-    """Cofactor count bounds of one node (children's values pre-cached)."""
-    if isinstance(node, TrueLeaf):
-        return (1 << (len(node.domain) - 1),) * 2
-    if isinstance(node, FalseLeaf):
-        return (0, 0)
-    if isinstance(node, LiteralLeaf):
-        if node.variable == variable:
-            value = 1 if node.negated else 0
-        else:
-            value = 1
-        return (value, value)
-    if isinstance(node, DNFLeaf):
-        return _leaf_cofactor_counts(node, variable)[0]
-    if isinstance(node, DecompAnd):
-        lower, upper = 1, 1
-        for child in node.children():
-            if variable in child.domain:
-                child_lower, child_upper = child.cache_get(key)
-            else:
-                child_lower, child_upper = count_bounds(child, meter)
-            lower *= child_lower
-            upper *= child_upper
-        return (lower, upper)
-    if isinstance(node, DecompOr):
-        non_lower, non_upper = 1, 1
-        for child in node.children():
-            if variable in child.domain:
-                child_lower, child_upper = child.cache_get(key)
-                space = 1 << (len(child.domain) - 1)
-            else:
-                child_lower, child_upper = count_bounds(child, meter)
-                space = 1 << len(child.domain)
-            non_lower *= space - child_upper
-            non_upper *= space - child_lower
-        space = 1 << (len(node.domain) - 1)
-        return (space - non_upper, space - non_lower)
-    if isinstance(node, ExclusiveOr):
-        lower = sum(child.cache_get(key)[0] for child in node.children())
-        upper = sum(child.cache_get(key)[1] for child in node.children())
-        return (lower, upper)
-    raise TypeError(f"unknown d-tree node type {type(node).__name__}")
-
-
 def cofactor_count_bounds(node: DTreeNode, variable: int,
                           meter: Optional[WorkMeter] = None
                           ) -> tuple[int, int]:
@@ -228,18 +187,14 @@ def cofactor_count_bounds(node: DTreeNode, variable: int,
     This powers the paper's optimization (4) in Section 3.2.4: from bounds on
     ``#phi`` and ``#phi[x := 0]`` one obtains Banzhaf bounds via
     ``Banzhaf(phi, x) = #phi - 2 * #phi[x := 0]``, which are often tighter
-    than the direct Proposition 12 bounds.  Only called for nodes whose
-    domain contains ``variable``.
+    than the direct Proposition 12 bounds.  Read off the node's
+    :func:`bounds_for_variable` entry; for ``x`` outside the domain,
+    ``phi[x := 0]`` is ``phi`` and these are its count bounds.
     """
-    key = ("cofactor_count_bounds", variable)
-    cached = node.cache_get(key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    for current in _uncached_postorder(node, key, variable):
-        _charge(meter, current)
-        current.cache_set(key, _cofactor_count_bounds_node(
-            current, variable, key, meter))
-    return node.cache_get(key)  # type: ignore[return-value]
+    if variable not in node.domain:
+        return count_bounds(node, meter)
+    bounds_for_variable(node, variable, meter)
+    return _cofactor_of(node, (_BOUNDS_KEY, variable), meter)
 
 
 def _leaf_order(leaf: DNFLeaf) -> List[int]:
@@ -264,119 +219,128 @@ def _leaf_cofactor_counts(leaf: DNFLeaf, variable: int
     return cached  # type: ignore[return-value]
 
 
-def _leaf_banzhaf_bounds(leaf: DNFLeaf, variable: int) -> tuple[int, int]:
-    """Proposition 12 bounds for a variable in an undecomposed DNF leaf."""
-    if not leaf.function.contains_variable(variable):
-        return 0, 0
-    (lower_negative, upper_negative), (lower_positive, upper_positive) = \
-        _leaf_cofactor_counts(leaf, variable)
-    # The function is positive, so the Banzhaf value is non-negative; clamping
-    # the lower bound at zero keeps it valid and can only tighten it.
-    lower = max(0, lower_positive - upper_negative)
-    upper = upper_positive - lower_negative
-    return lower, max(lower, upper)
+def _cofactor_of(node: DTreeNode, key: object,
+                 meter: Optional[WorkMeter]) -> tuple[int, int]:
+    """The cofactor count bounds of ``node``'s entry, whose domain holds x.
+
+    A literal's entry leaves them open until a node above it first reads
+    them; then they are computed and billed, once.
+    """
+    entry = node._cache[key]
+    if entry[2] is None:
+        _charge(meter, node)
+        value = 1 if node.negated else 0
+        entry = (entry[0], entry[1], value, value)
+        node._cache[key] = entry
+    return entry[2], entry[3]
 
 
-def _bounds_node(node: DTreeNode, variable: int, key: object,
-                 meter: Optional[WorkMeter]) -> BanzhafBounds:
-    """Fig. 2 bounds of one node (descended children's bounds pre-cached)."""
-    count_lower, count_upper = count_bounds(node, meter)
+def _bounds_entry(node: DTreeNode, variable: int, key: object,
+                  meter: Optional[WorkMeter]) -> tuple:
+    """One node's ``(Lb, Ub, cofactor L#, cofactor U#)`` for ``variable``.
 
-    if isinstance(node, (TrueLeaf, FalseLeaf)):
-        result = BanzhafBounds(0, count_lower, 0, count_upper)
-    elif isinstance(node, LiteralLeaf):
-        if node.variable == variable:
-            value = -1 if node.negated else 1
-        else:
-            value = 0
-        result = BanzhafBounds(value, 1, value, 1)
-    elif isinstance(node, DNFLeaf):
-        lower, upper = _leaf_banzhaf_bounds(node, variable)
-        result = BanzhafBounds(lower, count_lower, upper, count_upper)
-    elif isinstance(node, (DecompAnd, DecompOr)):
-        result = _decomposable_bounds(node, variable, key,
-                                      count_lower, count_upper, meter)
-    elif isinstance(node, ExclusiveOr):
-        lower = 0
-        upper = 0
+    Fig. 2 at one node, the cofactor bounds of ``#phi[x := 0]`` in the
+    same step when the domain holds ``variable`` (billed as one more node
+    bound), and then optimization (4).  Every count bound below the node
+    and the entries of its children holding ``variable`` are cached.
+    The cofactor bounds stay ``None`` for a domain without the variable,
+    and at a literal until :func:`_cofactor_of`.
+    """
+    if variable not in node.domain:
+        return (0, 0, None, None)
+    if isinstance(node, LiteralLeaf):
+        value = -1 if node.negated else 1
+        return (value, value, None, None)
+    _charge(meter, node)
+    if isinstance(node, (DecompAnd, DecompOr)):
+        # The variable is in exactly one child (disjoint domains); its
+        # bounds are scaled by products over the siblings, taking lower
+        # bounds of terms that occur positively and upper bounds of terms
+        # that occur negatively (and vice versa for the upper bound).
+        conjunction = isinstance(node, DecompAnd)
+        lower_factor = upper_factor = 1
         for child in node.children():
-            child_bounds = child.cache_get(key)
-            lower += child_bounds.banzhaf_lower
-            upper += child_bounds.banzhaf_upper
-        result = BanzhafBounds(lower, count_lower, upper, count_upper)
+            if variable in child.domain:
+                target = child
+                continue
+            child_lower, child_upper = child._cache[_COUNT_KEY]
+            if conjunction:
+                lower_factor *= child_lower
+                upper_factor *= child_upper
+            else:  # DecompOr: the sibling term is the non-model count.
+                space = 1 << len(child.domain)
+                lower_factor *= space - child_upper
+                upper_factor *= space - child_lower
+        # Interval product of [Lb, Ub] (possibly spanning zero, e.g. for the
+        # negated literal introduced by Shannon expansion) with the
+        # non-negative sibling factor interval [lower_factor, upper_factor].
+        target_lower, target_upper = target._cache[key][:2]
+        candidates = (target_lower * lower_factor,
+                      target_lower * upper_factor,
+                      target_upper * lower_factor,
+                      target_upper * upper_factor)
+        lower, upper = min(candidates), max(candidates)
+        cofactor_lower, cofactor_upper = _cofactor_of(target, key, meter)
+        if conjunction:
+            cofactor_lower *= lower_factor
+            cofactor_upper *= upper_factor
+        else:
+            space = 1 << (len(target.domain) - 1)
+            non_lower = (space - cofactor_upper) * lower_factor
+            non_upper = (space - cofactor_lower) * upper_factor
+            space = 1 << (len(node.domain) - 1)
+            cofactor_lower, cofactor_upper = (space - non_upper,
+                                              space - non_lower)
+    elif isinstance(node, ExclusiveOr):
+        lower = upper = cofactor_lower = cofactor_upper = 0
+        for child in node.children():
+            child_entry = child._cache[key]
+            lower += child_entry[0]
+            upper += child_entry[1]
+            child_lower, child_upper = _cofactor_of(child, key, meter)
+            cofactor_lower += child_lower
+            cofactor_upper += child_upper
+    elif isinstance(node, DNFLeaf):
+        (cofactor_lower, cofactor_upper), (positive_lower, positive_upper) = \
+            _leaf_cofactor_counts(node, variable)
+        # Proposition 12.  The function is positive, so the Banzhaf value is
+        # non-negative; clamping the lower bound at zero keeps it valid and
+        # can only tighten it.
+        if node.function.contains_variable(variable):
+            lower = max(0, positive_lower - cofactor_upper)
+            upper = max(lower, positive_upper - cofactor_lower)
+        else:
+            lower = upper = 0
+    elif isinstance(node, TrueLeaf):
+        lower = upper = 0
+        cofactor_lower = cofactor_upper = 1 << (len(node.domain) - 1)
+    elif isinstance(node, FalseLeaf):
+        lower = upper = cofactor_lower = cofactor_upper = 0
     else:
         raise TypeError(f"unknown d-tree node type {type(node).__name__}")
-
-    if variable in node.domain and not isinstance(node, LiteralLeaf):
-        # Optimization (4): intersect with the bounds derived from
-        # Banzhaf(phi, x) = #phi - 2 * #phi[x := 0].
-        cof_lower, cof_upper = cofactor_count_bounds(node, variable, meter)
-        alt_lower = count_lower - 2 * cof_upper
-        alt_upper = count_upper - 2 * cof_lower
-        lower = max(result.banzhaf_lower, alt_lower)
-        upper = min(result.banzhaf_upper, alt_upper)
-        result = BanzhafBounds(lower, count_lower, upper, count_upper)
-
-    return result
+    # Optimization (4): intersect with the bounds derived from
+    # Banzhaf(phi, x) = #phi - 2 * #phi[x := 0].
+    count_lower, count_upper = node._cache[_COUNT_KEY]
+    return (max(lower, count_lower - 2 * cofactor_upper),
+            min(upper, count_upper - 2 * cofactor_lower),
+            cofactor_lower, cofactor_upper)
 
 
 def bounds_for_variable(node: DTreeNode, variable: int,
                         meter: Optional[WorkMeter] = None) -> BanzhafBounds:
-    """Fig. 2 ``bounds`` for one variable, node-cached, billed to ``meter``."""
-    key = ("banzhaf_bounds", variable)
-    cached = node.cache_get(key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    # Only subtrees containing the variable contribute Banzhaf bounds (a
-    # decomposable node scales exactly one child's bounds; exclusive
-    # children all share the parent domain).
-    for current in _uncached_postorder(node, key, variable):
-        _charge(meter, current)
-        current.cache_set(key, _bounds_node(current, variable, key, meter))
-    return node.cache_get(key)  # type: ignore[return-value]
+    """Fig. 2 ``bounds`` for one variable, node-cached, billed to ``meter``.
 
-
-def _decomposable_bounds(node: DTreeNode, variable: int, key: object,
-                         count_lower: int, count_upper: int,
-                         meter: Optional[WorkMeter]) -> BanzhafBounds:
-    """Combine children bounds at an independent AND/OR node.
-
-    The variable occurs in at most one child (disjoint domains); the bounds of
-    that child are scaled by products over the siblings, taking lower bounds
-    of terms that occur positively and upper bounds of terms that occur
-    negatively (and vice versa for the upper bound).
+    One walk computes each node's entry (:func:`_bounds_entry`), after the
+    count bounds of the whole tree.  Only subtrees containing the variable
+    contribute Banzhaf bounds (a decomposable node scales exactly one
+    child's bounds; exclusive children all share the parent domain).
     """
-    children = node.children()
-    target_index = None
-    for index, child in enumerate(children):
-        if variable in child.domain:
-            target_index = index
-            break
-    if target_index is None:
-        return BanzhafBounds(0, count_lower, 0, count_upper)
-
-    target_bounds = children[target_index].cache_get(key)
-    lower_factor = 1
-    upper_factor = 1
-    for index, child in enumerate(children):
-        if index == target_index:
-            continue
-        child_lower, child_upper = count_bounds(child, meter)
-        if isinstance(node, DecompAnd):
-            lower_factor *= child_lower
-            upper_factor *= child_upper
-        else:  # DecompOr: the sibling term is the non-model count.
-            space = 1 << len(child.domain)
-            lower_factor *= space - child_upper
-            upper_factor *= space - child_lower
-    # Interval product of [Lb, Ub] (possibly spanning zero, e.g. for the
-    # negated literal introduced by Shannon expansion) with the non-negative
-    # sibling factor interval [lower_factor, upper_factor].
-    candidates = (
-        target_bounds.banzhaf_lower * lower_factor,
-        target_bounds.banzhaf_lower * upper_factor,
-        target_bounds.banzhaf_upper * lower_factor,
-        target_bounds.banzhaf_upper * upper_factor,
-    )
-    return BanzhafBounds(min(candidates), count_lower,
-                         max(candidates), count_upper)
+    key = (_BOUNDS_KEY, variable)
+    count_lower, count_upper = count_bounds(node, meter)
+    entry = node._cache.get(key)
+    if entry is None:
+        for current in _uncached_postorder(node, key, variable):
+            _charge(meter, current)
+            current._cache[key] = _bounds_entry(current, variable, key, meter)
+        entry = node._cache[key]
+    return BanzhafBounds(entry[0], count_lower, entry[1], count_upper)

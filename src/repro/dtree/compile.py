@@ -105,14 +105,22 @@ def settle(function: DNF) -> Union[DTreeNode, DNF]:
     return function
 
 
+def leaf_for(part: DNF) -> DTreeNode:
+    """The leaf of an absorbed ``part``: :func:`settle`'s, else a ``DNFLeaf``.
+
+    :func:`decompose` returns its parts absorbed, so they need no pass.
+    """
+    settled = settle(part)
+    return DNFLeaf(settled) if isinstance(settled, DNF) else settled
+
+
 def node_for(function: DNF) -> DTreeNode:
-    """Wrap a DNF into the appropriate leaf node without decomposing it.
+    """Wrap a compiler's root into its leaf node without decomposing it.
 
     The function is absorbed first (absorption can leave a single
     literal); a non-trivial one becomes a ``DNFLeaf``.
     """
-    settled = settle(function.absorb())
-    return DNFLeaf(settled) if isinstance(settled, DNF) else settled
+    return leaf_for(function.absorb())
 
 
 def decompose(function: DNF, heuristic: Heuristic,
@@ -285,7 +293,7 @@ def compile_exhaustively(function: DNF, heuristic: Heuristic,
                 continue
             except CompilationLimitReached as exhausted:
                 error = exhausted
-        node = node_for(item)
+        node = leaf_for(item)
         if isinstance(node, DNFLeaf):
             open_leaves.append(node)
         results.append(node)

@@ -14,10 +14,11 @@ priority order, ``complete`` every open leaf with the exhaustive compiler
 (how the engine finishes fresh and resumed compilations,
 :func:`repro.engine.artifact.complete_compilation`).  Following the paper's
 optimization (1) (Section 3.2.4) the ``expand_step`` method is *lazy*:
-cheap structural steps (absorption, factoring, independence partitioning)
-are applied eagerly until either a Shannon expansion is performed or no
-non-trivial leaf remains, because only Shannon expansions change the
-bounds enough to be worth re-evaluating.
+cheap structural steps (splitting off silent variables, factoring,
+independence partitioning) are applied eagerly until either a Shannon
+expansion is performed or no non-trivial leaf remains, because only
+Shannon expansions change the bounds enough to be worth re-evaluating.
+The root is absorbed once; every part a step returns is already absorbed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.dtree.compile import (
     combine,
     compile_exhaustively,
     decompose,
+    leaf_for,
     node_for,
 )
 from repro.dtree.heuristics import Heuristic, select_most_frequent
@@ -135,7 +137,7 @@ class IncrementalCompiler:
     def _expand_leaf(self, leaf: DNFLeaf) -> bool:
         """Decompose one leaf in place.  Returns ``True`` on Shannon expansion."""
         frame, parts = decompose(leaf.function, self._heuristic)
-        children = [node_for(part) for part in parts]
+        children = [leaf_for(part) for part in parts]
         self._replace(leaf, combine(frame, children),
                       [child for child in children
                        if isinstance(child, DNFLeaf)])

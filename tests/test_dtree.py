@@ -12,6 +12,8 @@ from repro.dtree.compile import (
     CompilationBudget,
     CompilationLimitReached,
     compile_dnf,
+    decompose,
+    settle,
 )
 from repro.dtree.heuristics import (
     HEURISTICS,
@@ -34,7 +36,12 @@ from repro.dtree.serialize import decode_tree, encode_tree, trees_equal
 from repro.engine.artifact import CompiledLineage, complete_compilation
 from repro.workloads.generators import bipartite_lineage, random_positive_dnf
 
-from dnf_strategies import SHARING_DNF, shannon_dnfs, unfolded_count
+from dnf_strategies import (
+    SHARING_DNF,
+    shannon_dnfs,
+    small_dnfs,
+    unfolded_count,
+)
 
 
 class TestNodes:
@@ -167,6 +174,63 @@ class TestCompile:
         for heuristic in HEURISTICS.values():
             tree = compile_dnf(function, heuristic=heuristic)
             _assert_equivalent(tree, function)
+
+
+#: An absorbed function whose first decomposition step is of each kind.
+FIRST_STEPS = {
+    "silent": DNF([[0, 1], [1, 2]], domain=range(4)),
+    "factor": DNF([[0, 1], [0, 2]]),
+    "constant": DNF([[0, 1]]),
+    "components": DNF([[0, 1], [2, 3]]),
+    "shannon": DNF([[0, 1], [1, 2], [2, 3]]),
+}
+
+
+def _step_kind(frame):
+    """The rule a :func:`decompose` frame applied."""
+    kind, arity, _, variables, true_domain = frame
+    if kind is ExclusiveOr:
+        return "shannon" if true_domain is None else "shannon-constant"
+    if kind is DecompOr:
+        return "components"
+    if arity == 0:
+        return "constant"
+    return "factor" if variables else "silent"
+
+
+class TestDecomposedPartsStayAbsorbed:
+    """``decompose`` returns absorbed parts, which the compilers therefore
+    wrap without an absorption pass (``leaf_for``).
+
+    An absorbed function's unit clause ``{x}`` absorbs every other clause
+    holding ``x``, so it is a component of its own: Shannon never expands
+    an absorbed function on it, and the positive cofactor is never the
+    constant 1 (that branch needs an unabsorbed input).
+    """
+
+    @pytest.mark.parametrize("kind", sorted(FIRST_STEPS))
+    def test_named_cases_take_each_step(self, kind):
+        function = FIRST_STEPS[kind]
+        assert function.absorb() is function
+        frame, _ = decompose(function, select_most_frequent)
+        assert _step_kind(frame) == kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_dnfs())
+    @example(FIRST_STEPS["silent"])
+    @example(FIRST_STEPS["shannon"])
+    @example(SHARING_DNF)
+    def test_every_part_of_every_step_is_absorbed(self, function):
+        work = [function.absorb()]
+        while work:
+            item = work.pop()
+            if settle(item) is not item:
+                continue
+            frame, parts = decompose(item, select_most_frequent)
+            assert _step_kind(frame) != "shannon-constant"
+            for part in parts:
+                assert part.absorb() is part
+            work += parts
 
 
 class TestHeuristics:
